@@ -7,29 +7,35 @@ coherent-set studies, a two-state hidden-Markov sampler with a square-root
 warped output space, and a chaotic three-dimensional attractor integrator.
 
 All generators are deterministic per seed. The double-well and four-well
-generators have a compiled fast path; its arithmetic is kept operation-for-
-operation identical to the plain-Python reference path so both produce
-bit-identical trajectories from the same seed.
+generators step in C: ``_kernels.c`` is compiled with the system's ``cc`` on
+the first call, cached next to this module under a hash of its source (or,
+in a read-only install, built privately for each process), and loaded
+through ``ctypes``. Its arithmetic is kept operation-for-operation
+identical to :func:`euler_maruyama`, the pure-Python reference path, so both
+produce bit-identical trajectories from the same seed. Without a C compiler
+the generators run :func:`euler_maruyama` itself.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import hashlib
+import json
 import math
+import os
+import shutil
+import subprocess
+import tempfile
+import time
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .errors import DivergenceError, InvalidArgument
-
-try:  # pragma: no cover - exercised implicitly by the chosen backend
-    import numba
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    numba = None
-    _HAVE_NUMBA = False
 
 __all__ = [
     "SdeSystem",
@@ -133,21 +139,14 @@ def euler_maruyama(system: SdeSystem, x0: NDArray, n_frames: int,
         If the state leaves the finite floating-point range; the error
         carries the index of the first bad integrator step.
     """
-    x0 = np.asarray(x0, dtype=np.float64).ravel()
-    if x0.size != system.dimension:
-        raise InvalidArgument(
-            f"x0 has dimension {x0.size}, system expects {system.dimension}"
-        )
-    if n_frames < 1:
-        raise InvalidArgument(f"n_frames must be >= 1, got {n_frames}")
+    x = _initial_state(system, x0, n_frames)
     h = system.step
     n_sub = system.n_substeps
     sig_sqrt_h = system.diffusion * math.sqrt(h)
     noiseless = not np.any(system.diffusion)
     rng = np.random.default_rng(seed)
     frames = np.empty((n_frames, system.dimension))
-    frames[0] = x0
-    x = x0.copy()
+    frames[0] = x
     t = t0
     frames_per_block = max(1, _NOISE_BLOCK_STEPS // n_sub)
     emitted = 1
@@ -179,22 +178,106 @@ def euler_maruyama(system: SdeSystem, x0: NDArray, n_frames: int,
     return Trajectory(frames=frames, dt_effective=h * n_sub, seed=seed)
 
 
-def _run_compiled_sde(kernel, x: NDArray, h: float, scale: float,
-                      n_substeps: int, frames: NDArray, rng, dim: int) -> None:
-    """Drive a compiled per-frame stepping kernel with blockwise noise."""
-    frames_per_block = max(1, _NOISE_BLOCK_STEPS // n_substeps)
+def _initial_state(system: SdeSystem, x0, n_frames: int) -> NDArray:
+    """Check the start of an integration; return a fresh copy of ``x0``."""
+    x = np.array(x0, dtype=np.float64).ravel()
+    if x.size != system.dimension:
+        raise InvalidArgument(
+            f"x0 has dimension {x.size}, system expects {system.dimension}"
+        )
+    if n_frames < 1:
+        raise InvalidArgument(f"n_frames must be >= 1, got {n_frames}")
+    return x
+
+
+_KERNEL_SOURCE = Path(__file__).with_name("_kernels.c")
+_KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+
+
+def _build_kernels(compiler: str, path: Path) -> None:
+    """Compile ``_kernels.c`` to ``path``, which appears whole or not at all."""
+    path.parent.mkdir(exist_ok=True)
+    fd, partial = tempfile.mkstemp(suffix=".so", dir=path.parent)
+    os.close(fd)
+    try:
+        subprocess.run([compiler, *_KERNEL_FLAGS, "-o", partial, str(_KERNEL_SOURCE)],
+                       check=True, capture_output=True)
+        os.replace(partial, path)
+    finally:
+        Path(partial).unlink(missing_ok=True)
+
+
+def _cached_build() -> Path:
+    """The cached build in ``__pycache__``, named by a hash of source and flags."""
+    digest = hashlib.sha256(_KERNEL_SOURCE.read_bytes()
+                            + " ".join(_KERNEL_FLAGS).encode()).hexdigest()[:16]
+    return _KERNEL_SOURCE.parent / "__pycache__" / f"_kernels-{digest}.so"
+
+
+@functools.cache
+def _compiled_kernels() -> tuple:
+    """Build ``_kernels.c`` on first use and load it; returns ``(library, backend)``.
+
+    Where the cache is not writable (a read-only install), each process
+    builds privately and removes the build once loaded: a build is never
+    taken from the shared temporary directory, where anyone could plant one.
+    Without a library, ``backend`` says why.
+    """
+    compiler = shutil.which("cc")
+    if compiler is None:
+        return None, "python (no C compiler)"
+    path = _cached_build()
+    try:
+        try:
+            if not path.exists():
+                _build_kernels(compiler, path)
+            library = ctypes.CDLL(str(path))
+        except OSError:  # the cache is not writable, or not loadable
+            with tempfile.TemporaryDirectory(prefix="lagtime-") as private:
+                path = Path(private) / path.name
+                _build_kernels(compiler, path)
+                library = ctypes.CDLL(str(path))
+    except (subprocess.CalledProcessError, OSError):
+        return None, "python (C build failed)"
+    array = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+    for stepper in (library.double_well_steps, library.quadwell_steps):
+        stepper.argtypes = [array, array, ctypes.c_double, ctypes.c_double,
+                            ctypes.c_long, ctypes.c_long, array]
+        stepper.restype = ctypes.c_long
+    return library, "c"
+
+
+def _run_compiled_sde(stepper: str, system: SdeSystem, x0, n_frames: int,
+                      seed: Optional[int]) -> Trajectory:
+    """Integrate a shipped system with its C stepper, or with the reference path.
+
+    Noise is drawn in the same blocks as :func:`euler_maruyama` draws it, so
+    the random streams, and hence the frames, agree bit for bit. The
+    stepper's isotropic diffusion is ``system.diffusion[0, 0]``.
+    """
+    library, _ = _compiled_kernels()
+    if library is None:
+        return euler_maruyama(system, x0, n_frames, seed=seed)
+    x = _initial_state(system, x0, n_frames)
+    h, n_sub, dim = system.step, system.n_substeps, system.dimension
+    scale = system.diffusion[0, 0] * math.sqrt(h)
+    kernel = getattr(library, stepper)
+    rng = np.random.default_rng(seed)
+    frames = np.empty((n_frames, dim))
+    frames[0] = x
+    frames_per_block = max(1, _NOISE_BLOCK_STEPS // n_sub)
     written = 1
-    total = frames.shape[0]
-    while written < total:
-        m = min(frames_per_block, total - written)
-        noise = rng.standard_normal((m * n_substeps, dim))
-        bad = kernel(x, noise, h, scale, n_substeps, frames[written:written + m])
+    while written < n_frames:
+        m = min(frames_per_block, n_frames - written)
+        noise = rng.standard_normal((m * n_sub, dim))
+        bad = kernel(x, noise, h, scale, n_sub, m, frames[written:written + m])
         if bad >= 0:
-            step = (written - 1) * n_substeps + bad + 1
+            step = (written - 1) * n_sub + bad + 1
             raise DivergenceError(
                 f"state diverged at integrator step {step}", step=step
             )
         written += m
+    return Trajectory(frames=frames, dt_effective=h * n_sub, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -223,56 +306,18 @@ def double_well_system(h: float = 1e-3, n_substeps: int = 100) -> SdeSystem:
     )
 
 
-if _HAVE_NUMBA:
-
-    @numba.njit(cache=True)
-    def _double_well_kernel(x, noise, h, s, n_substeps, out):  # pragma: no cover
-        x0 = x[0]
-        x1 = x[1]
-        row = 0
-        for f in range(out.shape[0]):
-            for _ in range(n_substeps):
-                f0 = -4.0 * x0 * (x0 * x0 - 1.0)
-                f1 = -2.0 * x1
-                x0 = x0 + f0 * h + s * noise[row, 0]
-                x1 = x1 + f1 * h + s * noise[row, 1]
-                row += 1
-            if not (math.isfinite(x0) and math.isfinite(x1)):
-                return f * n_substeps
-            out[f, 0] = x0
-            out[f, 1] = x1
-        x[0] = x0
-        x[1] = x1
-        return -1
-
-
 def double_well_2d(seed: Optional[int] = None, n_frames: int = 10000,
                    h: float = 1e-3, n_substeps: int = 100,
                    x0: Optional[NDArray] = None) -> Trajectory:
     """Sample the two-dimensional double-well diffusion.
 
-    Starts at the saddle ``(0, 0)`` unless ``x0`` is given. Uses the
-    compiled stepping kernel when available; the result is bit-identical to
+    Starts at the saddle ``(0, 0)`` unless ``x0`` is given. Steps in C when
+    a compiler is available; the result is bit-identical to
     :func:`euler_maruyama` on :func:`double_well_system` with the same seed.
     """
     system = double_well_system(h=h, n_substeps=n_substeps)
-    if x0 is None:
-        x0 = np.zeros(2)
-    if not _HAVE_NUMBA:
-        return euler_maruyama(system, x0, n_frames, seed=seed)
-    x0 = np.asarray(x0, dtype=np.float64).ravel()
-    if x0.size != 2:
-        raise InvalidArgument(f"x0 must have dimension 2, got {x0.size}")
-    if n_frames < 1:
-        raise InvalidArgument(f"n_frames must be >= 1, got {n_frames}")
-    frames = np.empty((n_frames, 2))
-    frames[0] = x0
-    state = x0.copy()
-    rng = np.random.default_rng(seed)
-    scale = _DOUBLE_WELL_SIGMA * math.sqrt(h)
-    _run_compiled_sde(_double_well_kernel, state, h, scale, n_substeps,
-                      frames, rng, 2)
-    return Trajectory(frames=frames, dt_effective=h * n_substeps, seed=seed)
+    start = np.zeros(2) if x0 is None else x0
+    return _run_compiled_sde("double_well_steps", system, start, n_frames, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -324,35 +369,6 @@ def quadwell_system(h: float = 1e-3, n_substeps: int = 10) -> SdeSystem:
     )
 
 
-if _HAVE_NUMBA:
-
-    @numba.njit(cache=True)
-    def _quadwell_kernel(x, noise, h, s, n_substeps, out):  # pragma: no cover
-        m1 = -2.0
-        m2 = -0.7
-        m3 = 0.8
-        m4 = 2.1
-        coeff = -2.0 * 0.25
-        x0 = x[0]
-        row = 0
-        for f in range(out.shape[0]):
-            for _ in range(n_substeps):
-                d1 = x0 - m1
-                d2 = x0 - m2
-                d3 = x0 - m3
-                d4 = x0 - m4
-                p = d1 * d2 * d3 * d4
-                dp = d2 * d3 * d4 + d1 * d3 * d4 + d1 * d2 * d4 + d1 * d2 * d3
-                f0 = coeff * (p * dp)
-                x0 = x0 + f0 * h + s * noise[row, 0]
-                row += 1
-            if not math.isfinite(x0):
-                return f * n_substeps
-            out[f, 0] = x0
-        x[0] = x0
-        return -1
-
-
 def quadwell_1d(seed: Optional[int] = None, n_frames: int = 100000,
                 h: float = 1e-3, n_substeps: int = 10,
                 x0: float = 0.0) -> Trajectory:
@@ -360,22 +376,12 @@ def quadwell_1d(seed: Optional[int] = None, n_frames: int = 100000,
 
     The shipped potential is ``0.25 * [(x+2)(x+0.7)(x-0.8)(x-2.1)]^2`` with
     unit diffusion: four minima at :data:`QUADWELL_MINIMA`, slightly
-    asymmetric barrier heights, and three slow exchange processes.
+    asymmetric barrier heights, and three slow exchange processes. Steps in
+    C when a compiler is available, bit-identical to :func:`euler_maruyama`
+    on :func:`quadwell_system`.
     """
     system = quadwell_system(h=h, n_substeps=n_substeps)
-    start = np.array([float(x0)])
-    if not _HAVE_NUMBA:
-        return euler_maruyama(system, start, n_frames, seed=seed)
-    if n_frames < 1:
-        raise InvalidArgument(f"n_frames must be >= 1, got {n_frames}")
-    frames = np.empty((n_frames, 1))
-    frames[0] = start
-    state = start.copy()
-    rng = np.random.default_rng(seed)
-    scale = _QUADWELL_SIGMA * math.sqrt(h)
-    _run_compiled_sde(_quadwell_kernel, state, h, scale, n_substeps,
-                      frames, rng, 1)
-    return Trajectory(frames=frames, dt_effective=h * n_substeps, seed=seed)
+    return _run_compiled_sde("quadwell_steps", system, [float(x0)], n_frames, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -643,8 +649,6 @@ def benchmark_steps_per_second(n_steps: int = 1_000_000,
     Runs one warm-up call (so one-time compilation is excluded), then times
     a generation of ``n_steps`` integrator steps including noise generation.
     """
-    import time
-
     n_substeps = 100
     n_frames = max(2, n_steps // n_substeps + 1)
     actual_steps = (n_frames - 1) * n_substeps
@@ -654,7 +658,7 @@ def benchmark_steps_per_second(n_steps: int = 1_000_000,
     elapsed = time.perf_counter() - start
     return {
         "system": "double_well_2d",
-        "backend": "numba" if _HAVE_NUMBA else "python",
+        "backend": _compiled_kernels()[1],
         "n_steps": actual_steps,
         "elapsed_seconds": elapsed,
         "steps_per_second": actual_steps / elapsed,
@@ -673,9 +677,6 @@ def write_trajectory(trajectory: Trajectory, path, system: str = "",
     The sidecar records the system name, parameters, seed, and effective
     time step, so the file pair is self-describing.
     """
-    import json
-    from pathlib import Path
-
     path = Path(path)
     np.savetxt(path, trajectory.frames, delimiter=",")
     sidecar = {
@@ -696,9 +697,6 @@ def read_trajectory(path) -> tuple:
 
     Returns ``(trajectory, metadata)``; metadata is the sidecar dictionary.
     """
-    import json
-    from pathlib import Path
-
     path = Path(path)
     frames = np.loadtxt(path, delimiter=",", ndmin=2)
     sidecar_path = path.with_suffix(path.suffix + ".json")

@@ -121,9 +121,9 @@ def gram_matrix(
                 G[i:hi, j:hj] = G[j:hj, i:hi].T
             else:
                 G[i:hi, j:hj] = kernel.pairwise(A[i:hi], B[j:hj])
-    if symmetric:
-        upper = np.triu(G)
-        G = upper + np.triu(G, 1).T
+                if symmetric and j == i:
+                    block = G[i:hi, j:hj]
+                    block[...] = np.triu(block) + np.triu(block, 1).T
     return G
 
 

@@ -1,9 +1,13 @@
 """Tests for the synthetic data generators and their field definitions."""
 
+import shutil
+import tempfile
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from lagtime import datasets
 from lagtime.datasets import (
     QUADWELL_MINIMA,
     SQRT_MODEL_TRANSITION_MATRIX,
@@ -104,22 +108,98 @@ class TestEulerMaruyama:
             euler_maruyama(system, np.zeros(1), n_frames=0, seed=0)
 
 
+@pytest.fixture
+def fresh_kernel_build():
+    """Forget the loaded C steppers before and after the test."""
+    datasets._compiled_kernels.cache_clear()
+    yield
+    datasets._compiled_kernels.cache_clear()
+
+
 class TestCompiledParity:
-    """The compiled steppers must reproduce the reference integrator bit for bit."""
+    """The C steppers must reproduce the reference integrator bit for bit."""
+
+    def test_backend_is_c_with_a_compiler(self):
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler on PATH")
+        assert benchmark_steps_per_second(n_steps=100)["backend"] == "c"
 
     def test_double_well_matches_reference(self):
-        reference = euler_maruyama(
-            double_well_system(n_substeps=10), np.zeros(2), n_frames=40, seed=7
-        )
-        fast = double_well_2d(seed=7, n_frames=40, n_substeps=10)
-        np.testing.assert_array_equal(fast.frames, reference.frames)
+        for seed, n_frames, n_substeps in [
+            (7, 40, 10),
+            (7, 2_001, 100),  # the benchmark's 2e5 steps
+            (300, 2_001, 100),
+            (7, 700, 100),  # 7e4 steps: a 65,536-step noise block ends mid-frame
+        ]:
+            reference = euler_maruyama(
+                double_well_system(n_substeps=n_substeps), np.zeros(2),
+                n_frames=n_frames, seed=seed,
+            )
+            fast = double_well_2d(seed=seed, n_frames=n_frames, n_substeps=n_substeps)
+            np.testing.assert_array_equal(fast.frames, reference.frames)
 
     def test_quadwell_matches_reference(self):
-        reference = euler_maruyama(
-            quadwell_system(n_substeps=10), np.array([0.0]), n_frames=40, seed=3
-        )
-        fast = quadwell_1d(seed=3, n_frames=40, n_substeps=10)
-        np.testing.assert_array_equal(fast.frames, reference.frames)
+        for seed, n_frames, h, n_substeps in [
+            (3, 40, 1e-3, 10),
+            (300, 100_000, 2e-3, 5),  # the benchmark's walk: eight noise blocks
+        ]:
+            reference = euler_maruyama(
+                quadwell_system(h=h, n_substeps=n_substeps), np.array([0.0]),
+                n_frames=n_frames, seed=seed,
+            )
+            fast = quadwell_1d(seed=seed, n_frames=n_frames, h=h, n_substeps=n_substeps)
+            np.testing.assert_array_equal(fast.frames, reference.frames)
+
+    def test_divergence_reports_the_same_step(self):
+        # The walk leaves the floating-point range at step 4, inside the
+        # first frame of 100 steps.
+        start = np.array([1e6, 0.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError) as reference:
+                euler_maruyama(double_well_system(), start, n_frames=3, seed=0)
+            with pytest.raises(DivergenceError) as fast:
+                double_well_2d(seed=0, n_frames=3, x0=start)
+        assert fast.value.step == reference.value.step == 4
+
+    def test_without_a_compiler_the_reference_path_runs(self, monkeypatch,
+                                                        fresh_kernel_build):
+        compiled = quadwell_1d(seed=5, n_frames=300, n_substeps=3)
+        monkeypatch.setattr(datasets.shutil, "which", lambda name: None)
+        datasets._compiled_kernels.cache_clear()
+        assert benchmark_steps_per_second(n_steps=100)["backend"].startswith("python")
+        fallback = quadwell_1d(seed=5, n_frames=300, n_substeps=3)
+        np.testing.assert_array_equal(fallback.frames, compiled.frames)
+
+    def test_failed_build_falls_back(self, monkeypatch, tmp_path, fresh_kernel_build):
+        broken = tmp_path / "_kernels.c"
+        broken.write_text("this is not C\n")
+        monkeypatch.setattr(datasets, "_KERNEL_SOURCE", broken)
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler on PATH")
+        assert benchmark_steps_per_second(n_steps=100)["backend"] == "python (C build failed)"
+        assert list((tmp_path / "__pycache__").iterdir()) == []
+
+    def test_read_only_install_never_loads_from_the_shared_temp_dir(
+            self, monkeypatch, tmp_path, fresh_kernel_build):
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler on PATH")
+        package = tmp_path / "package"
+        package.mkdir()
+        source = package / "_kernels.c"
+        shutil.copy(datasets._KERNEL_SOURCE, source)
+        # A file where the cache directory belongs blocks the cache for any
+        # user, root included.
+        (package / "__pycache__").write_text("")
+        monkeypatch.setattr(datasets, "_KERNEL_SOURCE", source)
+        shared = tmp_path / "shared"
+        shared.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(shared))
+        planted = shared / datasets._cached_build().name
+        planted.write_bytes(b"planted by another user")
+        planted.chmod(0o666)
+        assert benchmark_steps_per_second(n_steps=100)["backend"] == "c"
+        assert planted.read_bytes() == b"planted by another user"
+        assert list(shared.iterdir()) == [planted]  # the private build is gone
 
 
 class TestQuadwellPotential:
@@ -319,7 +399,7 @@ class TestBenchmark:
         result = benchmark_steps_per_second(n_steps=20_000, seed=0)
         assert result["steps_per_second"] > 0
         assert result["n_steps"] >= 20_000 - 100
-        assert result["backend"] in ("numba", "python")
+        assert result["backend"] == "c" or result["backend"].startswith("python (")
         assert result["elapsed_seconds"] > 0
 
 
