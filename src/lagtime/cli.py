@@ -240,6 +240,12 @@ def cmd_sindy(args: argparse.Namespace) -> None:
             X = np.loadtxt(args.input, delimiter=",", ndmin=2)
         except ValueError as exc:
             raise InvalidArgument(f"could not parse {args.input}: {exc}") from exc
+        bad_rows = np.flatnonzero(~np.isfinite(X).all(axis=1))
+        if bad_rows.size:
+            raise InvalidArgument(
+                f"{args.input}: data row {bad_rows[0] + 1} (counting from 1) "
+                "holds a non-finite value"
+            )
         dt = args.dt
         if dt is None and not args.discrete:
             raise InvalidArgument("--dt is required for continuous-time input")

@@ -240,10 +240,20 @@ def _compiled_kernels() -> tuple:
     except (subprocess.CalledProcessError, OSError):
         return None, "python (C build failed)"
     array = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-    for stepper in (library.double_well_steps, library.quadwell_steps):
-        stepper.argtypes = [array, array, ctypes.c_double, ctypes.c_double,
-                            ctypes.c_long, ctypes.c_long, array]
-        stepper.restype = ctypes.c_long
+    states = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+    size, real = ctypes.c_long, ctypes.c_double
+    stepper = [array, array, real, real, size, size, array]
+    for name, argtypes, restype in [
+        ("double_well_steps", stepper, size),
+        ("quadwell_steps", stepper, size),
+        ("hmm_forward", [array, array, array, size, size, array, array], size),
+        ("hmm_backward", [array, array, array, size, size, array, array], None),
+        ("hmm_viterbi", [array, array, array, size, size, states, array, states], None),
+        ("markov_chain_steps", [array, size, array, size, states], None),
+    ]:
+        function = getattr(library, name)
+        function.argtypes = argtypes
+        function.restype = restype
     return library, "c"
 
 

@@ -5,6 +5,12 @@ expectation-maximization loop; decoding uses the log-space Viterbi algorithm.
 The likelihood is checked to be non-decreasing across EM iterations, up to a
 tiny floating-point slack; a decrease beyond the slack indicates a bug and
 raises, it is never silently accepted.
+
+The per-frame forward, backward and Viterbi recursions run in the compiled
+kernels of ``_kernels.c`` (see :mod:`lagtime.datasets`); everything around
+them stays in NumPy. Without a C compiler the loops below, ``_forward``,
+``_backward`` and ``_viterbi``, run instead; they are the reference the
+compiled recursions are tested against.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
+from .datasets import _compiled_kernels
 from .errors import (
     InsufficientData,
     InternalInvariantError,
@@ -103,10 +110,8 @@ class DiscreteOutputModel(OutputModel):
         cdf = np.cumsum(self.emission_matrix, axis=1)
         cdf[:, -1] = 1.0
         draws = rng.random(states.size)
-        out = np.empty(states.size, dtype=np.int64)
-        for i, (s, u) in enumerate(zip(states, draws)):
-            out[i] = np.searchsorted(cdf[s], u, side="right")
-        return out
+        # The number of CDF entries <= u is np.searchsorted(side="right").
+        return (cdf[states] <= draws[:, None]).sum(axis=1, dtype=np.int64)
 
 
 class GaussianOutputModel(OutputModel):
@@ -207,40 +212,27 @@ def forward_backward(hmm: HiddenMarkovModel, observations: NDArray
         If some frame is impossible under every hidden state, naming the
         frame index.
     """
-    P = hmm.transition_model.transition_matrix
-    logb = hmm.output_model.log_likelihoods(observations)
+    P = np.ascontiguousarray(hmm.transition_model.transition_matrix)
+    pi = np.ascontiguousarray(hmm.initial_distribution)
+    logb, shift = _frame_log_likelihoods(hmm, observations)
     T, n = logb.shape
-    if T == 0:
-        raise InsufficientData("empty observation sequence")
     # Per-frame shift keeps the exponentials in range; it cancels in gamma
     # and is restored in the log-likelihood.
-    shift = logb.max(axis=1)
-    if not np.all(np.isfinite(shift)):
-        frame = int(np.flatnonzero(~np.isfinite(shift))[0])
-        raise NumericalDegeneracy(
-            f"frame {frame} has zero likelihood under every hidden state"
-        )
     b = np.exp(logb - shift[:, None])
     alphas = np.empty((T, n))
     scales = np.empty(T)
-    alpha = hmm.initial_distribution * b[0]
-    scales[0] = alpha.sum()
-    if scales[0] <= 0:
-        raise NumericalDegeneracy("frame 0 has zero likelihood under every hidden state")
-    alphas[0] = alpha / scales[0]
-    for t in range(1, T):
-        alpha = (alphas[t - 1] @ P) * b[t]
-        s = alpha.sum()
-        if s <= 0 or not np.isfinite(s):
-            raise NumericalDegeneracy(
-                f"frame {t} has zero likelihood under every hidden state"
-            )
-        scales[t] = s
-        alphas[t] = alpha / s
     betas = np.empty((T, n))
-    betas[T - 1] = 1.0
-    for t in range(T - 2, -1, -1):
-        betas[t] = (P @ (b[t + 1] * betas[t + 1])) / scales[t + 1]
+    library, _ = _compiled_kernels()
+    if library is None:
+        bad = _forward(pi, P, b, alphas, scales)
+    else:
+        bad = library.hmm_forward(pi, P, b, T, n, alphas, scales)
+    if bad >= 0:
+        raise _impossible_frame(bad)
+    if library is None:
+        _backward(P, b, scales, betas)
+    else:
+        library.hmm_backward(P, b, scales, T, n, betas, np.empty(n))
     gammas = alphas * betas
     gammas /= gammas.sum(axis=1, keepdims=True)
     # xi_sum = P o (A^T W) with A the scaled alphas (t < T) and
@@ -249,6 +241,69 @@ def forward_backward(hmm: HiddenMarkovModel, observations: NDArray
     xi_sum = P * (alphas[:-1].T @ W)
     log_likelihood = float(np.sum(np.log(scales)) + np.sum(shift))
     return log_likelihood, gammas, xi_sum
+
+
+def _frame_log_likelihoods(hmm: HiddenMarkovModel, observations: NDArray
+                           ) -> tuple[NDArray, NDArray]:
+    """Emission log-likelihoods, C-contiguous, shape (T, n_hidden), and
+    their per-frame maximum.
+
+    Raises if the sequence is empty or some frame is impossible (or NaN)
+    under every hidden state, naming the first such frame.
+    """
+    logb = np.ascontiguousarray(hmm.output_model.log_likelihoods(observations))
+    if logb.shape[0] == 0:
+        raise InsufficientData("empty observation sequence")
+    best = logb.max(axis=1)
+    if not np.all(np.isfinite(best)):
+        raise _impossible_frame(int(np.flatnonzero(~np.isfinite(best))[0]))
+    return logb, best
+
+
+def _impossible_frame(frame: int) -> NumericalDegeneracy:
+    return NumericalDegeneracy(
+        f"frame {frame} has zero likelihood under every hidden state"
+    )
+
+
+def _forward(pi, P, b, alphas, scales) -> int:
+    """Reference for ``hmm_forward`` in ``_kernels.c``: the scaled forward
+    recursion into ``alphas`` and ``scales``; returns -1, or the first frame
+    whose scale is not positive and finite."""
+    alpha = pi * b[0]
+    for t in range(len(b)):
+        if t > 0:
+            alpha = (alphas[t - 1] @ P) * b[t]
+        s = alpha.sum()
+        if s <= 0 or not np.isfinite(s):
+            return t
+        scales[t] = s
+        alphas[t] = alpha / s
+    return -1
+
+
+def _backward(P, b, scales, betas) -> None:
+    """Reference for ``hmm_backward`` in ``_kernels.c``: the scaled backward
+    recursion into ``betas``."""
+    T = len(b)
+    betas[T - 1] = 1.0
+    for t in range(T - 2, -1, -1):
+        betas[t] = (P @ (b[t + 1] * betas[t + 1])) / scales[t + 1]
+
+
+def _viterbi(logpi, logP, logb, path) -> None:
+    """Reference for ``hmm_viterbi`` in ``_kernels.c``: the most probable
+    path into ``path``; ties go to the lower index."""
+    T, n = logb.shape
+    delta = logpi + logb[0]
+    back = np.zeros((T, n), dtype=np.int64)
+    for t in range(1, T):
+        cand = delta[:, None] + logP
+        back[t] = np.argmax(cand, axis=0)
+        delta = cand[back[t], np.arange(n)] + logb[t]
+    path[T - 1] = int(np.argmax(delta))
+    for t in range(T - 2, -1, -1):
+        path[t] = back[t + 1][path[t + 1]]
 
 
 def baum_welch(initial: HiddenMarkovModel, observations, max_iter: int = 500,
@@ -268,8 +323,9 @@ def baum_welch(initial: HiddenMarkovModel, observations, max_iter: int = 500,
     Returns
     -------
     (model, info)
-        ``info`` has keys ``log_likelihoods`` (per iteration), ``converged``
-        and ``iterations``.
+        ``info`` has keys ``log_likelihoods`` (per iteration), ``converged``,
+        ``iterations`` and ``backend`` (``"c"`` for the compiled recursions,
+        otherwise ``"python (…)"`` with the reason).
 
     Raises
     ------
@@ -326,28 +382,31 @@ def baum_welch(initial: HiddenMarkovModel, observations, max_iter: int = 500,
         "log_likelihoods": history,
         "converged": converged,
         "iterations": iterations,
+        "backend": _compiled_kernels()[1],
     }
 
 
 def viterbi(hmm: HiddenMarkovModel, observations: NDArray) -> NDArray:
-    """Most probable hidden path in log space; ties go to the lower index."""
-    logb = hmm.output_model.log_likelihoods(observations)
+    """Most probable hidden path in log space; ties go to the lower index.
+
+    Raises
+    ------
+    NumericalDegeneracy
+        If some frame is impossible under every hidden state, naming the
+        frame index, as :func:`forward_backward` does.
+    """
+    logb, _ = _frame_log_likelihoods(hmm, observations)
     T, n = logb.shape
-    if T == 0:
-        raise InsufficientData("empty observation sequence")
     with np.errstate(divide="ignore"):
-        logP = np.log(hmm.transition_model.transition_matrix)
-        logpi = np.log(hmm.initial_distribution)
-    delta = logpi + logb[0]
-    back = np.zeros((T, n), dtype=np.int64)
-    for t in range(1, T):
-        cand = delta[:, None] + logP
-        back[t] = np.argmax(cand, axis=0)
-        delta = cand[back[t], np.arange(n)] + logb[t]
+        logP = np.log(np.ascontiguousarray(hmm.transition_model.transition_matrix))
+        logpi = np.log(np.ascontiguousarray(hmm.initial_distribution))
     path = np.empty(T, dtype=np.int64)
-    path[T - 1] = int(np.argmax(delta))
-    for t in range(T - 2, -1, -1):
-        path[t] = back[t + 1][path[t + 1]]
+    library, _ = _compiled_kernels()
+    if library is None:
+        _viterbi(logpi, logP, logb, path)
+    else:
+        library.hmm_viterbi(logpi, logP, logb, T, n, np.empty((T, n), dtype=np.int64),
+                            np.empty(2 * n), path)
     return path
 
 

@@ -19,6 +19,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .basis import IndicatorFeatures
 from .covariance import CovarianceModel
+from .datasets import _compiled_kernels
 from .errors import (
     ConvergenceFailure,
     DegenerateInput,
@@ -373,9 +374,12 @@ def timescales(msm: MarkovStateModel, n_timescales: Optional[int] = None) -> NDA
     """Implied relaxation timescales ``-lag / log |lambda_{i+1}|``.
 
     The stationary eigenvalue is skipped; any further eigenvalue with modulus
-    at or above one yields infinity.
+    at or above one yields infinity. A model with one state has none and
+    raises :class:`~lagtime.errors.InsufficientData`.
     """
     n = msm.n_states
+    if n < 2:
+        raise InsufficientData("need at least two connected states for timescales")
     k = n - 1 if n_timescales is None else int(n_timescales)
     if not (1 <= k <= n - 1):
         raise InvalidArgument(f"n_timescales must be in 1..{n - 1}, got {n_timescales}")
@@ -528,8 +532,15 @@ def coherence_score(initial_assignments: NDArray, returned_assignments: NDArray,
 
 def sample_markov_chain(P: NDArray, length: int, seed: int,
                         initial_distribution: Optional[NDArray] = None) -> NDArray:
-    """Sample a state sequence from a row-stochastic matrix, reproducibly."""
+    """Sample a state sequence from a row-stochastic matrix, reproducibly.
+
+    The steps run in the compiled ``markov_chain_steps`` of ``_kernels.c``
+    (see :mod:`lagtime.datasets`), or without a C compiler in the reference
+    loop below; both give the same states for a seed.
+    """
     P = np.asarray(P, dtype=np.float64)
+    if P.ndim != 2 or P.shape[0] != P.shape[1]:
+        raise InvalidArgument(f"transition matrix must be square, got {P.shape}")
     n = P.shape[0]
     if length <= 0:
         raise InvalidArgument(f"length must be positive, got {length}")
@@ -541,6 +552,10 @@ def sample_markov_chain(P: NDArray, length: int, seed: int,
     states = np.empty(length, dtype=np.int64)
     states[0] = rng.choice(n, p=initial_distribution / np.sum(initial_distribution))
     draws = rng.random(length - 1)
+    library, _ = _compiled_kernels()
+    if library is not None:
+        library.markov_chain_steps(cdf, n, draws, length, states)
+        return states
     for t in range(1, length):
         states[t] = np.searchsorted(cdf[states[t - 1]], draws[t - 1], side="right")
     return states

@@ -171,6 +171,19 @@ class TestSindyCommand:
         ])
         assert code == 3
 
+    def test_non_finite_input_is_usage_error(self, tmp_path, capsys):
+        X = np.random.default_rng(2).normal(size=(50, 2))
+        X[7, 1] = np.nan
+        X[20, 0] = np.inf
+        path = tmp_path / "traj.csv"
+        np.savetxt(path, X, delimiter=",")
+        code = main([
+            "sindy", "--input", str(path), "--dt", "0.01", "--out", str(tmp_path),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "data row 8 " in err
+
 
 class TestMsmCommand:
     def write_chain(self, tmp_path, seed=0, name="chain.txt"):
@@ -217,6 +230,13 @@ class TestMsmCommand:
         path = tmp_path / "bad.txt"
         path.write_text("0 1 two 3\n")
         assert main(["msm", "--input", str(path), "--out", str(tmp_path)]) == 2
+
+    def test_single_state_is_insufficient_data(self, tmp_path, capsys):
+        path = tmp_path / "constant.txt"
+        path.write_text("0 0 0 0 0 0\n")
+        code = main(["msm", "--input", str(path), "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert "at least two connected states" in capsys.readouterr().err
 
     def test_lag_longer_than_data_is_insufficient(self, tmp_path, capsys):
         path = tmp_path / "short.txt"

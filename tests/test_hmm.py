@@ -1,10 +1,12 @@
 """Tests for hidden Markov estimation, decoding, and output models."""
 
 import itertools
+import shutil
 
 import numpy as np
 import pytest
 
+from lagtime import datasets
 from lagtime.errors import InsufficientData, InvalidArgument, NumericalDegeneracy
 from lagtime.hmm import (
     DiscreteOutputModel,
@@ -15,7 +17,25 @@ from lagtime.hmm import (
     init_from_msm,
     viterbi,
 )
-from lagtime.markov import MarkovStateModel
+from lagtime.markov import MarkovStateModel, sample_markov_chain
+
+
+@pytest.fixture
+def backends(monkeypatch):
+    """Iterating it switches to each backend in turn and yields its name: the
+    compiled recursions where ``cc`` is on PATH, then the reference loops."""
+
+    def switch():
+        datasets._compiled_kernels.cache_clear()
+        if shutil.which("cc") is not None:
+            assert datasets._compiled_kernels()[1] == "c"
+            yield "c"
+        monkeypatch.setattr(datasets.shutil, "which", lambda name: None)
+        datasets._compiled_kernels.cache_clear()
+        yield "python"
+
+    yield switch()
+    datasets._compiled_kernels.cache_clear()
 
 
 def brute_force_posteriors(pi, P, log_emission):
@@ -102,7 +122,7 @@ class TestForwardBackwardExhaustive:
         np.testing.assert_allclose(gammas.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(gammas >= 0)
 
-    def test_impossible_frame_is_reported(self):
+    def test_impossible_frame_is_reported(self, backends):
         # Symbol 2 has zero probability under both hidden states.
         hmm = HiddenMarkovModel(
             transition_model=MarkovStateModel(np.array([[0.5, 0.5], [0.5, 0.5]])),
@@ -111,8 +131,19 @@ class TestForwardBackwardExhaustive:
             ),
             initial_distribution=np.array([0.5, 0.5]),
         )
-        with pytest.raises(NumericalDegeneracy, match="frame 1"):
-            forward_backward(hmm, np.array([0, 2, 1]))
+        # The chain starts in state 0 and then stays in state 1, which cannot
+        # emit symbol 2: the path dies at frame 2 although state 0 could emit
+        # it, so the scale check inside the recursion must catch it.
+        blocked = HiddenMarkovModel(
+            transition_model=MarkovStateModel(np.array([[0.0, 1.0], [0.0, 1.0]])),
+            output_model=DiscreteOutputModel(np.array([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0]])),
+            initial_distribution=np.array([1.0, 0.0]),
+        )
+        for backend in backends:
+            with pytest.raises(NumericalDegeneracy, match="frame 1"):
+                forward_backward(hmm, np.array([0, 2, 1]))
+            with pytest.raises(NumericalDegeneracy, match="frame 2"):
+                forward_backward(blocked, np.array([1, 0, 2, 1]))
 
 
 class TestViterbi:
@@ -137,15 +168,33 @@ class TestViterbi:
         )
         np.testing.assert_array_equal(viterbi(hmm, obs), best)
 
-    def test_ties_break_toward_lower_index(self):
+    def test_ties_break_toward_lower_index(self, backends):
         # Fully symmetric model: every path is equally likely.
         hmm = HiddenMarkovModel(
             transition_model=MarkovStateModel(np.full((2, 2), 0.5)),
             output_model=DiscreteOutputModel(np.full((2, 2), 0.5)),
             initial_distribution=np.array([0.5, 0.5]),
         )
-        path = viterbi(hmm, np.array([0, 1, 0, 1]))
-        np.testing.assert_array_equal(path, np.zeros(4, dtype=np.int64))
+        for backend in backends:
+            path = viterbi(hmm, np.array([0, 1, 0, 1]))
+            np.testing.assert_array_equal(path, np.zeros(4, dtype=np.int64))
+
+    def test_impossible_frame_is_reported(self, backends):
+        gaussian = HiddenMarkovModel(
+            transition_model=MarkovStateModel(np.array([[0.9, 0.1], [0.1, 0.9]])),
+            output_model=GaussianOutputModel(means=[-1.0, 1.0], stds=[1.0, 1.0]),
+            initial_distribution=np.array([0.5, 0.5]),
+        )
+        discrete = HiddenMarkovModel(
+            transition_model=MarkovStateModel(np.full((2, 2), 0.5)),
+            output_model=DiscreteOutputModel(np.array([[0.5, 0.5, 0.0], [0.3, 0.7, 0.0]])),
+            initial_distribution=np.array([0.5, 0.5]),
+        )
+        for backend in backends:
+            with pytest.raises(NumericalDegeneracy, match="frame 2 "):
+                viterbi(gaussian, np.array([-1.0, -1.0, np.nan, 1.0, 1.0]))
+            with pytest.raises(NumericalDegeneracy, match="frame 1 "):
+                viterbi(discrete, np.array([0, 2, 1]))
 
 
 class TestDiscreteOutputModel:
@@ -177,6 +226,20 @@ class TestDiscreteOutputModel:
         np.testing.assert_allclose(
             new.emission_matrix, [[2 / 3, 1 / 3], [2 / 3, 1 / 3]], atol=1e-12
         )
+
+    def test_sampling_matches_the_per_frame_search(self):
+        rng = np.random.default_rng(5)
+        B = rng.random((4, 16)) * (rng.random((4, 16)) < 0.6)  # some zero entries
+        B /= B.sum(axis=1, keepdims=True)
+        states = rng.integers(0, 4, size=5000)
+        drawn = DiscreteOutputModel(B).sample(states, np.random.default_rng(8))
+        cdf = np.cumsum(B, axis=1)
+        cdf[:, -1] = 1.0
+        draws = np.random.default_rng(8).random(states.size)
+        expected = np.array([np.searchsorted(cdf[s], u, side="right")
+                             for s, u in zip(states, draws)], dtype=np.int64)
+        assert drawn.dtype == np.int64
+        assert drawn.tobytes() == expected.tobytes()
 
     def test_sampling_is_reproducible_and_in_range(self):
         model = DiscreteOutputModel(np.array([[0.2, 0.8], [0.9, 0.1]]))
@@ -359,3 +422,75 @@ class TestInitFromMsm:
         assert info["converged"]
         diag = np.diag(model.transition_model.transition_matrix)
         assert np.all(diag > 0.7)
+
+
+class TestCompiledParity:
+    """The compiled recursions must agree with the reference loops."""
+
+    def both(self, backends, compute):
+        results = {backend: compute() for backend in backends}
+        if "c" not in results:
+            pytest.skip("no C compiler on PATH")
+        return results["c"], results["python"]
+
+    def random_discrete_hmm(self, n_hidden, n_symbols, seed):
+        rng = np.random.default_rng(seed)
+        P = rng.random((n_hidden, n_hidden)) + 2.0 * np.eye(n_hidden)
+        B = rng.random((n_hidden, n_symbols))
+        return HiddenMarkovModel(
+            transition_model=MarkovStateModel(P / P.sum(axis=1, keepdims=True)),
+            output_model=DiscreteOutputModel(B / B.sum(axis=1, keepdims=True)),
+            initial_distribution=np.full(n_hidden, 1.0 / n_hidden),
+        )
+
+    def assert_posteriors_agree(self, fast, reference):
+        ll, gammas, xi_sum = fast
+        ll_ref, gammas_ref, xi_ref = reference
+        assert abs(ll - ll_ref) <= 1e-12 * abs(ll_ref)
+        np.testing.assert_allclose(gammas, gammas_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(xi_sum, xi_ref, rtol=0, atol=1e-12 * np.abs(xi_ref).max())
+
+    @pytest.mark.parametrize("length", [20_000, 9_973, 1])
+    def test_discrete_posteriors_and_path(self, backends, length):
+        hmm = self.random_discrete_hmm(4, 16, seed=1)
+        _, obs = hmm.sample(length, seed=2)
+        fast, reference = self.both(
+            backends, lambda: (forward_backward(hmm, obs), viterbi(hmm, obs)))
+        self.assert_posteriors_agree(fast[0], reference[0])
+        np.testing.assert_array_equal(fast[1], reference[1])
+
+    def test_gaussian_posteriors_and_path(self, backends):
+        hmm = two_state_gaussian_hmm()
+        _, obs = hmm.sample(20_000, seed=4)
+        fast, reference = self.both(
+            backends, lambda: (forward_backward(hmm, obs), viterbi(hmm, obs)))
+        self.assert_posteriors_agree(fast[0], reference[0])
+        np.testing.assert_array_equal(fast[1], reference[1])
+
+    def test_multi_sequence_baum_welch(self, backends):
+        truth = self.random_discrete_hmm(4, 16, seed=6)
+        seqs = [truth.sample(length, seed=s)[1]
+                for s, length in enumerate([3_000, 1_237, 2])]
+        start = self.random_discrete_hmm(4, 16, seed=7)
+        fast, reference = self.both(
+            backends, lambda: baum_welch(start, seqs, max_iter=5, tolerance=0.0))
+        assert fast[1]["backend"] == "c"
+        assert reference[1]["backend"] == "python (no C compiler)"
+        assert fast[1]["iterations"] == reference[1]["iterations"] == 5
+        np.testing.assert_allclose(fast[1]["log_likelihoods"],
+                                   reference[1]["log_likelihoods"], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(fast[0].transition_model.transition_matrix,
+                                   reference[0].transition_model.transition_matrix,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(fast[0].output_model.emission_matrix,
+                                   reference[0].output_model.emission_matrix,
+                                   rtol=0, atol=1e-12)
+
+    def test_chain_states_are_identical(self, backends):
+        rng = np.random.default_rng(9)
+        P = rng.random((64, 64)) * (rng.random((64, 64)) < 0.3)  # some zero entries
+        P[np.arange(64), np.arange(64)] += 1.0
+        P /= P.sum(axis=1, keepdims=True)
+        fast, reference = self.both(
+            backends, lambda: sample_markov_chain(P, length=100_000, seed=10))
+        assert fast.tobytes() == reference.tobytes()

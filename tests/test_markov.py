@@ -466,6 +466,11 @@ class TestSampling:
         with pytest.raises(InvalidArgument):
             sample_markov_chain(np.eye(2), length=0, seed=0)
 
+    def test_non_square_matrix_is_rejected(self):
+        # A wider row would let a step land on a state with no row.
+        with pytest.raises(InvalidArgument, match="square"):
+            sample_markov_chain(np.full((2, 3), 1.0 / 3.0), length=10, seed=0)
+
 
 class TestDiscreteTrajectoryIO:
     def test_reads_whitespace_and_commas(self, tmp_path):
