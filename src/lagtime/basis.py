@@ -14,7 +14,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import InvalidArgument
-from .numerics import WhiteningTransform, sym_inverse_sqrt
+from .numerics import WhiteningTransform, _as_frames, sym_inverse_sqrt
 
 __all__ = [
     "FeatureMap",
@@ -38,9 +38,7 @@ class FeatureMap:
     dimension_out: int
 
     def __call__(self, X: NDArray) -> NDArray:
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim == 1:
-            X = X[:, None]
+        X = _as_frames(X)
         if X.shape[1] != self.dimension_in:
             raise InvalidArgument(
                 f"{type(self).__name__} expects {self.dimension_in} columns, got {X.shape[1]}"
@@ -233,9 +231,7 @@ class Whitener(FeatureMap):
 
     @classmethod
     def from_data(cls, X: NDArray, epsilon: float = 1e-12) -> "Whitener":
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim == 1:
-            X = X[:, None]
+        X = _as_frames(X)
         mean = X.mean(axis=0)
         Xc = X - mean
         cov = Xc.T @ Xc / max(X.shape[0] - 1, 1)

@@ -28,6 +28,7 @@ import argparse
 import json
 import sys
 import time
+import warnings
 from pathlib import Path
 from typing import Optional
 
@@ -58,6 +59,7 @@ from .markov import (
     read_discrete_trajectory,
     timescales,
 )
+from .numerics import _as_frames
 from .sindy import finite_difference, sindy_fit
 
 __all__ = ["main", "REPORT_SCHEMA"]
@@ -237,15 +239,13 @@ def cmd_sindy(args: argparse.Namespace) -> None:
         if args.input is None:
             raise InvalidArgument("either --input or --demo-rossler is required")
         try:
-            X = np.loadtxt(args.input, delimiter=",", ndmin=2)
+            with warnings.catch_warnings():
+                # An empty file is reported below, as too few frames.
+                warnings.simplefilter("ignore", UserWarning)
+                X = np.loadtxt(args.input, delimiter=",", ndmin=2)
         except ValueError as exc:
             raise InvalidArgument(f"could not parse {args.input}: {exc}") from exc
-        bad_rows = np.flatnonzero(~np.isfinite(X).all(axis=1))
-        if bad_rows.size:
-            raise InvalidArgument(
-                f"{args.input}: data row {bad_rows[0] + 1} (counting from 1) "
-                "holds a non-finite value"
-            )
+        X = _as_frames(X, f"{args.input}: data")
         dt = args.dt
         if dt is None and not args.discrete:
             raise InvalidArgument("--dt is required for continuous-time input")
@@ -464,7 +464,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.func(args)
+        # Errors reach the user as one line each; a non-finite intermediate
+        # is caught by the input checks, not reported as a numpy warning.
+        with np.errstate(all="ignore"):
+            args.func(args)
     except InsufficientData as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -14,6 +14,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import InsufficientData, InvalidArgument
+from .numerics import _as_frames
 
 __all__ = ["ClusteringModel", "kmeans_fit", "kmeans_assign"]
 
@@ -115,11 +116,7 @@ def kmeans_fit(X: NDArray, n_clusters: int, seed: Optional[int] = None,
     a seed is given), so individual restarts are reproducible in isolation.
     The best run by inertia wins; ties go to the earliest restart.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[:, None]
-    if X.ndim != 2:
-        raise InvalidArgument(f"expected 2-d data, got shape {X.shape}")
+    X = _as_frames(X)
     if n_clusters < 1:
         raise InvalidArgument(f"n_clusters must be >= 1, got {n_clusters}")
     if X.shape[0] < n_clusters:
@@ -145,9 +142,7 @@ def kmeans_fit(X: NDArray, n_clusters: int, seed: Optional[int] = None,
 def kmeans_assign(centers: NDArray, X: NDArray) -> NDArray:
     """Nearest-center index for each row of ``X``."""
     centers = np.asarray(centers, dtype=np.float64)
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[:, None]
+    X = _as_frames(X)
     if centers.ndim != 2:
         raise InvalidArgument("centers must be 2-d")
     if X.shape[1] != centers.shape[1]:

@@ -19,6 +19,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import InsufficientData, InvalidArgument
+from .numerics import _as_frames
 
 __all__ = [
     "CovarianceModel",
@@ -47,9 +48,7 @@ def lagged_pairs(trajectory: NDArray, lag: int) -> tuple[NDArray, NDArray]:
         Views with ``X[i] = trajectory[i]`` and ``Y[i] = trajectory[i + lag]``,
         each with ``n - lag`` rows.
     """
-    traj = np.asarray(trajectory)
-    if traj.ndim == 1:
-        traj = traj[:, None]
+    traj = _as_frames(trajectory, "trajectory")
     if lag <= 0:
         raise InvalidArgument(f"lag must be positive, got {lag}")
     if traj.shape[0] <= lag:
@@ -138,8 +137,7 @@ class CovarianceAccumulator:
 
     def partial_fit(self, X: NDArray, Y: NDArray) -> "CovarianceAccumulator":
         """Absorb one chunk of paired rows."""
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
+        X, Y = _as_frames(X, "X"), _as_frames(Y, "Y")
         if X.shape != Y.shape:
             raise InvalidArgument(f"chunk shapes differ: {X.shape} vs {Y.shape}")
         if X.shape[1] != self.dim:
@@ -260,11 +258,9 @@ def estimate_covariances(
     """
     if isinstance(trajectories, np.ndarray) and trajectories.ndim <= 2:
         trajectories = [trajectories]
-    first = np.asarray(trajectories[0])
-    dim = 1 if first.ndim == 1 else first.shape[1]
-    acc = CovarianceAccumulator(dim, lag=lag)
+    trajectories = [_as_frames(traj, "trajectory") for traj in trajectories]
+    acc = CovarianceAccumulator(trajectories[0].shape[1], lag=lag)
     for traj in trajectories:
-        traj = np.asarray(traj, dtype=np.float64)
         if traj.shape[0] <= lag:  # too short to yield a single pair
             continue
         X, Y = lagged_pairs(traj, lag)
@@ -284,12 +280,7 @@ def covariances_from_pairs(
     remove_mean: bool = True,
 ) -> CovarianceModel:
     """Estimate covariances directly from pre-built pairs."""
-    X = np.asarray(X, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[:, None]
-    if Y.ndim == 1:
-        Y = Y[:, None]
+    X = _as_frames(X, "X")
     acc = CovarianceAccumulator(X.shape[1], lag=lag)
     acc.partial_fit(X, Y)
     return acc.finalize(symmetrize=symmetrize, remove_mean=remove_mean)

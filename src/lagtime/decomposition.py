@@ -23,10 +23,12 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .basis import FeatureMap, IdentityFeatures, LinearFeatures, WithConstant
-from .covariance import CovarianceModel, covariances_from_pairs
+from .covariance import CovarianceAccumulator, CovarianceModel
 from .errors import InvalidArgument, UndefinedScore
 from .kernels import Kernel, KernelSectionFeatures, gram_matrix
-from .numerics import pinv_truncated, sym_inverse_sqrt, truncated_svd
+from .numerics import (
+    _as_frames, generalized_eig_sym, pinv_truncated, sym_inverse_sqrt, truncated_svd,
+)
 
 __all__ = [
     "TransferOperatorModel",
@@ -223,15 +225,6 @@ def project(model, X: NDArray, n_components: int) -> NDArray:
 # linear estimators
 
 
-def _as_frames(X: NDArray, name: str = "X") -> NDArray:
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[:, None]
-    if X.ndim != 2:
-        raise InvalidArgument(f"{name} must be a matrix with rows as frames")
-    return X
-
-
 def dmd_fit(X: NDArray, Y: NDArray) -> TransferOperatorModel:
     """Linear one-step propagator by least squares on raw observations.
 
@@ -291,14 +284,8 @@ def tica_fit(cov: CovarianceModel, n_components: Optional[int] = None,
     """
     if not cov.symmetrized:
         raise InvalidArgument("tica_fit requires reversibly symmetrized covariances")
-    white = sym_inverse_sqrt(cov.c00, epsilon)
-    W = white.transform
-    reduced = W @ (0.5 * (cov.c0t + cov.c0t.T)) @ W.T
-    reduced = 0.5 * (reduced + reduced.T)
-    evals, evecs = np.linalg.eigh(reduced)
-    order = np.argsort(-evals, kind="stable")
-    evals = evals[order]
-    V = W.T @ evecs[:, order]
+    dec = generalized_eig_sym(0.5 * (cov.c0t + cov.c0t.T), cov.c00, epsilon)
+    evals, V = dec.eigenvalues, dec.eigenvectors
     if n_components is not None:
         if not (1 <= n_components <= evals.size):
             raise InvalidArgument(f"n_components must be in 1..{evals.size}")
@@ -385,15 +372,24 @@ def vamp_score_cv(F0: NDArray, F1: NDArray, r: float = 2, n_folds: int = 10,
     contiguous block: the model is fitted on the remaining pairs and scored
     against the held-out covariances. Returns mean, standard deviation, and
     the per-fold scores.
+
+    The pairs are accumulated once, one accumulator per fold; each training
+    covariance merges the accumulators of the other folds.
     """
     F0, F1 = _as_frames(F0, "F0"), _as_frames(F1, "F1")
-    folds = contiguous_folds(F0.shape[0], n_folds)
+    if F0.shape != F1.shape:
+        raise InvalidArgument(f"F0 and F1 must have identical shapes: {F0.shape} vs {F1.shape}")
+    folds = []
+    for idx in contiguous_folds(F0.shape[0], n_folds):
+        lo, hi = idx[0], idx[-1] + 1
+        folds.append(CovarianceAccumulator(F0.shape[1]).partial_fit(F0[lo:hi], F1[lo:hi]))
     scores = []
-    for test_idx in folds:
-        mask = np.ones(F0.shape[0], dtype=bool)
-        mask[test_idx] = False
-        cov_train = covariances_from_pairs(F0[mask], F1[mask], remove_mean=remove_mean)
-        cov_test = covariances_from_pairs(F0[test_idx], F1[test_idx], remove_mean=remove_mean)
+    for held_out, test in enumerate(folds):
+        train = CovarianceAccumulator(F0.shape[1])
+        for other in folds[:held_out] + folds[held_out + 1:]:
+            train.merge(other)
+        cov_train = train.finalize(remove_mean=remove_mean)
+        cov_test = test.finalize(remove_mean=remove_mean)
         model = vamp_fit(cov_train, n_components=n_components, epsilon=epsilon)
         scores.append(vamp_score(model, r=r, test_cov=cov_test, epsilon=epsilon))
     scores = np.array(scores)
@@ -497,13 +493,10 @@ def kernel_cca_fit(X: NDArray, Y: NDArray, kernel: Kernel, n_components: int,
     order = np.argsort(-rho, kind="stable")[:n_components]
     rho = np.clip(rho[order], 0.0, None)
     v = half_apply(Qx, rx, W[:, order])
-
-    # Right side: same spectrum with the roles of X and Y exchanged.
-    S2 = half_apply(Qy, ry, half_apply(Qy, ry, Qx @ (rx[:, None] * Qx.T)).T)
-    S2 = 0.5 * (S2 + S2.T)
-    rho2, W2 = np.linalg.eigh(S2)
-    order2 = np.argsort(-rho2, kind="stable")[:n_components]
-    v2 = half_apply(Qy, ry, W2[:, order2])
+    # Right functions from the same decomposition, so each pairs with its
+    # left one: with S = M M^T and M = Rx^{1/2} Ry^{1/2}, the right singular
+    # vectors are M^T W / sqrt(rho), and Ry^{1/2} of those is Py v / sqrt(rho).
+    v2 = Py @ v / np.sqrt(np.where(rho > 0.0, rho, 1.0))
 
     def expansion_coefficients(G, vectors):
         coeff = np.linalg.solve(G + n * epsilon * np.eye(n), vectors)

@@ -10,6 +10,7 @@ from numpy.typing import NDArray
 
 from .basis import FeatureMap
 from .errors import InvalidArgument
+from .numerics import _as_frames
 
 __all__ = [
     "Kernel",
@@ -66,15 +67,6 @@ class PolynomialKernel(Kernel):
         return (self.constant + A @ B.T) ** self.degree
 
 
-def _as_points(X: NDArray, name: str) -> NDArray:
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[:, None]
-    if X.ndim != 2:
-        raise InvalidArgument(f"{name} must be a matrix of points, got ndim {X.ndim}")
-    return X
-
-
 def kernel_eval(kernel: Kernel, x: NDArray, y: NDArray) -> float:
     """Evaluate a kernel on a single pair of points."""
     x = np.asarray(x, dtype=np.float64).ravel()
@@ -104,9 +96,9 @@ def gram_matrix(
     block_size : int, default 512
         Rows per block; bounds peak memory of intermediate products.
     """
-    A = _as_points(A, "A")
+    A = _as_frames(A, "A")
     symmetric = B is None or B is A
-    B = A if symmetric else _as_points(B, "B")
+    B = A if symmetric else _as_frames(B, "B")
     if A.shape[1] != B.shape[1]:
         raise InvalidArgument(f"point dimensions differ: {A.shape[1]} vs {B.shape[1]}")
     if block_size <= 0:
@@ -136,7 +128,7 @@ class KernelSectionFeatures(FeatureMap):
     """
 
     def __init__(self, kernel: Kernel, points: NDArray, centered: bool = False):
-        points = _as_points(points, "points")
+        points = _as_frames(points, "points")
         if points.shape[0] == 0:
             raise InvalidArgument("need at least one anchor point")
         self.kernel = kernel

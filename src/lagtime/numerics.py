@@ -1,5 +1,11 @@
 """Dense symmetric linear algebra used by the spectral estimators.
 
+Every estimator takes data in one layout: rows are frames and columns are
+dimensions, and a one-dimensional array is the frames of one scalar signal.
+``_as_frames`` applies that rule for all of them: it converts to float64,
+turns a vector into a column, rejects any other number of dimensions and
+names the first row holding a NaN or infinity.
+
 All routines share one regularization convention: ``epsilon`` is an absolute
 eigenvalue cutoff. Eigenvalues less than or equal to ``epsilon`` are discarded
 (rank truncation); nothing is added to the diagonal. Estimators that prefer
@@ -72,6 +78,26 @@ class WhiteningTransform:
         return (X - self.mean) @ self.transform.T
 
 
+def _as_frames(X, name: str = "X") -> NDArray:
+    """``X`` as a float64 matrix with rows as frames, checked to be finite."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim == 1:
+        X = X[:, None]
+    if X.ndim != 2:
+        raise InvalidArgument(f"{name} must be a matrix with rows as frames, got ndim {X.ndim}")
+    # A finite sum proves every value finite without a mask the size of X;
+    # the rows are searched only when it is not (NaN, infinity or overflow).
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(X.sum())
+    if not finite:
+        bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+        if bad.size:
+            raise InvalidArgument(
+                f"{name} row {bad[0] + 1} (counting from 1) holds a non-finite value"
+            )
+    return X
+
+
 def _check_square_symmetric(C: NDArray, name: str, rtol: float = 1e-10) -> NDArray:
     C = np.asarray(C, dtype=np.float64)
     if C.ndim != 2 or C.shape[0] != C.shape[1]:
@@ -128,8 +154,9 @@ def generalized_eig_sym(A: NDArray, B: NDArray, epsilon: float = 1e-12) -> Spect
 
     The problem is reduced to an ordinary symmetric eigenproblem by whitening
     with ``sym_inverse_sqrt(B, epsilon)``; directions of B below the cutoff do
-    not participate. Eigenvalues are real and descending, eigenvector columns
-    are normalized to unit Euclidean norm.
+    not participate. Eigenvalues are real and descending; eigenvector columns
+    are B-orthonormal on the retained subspace, ``V.T @ B @ V = I``, as in
+    ``scipy.linalg.eigh(A, B)``.
 
     Raises
     ------
@@ -143,11 +170,7 @@ def generalized_eig_sym(A: NDArray, B: NDArray, epsilon: float = 1e-12) -> Spect
     Aw = 0.5 * (Aw + Aw.T)
     evals, evecs = np.linalg.eigh(Aw)
     order = np.argsort(-evals, kind="stable")
-    evals = evals[order]
-    vectors = W.T @ evecs[:, order]
-    norms = np.linalg.norm(vectors, axis=0)
-    norms[norms == 0.0] = 1.0
-    return SpectralDecomposition(eigenvalues=evals, eigenvectors=vectors / norms)
+    return SpectralDecomposition(eigenvalues=evals[order], eigenvectors=W.T @ evecs[:, order])
 
 
 def truncated_svd(M: NDArray, k: Optional[int] = None) -> tuple[NDArray, NDArray, NDArray]:

@@ -16,6 +16,7 @@ from numpy.typing import NDArray
 
 from .basis import FeatureMap
 from .errors import DivergenceError, InvalidArgument, UndefinedScore
+from .numerics import _as_frames
 
 __all__ = [
     "SINDyModel",
@@ -35,9 +36,7 @@ def finite_difference(X: NDArray, t) -> NDArray:
     so the output has the same shape as the input. ``t`` may be a scalar step
     or a strictly increasing array of sample times.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[:, None]
+    X = _as_frames(X)
     n = X.shape[0]
     if n < 2:
         raise InvalidArgument("need at least two samples to differentiate")
@@ -74,11 +73,9 @@ def stlsq(Theta: NDArray, targets: NDArray, threshold: float,
         dimension ``i`` lost all its features to the threshold, in which case
         its row is all zeros rather than an error.
     """
-    Theta = np.asarray(Theta, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    if targets.ndim == 1:
-        targets = targets[:, None]
-    if Theta.ndim != 2 or Theta.shape[0] != targets.shape[0]:
+    Theta = _as_frames(Theta, "library features")
+    targets = _as_frames(targets, "targets")
+    if Theta.shape[0] != targets.shape[0]:
         raise InvalidArgument("Theta and targets must have matching rows")
     if threshold < 0:
         raise InvalidArgument(f"threshold must be non-negative, got {threshold}")
@@ -181,9 +178,7 @@ def sindy_fit(X: NDArray, t=None, library: Optional[FeatureMap] = None,
     discrete_time : bool, default False
         Fit ``x[k+1] ~= xi @ library(x[k])`` instead of a derivative model.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[:, None]
+    X = _as_frames(X)
     if library is None:
         raise InvalidArgument("a feature library is required")
     if discrete_time:
@@ -192,9 +187,7 @@ def sindy_fit(X: NDArray, t=None, library: Optional[FeatureMap] = None,
         inputs, targets = X[:-1], X[1:]
     else:
         if derivatives is not None:
-            targets = np.asarray(derivatives, dtype=np.float64)
-            if targets.ndim == 1:
-                targets = targets[:, None]
+            targets = _as_frames(derivatives, "derivatives")
             if targets.shape != X.shape:
                 raise InvalidArgument("derivatives must match the shape of X")
         else:
@@ -210,9 +203,6 @@ def sindy_fit(X: NDArray, t=None, library: Optional[FeatureMap] = None,
 
 def sindy_predict(model: SINDyModel, X: NDArray) -> NDArray:
     """Model right-hand side evaluated at the given states."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[:, None]
     return model.library(X) @ model.xi.T
 
 
@@ -279,10 +269,7 @@ def sindy_score(model: SINDyModel, X: NDArray, targets: NDArray) -> float:
     UndefinedScore
         If some target dimension has zero variance.
     """
-    X = np.asarray(X, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    if targets.ndim == 1:
-        targets = targets[:, None]
+    targets = _as_frames(targets, "targets")
     pred = sindy_predict(model, X)
     if pred.shape != targets.shape:
         raise InvalidArgument("targets do not match the model's output shape")

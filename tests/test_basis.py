@@ -30,6 +30,12 @@ class TestIdentity:
         with pytest.raises(InvalidArgument):
             f(np.zeros((3, 3)))
 
+    def test_scalar_and_three_d_input_are_rejected(self):
+        with pytest.raises(InvalidArgument, match="ndim 0"):
+            IdentityFeatures(1)(3.0)
+        with pytest.raises(InvalidArgument, match="ndim 3"):
+            IdentityFeatures(2)(np.zeros((4, 2, 3)))
+
 
 class TestMonomials:
     def test_degree_two_ordering(self):

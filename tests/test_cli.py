@@ -1,10 +1,13 @@
 """Tests for the command-line interface: exit codes, reports, artifacts."""
 
 import json
+import warnings
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from lagtime.cli import REPORT_SCHEMA, main
 from lagtime.datasets import rossler
@@ -309,3 +312,57 @@ class TestBenchmarkCommand:
         report = read_report(tmp_path)
         assert report["experiment"] == "benchmark"
         assert report["metrics"]["steps_per_second"]["value"] > 0
+
+
+# Data files for the fuzz tests: empty files, one to three columns, NaN and
+# infinities, values whose squares overflow, and ragged rows or text.
+CSV_NUMBERS = st.one_of(st.sampled_from(["0", "1", "-2.5", "1e300", "-1e300"]),
+                        st.floats().map(repr))
+CSV_FILES = st.one_of(
+    st.integers(1, 3).flatmap(lambda cols: st.lists(
+        st.lists(CSV_NUMBERS, min_size=cols, max_size=cols).map(",".join), max_size=10)),
+    st.lists(st.lists(st.one_of(CSV_NUMBERS, st.sampled_from(["abc", "", "#"])),
+                      min_size=1, max_size=3).map(",".join), max_size=10),
+).map("\n".join)
+# State indices stay small: the count matrix is dense in the largest index.
+STATE_FILES = st.lists(
+    st.tuples(st.sampled_from(["0", "1", "2", "5", "-1", "1.5", "x", "nan", ""]),
+              st.sampled_from([" ", ",", "\n", "\t"])),
+    max_size=30,
+).map(lambda pairs: "".join(token + sep for token, sep in pairs))
+FUZZ = settings(max_examples=400, deadline=None, derandomize=True,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestInputFuzz:
+    """Whatever a data file holds, a command ends with exit code 0, 2 or 3,
+    and prints one line to standard error when it fails, none otherwise."""
+
+    @staticmethod
+    def run(capfd, argv):
+        capfd.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        err = capfd.readouterr().err
+        assert code in (0, 2, 3)
+        assert not caught, [str(w.message) for w in caught]
+        assert "Traceback" not in err
+        assert err.count("\n") == (code != 0), err
+
+    @FUZZ
+    @given(text=CSV_FILES, discrete=st.booleans())
+    def test_sindy_input(self, tmp_path, capfd, text, discrete):
+        path = tmp_path / "frames.csv"
+        path.write_text(text)
+        timing = ["--discrete"] if discrete else ["--dt", "0.1"]
+        self.run(capfd, ["sindy", "--input", str(path), *timing, "--out", str(tmp_path)])
+
+    @FUZZ
+    @given(text=STATE_FILES, lag=st.integers(1, 3),
+           counting=st.sampled_from(["sliding", "strided"]))
+    def test_msm_input(self, tmp_path, capfd, text, lag, counting):
+        path = tmp_path / "states.txt"
+        path.write_text(text)
+        self.run(capfd, ["msm", "--input", str(path), "--lag", str(lag),
+                         "--counting", counting, "--out", str(tmp_path)])

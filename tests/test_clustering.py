@@ -102,6 +102,13 @@ class TestKmeansFit:
             kmeans_fit(np.zeros((2, 2, 2)), 1, seed=0)
 
 
+    def test_non_finite_point_is_named(self):
+        X, _, _ = three_blobs(seed=7)
+        X[41, 0] = np.nan
+        with pytest.raises(InvalidArgument, match="X row 42 "):
+            kmeans_fit(X, 3, seed=0)
+
+
 class TestKmeansAssign:
     def test_assigns_nearest_center(self):
         centers = np.array([[0.0, 0.0], [10.0, 0.0]])
@@ -120,6 +127,10 @@ class TestKmeansAssign:
             kmeans_assign(np.zeros((2, 3)), np.zeros((5, 2)))
         with pytest.raises(InvalidArgument):
             kmeans_assign(np.zeros(3), np.zeros((5, 3)))
+
+    def test_three_dimensional_data_is_rejected(self):
+        with pytest.raises(InvalidArgument, match="ndim 3"):
+            kmeans_assign(np.zeros((2, 2)), np.zeros((3, 2, 2)))
 
 
 class TestClusteringModel:

@@ -175,6 +175,23 @@ class TestAccumulatorValidation:
         with pytest.raises(InvalidArgument):
             acc.partial_fit(np.zeros((5, 3)), np.zeros((5, 3)))
 
+    def test_one_dimensional_chunks_are_scalar_frames(self):
+        series = np.random.default_rng(4).standard_normal(50).cumsum()
+        acc = CovarianceAccumulator(1).partial_fit(series[:-1], series[1:])
+        streamed, batch = acc.finalize(), estimate_covariances(series, lag=1)
+        for key in ("mean_0", "mean_t", "c00", "c0t", "ctt"):
+            np.testing.assert_allclose(getattr(streamed, key), getattr(batch, key), rtol=1e-12)
+
+    def test_non_finite_frame_is_named(self):
+        traj = np.random.default_rng(5).standard_normal((30, 2))
+        traj[11, 1] = np.nan
+        with pytest.raises(InvalidArgument, match="trajectory row 12 "):
+            estimate_covariances(traj, lag=2)
+        with pytest.raises(InvalidArgument, match="X row 12 "):
+            CovarianceAccumulator(2).partial_fit(traj[:-1], traj[1:])
+        with pytest.raises(InvalidArgument, match="Y row 11 "):
+            CovarianceAccumulator(2).partial_fit(traj[:11], traj[1:12])
+
     def test_empty_finalize(self):
         with pytest.raises(InsufficientData):
             CovarianceAccumulator(2).finalize()

@@ -26,7 +26,9 @@ from lagtime.decomposition import (
     vamp_score,
     vamp_score_cv,
 )
+from lagtime.datasets import sample_sqrt_model
 from lagtime.errors import InvalidArgument, UndefinedScore
+from lagtime.experiments import SQRT_KERNEL_CCA_BANDWIDTH, SQRT_KERNEL_CCA_EPSILON
 from lagtime.kernels import GaussianKernel
 from lagtime.markov import MarkovStateModel, msm_to_koopman
 
@@ -122,6 +124,12 @@ class TestTica:
         # components have unit variance under c00
         gram = model.U.T @ cov.c00 @ model.U
         np.testing.assert_allclose(gram, np.eye(gram.shape[0]), atol=1e-8)
+
+    def test_non_finite_frame_is_named(self):
+        traj = np.random.default_rng(6).standard_normal((200, 3))
+        traj[57, 2] = np.nan
+        with pytest.raises(InvalidArgument, match="X row 58 "):
+            tica_fit(covariances_from_pairs(traj[:-1], traj[1:], symmetrize=True))
 
 
 class TestVamp:
@@ -219,6 +227,33 @@ class TestVampScoreCv:
         assert std1 == pytest.approx(s1.std())
         assert np.all(np.isfinite(s1))
 
+    @pytest.mark.parametrize("remove_mean", [False, True])
+    def test_fold_scores_match_per_fold_recomputation(self, remove_mean):
+        rng = np.random.default_rng(29)
+        traj = np.tanh(rng.standard_normal((1003, 2)).cumsum(axis=0) * 0.05)
+        psi = MonomialFeatures(2, 3)
+        F0, F1 = psi(traj[:-3]), psi(traj[3:])
+        _, _, scores = vamp_score_cv(F0, F1, n_folds=7, n_components=4,
+                                     remove_mean=remove_mean)
+        for score, test_idx in zip(scores, contiguous_folds(F0.shape[0], 7)):
+            mask = np.ones(F0.shape[0], dtype=bool)
+            mask[test_idx] = False
+            train = covariances_from_pairs(F0[mask], F1[mask], remove_mean=remove_mean)
+            test = covariances_from_pairs(F0[test_idx], F1[test_idx], remove_mean=remove_mean)
+            expected = vamp_score(vamp_fit(train, n_components=4), test_cov=test)
+            assert score == pytest.approx(expected, rel=1e-10)
+
+    def test_non_finite_pair_is_named(self):
+        F = np.random.default_rng(24).standard_normal((100, 2))
+        F[90, 0] = np.inf
+        with pytest.raises(InvalidArgument, match="F0 row 91 "):
+            vamp_score_cv(F[:-1], F[1:], n_folds=4)
+
+    def test_unpaired_rows_are_rejected(self):
+        F = np.random.default_rng(25).standard_normal((100, 2))
+        with pytest.raises(InvalidArgument, match="identical shapes"):
+            vamp_score_cv(F, F[1:], n_folds=4)
+
 
 class TestKernelEdmd:
     def test_indicator_kernel_matches_discrete_transition_matrix(self):
@@ -291,6 +326,24 @@ class TestKernelCca:
         proj = model.project(fresh, 3)
         assert proj.shape == (20, 3)
         assert np.all(np.isfinite(proj))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_paired_singular_functions_correlate_positively(self, seed):
+        obs, _ = sample_sqrt_model(601, seed=seed)
+        X, Y = obs[:-1], obs[1:]
+        model = kernel_cca_fit(X, Y, GaussianKernel(SQRT_KERNEL_CCA_BANDWIDTH),
+                               n_components=5, epsilon=SQRT_KERNEL_CCA_EPSILON)
+        f, g = model.f(X), model.g(Y)
+        corr = [np.corrcoef(f[:, i], g[:, i])[0, 1] for i in range(5)]
+        assert min(corr) >= 0.0, corr
+
+    def test_zero_correlation_gives_finite_functions(self):
+        X = np.zeros((10, 1))
+        Y = np.random.default_rng(48).standard_normal((10, 1))
+        with np.errstate(all="raise"):
+            model = kernel_cca_fit(X, Y, GaussianKernel(1.0), n_components=2, epsilon=1e-3)
+        np.testing.assert_array_equal(model.eigenvalues, 0.0)
+        assert np.all(np.isfinite(model.g(Y)))
 
     def test_validation(self):
         X = np.zeros((10, 1))

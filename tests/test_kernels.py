@@ -90,6 +90,15 @@ class TestGramMatrix:
         np.testing.assert_allclose(G, np.exp(-D2 / (2 * sigma**2)), atol=1e-12)
 
 
+    def test_non_finite_point_is_named(self):
+        A = np.random.default_rng(5).standard_normal((30, 2))
+        A[6, 1] = np.inf
+        with pytest.raises(InvalidArgument, match="A row 7 "):
+            gram_matrix(GaussianKernel(1.0), A)
+        with pytest.raises(InvalidArgument, match="B row 7 "):
+            gram_matrix(GaussianKernel(1.0), A[7:], A)
+
+
 class TestKernelSectionFeatures:
     def test_uncentered_evaluates_gram_rows(self):
         rng = np.random.default_rng(4)

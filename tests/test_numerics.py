@@ -1,8 +1,12 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lagtime
 from lagtime.errors import DegenerateInput, InvalidArgument
 from lagtime.numerics import (
     SpectralDecomposition,
@@ -94,6 +98,13 @@ class TestGeneralizedEigSym:
         dec = generalized_eig_sym(A, B)
         assert np.all(np.diff(dec.eigenvalues) <= 1e-12)
 
+    def test_eigenvectors_are_b_orthonormal(self):
+        rng = np.random.default_rng(6)
+        A = random_spd(rng, 5)
+        B = random_spd(rng, 5)
+        V = generalized_eig_sym(A, B).eigenvectors
+        np.testing.assert_allclose(V.T @ B @ V, np.eye(5), atol=1e-10)
+
     def test_degenerate_b_raises(self):
         with pytest.raises(DegenerateInput):
             generalized_eig_sym(np.eye(2), np.zeros((2, 2)))
@@ -148,3 +159,26 @@ def test_spectral_decomposition_holds_fields():
         eigenvalues=np.array([1.0]), eigenvectors=np.eye(1)
     )
     assert dec.left_eigenvectors is None
+
+
+def column_idioms(path):
+    """(enclosing top-level name, line) of each ``if X.ndim == 1: X = X[:, None]``."""
+    for top in ast.parse(path.read_text()).body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.If) and ast.unparse(node.test).endswith(".ndim == 1")
+                    and "[:, None]" in ast.unparse(node)):
+                yield getattr(top, "name", None), node.lineno
+
+
+def test_frame_convention_is_written_once():
+    # numerics._as_frames holds the rule; datasets.Trajectory keeps its own
+    # because a non-finite frame there is a divergence, not a bad argument.
+    allowed = {("numerics.py", "_as_frames"), ("datasets.py", "Trajectory")}
+    src = Path(lagtime.__file__).parent
+    copies = [
+        f"{path.name}:{line} ({owner})"
+        for path in sorted(src.glob("*.py"))
+        for owner, line in column_idioms(path)
+        if (path.name, owner) not in allowed
+    ]
+    assert not copies, copies

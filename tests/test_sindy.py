@@ -175,6 +175,13 @@ class TestSindyFit:
             sindy_fit(X, library=MonomialFeatures(2, 1), derivatives=np.zeros((9, 2)))
 
 
+    def test_non_finite_frame_is_named(self):
+        X = np.random.default_rng(8).normal(size=(60, 2))
+        X[33, 0] = np.nan
+        with pytest.raises(InvalidArgument, match="X row 34 "):
+            sindy_fit(X, t=0.1, library=MonomialFeatures(2, 2))
+
+
 class TestRosslerRecovery:
     """Degree-2 monomials on the standard chaotic benchmark flow."""
 
