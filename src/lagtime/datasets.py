@@ -416,7 +416,9 @@ class JetConfig:
     stationary) and wave speeds ``c3 = 0.461*U0``, ``c2 = 0.205*U0``,
     ``c1 = c3 + ((sqrt(5)-1)/2)*(k2/k1)*(c2-c3)``. Units are Mm and days.
     The wavenumbers are integer multiples of ``2*pi/period`` so the field
-    is exactly periodic on the cylinder of circumference ``period``.
+    is exactly periodic on the cylinder of circumference ``period``; a
+    configuration with other than three amplitudes and three such
+    wavenumbers raises ``InvalidArgument``.
     """
 
     u0: float = 5.4138893066379419
@@ -426,8 +428,27 @@ class JetConfig:
     wavenumbers: tuple = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
+        if not (math.isfinite(self.period) and self.period > 0):
+            raise InvalidArgument(f"period must be positive and finite, got {self.period}")
         if self.wavenumbers is None:
             object.__setattr__(self, "wavenumbers", _default_wavenumbers(self.period))
+        if len(self.amplitudes) != 3 or len(self.wavenumbers) != 3:
+            raise InvalidArgument(
+                f"need three amplitudes and three wavenumbers, got "
+                f"{len(self.amplitudes)} and {len(self.wavenumbers)}"
+            )
+        base = 2.0 * math.pi / self.period
+        harmonics = []
+        for k in self.wavenumbers:
+            m = round(k / base) if math.isfinite(k) else 0
+            if m < 1 or abs(k - m * base) > 1e-9 * abs(k):
+                raise InvalidArgument(
+                    f"wavenumber {k} is not a positive integer multiple of "
+                    f"2*pi/period = {base}"
+                )
+            harmonics.append(m)
+        # Not a field: derived from the ones above, read by jet_velocity.
+        object.__setattr__(self, "_harmonics", tuple(harmonics))
 
     @property
     def wave_speeds(self) -> tuple:
@@ -465,22 +486,37 @@ def jet_stream_function(t: float, points: NDArray,
 
 def jet_velocity(t: float, points: NDArray,
                  config: JetConfig = _DEFAULT_JET) -> NDArray:
-    """Velocity field ``(-d(psi)/dy, d(psi)/dx)`` at (n, 2) points."""
+    """Velocity field ``(-d(psi)/dy, d(psi)/dx)`` at (n, 2) points.
+
+    Every wavenumber is ``m * k1`` with ``k1 = 2*pi/period``, so the field
+    needs one cosine and one sine per point, of ``k1*x``: the harmonics
+    ``cos/sin(m*k1*x)`` follow by the angle-addition recurrence, and each
+    wave's phase ``k_i*x - rho_i*t`` by rotating them through the scalars
+    ``cos/sin(rho_i*t)``. ``sech^2`` is taken as ``1 - tanh^2``.
+    """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     x = points[:, 0]
     y = points[:, 1]
     u0 = config.u0
     L = config.length_scale
     c3 = config.wave_speeds[2]
-    ysc = y / L
-    sech2 = 1.0 / np.cosh(ysc) ** 2
-    tanh = np.tanh(ysc)
+    tanh = np.tanh(y / L)
+    sech2 = 1.0 - tanh * tanh
+    phase = (2.0 * math.pi / config.period) * x
+    cos1, sin1 = np.cos(phase), np.sin(phase)
+    harmonics = [(cos1, sin1)]
+    for _ in range(1, max(config._harmonics)):
+        c, s = harmonics[-1]
+        harmonics.append((c * cos1 - s * sin1, s * cos1 + c * sin1))
     wave_cos = np.zeros_like(x)
     wave_ksin = np.zeros_like(x)
-    for amp, k, rho in zip(config.amplitudes, config.wavenumbers, config.phase_rates):
-        theta = k * x - rho * t
-        wave_cos += amp * np.cos(theta)
-        wave_ksin += amp * k * np.sin(theta)
+    for amp, k, rho, m in zip(config.amplitudes, config.wavenumbers, config.phase_rates,
+                              config._harmonics):
+        c, s = harmonics[m - 1]
+        # cos/sin(k*x - rho*t) from cos/sin(k*x) and cos/sin(rho*t).
+        cos_rt, sin_rt = math.cos(rho * t), math.sin(rho * t)
+        wave_cos += (amp * cos_rt) * c + (amp * sin_rt) * s
+        wave_ksin += (amp * k * cos_rt) * s - (amp * k * sin_rt) * c
     u = -c3 + u0 * sech2 * (1.0 + 2.0 * tanh * wave_cos)
     v = -u0 * L * sech2 * wave_ksin
     return np.column_stack([u, v])
@@ -496,6 +532,8 @@ def bickley_flow(x0_batch: NDArray, t0: float, t1: float, dt: float = 1e-2,
     ``t1 < t0`` integrates backward in time. The time span must be an
     integer number of steps.
     """
+    if not all(map(math.isfinite, (t0, t1, dt))):
+        raise InvalidArgument(f"t0, t1 and dt must be finite, got {t0}, {t1}, {dt}")
     if dt <= 0:
         raise InvalidArgument(f"dt must be positive, got {dt}")
     X = np.atleast_2d(np.asarray(x0_batch, dtype=np.float64)).copy()

@@ -20,12 +20,13 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
+import scipy.linalg
 from numpy.typing import NDArray
 
 from .basis import FeatureMap, IdentityFeatures, LinearFeatures, WithConstant
 from .covariance import CovarianceAccumulator, CovarianceModel
-from .errors import InvalidArgument, UndefinedScore
-from .kernels import Kernel, KernelSectionFeatures, gram_matrix
+from .errors import InvalidArgument, NumericalDegeneracy, UndefinedScore
+from .kernels import Kernel, KernelSectionFeatures, _gram_means, gram_matrix
 from .numerics import (
     _as_frames, generalized_eig_sym, pinv_truncated, sym_inverse_sqrt, truncated_svd,
 )
@@ -447,12 +448,31 @@ def kernel_cca_fit(X: NDArray, Y: NDArray, kernel: Kernel, n_components: int,
     [0, 1] up to round-off, and come out descending. Singular functions are
     kernel expansions over the training points and can be evaluated anywhere.
 
+    The solve takes one full eigendecomposition, of ``G_X = Q diag(lam) Q^T``,
+    and one Cholesky factor ``L L^T = H_Y = G_Y + n eps I``. With
+    ``r = lam / (lam + n eps)`` (``lam`` clipped at zero) and
+    ``R_Y = H_Y^{-1} G_Y = I - n eps H_Y^{-1}``, the whitened matrix
+    ``R_X^{1/2} R_Y R_X^{1/2}`` reads in the eigenbasis of ``G_X``
+
+        S = diag(r) - n eps Z^T Z,    Z = L^{-1} Q diag(sqrt(r)),
+
+    and only its top ``n_components`` eigenpairs ``(rho, W)`` are computed.
+    The left functions are ``v = Q (sqrt(r) W)``, the right ones
+    ``R_Y v / sqrt(rho)``; both sets of expansion coefficients then take
+    thin solves only, against ``Q`` and against the Cholesky factor.
+
     Parameters
     ----------
     normalization : {"empirical", "gram"}
         "empirical" scales each singular function to unit empirical second
         moment on the training points; "gram" scales its coefficient vector
         to unit Euclidean norm.
+
+    Raises
+    ------
+    NumericalDegeneracy
+        If ``G_Y + n eps I`` is not positive definite, which a kernel that is
+        not positive definite can cause.
     """
     X, Y = _as_frames(X), _as_frames(Y, "Y")
     if X.shape[0] != Y.shape[0]:
@@ -464,43 +484,20 @@ def kernel_cca_fit(X: NDArray, Y: NDArray, kernel: Kernel, n_components: int,
     n = X.shape[0]
     if not (1 <= n_components <= n):
         raise InvalidArgument(f"n_components must be in 1..{n}")
+    shift = n * epsilon
 
-    def smoother_half(G):
-        # Symmetric PSD half-power of (G + n eps I)^{-1} G.
-        evals, Q = np.linalg.eigh(G)
-        evals = np.clip(evals, 0.0, None)
-        ratio = evals / (evals + n * epsilon)
-        return Q, ratio
+    def centered_gram(points):
+        # The raw Gram matrix's means center it in place and center the
+        # kernel sections of the returned features.
+        G = gram_matrix(kernel, points)
+        col_means, grand_mean = _gram_means(G)
+        row_means = G.mean(axis=1, keepdims=True)
+        G -= col_means
+        G -= row_means
+        G += grand_mean
+        return G, KernelSectionFeatures._centered_on(kernel, points, col_means, grand_mean)
 
-    def centered(G):
-        col = G.mean(axis=0, keepdims=True)
-        row = G.mean(axis=1, keepdims=True)
-        return G - col - row + G.mean()
-
-    Gx = centered(gram_matrix(kernel, X))
-    Gy = centered(gram_matrix(kernel, Y))
-    Qx, rx = smoother_half(Gx)
-    Qy, ry = smoother_half(Gy)
-
-    def half_apply(Q, ratio, M):
-        # (Q sqrt(ratio) Q^T) @ M
-        return Q @ (np.sqrt(ratio)[:, None] * (Q.T @ M))
-
-    Py = Qy @ (ry[:, None] * Qy.T)
-    S = half_apply(Qx, rx, half_apply(Qx, rx, Py).T)
-    S = 0.5 * (S + S.T)
-    rho, W = np.linalg.eigh(S)
-    order = np.argsort(-rho, kind="stable")[:n_components]
-    rho = np.clip(rho[order], 0.0, None)
-    v = half_apply(Qx, rx, W[:, order])
-    # Right functions from the same decomposition, so each pairs with its
-    # left one: with S = M M^T and M = Rx^{1/2} Ry^{1/2}, the right singular
-    # vectors are M^T W / sqrt(rho), and Ry^{1/2} of those is Py v / sqrt(rho).
-    v2 = Py @ v / np.sqrt(np.where(rho > 0.0, rho, 1.0))
-
-    def expansion_coefficients(G, vectors):
-        coeff = np.linalg.solve(G + n * epsilon * np.eye(n), vectors)
-        values = G @ coeff
+    def normalized(coeff, values):
         if normalization == "empirical":
             scale = np.linalg.norm(values, axis=0) / np.sqrt(n)
         else:
@@ -508,10 +505,56 @@ def kernel_cca_fit(X: NDArray, Y: NDArray, kernel: Kernel, n_components: int,
         scale[scale == 0.0] = 1.0
         return coeff / scale
 
-    alpha = expansion_coefficients(Gx, v)
-    beta = expansion_coefficients(Gy, v2)
-    f = KernelSectionFeatures(kernel, X, centered=True).then(LinearFeatures(alpha))
-    g = KernelSectionFeatures(kernel, Y, centered=True).then(LinearFeatures(beta))
+    Gx, sections_x = centered_gram(X)
+    # Gx and the other symmetric matrices below go to LAPACK transposed:
+    # that is the same matrix in Fortran order, so it is overwritten in
+    # place instead of copied.
+    lam, Q = scipy.linalg.eigh(Gx.T, overwrite_a=True, check_finite=False, driver="evd")
+    del Gx
+    lam = np.clip(lam, 0.0, None)
+    r = lam / (lam + shift)
+    root_r = np.sqrt(r)
+
+    H, sections_y = centered_gram(Y)
+    H.flat[::n + 1] += shift
+    try:
+        L = scipy.linalg.cholesky(H.T, lower=True, overwrite_a=True, check_finite=False)
+    except np.linalg.LinAlgError:
+        raise NumericalDegeneracy(
+            "Y: centered Gram matrix plus n*epsilon*I is not positive definite; "
+            "the kernel must be positive definite"
+        ) from None
+    del H
+
+    Z = scipy.linalg.solve_triangular(L, Q * root_r, lower=True, overwrite_b=True,
+                                      check_finite=False)
+    S = Z.T @ Z
+    del Z
+    S *= -shift
+    S.flat[::n + 1] += r
+    rho, W = scipy.linalg.eigh(S.T, subset_by_index=[n - n_components, n - 1],
+                               overwrite_a=True, check_finite=False)
+    del S
+    rho, W = np.clip(rho[::-1], 0.0, None), W[:, ::-1]
+
+    # Left functions v = R_X^{1/2} Q W. Their coefficients
+    # (G_X + n eps I)^{-1} v, and the values G_X times those coefficients
+    # that the normalization reads, are formed in G_X's eigenbasis.
+    vq = root_r[:, None] * W
+    v = Q @ vq
+    ax = vq / (lam + shift)[:, None]
+    alpha = Q @ normalized(ax, lam[:, None] * ax)
+    # Right functions from the same decomposition, so each pairs with its
+    # left one: with S = M M^T and M = Rx^{1/2} Ry^{1/2}, the right singular
+    # vectors are M^T W / sqrt(rho), and Ry^{1/2} of those is Ry v / sqrt(rho).
+    factor = (L, True)
+    v2 = v - shift * scipy.linalg.cho_solve(factor, v, check_finite=False)
+    v2 /= np.sqrt(np.where(rho > 0.0, rho, 1.0))
+    by = scipy.linalg.cho_solve(factor, v2, check_finite=False)
+    beta = normalized(by, v2 - shift * by)  # G_Y by = (H_Y - n eps I) by
+
+    f = sections_x.then(LinearFeatures(alpha))
+    g = sections_y.then(LinearFeatures(beta))
     return TransferOperatorModel(
         f=f, g=g, K=np.diag(rho), method="kernel_cca",
         eigenvalues=rho, projection_matrix=np.eye(n_components),
@@ -535,12 +578,15 @@ def kvad_feature_score(F: NDArray, Y: NDArray, kernel: Kernel,
     Y = _as_frames(Y, "Y")
     if F.shape[0] != Y.shape[0]:
         raise InvalidArgument("F and Y must have the same number of rows")
-    n = F.shape[0]
-    G_Y = gram_matrix(kernel, Y)
+    return _kvad_score(F, gram_matrix(kernel, Y), epsilon)
+
+
+def _kvad_score(F: NDArray, G_Y: NDArray, epsilon: float) -> float:
+    """:func:`kvad_feature_score` from the Gram matrix of the forward samples."""
     C = F.T @ F
     white = sym_inverse_sqrt(0.5 * (C + C.T), epsilon)
     B = F @ white.transform.T  # orthonormal columns spanning col(F)
-    return float(np.sum((G_Y @ B) * B) / n)
+    return float(np.sum((G_Y @ B) * B) / F.shape[0])
 
 
 def kvad_fit(X: NDArray, Y: NDArray, f: FeatureMap, kernel: Kernel,
@@ -565,7 +611,7 @@ def kvad_fit(X: NDArray, Y: NDArray, f: FeatureMap, kernel: Kernel,
     C = F.T @ F
     q_weights = F @ pinv_truncated(0.5 * (C + C.T))  # n x m, optimal embedded weights
     K = q_weights.T @ fa(Y)
-    score = kvad_feature_score(F, Y, kernel, epsilon=epsilon)
+    score = _kvad_score(F, G_Y, epsilon)
 
     # Dominant directions in feature space by embedded predictability per
     # unit variance; these play the role of singular functions for this model.

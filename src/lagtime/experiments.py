@@ -14,6 +14,7 @@ reported with; all randomness flows from a single seed per run.
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Callable, Optional, Sequence
 
@@ -243,6 +244,16 @@ def run_bickley_experiment(methods: Sequence[str] = BICKLEY_METHODS,
             raise InvalidArgument(
                 f"unknown method {method!r}; choose from {', '.join(BICKLEY_METHODS)}"
             )
+    if rounds < 1:
+        raise InvalidArgument(f"need at least one scoring round, got {rounds}")
+    if n_sets < 2:
+        raise InvalidArgument(f"need at least two coherent sets, got {n_sets}")
+    if n_particles < n_sets:
+        raise InvalidArgument(
+            f"need at least as many particles as coherent sets ({n_sets}), got {n_particles}"
+        )
+    if not (math.isfinite(noise) and noise >= 0):
+        raise InvalidArgument(f"noise must be finite and non-negative, got {noise}")
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
     x0 = _uniform_particles(rng, n_particles)

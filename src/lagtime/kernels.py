@@ -119,6 +119,11 @@ def gram_matrix(
     return G
 
 
+def _gram_means(G: NDArray) -> tuple[NDArray, float]:
+    """Column means and grand mean of a Gram matrix, which center it."""
+    return G.mean(axis=0), float(G.mean())
+
+
 class KernelSectionFeatures(FeatureMap):
     """Kernel sections anchored at a fixed point set: ``x -> [k(x, z_j)]_j``.
 
@@ -137,12 +142,21 @@ class KernelSectionFeatures(FeatureMap):
         self.dimension_in = points.shape[1]
         self.dimension_out = points.shape[0]
         if centered:
-            G = gram_matrix(kernel, points)
-            self._col_means = G.mean(axis=0)
-            self._grand_mean = float(G.mean())
+            self._col_means, self._grand_mean = _gram_means(gram_matrix(kernel, points))
         else:
             self._col_means = None
             self._grand_mean = 0.0
+
+    @classmethod
+    def _centered_on(cls, kernel: Kernel, points: NDArray, col_means: NDArray,
+                     grand_mean: float) -> "KernelSectionFeatures":
+        """Centered sections from the :func:`_gram_means` of the anchors'
+        Gram matrix, for a caller that has assembled that matrix already."""
+        sections = cls(kernel, points)
+        sections.centered = True
+        sections._col_means = col_means
+        sections._grand_mean = grand_mean
+        return sections
 
     def _evaluate(self, X):
         G = gram_matrix(self.kernel, X, self.points)

@@ -366,3 +366,19 @@ class TestInputFuzz:
         path.write_text(text)
         self.run(capfd, ["msm", "--input", str(path), "--lag", str(lag),
                          "--counting", counting, "--out", str(tmp_path)])
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(methods=st.sampled_from(["all", "kvad", "vamp", "kernel_cca"]),
+           particles=st.integers(0, 40), n_sets=st.integers(-1, 5),
+           rounds=st.integers(-1, 2), round_size=st.integers(0, 30),
+           restarts=st.integers(0, 3),
+           t1=st.sampled_from(["nan", "inf", "-inf", "0", "0.0305", "0.2", "-0.2"]),
+           noise=st.sampled_from(["nan", "-1", "0", "0.1"]))
+    def test_bickley_options(self, tmp_path, capfd, methods, particles, n_sets, rounds,
+                             round_size, restarts, t1, noise):
+        self.run(capfd, ["bickley-experiment", "--methods", methods,
+                         "--n-particles", str(particles), "--n-sets", str(n_sets),
+                         "--rounds", str(rounds), "--round-size", str(round_size),
+                         "--restarts", str(restarts), f"--t1={t1}", f"--noise={noise}",
+                         "--out", str(tmp_path)])

@@ -226,6 +226,23 @@ class TestQuadwellPotential:
         assert np.mean(np.abs(x) > 0.4) > 0.5
 
 
+def three_wave_velocity(t, points, config):
+    """Reference: the jet velocity as the direct sum over the three waves,
+    one cosine and one sine of ``k_i*x - rho_i*t`` per wave."""
+    x, y = points[:, 0], points[:, 1]
+    L = config.length_scale
+    sech2 = 1.0 / np.cosh(y / L) ** 2
+    tanh = np.tanh(y / L)
+    wave_cos = np.zeros_like(x)
+    wave_ksin = np.zeros_like(x)
+    for amp, k, rho in zip(config.amplitudes, config.wavenumbers, config.phase_rates):
+        wave_cos += amp * np.cos(k * x - rho * t)
+        wave_ksin += amp * k * np.sin(k * x - rho * t)
+    u = -config.wave_speeds[2] + config.u0 * sech2 * (1.0 + 2.0 * tanh * wave_cos)
+    v = -config.u0 * L * sech2 * wave_ksin
+    return np.column_stack([u, v])
+
+
 class TestJetField:
     def probe_points(self, seed=0, n=50):
         rng = np.random.default_rng(seed)
@@ -266,6 +283,38 @@ class TestJetField:
             np.testing.assert_allclose(
                 jet_velocity(t, pts), jet_velocity(t, shifted), rtol=0, atol=1e-12
             )
+
+    @pytest.mark.parametrize("config", [
+        JetConfig(),
+        JetConfig(amplitudes=(0.1, 0.2, 0.05), period=12.0,
+                  wavenumbers=tuple(2 * np.pi * m / 12.0 for m in (1, 3, 5))),
+    ])
+    def test_velocity_matches_three_wave_sum(self, config):
+        rng = np.random.default_rng(5)
+        pts = np.column_stack([rng.uniform(-25, 45, 400), rng.uniform(-4, 4, 400)])
+        for t in np.concatenate([[-40.0, 0.0, 40.0], rng.uniform(-40, 40, 20)]):
+            np.testing.assert_allclose(
+                jet_velocity(t, pts, config), three_wave_velocity(t, pts, config),
+                rtol=0, atol=1e-13,
+            )
+
+    def test_config_validation(self):
+        base = 2 * np.pi / 20.0
+        for kwargs in (
+            {"amplitudes": (0.1, 0.2, 0.3, 0.4)},
+            {"amplitudes": (0.1, 0.2)},
+            {"wavenumbers": (base, 2 * base)},
+            {"wavenumbers": (base, 2.5 * base, 3 * base)},
+            {"wavenumbers": (base, 2 * base * (1 + 1e-8), 3 * base)},
+            {"wavenumbers": (0.0, 2 * base, 3 * base)},
+            {"wavenumbers": (-base, 2 * base, 3 * base)},
+            {"wavenumbers": (base, np.nan, 3 * base)},
+            {"period": 0.0},
+            {"period": np.inf},
+        ):
+            with pytest.raises(InvalidArgument):
+                JetConfig(**kwargs)
+        JetConfig(wavenumbers=(base, 2 * base * (1 + 1e-12), 4 * base))
 
     def test_wave_speed_conventions(self):
         config = JetConfig()
@@ -308,6 +357,14 @@ class TestBickleyFlow:
             bickley_flow(pts, 0.0, 0.0305, dt=1e-2)
         with pytest.raises(InvalidArgument):
             bickley_flow(np.zeros((2, 3)), 0.0, 1.0)
+
+    @pytest.mark.parametrize("t0, t1, dt", [
+        (0.0, np.nan, 1e-2), (0.0, np.inf, 1e-2), (0.0, -np.inf, 1e-2),
+        (np.nan, 1.0, 1e-2), (0.0, 1.0, np.nan), (0.0, 1.0, np.inf),
+    ])
+    def test_non_finite_times_are_rejected(self, t0, t1, dt):
+        with pytest.raises(InvalidArgument, match="finite"):
+            bickley_flow(np.zeros((2, 2)), t0, t1, dt)
 
 
 class TestSqrtModel:

@@ -26,10 +26,15 @@ from lagtime.decomposition import (
     vamp_score,
     vamp_score_cv,
 )
-from lagtime.datasets import sample_sqrt_model
-from lagtime.errors import InvalidArgument, UndefinedScore
-from lagtime.experiments import SQRT_KERNEL_CCA_BANDWIDTH, SQRT_KERNEL_CCA_EPSILON
-from lagtime.kernels import GaussianKernel
+from lagtime.datasets import bickley_flow, sample_sqrt_model
+from lagtime.errors import InvalidArgument, NumericalDegeneracy, UndefinedScore
+from lagtime.experiments import (
+    BICKLEY_KERNEL_CCA_BANDWIDTH,
+    BICKLEY_KERNEL_CCA_EPSILON,
+    SQRT_KERNEL_CCA_BANDWIDTH,
+    SQRT_KERNEL_CCA_EPSILON,
+)
+from lagtime.kernels import GaussianKernel, Kernel, gram_matrix
 from lagtime.markov import MarkovStateModel, msm_to_koopman
 
 
@@ -294,7 +299,103 @@ class TestKernelEdmd:
         assert p1.shape == (120, 3)
 
 
+def dense_kernel_cca(X, Y, kernel, n_components, epsilon, normalization="empirical"):
+    """Reference: kernel CCA in its dense formulation, with full
+    eigendecompositions of both centered Gram matrices and of the whitened
+    product, and n x n solves for the coefficients.
+
+    Returns the correlations and the left and right singular functions on
+    the training points.
+    """
+    n = X.shape[0]
+
+    def centered(G):
+        col = G.mean(axis=0, keepdims=True)
+        row = G.mean(axis=1, keepdims=True)
+        return G - col - row + G.mean()
+
+    def smoother_half(G):
+        evals, Q = np.linalg.eigh(G)
+        evals = np.clip(evals, 0.0, None)
+        return Q, evals / (evals + n * epsilon)
+
+    def half_apply(Q, ratio, M):
+        return Q @ (np.sqrt(ratio)[:, None] * (Q.T @ M))
+
+    def functions(G, vectors):
+        coeff = np.linalg.solve(G + n * epsilon * np.eye(n), vectors)
+        values = G @ coeff
+        if normalization == "empirical":
+            scale = np.linalg.norm(values, axis=0) / np.sqrt(n)
+        else:
+            scale = np.linalg.norm(coeff, axis=0)
+        scale[scale == 0.0] = 1.0
+        return values / scale
+
+    Gx = centered(gram_matrix(kernel, X))
+    Gy = centered(gram_matrix(kernel, Y))
+    Qx, rx = smoother_half(Gx)
+    Qy, ry = smoother_half(Gy)
+    Py = Qy @ (ry[:, None] * Qy.T)
+    S = half_apply(Qx, rx, half_apply(Qx, rx, Py).T)
+    rho, W = np.linalg.eigh(0.5 * (S + S.T))
+    order = np.argsort(-rho, kind="stable")[:n_components]
+    rho = np.clip(rho[order], 0.0, None)
+    v = half_apply(Qx, rx, W[:, order])
+    v2 = Py @ v / np.sqrt(np.where(rho > 0.0, rho, 1.0))
+    return rho, functions(Gx, v), functions(Gy, v2)
+
+
+class IndefiniteKernel(Kernel):
+    """``k(x, y) = -x . y``: its Gram matrices are negative semi-definite."""
+
+    def pairwise(self, A, B):
+        return -(A @ B.T)
+
+
 class TestKernelCca:
+    @pytest.mark.parametrize("normalization", ["empirical", "gram"])
+    @pytest.mark.parametrize("data, bandwidth, epsilon, n_components", [
+        ("sqrt", SQRT_KERNEL_CCA_BANDWIDTH, SQRT_KERNEL_CCA_EPSILON, 5),
+        ("jet", BICKLEY_KERNEL_CCA_BANDWIDTH, BICKLEY_KERNEL_CCA_EPSILON, 8),
+        ("small", 1.0, 1e-2, "all"),
+    ])
+    def test_matches_dense_formulation(self, data, bandwidth, epsilon, n_components,
+                                       normalization):
+        if data == "sqrt":
+            obs, _ = sample_sqrt_model(601, seed=3)
+            X, Y = obs[:-1], obs[1:]
+        elif data == "jet":
+            rng = np.random.default_rng(11)
+            X = rng.uniform([0.0, -4.0], [20.0, 4.0], size=(400, 2))
+            Y = bickley_flow(X, 0.0, 4.0, 2e-2)
+        else:
+            rng = np.random.default_rng(12)
+            X = rng.standard_normal((12, 2))
+            Y = np.tanh(X) + 0.3 * rng.standard_normal((12, 2))
+        if n_components == "all":
+            n_components = X.shape[0]
+        kernel = GaussianKernel(bandwidth)
+        model = kernel_cca_fit(X, Y, kernel, n_components, epsilon,
+                               normalization=normalization)
+        rho, f_ref, g_ref = dense_kernel_cca(X, Y, kernel, n_components, epsilon,
+                                             normalization)
+        np.testing.assert_allclose(model.eigenvalues, rho, rtol=0, atol=1e-12)
+        # Centering puts the constant vector in the null space of G_X, so with
+        # every component requested the last correlation is zero and its pair
+        # of functions is set by round-off in either formulation.
+        keep = rho > 1e-12
+        f_ref, g_ref = f_ref[:, keep], g_ref[:, keep]
+        for got, want in ((model.f(X)[:, keep], f_ref), (model.g(Y)[:, keep], g_ref)):
+            sign = np.where(np.sum(got * want, axis=0) < 0.0, -1.0, 1.0)
+            np.testing.assert_allclose(got * sign, want, rtol=0,
+                                       atol=1e-10 * np.abs(want).max())
+
+    def test_indefinite_kernel_is_numerical_degeneracy(self):
+        X = np.random.default_rng(49).standard_normal((20, 2))
+        with pytest.raises(NumericalDegeneracy, match="Y"):
+            kernel_cca_fit(X, X + 1.0, IndefiniteKernel(), n_components=2, epsilon=1e-3)
+
     def test_correlations_in_unit_interval_descending(self):
         rng = np.random.default_rng(41)
         X = rng.standard_normal((250, 2))

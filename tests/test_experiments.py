@@ -114,6 +114,15 @@ class TestRunBickleyExperiment:
         with pytest.raises(InvalidArgument):
             run_bickley_experiment(("scrying",), n_particles=50)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"rounds": 0}, {"n_sets": 1}, {"n_particles": 2, "n_sets": 3},
+        {"noise": -0.1}, {"noise": float("nan")}, {"noise": float("inf")},
+        {"t1": float("nan")}, {"t1": float("inf")},
+    ])
+    def test_bad_parameters_are_rejected(self, kwargs):
+        with pytest.raises(InvalidArgument):
+            run_bickley_experiment(("vamp",), **{"n_particles": 50, **kwargs})
+
     def test_density_methods_project_to_informative_components(self):
         results = run_bickley_experiment(
             ("kvad", "kernel_cca"), n_particles=150, n_sets=3, restarts=3,
