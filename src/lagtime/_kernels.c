@@ -1,6 +1,6 @@
 /* Compiled inner loops of lagtime, called through ctypes.
  *
- * lagtime.datasets compiles this file on first use and loads it. It holds
+ * lagtime._native compiles this file on first use and loads it. It holds
  *
  * - the Euler-Maruyama steppers of the double-well and four-well diffusions
  *   (datasets.py),

@@ -36,6 +36,7 @@ import numpy as np
 import jsonschema
 
 from . import __version__
+from .basis import MonomialFeatures
 from .datasets import (
     benchmark_steps_per_second,
     double_well_2d,
@@ -60,7 +61,7 @@ from .markov import (
     timescales,
 )
 from .numerics import _as_frames
-from .sindy import finite_difference, sindy_fit
+from .sindy import finite_difference, sindy_fit, sindy_predict
 
 __all__ = ["main", "REPORT_SCHEMA"]
 
@@ -252,8 +253,6 @@ def cmd_sindy(args: argparse.Namespace) -> None:
         names = None
     if X.shape[0] < 3:
         raise InsufficientData("need at least three frames to estimate dynamics")
-    from .basis import MonomialFeatures
-
     library = MonomialFeatures(X.shape[1], args.degree)
     model = sindy_fit(
         X,
@@ -270,8 +269,6 @@ def cmd_sindy(args: argparse.Namespace) -> None:
     artifacts = ["coefficients.csv", "equations.txt"]
     metrics = {"n_terms": _metric(model.n_terms)}
     if not args.discrete:
-        from .sindy import sindy_predict
-
         derivs = finite_difference(X, dt)
         predicted = sindy_predict(model, X)
         max_err = float(np.max(np.abs(predicted - derivs)))
@@ -336,7 +333,9 @@ def cmd_generate(args: argparse.Namespace) -> None:
         path = out_dir / "quadwell.csv"
         write_trajectory(trajectory, path, system="quadwell")
     elif args.system == "rossler":
-        trajectory = rossler(t1=args.n_frames * 1e-3)
+        if args.n_frames < 2:
+            raise InvalidArgument(f"rossler needs n_frames >= 2, got {args.n_frames}")
+        trajectory = rossler(t1=(args.n_frames - 1) * 1e-3)
         path = out_dir / "rossler.csv"
         write_trajectory(trajectory, path, system="rossler")
     elif args.system == "sqrt-model":
@@ -347,7 +346,8 @@ def cmd_generate(args: argparse.Namespace) -> None:
                   header="state")
     else:  # pragma: no cover - argparse choices prevent this
         raise InvalidArgument(f"unknown system {args.system!r}")
-    print(f"wrote {path} ({args.n_frames} frames, seed {args.seed})")
+    seeded = "" if args.system == "rossler" else f", seed {args.seed}"
+    print(f"wrote {path} ({args.n_frames} frames{seeded})")
 
 
 def cmd_benchmark(args: argparse.Namespace) -> None:
@@ -467,6 +467,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         # Errors reach the user as one line each; a non-finite intermediate
         # is caught by the input checks, not reported as a numpy warning.
         with np.errstate(all="ignore"):
+            for name in ("seed", "ansatz_seed"):
+                value = getattr(args, name, 0)
+                if value < 0:
+                    raise InvalidArgument(f"{name} must be non-negative, got {value}")
             args.func(args)
     except InsufficientData as exc:
         print(f"error: {exc}", file=sys.stderr)

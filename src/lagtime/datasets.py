@@ -7,26 +7,17 @@ coherent-set studies, a two-state hidden-Markov sampler with a square-root
 warped output space, and a chaotic three-dimensional attractor integrator.
 
 All generators are deterministic per seed. The double-well and four-well
-generators step in C: ``_kernels.c`` is compiled with the system's ``cc`` on
-the first call, cached next to this module under a hash of its source (or,
-in a read-only install, built privately for each process), and loaded
-through ``ctypes``. Its arithmetic is kept operation-for-operation
-identical to :func:`euler_maruyama`, the pure-Python reference path, so both
-produce bit-identical trajectories from the same seed. Without a C compiler
-the generators run :func:`euler_maruyama` itself.
+generators step in C (``_kernels.c``, loaded by :mod:`lagtime._native`),
+with arithmetic kept operation-for-operation identical to
+:func:`euler_maruyama`, the pure-Python reference path. Both run in one
+noise-block driver, so they give bit-identical trajectories from the same
+seed. Without a C compiler the generators run :func:`euler_maruyama`.
 """
 
 from __future__ import annotations
 
-import ctypes
-import functools
-import hashlib
 import json
 import math
-import os
-import shutil
-import subprocess
-import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -35,7 +26,9 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.typing import NDArray
 
+from ._native import _compiled_kernels
 from .errors import DivergenceError, InvalidArgument
+from .markov import sample_markov_chain
 
 __all__ = [
     "SdeSystem",
@@ -139,47 +132,40 @@ def euler_maruyama(system: SdeSystem, x0: NDArray, n_frames: int,
         If the state leaves the finite floating-point range; the error
         carries the index of the first bad integrator step.
     """
-    x = _initial_state(system, x0, n_frames)
     h = system.step
-    n_sub = system.n_substeps
     sig_sqrt_h = system.diffusion * math.sqrt(h)
-    noiseless = not np.any(system.diffusion)
-    rng = np.random.default_rng(seed)
-    frames = np.empty((n_frames, system.dimension))
-    frames[0] = x
     t = t0
-    frames_per_block = max(1, _NOISE_BLOCK_STEPS // n_sub)
-    emitted = 1
-    step_index = 0
-    while emitted < n_frames:
-        m = min(frames_per_block, n_frames - emitted)
-        if noiseless:
-            noise = None
-        else:
-            noise = rng.standard_normal((m * n_sub, system.dimension))
-        row = 0
-        for _ in range(m):
-            for _ in range(n_sub):
-                fx = system.drift(t, x)
-                if noiseless:
-                    x = x + fx * h
+
+    def advance(x, noise, out):
+        nonlocal t
+        y, row = x, 0
+        for frame in out:
+            for _ in range(system.n_substeps):
+                fx = system.drift(t, y)
+                if noise is None:
+                    y = y + fx * h
                 else:
-                    x = x + fx * h + sig_sqrt_h @ noise[row]
-                row += 1
+                    y = y + fx * h + sig_sqrt_h @ noise[row]
                 t += h
-                step_index += 1
-                if not np.all(np.isfinite(x)):
-                    raise DivergenceError(
-                        f"state diverged at integrator step {step_index}",
-                        step=step_index,
-                    )
-            frames[emitted] = x
-            emitted += 1
-    return Trajectory(frames=frames, dt_effective=h * n_sub, seed=seed)
+                if not np.all(np.isfinite(y)):
+                    return row
+                row += 1
+            frame[:] = y
+        x[:] = y
+        return -1
+
+    return _integrate(system, x0, n_frames, seed, advance)
 
 
-def _initial_state(system: SdeSystem, x0, n_frames: int) -> NDArray:
-    """Check the start of an integration; return a fresh copy of ``x0``."""
+def _integrate(system: SdeSystem, x0, n_frames: int, seed: Optional[int],
+               advance: Callable) -> Trajectory:
+    """Check the start, then run a block stepper with noise drawn in blocks.
+
+    ``advance(x, noise, out)`` steps from ``x`` with one ``noise`` row per
+    step (``None`` for a noiseless system), writes every ``n_substeps``-th
+    state to the next row of ``out`` and leaves the last state in ``x``; it
+    returns -1, or the noise row of the first non-finite step.
+    """
     x = np.array(x0, dtype=np.float64).ravel()
     if x.size != system.dimension:
         raise InvalidArgument(
@@ -187,107 +173,38 @@ def _initial_state(system: SdeSystem, x0, n_frames: int) -> NDArray:
         )
     if n_frames < 1:
         raise InvalidArgument(f"n_frames must be >= 1, got {n_frames}")
-    return x
-
-
-_KERNEL_SOURCE = Path(__file__).with_name("_kernels.c")
-_KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
-
-
-def _build_kernels(compiler: str, path: Path) -> None:
-    """Compile ``_kernels.c`` to ``path``, which appears whole or not at all."""
-    path.parent.mkdir(exist_ok=True)
-    fd, partial = tempfile.mkstemp(suffix=".so", dir=path.parent)
-    os.close(fd)
-    try:
-        subprocess.run([compiler, *_KERNEL_FLAGS, "-o", partial, str(_KERNEL_SOURCE)],
-                       check=True, capture_output=True)
-        os.replace(partial, path)
-    finally:
-        Path(partial).unlink(missing_ok=True)
-
-
-def _cached_build() -> Path:
-    """The cached build in ``__pycache__``, named by a hash of source and flags."""
-    digest = hashlib.sha256(_KERNEL_SOURCE.read_bytes()
-                            + " ".join(_KERNEL_FLAGS).encode()).hexdigest()[:16]
-    return _KERNEL_SOURCE.parent / "__pycache__" / f"_kernels-{digest}.so"
-
-
-@functools.cache
-def _compiled_kernels() -> tuple:
-    """Build ``_kernels.c`` on first use and load it; returns ``(library, backend)``.
-
-    Where the cache is not writable (a read-only install), each process
-    builds privately and removes the build once loaded: a build is never
-    taken from the shared temporary directory, where anyone could plant one.
-    Without a library, ``backend`` says why.
-    """
-    compiler = shutil.which("cc")
-    if compiler is None:
-        return None, "python (no C compiler)"
-    path = _cached_build()
-    try:
-        try:
-            if not path.exists():
-                _build_kernels(compiler, path)
-            library = ctypes.CDLL(str(path))
-        except OSError:  # the cache is not writable, or not loadable
-            with tempfile.TemporaryDirectory(prefix="lagtime-") as private:
-                path = Path(private) / path.name
-                _build_kernels(compiler, path)
-                library = ctypes.CDLL(str(path))
-    except (subprocess.CalledProcessError, OSError):
-        return None, "python (C build failed)"
-    array = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-    states = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
-    size, real = ctypes.c_long, ctypes.c_double
-    stepper = [array, array, real, real, size, size, array]
-    for name, argtypes, restype in [
-        ("double_well_steps", stepper, size),
-        ("quadwell_steps", stepper, size),
-        ("hmm_forward", [array, array, array, size, size, array, array], size),
-        ("hmm_backward", [array, array, array, size, size, array, array], None),
-        ("hmm_viterbi", [array, array, array, size, size, states, array, states], None),
-        ("markov_chain_steps", [array, size, array, size, states], None),
-    ]:
-        function = getattr(library, name)
-        function.argtypes = argtypes
-        function.restype = restype
-    return library, "c"
+    n_sub = system.n_substeps
+    noiseless = not np.any(system.diffusion)
+    rng = np.random.default_rng(seed)
+    frames = np.empty((n_frames, system.dimension))
+    frames[0] = x
+    frames_per_block = max(1, _NOISE_BLOCK_STEPS // n_sub)
+    written = 1
+    while written < n_frames:
+        m = min(frames_per_block, n_frames - written)
+        noise = None if noiseless else rng.standard_normal((m * n_sub, system.dimension))
+        bad = advance(x, noise, frames[written:written + m])
+        if bad >= 0:
+            step = (written - 1) * n_sub + bad + 1
+            raise DivergenceError(f"state diverged at integrator step {step}", step=step)
+        written += m
+    return Trajectory(frames=frames, dt_effective=system.step * n_sub, seed=seed)
 
 
 def _run_compiled_sde(stepper: str, system: SdeSystem, x0, n_frames: int,
                       seed: Optional[int]) -> Trajectory:
     """Integrate a shipped system with its C stepper, or with the reference path.
 
-    Noise is drawn in the same blocks as :func:`euler_maruyama` draws it, so
-    the random streams, and hence the frames, agree bit for bit. The
-    stepper's isotropic diffusion is ``system.diffusion[0, 0]``.
+    The stepper's isotropic diffusion is ``system.diffusion[0, 0]``.
     """
     library, _ = _compiled_kernels()
     if library is None:
         return euler_maruyama(system, x0, n_frames, seed=seed)
-    x = _initial_state(system, x0, n_frames)
-    h, n_sub, dim = system.step, system.n_substeps, system.dimension
-    scale = system.diffusion[0, 0] * math.sqrt(h)
     kernel = getattr(library, stepper)
-    rng = np.random.default_rng(seed)
-    frames = np.empty((n_frames, dim))
-    frames[0] = x
-    frames_per_block = max(1, _NOISE_BLOCK_STEPS // n_sub)
-    written = 1
-    while written < n_frames:
-        m = min(frames_per_block, n_frames - written)
-        noise = rng.standard_normal((m * n_sub, dim))
-        bad = kernel(x, noise, h, scale, n_sub, m, frames[written:written + m])
-        if bad >= 0:
-            step = (written - 1) * n_sub + bad + 1
-            raise DivergenceError(
-                f"state diverged at integrator step {step}", step=step
-            )
-        written += m
-    return Trajectory(frames=frames, dt_effective=h * n_sub, seed=seed)
+    h, n_sub = system.step, system.n_substeps
+    scale = system.diffusion[0, 0] * math.sqrt(h)
+    return _integrate(system, x0, n_frames, seed,
+                      lambda x, noise, out: kernel(x, noise, h, scale, n_sub, len(out), out))
 
 
 # ---------------------------------------------------------------------------
@@ -617,8 +534,6 @@ def sample_sqrt_model(n_frames: int, seed: Optional[int] = None):
         Warped observations of shape (n_frames, 2) and the integer hidden
         sequence of length n_frames.
     """
-    from .markov import sample_markov_chain
-
     if n_frames < 1:
         raise InvalidArgument(f"n_frames must be >= 1, got {n_frames}")
     hidden = sample_markov_chain(
@@ -697,6 +612,8 @@ def benchmark_steps_per_second(n_steps: int = 1_000_000,
     Runs one warm-up call (so one-time compilation is excluded), then times
     a generation of ``n_steps`` integrator steps including noise generation.
     """
+    if n_steps < 1:
+        raise InvalidArgument(f"n_steps must be >= 1, got {n_steps}")
     n_substeps = 100
     n_frames = max(2, n_steps // n_substeps + 1)
     actual_steps = (n_frames - 1) * n_substeps

@@ -7,7 +7,7 @@ tiny floating-point slack; a decrease beyond the slack indicates a bug and
 raises, it is never silently accepted.
 
 The per-frame forward, backward and Viterbi recursions run in the compiled
-kernels of ``_kernels.c`` (see :mod:`lagtime.datasets`); everything around
+kernels of ``_kernels.c`` (see :mod:`lagtime._native`); everything around
 them stays in NumPy. Without a C compiler the loops below, ``_forward``,
 ``_backward`` and ``_viterbi``, run instead; they are the reference the
 compiled recursions are tested against.
@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .datasets import _compiled_kernels
+from ._native import _compiled_kernels
 from .errors import (
     InsufficientData,
     InternalInvariantError,
@@ -33,6 +33,7 @@ from .markov import (
     count_transitions,
     largest_connected_submodel,
     msm_mle,
+    sample_markov_chain,
     spectral_analysis,
 )
 
@@ -183,8 +184,6 @@ class HiddenMarkovModel:
 
     def sample(self, length: int, seed: int) -> tuple[NDArray, NDArray]:
         """Sample (hidden_states, observations) of a given length."""
-        from .markov import sample_markov_chain
-
         if length <= 0:
             raise InvalidArgument(f"length must be positive, got {length}")
         states = sample_markov_chain(

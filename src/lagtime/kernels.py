@@ -17,7 +17,6 @@ __all__ = [
     "GaussianKernel",
     "PolynomialKernel",
     "gram_matrix",
-    "kernel_eval",
     "KernelSectionFeatures",
 ]
 
@@ -65,15 +64,6 @@ class PolynomialKernel(Kernel):
 
     def pairwise(self, A, B):
         return (self.constant + A @ B.T) ** self.degree
-
-
-def kernel_eval(kernel: Kernel, x: NDArray, y: NDArray) -> float:
-    """Evaluate a kernel on a single pair of points."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    y = np.asarray(y, dtype=np.float64).ravel()
-    if x.shape != y.shape:
-        raise InvalidArgument(f"point dimensions differ: {x.shape[0]} vs {y.shape[0]}")
-    return float(kernel.pairwise(x[None, :], y[None, :])[0, 0])
 
 
 def gram_matrix(

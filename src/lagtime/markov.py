@@ -4,6 +4,8 @@ Pipeline: count transitions at a lag, restrict to the largest connected set
 of states, estimate a maximum-likelihood transition matrix (optionally under
 detailed balance), then analyze the spectrum, timescales, passage times, or
 hand the model to the whitened-operator layer for variational scoring.
+The chain sampler's per-step loop runs in the compiled kernels of
+``_kernels.c`` (see :mod:`lagtime._native`), or in its reference loop.
 """
 
 from __future__ import annotations
@@ -17,9 +19,10 @@ from scipy.linalg import eig as _eig_lr
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
+from ._native import _compiled_kernels
 from .basis import IndicatorFeatures
 from .covariance import CovarianceModel
-from .datasets import _compiled_kernels
+from .decomposition import vamp_fit
 from .errors import (
     ConvergenceFailure,
     DegenerateInput,
@@ -445,8 +448,6 @@ def msm_to_koopman(msm: MarkovStateModel, empirical: bool = False):
     when ``empirical=True``, then decomposes them variationally. The result
     scores and projects exactly like any other whitened operator model.
     """
-    from .decomposition import vamp_fit
-
     P = msm.transition_matrix
     n = msm.n_states
     if empirical:
@@ -535,7 +536,7 @@ def sample_markov_chain(P: NDArray, length: int, seed: int,
     """Sample a state sequence from a row-stochastic matrix, reproducibly.
 
     The steps run in the compiled ``markov_chain_steps`` of ``_kernels.c``
-    (see :mod:`lagtime.datasets`), or without a C compiler in the reference
+    (see :mod:`lagtime._native`), or without a C compiler in the reference
     loop below; both give the same states for a seed.
     """
     P = np.asarray(P, dtype=np.float64)

@@ -36,6 +36,15 @@ class TestParserBasics:
             main(["frobnicate"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--system", "quadwell", "--seed", "-1"],
+        ["benchmark", "--seed", "-1"],
+        ["bickley-experiment", "--ansatz-seed", "-1"],
+    ])
+    def test_negative_seed_is_rejected(self, tmp_path, capsys, argv):
+        assert main([*argv, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+
 
 class TestSqrtExperimentCommand:
     def test_writes_validated_report_and_artifacts(self, tmp_path, capsys):
@@ -271,8 +280,27 @@ class TestGenerateCommand:
         ])
         assert code == 0
         frames = np.loadtxt(tmp_path / "rossler.csv", delimiter=",", ndmin=2)
-        reference = rossler(t1=0.1)
+        reference = rossler(t1=0.099)
         np.testing.assert_allclose(frames, reference.frames, rtol=1e-12)
+
+    def test_rossler_writes_n_frames_and_no_seed(self, tmp_path, capsys):
+        code = main(["generate", "--system", "rossler", "--n-frames", "1000",
+                     "--seed", "4", "--out", str(tmp_path)])
+        assert code == 0
+        assert "seed" not in capsys.readouterr().out
+        frames = np.loadtxt(tmp_path / "rossler.csv", delimiter=",", ndmin=2)
+        assert frames.shape == (1000, 3)
+        sidecar = json.loads((tmp_path / "rossler.csv.json").read_text())
+        assert sidecar["n_frames"] == 1000
+        assert sidecar["seed"] is None
+
+    @pytest.mark.parametrize("n_frames", ["1", "0", "-5"])
+    def test_rossler_needs_two_frames(self, tmp_path, capsys, n_frames):
+        code = main(["generate", "--system", "rossler", "--n-frames", n_frames,
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not (tmp_path / "rossler.csv").exists()
 
     def test_same_seed_writes_identical_files(self, tmp_path, capsys):
         for sub in ("a", "b"):
@@ -312,6 +340,13 @@ class TestBenchmarkCommand:
         report = read_report(tmp_path)
         assert report["experiment"] == "benchmark"
         assert report["metrics"]["steps_per_second"]["value"] > 0
+
+    @pytest.mark.parametrize("n_steps", ["0", "-10"])
+    def test_rejects_fewer_than_one_step(self, capsys, n_steps):
+        assert main(["benchmark", "--n-steps", n_steps]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: n_steps must be >= 1, got {n_steps}\n"
+        assert "steps/s" not in captured.out
 
 
 # Data files for the fuzz tests: empty files, one to three columns, NaN and
@@ -382,3 +417,18 @@ class TestInputFuzz:
                          "--rounds", str(rounds), "--round-size", str(round_size),
                          "--restarts", str(restarts), f"--t1={t1}", f"--noise={noise}",
                          "--out", str(tmp_path)])
+
+    @FUZZ
+    @given(system=st.sampled_from(["double-well", "quadwell", "rossler", "sqrt-model"]),
+           n_frames=st.integers(-3, 2_000), seed=st.integers(-3, 2**64))
+    def test_generate_options(self, tmp_path, capfd, system, n_frames, seed):
+        self.run(capfd, ["generate", "--system", system, "--n-frames", str(n_frames),
+                         "--seed", str(seed), "--out", str(tmp_path)])
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(n_steps=st.integers(-20_000, 20_000), seed=st.integers(-3, 2**64),
+           report=st.booleans())
+    def test_benchmark_options(self, tmp_path, capfd, n_steps, seed, report):
+        out = ["--out", str(tmp_path)] if report else []
+        self.run(capfd, ["benchmark", "--n-steps", str(n_steps), "--seed", str(seed), *out])

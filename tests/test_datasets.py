@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from lagtime import datasets
+from lagtime import _native
 from lagtime.datasets import (
     QUADWELL_MINIMA,
     SQRT_MODEL_TRANSITION_MATRIX,
@@ -108,14 +108,6 @@ class TestEulerMaruyama:
             euler_maruyama(system, np.zeros(1), n_frames=0, seed=0)
 
 
-@pytest.fixture
-def fresh_kernel_build():
-    """Forget the loaded C steppers before and after the test."""
-    datasets._compiled_kernels.cache_clear()
-    yield
-    datasets._compiled_kernels.cache_clear()
-
-
 class TestCompiledParity:
     """The C steppers must reproduce the reference integrator bit for bit."""
 
@@ -161,40 +153,40 @@ class TestCompiledParity:
                 double_well_2d(seed=0, n_frames=3, x0=start)
         assert fast.value.step == reference.value.step == 4
 
-    def test_without_a_compiler_the_reference_path_runs(self, monkeypatch,
-                                                        fresh_kernel_build):
-        compiled = quadwell_1d(seed=5, n_frames=300, n_substeps=3)
-        monkeypatch.setattr(datasets.shutil, "which", lambda name: None)
-        datasets._compiled_kernels.cache_clear()
-        assert benchmark_steps_per_second(n_steps=100)["backend"].startswith("python")
-        fallback = quadwell_1d(seed=5, n_frames=300, n_substeps=3)
-        np.testing.assert_array_equal(fallback.frames, compiled.frames)
+    def test_without_a_compiler_the_reference_path_runs(self, backends):
+        runs = {backend: (quadwell_1d(seed=5, n_frames=300, n_substeps=3),
+                          benchmark_steps_per_second(n_steps=100)["backend"])
+                for backend in backends}
+        fallback, backend = runs.pop("python")
+        assert backend.startswith("python")
+        for compiled, _ in runs.values():
+            np.testing.assert_array_equal(fallback.frames, compiled.frames)
 
-    def test_failed_build_falls_back(self, monkeypatch, tmp_path, fresh_kernel_build):
+    def test_failed_build_falls_back(self, monkeypatch, tmp_path, backends):
         broken = tmp_path / "_kernels.c"
         broken.write_text("this is not C\n")
-        monkeypatch.setattr(datasets, "_KERNEL_SOURCE", broken)
+        monkeypatch.setattr(_native, "_KERNEL_SOURCE", broken)
         if shutil.which("cc") is None:
             pytest.skip("no C compiler on PATH")
         assert benchmark_steps_per_second(n_steps=100)["backend"] == "python (C build failed)"
         assert list((tmp_path / "__pycache__").iterdir()) == []
 
     def test_read_only_install_never_loads_from_the_shared_temp_dir(
-            self, monkeypatch, tmp_path, fresh_kernel_build):
+            self, monkeypatch, tmp_path, backends):
         if shutil.which("cc") is None:
             pytest.skip("no C compiler on PATH")
         package = tmp_path / "package"
         package.mkdir()
         source = package / "_kernels.c"
-        shutil.copy(datasets._KERNEL_SOURCE, source)
+        shutil.copy(_native._KERNEL_SOURCE, source)
         # A file where the cache directory belongs blocks the cache for any
         # user, root included.
         (package / "__pycache__").write_text("")
-        monkeypatch.setattr(datasets, "_KERNEL_SOURCE", source)
+        monkeypatch.setattr(_native, "_KERNEL_SOURCE", source)
         shared = tmp_path / "shared"
         shared.mkdir()
         monkeypatch.setattr(tempfile, "tempdir", str(shared))
-        planted = shared / datasets._cached_build().name
+        planted = shared / _native._cached_build().name
         planted.write_bytes(b"planted by another user")
         planted.chmod(0o666)
         assert benchmark_steps_per_second(n_steps=100)["backend"] == "c"

@@ -1,12 +1,10 @@
 """Tests for hidden Markov estimation, decoding, and output models."""
 
 import itertools
-import shutil
 
 import numpy as np
 import pytest
 
-from lagtime import datasets
 from lagtime.errors import InsufficientData, InvalidArgument, NumericalDegeneracy
 from lagtime.hmm import (
     DiscreteOutputModel,
@@ -18,24 +16,6 @@ from lagtime.hmm import (
     viterbi,
 )
 from lagtime.markov import MarkovStateModel, sample_markov_chain
-
-
-@pytest.fixture
-def backends(monkeypatch):
-    """Iterating it switches to each backend in turn and yields its name: the
-    compiled recursions where ``cc`` is on PATH, then the reference loops."""
-
-    def switch():
-        datasets._compiled_kernels.cache_clear()
-        if shutil.which("cc") is not None:
-            assert datasets._compiled_kernels()[1] == "c"
-            yield "c"
-        monkeypatch.setattr(datasets.shutil, "which", lambda name: None)
-        datasets._compiled_kernels.cache_clear()
-        yield "python"
-
-    yield switch()
-    datasets._compiled_kernels.cache_clear()
 
 
 def brute_force_posteriors(pi, P, log_emission):

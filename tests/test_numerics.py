@@ -182,3 +182,28 @@ def test_frame_convention_is_written_once():
         if (path.name, owner) not in allowed
     ]
     assert not copies, copies
+
+
+def imported_modules(path):
+    """Each module a source file imports, by its full name; ``lagtime.x`` for
+    a relative import of ``x``."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "lagtime" if node.level else ""
+            module = ".".join(filter(None, [base, node.module]))
+            yield module
+            yield from (f"{module}.{alias.name}" for alias in node.names)
+
+
+def test_native_code_is_loaded_in_one_module():
+    # _native builds, caches and loads _kernels.c; the estimators reach it
+    # directly, and only the user-facing layers reach the dataset module.
+    src = Path(lagtime.__file__).parent
+    imports = {path.name: set(imported_modules(path)) for path in sorted(src.glob("*.py"))}
+    for name in ("ctypes", "subprocess", "tempfile"):
+        users = [f for f, found in imports.items() if name in {m.split(".")[0] for m in found}]
+        assert users == ["_native.py"], name
+    importers = sorted(f for f, found in imports.items() if "lagtime.datasets" in found)
+    assert importers == ["__init__.py", "cli.py", "experiments.py"]
