@@ -53,7 +53,6 @@ from .decomposition import (
     kernel_edmd_fit,
     kvad_fit,
     kvad_score,
-    project,
     tica_fit,
     vamp_fit,
     vamp_score,

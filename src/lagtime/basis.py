@@ -14,7 +14,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import InvalidArgument
-from .numerics import WhiteningTransform, _as_frames, sym_inverse_sqrt
+from .numerics import WhiteningTransform, _as_frames, _rng, sym_inverse_sqrt
 
 __all__ = [
     "FeatureMap",
@@ -181,7 +181,7 @@ class RandomFeatureNet(FeatureMap):
         self.n_hidden = int(n_hidden)
         self.dimension_out = int(n_out)
         self.seed = int(seed)
-        rng = np.random.default_rng(seed)
+        rng = _rng(seed)
         self.W1 = rng.standard_normal((n_hidden, dim_in))
         self.b1 = rng.uniform(-1.0, 1.0, size=n_hidden)
         self.W2 = rng.standard_normal((n_out, n_hidden))

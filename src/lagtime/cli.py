@@ -28,7 +28,6 @@ import argparse
 import json
 import sys
 import time
-import warnings
 from pathlib import Path
 from typing import Optional
 
@@ -41,6 +40,7 @@ from .datasets import (
     benchmark_steps_per_second,
     double_well_2d,
     quadwell_1d,
+    read_trajectory,
     rossler,
     sample_sqrt_model,
     write_trajectory,
@@ -60,7 +60,6 @@ from .markov import (
     read_discrete_trajectory,
     timescales,
 )
-from .numerics import _as_frames
 from .sindy import finite_difference, sindy_fit, sindy_predict
 
 __all__ = ["main", "REPORT_SCHEMA"]
@@ -239,15 +238,10 @@ def cmd_sindy(args: argparse.Namespace) -> None:
     else:
         if args.input is None:
             raise InvalidArgument("either --input or --demo-rossler is required")
-        try:
-            with warnings.catch_warnings():
-                # An empty file is reported below, as too few frames.
-                warnings.simplefilter("ignore", UserWarning)
-                X = np.loadtxt(args.input, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise InvalidArgument(f"could not parse {args.input}: {exc}") from exc
-        X = _as_frames(X, f"{args.input}: data")
-        dt = args.dt
+        trajectory, meta = read_trajectory(args.input)
+        X = trajectory.frames
+        # Without --dt, a file from ``generate`` supplies its own time step.
+        dt = trajectory.dt_effective if args.dt is None and "dt_effective" in meta else args.dt
         if dt is None and not args.discrete:
             raise InvalidArgument("--dt is required for continuous-time input")
         names = None
@@ -424,7 +418,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run on the bundled chaotic attractor instead of --input")
     p.add_argument("--demo-t1", type=float, default=100.0,
                    help="integration time for the demonstration system")
-    p.add_argument("--dt", type=float, help="time step between frames")
+    p.add_argument("--dt", type=float,
+                   help="time step between frames (default: from the .json sidecar"
+                        " that generate writes next to --input)")
     p.add_argument("--degree", type=int, default=2, help="polynomial library degree")
     p.add_argument("--threshold", type=float, default=0.1,
                    help="sparsification threshold")

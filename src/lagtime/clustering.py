@@ -14,7 +14,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import InsufficientData, InvalidArgument
-from .numerics import _as_frames
+from .numerics import _as_frames, _rng
 
 __all__ = ["ClusteringModel", "kmeans_fit", "kmeans_assign"]
 
@@ -69,8 +69,8 @@ def _kmeans_plus_plus(X: NDArray, k: int, rng: np.random.Generator) -> NDArray:
     return centers
 
 
-def _lloyd(X: NDArray, centers: NDArray, max_iter: int, tol: float,
-           rng: np.random.Generator) -> tuple[NDArray, float, int, bool]:
+def _lloyd(X: NDArray, centers: NDArray, max_iter: int, tol: float
+           ) -> tuple[NDArray, float, int, bool]:
     """Lloyd iterations from given centers; returns (centers, inertia, iters, converged)."""
     k = centers.shape[0]
     prev_inertia = np.inf
@@ -128,9 +128,9 @@ def kmeans_fit(X: NDArray, n_clusters: int, seed: Optional[int] = None,
 
     best: Optional[tuple[NDArray, float, int, bool]] = None
     for restart in range(n_restarts):
-        rng = np.random.default_rng(None if seed is None else seed + restart)
+        rng = _rng(None if seed is None else seed + restart)
         centers0 = _kmeans_plus_plus(X, n_clusters, rng)
-        centers, inertia, iters, converged = _lloyd(X, centers0, max_iter, tol, rng)
+        centers, inertia, iters, converged = _lloyd(X, centers0, max_iter, tol)
         if best is None or inertia < best[1]:
             best = (centers, inertia, iters, converged)
     assert best is not None

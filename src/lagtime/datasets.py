@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 import time
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
@@ -29,6 +30,7 @@ from numpy.typing import NDArray
 from ._native import _compiled_kernels
 from .errors import DivergenceError, InvalidArgument
 from .markov import sample_markov_chain
+from .numerics import _as_frames, _rng
 
 __all__ = [
     "SdeSystem",
@@ -175,7 +177,7 @@ def _integrate(system: SdeSystem, x0, n_frames: int, seed: Optional[int],
         raise InvalidArgument(f"n_frames must be >= 1, got {n_frames}")
     n_sub = system.n_substeps
     noiseless = not np.any(system.diffusion)
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     frames = np.empty((n_frames, system.dimension))
     frames[0] = x
     frames_per_block = max(1, _NOISE_BLOCK_STEPS // n_sub)
@@ -540,7 +542,7 @@ def sample_sqrt_model(n_frames: int, seed: Optional[int] = None):
         SQRT_MODEL_TRANSITION_MATRIX, n_frames, seed=seed,
         initial_distribution=np.array([0.5, 0.5]),
     )
-    rng = np.random.default_rng(None if seed is None else seed + 1)
+    rng = _rng(None if seed is None else seed + 1)
     eps = rng.standard_normal((n_frames, 2))
     chol = np.linalg.cholesky(_SQRT_MODEL_COVS)
     pre = _SQRT_MODEL_MEANS[hidden] + np.einsum("tij,tj->ti", chol[hidden], eps)
@@ -660,18 +662,27 @@ def write_trajectory(trajectory: Trajectory, path, system: str = "",
 def read_trajectory(path) -> tuple:
     """Read a CSV-plus-sidecar trajectory written by :func:`write_trajectory`.
 
-    Returns ``(trajectory, metadata)``; metadata is the sidecar dictionary.
+    Returns ``(trajectory, metadata)``; metadata is the sidecar dictionary,
+    empty when there is no sidecar, in which case ``dt_effective`` is 1.0.
+    An empty file reads as zero frames; a file or sidecar that does not parse,
+    or a frame holding a NaN or infinity, raises :class:`InvalidArgument`
+    naming the file (and the row).
     """
     path = Path(path)
-    frames = np.loadtxt(path, delimiter=",", ndmin=2)
+    try:
+        with warnings.catch_warnings():
+            # An empty file is left to the caller to reject, as too few frames.
+            warnings.simplefilter("ignore", UserWarning)
+            frames = np.loadtxt(path, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise InvalidArgument(f"could not parse {path}: {exc}") from exc
+    frames = _as_frames(frames, f"{path}: data")
     sidecar_path = path.with_suffix(path.suffix + ".json")
-    if sidecar_path.exists():
-        meta = json.loads(sidecar_path.read_text())
-    else:
-        meta = {}
-    trajectory = Trajectory(
-        frames=frames,
-        dt_effective=float(meta.get("dt_effective", 1.0)),
-        seed=meta.get("seed"),
-    )
-    return trajectory, meta
+    try:
+        meta = json.loads(sidecar_path.read_text()) if sidecar_path.exists() else {}
+        if not isinstance(meta, dict):
+            raise TypeError("expected a JSON object")
+        dt = float(meta.get("dt_effective", 1.0))
+    except (ValueError, TypeError) as exc:
+        raise InvalidArgument(f"could not parse {sidecar_path}: {exc}") from exc
+    return Trajectory(frames=frames, dt_effective=dt, seed=meta.get("seed")), meta

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -39,6 +39,7 @@ from .decomposition import (
 from .errors import InvalidArgument
 from .kernels import GaussianKernel
 from .markov import coherence_score
+from .numerics import _rng
 
 __all__ = [
     "SQRT_METHODS",
@@ -78,8 +79,7 @@ def _accuracy_vs_truth(labels: NDArray, truth: NDArray) -> float:
     return max(agree, 1.0 - agree)
 
 
-def sqrt_decision_feature(method: str, observations: NDArray,
-                          seed: Optional[int] = None) -> NDArray:
+def sqrt_decision_feature(method: str, observations: NDArray) -> NDArray:
     """One scalar decision function per frame for the warped two-state data.
 
     Each method is fitted on the full trajectory at lag one and evaluated on
@@ -147,7 +147,7 @@ def run_sqrt_experiment(methods: Sequence[str] = SQRT_METHODS,
         "methods": {},
     }
     for method in methods:
-        chi = sqrt_decision_feature(method, observations, seed=seed)
+        chi = sqrt_decision_feature(method, observations)
         F = np.column_stack([np.ones(n_frames), chi])
         mean, std, fold_scores = vamp_score_cv(
             F[:-1], F[1:], r=2, n_folds=n_folds, remove_mean=False
@@ -255,7 +255,7 @@ def run_bickley_experiment(methods: Sequence[str] = BICKLEY_METHODS,
     if not (math.isfinite(noise) and noise >= 0):
         raise InvalidArgument(f"noise must be finite and non-negative, got {noise}")
     start = time.perf_counter()
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     x0 = _uniform_particles(rng, n_particles)
     x1 = bickley_flow(x0, t0, t1, dt)
 

@@ -36,6 +36,7 @@ from .markov import (
     sample_markov_chain,
     spectral_analysis,
 )
+from .numerics import _rng
 
 __all__ = [
     "OutputModel",
@@ -190,7 +191,7 @@ class HiddenMarkovModel:
             self.transition_model.transition_matrix, length, seed=seed,
             initial_distribution=self.initial_distribution,
         )
-        rng = np.random.default_rng(seed + 1)
+        rng = _rng(seed + 1)
         return states, self.output_model.sample(states, rng)
 
 

@@ -29,7 +29,7 @@ from .errors import (
     InsufficientData,
     InvalidArgument,
 )
-from .numerics import SpectralDecomposition
+from .numerics import SpectralDecomposition, _rng
 
 __all__ = [
     "TransitionCountModel",
@@ -545,7 +545,7 @@ def sample_markov_chain(P: NDArray, length: int, seed: int,
     n = P.shape[0]
     if length <= 0:
         raise InvalidArgument(f"length must be positive, got {length}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     if initial_distribution is None:
         initial_distribution = np.full(n, 1.0 / n)
     cdf = np.cumsum(P, axis=1)

@@ -98,6 +98,13 @@ def _as_frames(X, name: str = "X") -> NDArray:
     return X
 
 
+def _rng(seed: Optional[int]) -> np.random.Generator:
+    """The generator for ``seed``; a negative seed is rejected as an input error."""
+    if seed is not None and seed < 0:
+        raise InvalidArgument(f"seed must be non-negative, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def _check_square_symmetric(C: NDArray, name: str, rtol: float = 1e-10) -> NDArray:
     C = np.asarray(C, dtype=np.float64)
     if C.ndim != 2 or C.shape[0] != C.shape[1]:

@@ -3,15 +3,22 @@
 Every supported object maps to a document ``{"format": "lagtime",
 "format_version": 1, "type": <registered name>, "payload": {...}}``.
 Matrices are stored row-major as ``{"dtype", "shape", "data"}`` with flat
-number lists; floats serialize via their shortest round-trip representation,
-so numeric payloads survive a save/load cycle bit-exactly.
+number lists (complex ones as ``"real"`` and ``"imag"`` lists); floats
+serialize via their shortest round-trip representation, so numeric payloads
+survive a save/load cycle bit-exactly.
+
+Each model type's payload layout is declared once, as a row of ``_CODECS``:
+its class and, for each payload key, the codec of the attribute and
+constructor argument of the same name. Encoding and decoding both read that
+row, so a field added to it is saved and loaded alike. Kernels and HMM output
+models are declared the same way under their ``kind`` tag; feature maps, whose
+constructor arguments differ from their attributes, keep explicit codecs.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Callable
 
 import numpy as np
 from numpy.typing import NDArray
@@ -63,40 +70,79 @@ def decode_array(doc: dict) -> NDArray:
     dtype = np.dtype(doc["dtype"])
     shape = tuple(doc["shape"])
     if dtype.kind == "c":
-        real = np.array(doc["real"], dtype=np.float64)
-        imag = np.array(doc["imag"], dtype=np.float64)
-        return (real + 1j * imag).astype(dtype).reshape(shape)
+        # Filling the parts in place keeps signed zeros and infinities, which
+        # ``real + 1j * imag`` would turn into +0.0 and NaN.
+        out = np.empty(shape, dtype=dtype)
+        out.real = np.reshape(doc["real"], shape)
+        out.imag = np.reshape(doc["imag"], shape)
+        return out
     return np.array(doc["data"], dtype=dtype).reshape(shape)
 
 
-def _maybe_array(a) -> Any:
-    return None if a is None else encode_array(a)
-
-
-def _maybe_decode(doc) -> Any:
-    return None if doc is None else decode_array(doc)
-
-
 # ---------------------------------------------------------------------------
-# Kernels
+# Payload layouts
 # ---------------------------------------------------------------------------
+#
+# A codec is an ``(encode, decode)`` pair. A layout maps each payload key to
+# a codec; the key is also the attribute read on save and the constructor
+# argument passed on load, and the layout's order is the document's key order.
 
 
-def _encode_kernel(k: kernels.Kernel) -> dict:
-    if isinstance(k, kernels.GaussianKernel):
-        return {"kind": "gaussian", "sigma": k.sigma}
-    if isinstance(k, kernels.PolynomialKernel):
-        return {"kind": "polynomial", "degree": k.degree, "constant": k.constant}
-    raise InvalidArgument(f"cannot serialize kernel of type {type(k).__name__}")
+def _plain(value):
+    return value
 
 
-def _decode_kernel(doc: dict) -> kernels.Kernel:
-    kind = doc["kind"]
-    if kind == "gaussian":
-        return kernels.GaussianKernel(sigma=doc["sigma"])
-    if kind == "polynomial":
-        return kernels.PolynomialKernel(degree=doc["degree"], constant=doc["constant"])
-    raise InvalidArgument(f"unknown kernel kind {kind!r}")
+def _optional(codec: tuple) -> tuple:
+    encode, decode = codec
+    return (lambda value: None if value is None else encode(value),
+            lambda value: None if value is None else decode(value))
+
+
+_VALUE = (_plain, _plain)
+_INT = (int, _plain)
+_BOOL = (bool, _plain)
+_ARRAY = (encode_array, decode_array)
+_MAYBE_ARRAY = _optional(_ARRAY)
+_maybe_array, _maybe_decode = _MAYBE_ARRAY
+
+
+def _encode(row: tuple, obj) -> dict:
+    """Payload of ``obj`` under a ``(class, layout)`` row."""
+    return {key: encode(getattr(obj, key)) for key, (encode, _) in row[1].items()}
+
+
+def _decode(row: tuple, payload: dict):
+    """Object of the row's class built from a payload written by :func:`_encode`."""
+    cls, layout = row
+    return cls(**{key: decode(payload[key]) for key, (_, decode) in layout.items()})
+
+
+def _by_kind(table: dict, what: str) -> tuple:
+    """Codec for objects stored as ``{"kind": <table key>, **payload}``."""
+    def encode(obj) -> dict:
+        for kind, row in table.items():
+            if isinstance(obj, row[0]):
+                return {"kind": kind, **_encode(row, obj)}
+        raise InvalidArgument(f"cannot serialize {what} of type {type(obj).__name__}")
+
+    def decode(doc: dict):
+        if doc["kind"] not in table:
+            raise InvalidArgument(f"unknown {what} kind {doc['kind']!r}")
+        return _decode(table[doc["kind"]], doc)
+
+    return encode, decode
+
+
+_KERNEL = _by_kind({
+    "gaussian": (kernels.GaussianKernel, {"sigma": _VALUE}),
+    "polynomial": (kernels.PolynomialKernel, {"degree": _VALUE, "constant": _VALUE}),
+}, "kernel")
+_encode_kernel, _decode_kernel = _KERNEL
+
+_OUTPUT_MODEL = _by_kind({
+    "discrete": (hmm.DiscreteOutputModel, {"emission_matrix": _ARRAY}),
+    "gaussian": (hmm.GaussianOutputModel, {"means": _ARRAY, "stds": _ARRAY}),
+}, "output model")
 
 
 # ---------------------------------------------------------------------------
@@ -203,239 +249,58 @@ def _decode_feature(doc: dict) -> basis.FeatureMap:
 
 
 # ---------------------------------------------------------------------------
-# Model payload codecs
+# Model payloads
 # ---------------------------------------------------------------------------
 
 
-def _encode_covariance(m: covariance.CovarianceModel) -> dict:
-    return {
-        "mean_0": encode_array(m.mean_0),
-        "mean_t": encode_array(m.mean_t),
-        "c00": encode_array(m.c00),
-        "c0t": encode_array(m.c0t),
-        "ctt": encode_array(m.ctt),
-        "n_pairs": int(m.n_pairs),
-        "lag": int(m.lag),
-        "symmetrized": bool(m.symmetrized),
-        "mean_removed": bool(m.mean_removed),
-    }
+_FEATURE = (_encode_feature, _decode_feature)
 
 
-def _decode_covariance(doc: dict) -> covariance.CovarianceModel:
-    return covariance.CovarianceModel(
-        mean_0=decode_array(doc["mean_0"]),
-        mean_t=decode_array(doc["mean_t"]),
-        c00=decode_array(doc["c00"]),
-        c0t=decode_array(doc["c0t"]),
-        ctt=decode_array(doc["ctt"]),
-        n_pairs=doc["n_pairs"],
-        lag=doc["lag"],
-        symmetrized=doc["symmetrized"],
-        mean_removed=doc["mean_removed"],
-    )
+def _model(name: str) -> tuple:
+    """Codec of a registered model nested inside another model's payload."""
+    return (lambda m: _encode(_CODECS[name], m),
+            lambda payload: _decode(_CODECS[name], payload))
 
 
-def _encode_transfer_operator(m: decomposition.TransferOperatorModel) -> dict:
-    return {
-        "f": _encode_feature(m.f),
-        "g": _encode_feature(m.g),
-        "K": encode_array(m.K),
-        "method": m.method,
-        "eigenvalues": _maybe_array(m.eigenvalues),
-        "projection_matrix": _maybe_array(m.projection_matrix),
-    }
-
-
-def _decode_transfer_operator(doc: dict) -> decomposition.TransferOperatorModel:
-    return decomposition.TransferOperatorModel(
-        f=_decode_feature(doc["f"]),
-        g=_decode_feature(doc["g"]),
-        K=decode_array(doc["K"]),
-        method=doc["method"],
-        eigenvalues=_maybe_decode(doc["eigenvalues"]),
-        projection_matrix=_maybe_decode(doc["projection_matrix"]),
-    )
-
-
-def _encode_koopman(m: decomposition.CovarianceKoopmanModel) -> dict:
-    return {
-        "U": encode_array(m.U),
-        "V": encode_array(m.V),
-        "sigma": encode_array(m.sigma),
-        "covariances": _encode_covariance(m.covariances),
-        "chi0": _encode_feature(m.chi0),
-        "chi1": _encode_feature(m.chi1),
-        "method": m.method,
-    }
-
-
-def _decode_koopman(doc: dict) -> decomposition.CovarianceKoopmanModel:
-    return decomposition.CovarianceKoopmanModel(
-        U=decode_array(doc["U"]),
-        V=decode_array(doc["V"]),
-        sigma=decode_array(doc["sigma"]),
-        covariances=_decode_covariance(doc["covariances"]),
-        chi0=_decode_feature(doc["chi0"]),
-        chi1=_decode_feature(doc["chi1"]),
-        method=doc["method"],
-    )
-
-
-def _encode_kvad(m: decomposition.KVADModel) -> dict:
-    return {
-        "f": _encode_feature(m.f),
-        "q_weights": encode_array(m.q_weights),
-        "K": encode_array(m.K),
-        "kernel": _encode_kernel(m.kernel),
-        "y_train": encode_array(m.y_train),
-        "score": m.score,
-        "feature_mean": encode_array(m.feature_mean),
-        "projection_matrix": encode_array(m.projection_matrix),
-        "singular_values": encode_array(m.singular_values),
-    }
-
-
-def _decode_kvad(doc: dict) -> decomposition.KVADModel:
-    return decomposition.KVADModel(
-        f=_decode_feature(doc["f"]),
-        q_weights=decode_array(doc["q_weights"]),
-        K=decode_array(doc["K"]),
-        kernel=_decode_kernel(doc["kernel"]),
-        y_train=decode_array(doc["y_train"]),
-        score=doc["score"],
-        feature_mean=decode_array(doc["feature_mean"]),
-        projection_matrix=decode_array(doc["projection_matrix"]),
-        singular_values=decode_array(doc["singular_values"]),
-    )
-
-
-def _encode_counts(m: markov.TransitionCountModel) -> dict:
-    return {
-        "count_matrix": encode_array(m.count_matrix),
-        "lag": int(m.lag),
-        "counting_mode": m.counting_mode,
-        "state_symbols": encode_array(m.state_symbols),
-    }
-
-
-def _decode_counts(doc: dict) -> markov.TransitionCountModel:
-    return markov.TransitionCountModel(
-        count_matrix=decode_array(doc["count_matrix"]),
-        lag=doc["lag"],
-        counting_mode=doc["counting_mode"],
-        state_symbols=decode_array(doc["state_symbols"]),
-    )
-
-
-def _encode_msm(m: markov.MarkovStateModel) -> dict:
-    return {
-        "transition_matrix": encode_array(m.transition_matrix),
-        "lag": int(m.lag),
-        "reversible": bool(m.reversible),
-        "count_model": None if m.count_model is None else _encode_counts(m.count_model),
-    }
-
-
-def _decode_msm(doc: dict) -> markov.MarkovStateModel:
-    counts = doc["count_model"]
-    return markov.MarkovStateModel(
-        transition_matrix=decode_array(doc["transition_matrix"]),
-        lag=doc["lag"],
-        reversible=doc["reversible"],
-        count_model=None if counts is None else _decode_counts(counts),
-    )
-
-
-def _encode_output_model(m: hmm.OutputModel) -> dict:
-    if isinstance(m, hmm.DiscreteOutputModel):
-        return {"kind": "discrete", "emission_matrix": encode_array(m.emission_matrix)}
-    if isinstance(m, hmm.GaussianOutputModel):
-        return {
-            "kind": "gaussian",
-            "means": encode_array(m.means),
-            "stds": encode_array(m.stds),
-        }
-    raise InvalidArgument(f"cannot serialize output model of type {type(m).__name__}")
-
-
-def _decode_output_model(doc: dict) -> hmm.OutputModel:
-    if doc["kind"] == "discrete":
-        return hmm.DiscreteOutputModel(decode_array(doc["emission_matrix"]))
-    if doc["kind"] == "gaussian":
-        return hmm.GaussianOutputModel(decode_array(doc["means"]), decode_array(doc["stds"]))
-    raise InvalidArgument(f"unknown output model kind {doc['kind']!r}")
-
-
-def _encode_hmm(m: hmm.HiddenMarkovModel) -> dict:
-    return {
-        "transition_model": _encode_msm(m.transition_model),
-        "output_model": _encode_output_model(m.output_model),
-        "initial_distribution": encode_array(m.initial_distribution),
-    }
-
-
-def _decode_hmm(doc: dict) -> hmm.HiddenMarkovModel:
-    return hmm.HiddenMarkovModel(
-        transition_model=_decode_msm(doc["transition_model"]),
-        output_model=_decode_output_model(doc["output_model"]),
-        initial_distribution=decode_array(doc["initial_distribution"]),
-    )
-
-
-def _encode_clustering(m: clustering.ClusteringModel) -> dict:
-    return {
-        "centers": encode_array(m.centers),
-        "inertia": m.inertia,
-        "n_iterations": int(m.n_iterations),
-        "converged": bool(m.converged),
-    }
-
-
-def _decode_clustering(doc: dict) -> clustering.ClusteringModel:
-    return clustering.ClusteringModel(
-        centers=decode_array(doc["centers"]),
-        inertia=doc["inertia"],
-        n_iterations=doc["n_iterations"],
-        converged=doc["converged"],
-    )
-
-
-def _encode_sindy(m: sindy.SINDyModel) -> dict:
-    return {
-        "xi": encode_array(m.xi),
-        "library": _encode_feature(m.library),
-        "discrete_time": bool(m.discrete_time),
-        "emptied_dimensions": encode_array(m.emptied_dimensions),
-        "variable_names": None if m.variable_names is None else list(m.variable_names),
-    }
-
-
-def _decode_sindy(doc: dict) -> sindy.SINDyModel:
-    return sindy.SINDyModel(
-        xi=decode_array(doc["xi"]),
-        library=_decode_feature(doc["library"]),
-        discrete_time=doc["discrete_time"],
-        emptied_dimensions=decode_array(doc["emptied_dimensions"]),
-        variable_names=doc["variable_names"],
-    )
-
-
-_CODECS: dict[str, tuple[type, Callable, Callable]] = {
-    "covariance_model": (covariance.CovarianceModel, _encode_covariance, _decode_covariance),
-    "transfer_operator_model": (
-        decomposition.TransferOperatorModel,
-        _encode_transfer_operator,
-        _decode_transfer_operator,
-    ),
-    "covariance_koopman_model": (
-        decomposition.CovarianceKoopmanModel, _encode_koopman, _decode_koopman,
-    ),
-    "kvad_model": (decomposition.KVADModel, _encode_kvad, _decode_kvad),
-    "transition_count_model": (markov.TransitionCountModel, _encode_counts, _decode_counts),
-    "markov_state_model": (markov.MarkovStateModel, _encode_msm, _decode_msm),
-    "hidden_markov_model": (hmm.HiddenMarkovModel, _encode_hmm, _decode_hmm),
-    "clustering_model": (clustering.ClusteringModel, _encode_clustering, _decode_clustering),
-    "sindy_model": (sindy.SINDyModel, _encode_sindy, _decode_sindy),
+_CODECS: dict[str, tuple[type, dict]] = {
+    "covariance_model": (covariance.CovarianceModel, {
+        "mean_0": _ARRAY, "mean_t": _ARRAY, "c00": _ARRAY, "c0t": _ARRAY, "ctt": _ARRAY,
+        "n_pairs": _INT, "lag": _INT, "symmetrized": _BOOL, "mean_removed": _BOOL,
+    }),
+    "transfer_operator_model": (decomposition.TransferOperatorModel, {
+        "f": _FEATURE, "g": _FEATURE, "K": _ARRAY, "method": _VALUE,
+        "eigenvalues": _MAYBE_ARRAY, "projection_matrix": _MAYBE_ARRAY,
+    }),
+    "covariance_koopman_model": (decomposition.CovarianceKoopmanModel, {
+        "U": _ARRAY, "V": _ARRAY, "sigma": _ARRAY,
+        "covariances": _model("covariance_model"),
+        "chi0": _FEATURE, "chi1": _FEATURE, "method": _VALUE,
+    }),
+    "kvad_model": (decomposition.KVADModel, {
+        "f": _FEATURE, "q_weights": _ARRAY, "K": _ARRAY, "kernel": _KERNEL,
+        "y_train": _ARRAY, "score": _VALUE, "feature_mean": _ARRAY,
+        "projection_matrix": _ARRAY, "singular_values": _ARRAY,
+    }),
+    "transition_count_model": (markov.TransitionCountModel, {
+        "count_matrix": _ARRAY, "lag": _INT, "counting_mode": _VALUE,
+        "state_symbols": _ARRAY,
+    }),
+    "markov_state_model": (markov.MarkovStateModel, {
+        "transition_matrix": _ARRAY, "lag": _INT, "reversible": _BOOL,
+        "count_model": _optional(_model("transition_count_model")),
+    }),
+    "hidden_markov_model": (hmm.HiddenMarkovModel, {
+        "transition_model": _model("markov_state_model"),
+        "output_model": _OUTPUT_MODEL,
+        "initial_distribution": _ARRAY,
+    }),
+    "clustering_model": (clustering.ClusteringModel, {
+        "centers": _ARRAY, "inertia": _VALUE, "n_iterations": _INT, "converged": _BOOL,
+    }),
+    "sindy_model": (sindy.SINDyModel, {
+        "xi": _ARRAY, "library": _FEATURE, "discrete_time": _BOOL,
+        "emptied_dimensions": _ARRAY, "variable_names": _optional((list, _plain)),
+    }),
 }
 
 
@@ -446,13 +311,13 @@ _CODECS: dict[str, tuple[type, Callable, Callable]] = {
 
 def to_document(model) -> dict:
     """Build the versioned JSON document for a supported model object."""
-    for name, (cls, encode, _) in _CODECS.items():
-        if type(model) is cls:
+    for name, row in _CODECS.items():
+        if type(model) is row[0]:
             return {
                 "format": FORMAT_NAME,
                 "format_version": FORMAT_VERSION,
                 "type": name,
-                "payload": encode(model),
+                "payload": _encode(row, model),
             }
     raise InvalidArgument(f"no serializer registered for {type(model).__name__}")
 
@@ -467,7 +332,7 @@ def from_document(doc: dict):
     name = doc.get("type")
     if name not in _CODECS:
         raise InvalidArgument(f"unknown model type {name!r}")
-    return _CODECS[name][2](doc["payload"])
+    return _decode(_CODECS[name], doc["payload"])
 
 
 def save_model(model, path) -> None:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from lagtime.cli import REPORT_SCHEMA, main
 from lagtime.datasets import rossler
+from lagtime.experiments import SQRT_METHODS
 
 
 def read_report(out_dir):
@@ -162,6 +163,18 @@ class TestSindyCommand:
     def test_missing_input_is_usage_error(self, tmp_path, capsys):
         assert main(["sindy", "--out", str(tmp_path)]) == 2
         assert "required" in capsys.readouterr().err
+
+    def test_generated_file_supplies_its_time_step(self, tmp_path, capsys):
+        assert main(["generate", "--system", "rossler", "--n-frames", "2000",
+                     "--out", str(tmp_path)]) == 0
+        printed = []
+        for timing in ([], ["--dt", "1e-3"]):
+            capsys.readouterr()
+            assert main(["sindy", "--input", str(tmp_path / "rossler.csv"), *timing,
+                         "--out", str(tmp_path / "out")]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+        assert "dx0/dt = " in printed[0]
 
     def test_missing_dt_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "traj.csv"
@@ -417,6 +430,15 @@ class TestInputFuzz:
                          "--rounds", str(rounds), "--round-size", str(round_size),
                          "--restarts", str(restarts), f"--t1={t1}", f"--noise={noise}",
                          "--out", str(tmp_path)])
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(methods=st.sampled_from(["all", *SQRT_METHODS, "edmd,edmd", ",", "divination"]),
+           n_frames=st.integers(-3, 60), n_folds=st.integers(-1, 12),
+           seed=st.integers(-3, 2**64))
+    def test_sqrt_options(self, tmp_path, capfd, methods, n_frames, n_folds, seed):
+        self.run(capfd, ["sqrt-experiment", "--methods", methods, "--n-frames", str(n_frames),
+                         "--n-folds", str(n_folds), "--seed", str(seed), "--out", str(tmp_path)])
 
     @FUZZ
     @given(system=st.sampled_from(["double-well", "quadwell", "rossler", "sqrt-model"]),

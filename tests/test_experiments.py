@@ -22,7 +22,7 @@ class TestSqrtDecisionFeature:
     def test_every_method_yields_one_value_per_frame(self):
         obs, _ = sample_sqrt_model(300, seed=0)
         for method in SQRT_METHODS:
-            feature = sqrt_decision_feature(method, obs, seed=0)
+            feature = sqrt_decision_feature(method, obs)
             assert feature.shape == (300,)
             assert np.all(np.isfinite(feature))
 

@@ -7,7 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lagtime
+from lagtime.basis import RandomFeatureNet
+from lagtime.clustering import kmeans_fit
+from lagtime.datasets import (
+    SdeSystem,
+    double_well_2d,
+    euler_maruyama,
+    quadwell_1d,
+    sample_sqrt_model,
+)
 from lagtime.errors import DegenerateInput, InvalidArgument
+from lagtime.experiments import run_bickley_experiment, run_sqrt_experiment
+from lagtime.hmm import GaussianOutputModel, HiddenMarkovModel
+from lagtime.markov import MarkovStateModel, sample_markov_chain
 from lagtime.numerics import (
     SpectralDecomposition,
     WhiteningTransform,
@@ -207,3 +219,35 @@ def test_native_code_is_loaded_in_one_module():
         assert users == ["_native.py"], name
     importers = sorted(f for f, found in imports.items() if "lagtime.datasets" in found)
     assert importers == ["__init__.py", "cli.py", "experiments.py"]
+
+
+def _hmm():
+    return HiddenMarkovModel(
+        transition_model=MarkovStateModel(np.array([[0.9, 0.1], [0.2, 0.8]])),
+        output_model=GaussianOutputModel(means=[0.0, 1.0], stds=[1.0, 1.0]),
+        initial_distribution=np.array([0.5, 0.5]),
+    )
+
+
+SEEDED_CALLS = {
+    "double_well_2d": lambda seed: double_well_2d(seed=seed, n_frames=3),
+    "quadwell_1d": lambda seed: quadwell_1d(seed=seed, n_frames=3),
+    "euler_maruyama": lambda seed: euler_maruyama(
+        SdeSystem(dimension=1, drift=lambda t, x: -x, diffusion=np.eye(1), step=0.1),
+        np.zeros(1), n_frames=3, seed=seed),
+    "sample_sqrt_model": lambda seed: sample_sqrt_model(5, seed=seed),
+    "RandomFeatureNet": lambda seed: RandomFeatureNet(2, n_hidden=3, n_out=2, seed=seed),
+    "kmeans_fit": lambda seed: kmeans_fit(np.arange(6.0), 2, seed=seed),
+    "sample_markov_chain": lambda seed: sample_markov_chain(np.eye(2), 5, seed=seed),
+    "HiddenMarkovModel.sample": lambda seed: _hmm().sample(5, seed=seed),
+    "run_sqrt_experiment": lambda seed: run_sqrt_experiment(("tica",), n_frames=20, seed=seed),
+    "run_bickley_experiment": lambda seed: run_bickley_experiment(
+        ("vamp",), n_particles=4, n_sets=2, rounds=1, round_size=4, t1=0.1, seed=seed),
+}
+
+
+@pytest.mark.parametrize("name", SEEDED_CALLS)
+def test_negative_seed_is_an_invalid_argument(name):
+    # numpy's own ValueError would not say which argument was wrong.
+    with pytest.raises(InvalidArgument, match="seed must be non-negative, got -1"):
+        SEEDED_CALLS[name](-1)

@@ -21,7 +21,12 @@ from lagtime.hmm import (
     HiddenMarkovModel,
 )
 from lagtime.kernels import GaussianKernel, Kernel
-from lagtime.markov import MarkovStateModel, count_transitions, msm_mle
+from lagtime.markov import (
+    MarkovStateModel,
+    TransitionCountModel,
+    count_transitions,
+    msm_mle,
+)
 from lagtime.serialization import (
     FORMAT_NAME,
     FORMAT_VERSION,
@@ -36,8 +41,15 @@ from lagtime.sindy import sindy_fit
 
 
 def roundtrip(model):
-    """Full JSON round trip through the string representation."""
-    return from_document(json.loads(json.dumps(to_document(model))))
+    """Full JSON round trip through the string representation.
+
+    The rebuilt model must encode to the very same text, so no field is lost,
+    renamed, reordered or perturbed by a save/load cycle.
+    """
+    text = json.dumps(to_document(model))
+    out = from_document(json.loads(text))
+    assert json.dumps(to_document(out)) == text
+    return out
 
 
 def sample_pairs(seed=0, n=300, d=3):
@@ -61,10 +73,17 @@ class TestArrayCodec:
         np.testing.assert_array_equal(out, value)
 
     def test_complex_arrays_round_trip(self):
-        value = np.array([1.0 + 2.0j, -0.5j, 1.0 / 3.0 + 0.0j])
-        out = decode_array(json.loads(json.dumps(encode_array(value))))
-        assert out.dtype == value.dtype
-        np.testing.assert_array_equal(out, value)
+        for dtype in (np.complex128, np.complex64):
+            value = np.empty((2, 4), dtype=dtype)
+            value.real = [[1.0, 0.0, -0.0, 1.0 / 3.0], [3.0, -np.inf, np.inf, -0.0]]
+            value.imag = [[2.0, -0.5, -0.0, 0.0], [-np.inf, np.inf, -0.0, -0.0]]
+            out = decode_array(json.loads(json.dumps(encode_array(value))))
+            assert out.dtype == value.dtype
+            assert out.shape == value.shape
+            parts, expected = out.view(out.real.dtype), value.view(value.real.dtype)
+            np.testing.assert_array_equal(parts, expected)
+            # Equality alone would accept +0.0 for -0.0.
+            np.testing.assert_array_equal(np.signbit(parts), np.signbit(expected))
 
     def test_non_finite_values_survive(self):
         value = np.array([np.inf, -np.inf, np.nan, 0.0])
@@ -233,6 +252,46 @@ class TestModelRoundTrips:
     def test_unsupported_objects_are_rejected(self):
         with pytest.raises(InvalidArgument):
             to_document(object())
+
+
+class TestDocumentLayout:
+    """The literal text of small documents, so a renamed key, a reordered
+    field or a changed number format in the version-1 layout fails."""
+
+    def test_markov_state_model_with_counts(self):
+        counts = TransitionCountModel(count_matrix=np.array([[3, 1], [2, 4]]), lag=2,
+                                      state_symbols=np.array([0, 5]))
+        msm = MarkovStateModel(np.array([[0.75, 0.25], [0.5, 0.5]]), lag=2,
+                               count_model=counts)
+        expected = (
+            '{"format": "lagtime", "format_version": 1, "type": "markov_state_model", '
+            '"payload": {"transition_matrix": {"dtype": "float64", "shape": [2, 2], '
+            '"data": [0.75, 0.25, 0.5, 0.5]}, "lag": 2, "reversible": false, '
+            '"count_model": {"count_matrix": {"dtype": "int64", "shape": [2, 2], '
+            '"data": [3, 1, 2, 4]}, "lag": 2, "counting_mode": "sliding", '
+            '"state_symbols": {"dtype": "int64", "shape": [2], "data": [0, 5]}}}}'
+        )
+        assert json.dumps(to_document(msm)) == expected
+        assert json.dumps(to_document(from_document(json.loads(expected)))) == expected
+
+    def test_gaussian_hidden_markov_model(self):
+        hmm = HiddenMarkovModel(
+            transition_model=MarkovStateModel(np.array([[0.8, 0.2], [0.1, 0.9]]),
+                                              reversible=True),
+            output_model=GaussianOutputModel(means=[-1.0, 2.0], stds=[0.5, 1.5]),
+            initial_distribution=np.array([0.25, 0.75]),
+        )
+        expected = (
+            '{"format": "lagtime", "format_version": 1, "type": "hidden_markov_model", '
+            '"payload": {"transition_model": {"transition_matrix": {"dtype": "float64", '
+            '"shape": [2, 2], "data": [0.8, 0.2, 0.1, 0.9]}, "lag": 1, "reversible": true, '
+            '"count_model": null}, "output_model": {"kind": "gaussian", "means": '
+            '{"dtype": "float64", "shape": [2], "data": [-1.0, 2.0]}, "stds": '
+            '{"dtype": "float64", "shape": [2], "data": [0.5, 1.5]}}, '
+            '"initial_distribution": {"dtype": "float64", "shape": [2], "data": [0.25, 0.75]}}}'
+        )
+        assert json.dumps(to_document(hmm)) == expected
+        assert json.dumps(to_document(from_document(json.loads(expected)))) == expected
 
 
 class TestDocumentValidation:
