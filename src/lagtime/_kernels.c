@@ -6,12 +6,16 @@
  *   (datasets.py),
  * - the scaled forward and backward recursions and the Viterbi recursion of
  *   a hidden Markov model (hmm.py),
- * - the per-step loop of the Markov-chain sampler (markov.py).
+ * - the per-step loop of the Markov-chain sampler (markov.py),
+ * - the Runge-Kutta steps of the Roessler attractor and of the perturbed
+ *   Bickley jet (datasets.py).
  *
  * Each loop has a pure-Python reference next to its caller. Without a C
  * compiler the reference runs instead, and the tests compare the two: the
- * steppers, the Viterbi paths and the chain states agree bit for bit, the
- * forward-backward sums to rounding, since NumPy may add in another order.
+ * steppers, the Roessler frames, the Viterbi paths and the chain states
+ * agree bit for bit, the forward-backward sums to rounding, since NumPy may
+ * add in another order. The jet kernel agrees with its reference to a
+ * tolerance, not bit for bit: its sin, cos and tanh are libm's, not NumPy's.
  *
  * Matrices are row-major. Scratch buffers come from the caller, so no size
  * is fixed here.
@@ -198,4 +202,201 @@ void markov_chain_steps(const double *cdf, long n, const double *u,
             k += row[j] <= u[t - 1];
         states[t] = k;
     }
+}
+
+/* Classical Runge-Kutta steps of the Roessler attractor
+ *
+ *     (x1', x2', x3') = (-x2 - x3, x1 + a x2, b + x3 (x1 - c)),
+ *
+ * in the operation order of datasets._rossler_steps, so both paths produce
+ * bit-identical frames. frames is (n_steps + 1, 3) with the start in row 0;
+ * step k writes row k. Returns -1, or the first step whose state is not
+ * finite; it then stops and leaves that row unwritten. */
+long rossler_steps(double *frames, long n_steps, double dt, double a, double b,
+                   double c)
+{
+    double x1 = frames[0], x2 = frames[1], x3 = frames[2];
+    const double half = 0.5 * dt, sixth = dt / 6.0;
+    for (long k = 1; k <= n_steps; k++) {
+        double a1 = -x2 - x3, a2 = x1 + a * x2, a3 = b + x3 * (x1 - c);
+        double y1 = x1 + half * a1, y2 = x2 + half * a2, y3 = x3 + half * a3;
+        double b1 = -y2 - y3, b2 = y1 + a * y2, b3 = b + y3 * (y1 - c);
+        y1 = x1 + half * b1;
+        y2 = x2 + half * b2;
+        y3 = x3 + half * b3;
+        double c1 = -y2 - y3, c2 = y1 + a * y2, c3 = b + y3 * (y1 - c);
+        y1 = x1 + dt * c1;
+        y2 = x2 + dt * c2;
+        y3 = x3 + dt * c3;
+        double d1 = -y2 - y3, d2 = y1 + a * y2, d3 = b + y3 * (y1 - c);
+        x1 += sixth * (a1 + 2.0 * (b1 + c1) + d1);
+        x2 += sixth * (a2 + 2.0 * (b2 + c2) + d2);
+        x3 += sixth * (a3 + 2.0 * (b3 + c3) + d3);
+        if (!(isfinite(x1) && isfinite(x2) && isfinite(x3)))
+            return k;
+        frames[3 * k] = x1;
+        frames[3 * k + 1] = x2;
+        frames[3 * k + 2] = x3;
+    }
+    return -1;
+}
+
+/* Classical Runge-Kutta steps of the perturbed Bickley jet, the loop of
+ * datasets._jet_rk4 with the field of datasets.jet_velocity.
+ *
+ * This kernel matches its reference to a tolerance, not bit for bit: libm's
+ * cos, sin and tanh differ from NumPy's by an ulp or so, and stages 2-4
+ * rotate stage 1's values through the small stage offset instead of calling
+ * libm again. Each expression otherwise keeps the reference's operation
+ * order. Particles do not interact, so any split of them into calls gives
+ * the same bytes.
+ */
+
+/* The coefficients of the three waves at one stage time t: amp_i
+ * cos/sin(rho_i t), and the same times k_i, as jet_velocity forms them. */
+struct jet_stage {
+    double ac[3], as[3], kc[3], ks[3];
+};
+
+static void jet_stage_at(struct jet_stage *stage, const double *waves, double t)
+{
+    for (int i = 0; i < 3; i++) {
+        double amp = waves[i], k = waves[3 + i], rho = waves[6 + i];
+        double cr = cos(rho * t), sr = sin(rho * t);
+        stage->ac[i] = amp * cr;
+        stage->as[i] = amp * sr;
+        stage->kc[i] = amp * k * cr;
+        stage->ks[i] = amp * k * sr;
+    }
+}
+
+struct jet {
+    double u0, L, c3, k1;
+    const int64_t *m; /* wave i is harmonic m[i] of k1 */
+    int64_t top;      /* the largest of m */
+};
+
+/* The velocity (u, v) at a point with cos/sin(k1 x) = (c1, s1) and
+ * tanh(y / L) = th. The harmonics follow by angle addition. */
+static void jet_field(const struct jet *jet, const struct jet_stage *stage,
+                      double c1, double s1, double th, double *u, double *v)
+{
+    double hc[3], hs[3], c = c1, s = s1;
+    for (int64_t j = 1;; j++) {
+        for (int i = 0; i < 3; i++)
+            if (jet->m[i] == j) {
+                hc[i] = c;
+                hs[i] = s;
+            }
+        if (j == jet->top)
+            break;
+        double next = c * c1 - s * s1;
+        s = s * c1 + c * s1;
+        c = next;
+    }
+    double wave_cos = 0.0, wave_ksin = 0.0;
+    for (int i = 0; i < 3; i++) {
+        wave_cos += stage->ac[i] * hc[i] + stage->as[i] * hs[i];
+        wave_ksin += stage->kc[i] * hs[i] - stage->ks[i] * hc[i];
+    }
+    double sech2 = 1.0 - th * th;
+    *u = -jet->c3 + jet->u0 * sech2 * (1.0 + 2.0 * th * wave_cos);
+    *v = -jet->u0 * jet->L * sech2 * wave_ksin;
+}
+
+/* Offsets up to SMALL take their sin, cos and tanh from Taylor series,
+ * whose first omitted term is below 1e-16 relative there. */
+#define SMALL 0.05
+
+/* (c, s, th) at the stage point (xs, ys), given (c0, s0, th0) at (x, y):
+ * cos/sin by angle addition, tanh(a + b) = (tanh a + tanh b) / (1 + tanh a
+ * tanh b). The offsets are taken between the rounded points, where the
+ * reference evaluates the field. */
+static void jet_shift(const struct jet *jet, double x, double y, double c0, double s0,
+                      double th0, double xs, double ys, double *c, double *s,
+                      double *th)
+{
+    double e = jet->k1 * (xs - x);
+    if (fabs(e) <= SMALL) {
+        double e2 = e * e;
+        double se = e * (1.0 + e2 * (-1.0 / 6.0 + e2 * (1.0 / 120.0 + e2 * (-1.0 / 5040.0
+                    + e2 * (1.0 / 362880.0)))));
+        double ce = 1.0 + e2 * (-1.0 / 2.0 + e2 * (1.0 / 24.0 + e2 * (-1.0 / 720.0
+                    + e2 * (1.0 / 40320.0))));
+        *c = c0 * ce - s0 * se;
+        *s = s0 * ce + c0 * se;
+    } else {
+        double phase = jet->k1 * xs;
+        *c = cos(phase);
+        *s = sin(phase);
+    }
+    double f = (ys - y) / jet->L;
+    if (fabs(f) <= SMALL) {
+        double f2 = f * f;
+        double tf = f * (1.0 + f2 * (-1.0 / 3.0 + f2 * (2.0 / 15.0 + f2 * (-17.0 / 315.0
+                    + f2 * (62.0 / 2835.0 + f2 * (-1382.0 / 155925.0))))));
+        *th = (th0 + tf) / (1.0 + th0 * tf);
+    } else {
+        *th = tanh(ys / jet->L);
+    }
+}
+
+/* x % period as NumPy takes it for a positive period: fmod, moved into
+ * [0, period] when negative, and +0 for a zero result. The first three
+ * cases give the same value without the division. */
+static double jet_wrap(double x, double period)
+{
+    double less = x - period;
+    if (x >= 0.0 && x < period)
+        return x + 0.0;
+    if (x >= period && less < period)
+        return less;
+    if (x < 0.0 && x > -period)
+        return x + period;
+    double mod = fmod(x, period);
+    if (mod == 0.0)
+        return 0.0;
+    return mod < 0.0 ? mod + period : mod;
+}
+
+/* Advance the n particles of X (n, 2) by n_steps steps of h from t0, in
+ * place; x is wrapped into [0, period) after every step. waves (3, 3) holds
+ * the amplitudes, wavenumbers and phase rates of the three waves. Returns
+ * -1, or the first step (from 1) after which a particle is not finite; it
+ * then stops and leaves X partly advanced. */
+long jet_rk4_steps(double *X, long n, double t0, double h, long n_steps,
+                   double period, const double *waves, const int64_t *harmonics,
+                   double u0, double L, double c3)
+{
+    struct jet jet = {u0, L, c3, 2.0 * 3.141592653589793 / period, harmonics, 1};
+    for (int i = 0; i < 3; i++)
+        if (harmonics[i] > jet.top)
+            jet.top = harmonics[i];
+    for (long step = 0; step < n_steps; step++) {
+        double t = t0 + (double)step * h;
+        struct jet_stage start, middle, end;
+        jet_stage_at(&start, waves, t);
+        jet_stage_at(&middle, waves, t + 0.5 * h);
+        jet_stage_at(&end, waves, t + h);
+        for (long p = 0; p < n; p++) {
+            double x = X[2 * p], y = X[2 * p + 1];
+            double u1, v1, u2, v2, u3, v3, u4, v4, c, s, th;
+            double phase = jet.k1 * x;
+            double c0 = cos(phase), s0 = sin(phase), th0 = tanh(y / L);
+            jet_field(&jet, &start, c0, s0, th0, &u1, &v1);
+            jet_shift(&jet, x, y, c0, s0, th0, x + (0.5 * h) * u1, y + (0.5 * h) * v1, &c, &s, &th);
+            jet_field(&jet, &middle, c, s, th, &u2, &v2);
+            jet_shift(&jet, x, y, c0, s0, th0, x + (0.5 * h) * u2, y + (0.5 * h) * v2, &c, &s, &th);
+            jet_field(&jet, &middle, c, s, th, &u3, &v3);
+            jet_shift(&jet, x, y, c0, s0, th0, x + h * u3, y + h * v3, &c, &s, &th);
+            jet_field(&jet, &end, c, s, th, &u4, &v4);
+            x = jet_wrap(x + (h / 6.0) * (u1 + 2.0 * u2 + 2.0 * u3 + u4), period);
+            y = y + (h / 6.0) * (v1 + 2.0 * v2 + 2.0 * v3 + v4);
+            if (!(isfinite(x) && isfinite(y)))
+                return step + 1;
+            X[2 * p] = x;
+            X[2 * p + 1] = y;
+        }
+    }
+    return -1;
 }

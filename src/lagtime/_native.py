@@ -1,9 +1,12 @@
 """Build, cache and load ``_kernels.c``, the compiled inner loops, through ctypes.
 
-The SDE steppers (:mod:`lagtime.datasets`), the hidden-Markov recursions
-(:mod:`lagtime.hmm`) and the chain sampler (:mod:`lagtime.markov`) call
-:func:`_compiled_kernels`; each keeps a pure-Python reference path that
-runs when it returns no library.
+The SDE steppers and the Roessler and Bickley-jet Runge-Kutta loops
+(:mod:`lagtime.datasets`), the hidden-Markov recursions (:mod:`lagtime.hmm`)
+and the chain sampler (:mod:`lagtime.markov`) call :func:`_compiled_kernels`;
+each keeps a pure-Python reference path that runs when it returns no
+library. Every kernel but the jet's reproduces its reference bit for bit (the
+forward-backward sums to rounding); the jet kernel takes sin, cos and tanh
+from libm and matches its NumPy reference to a tolerance.
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ def _compiled_kernels() -> tuple:
     except (subprocess.CalledProcessError, OSError):
         return None, "python (C build failed)"
     array = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-    states = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+    integers = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
     size, real = ctypes.c_long, ctypes.c_double
     stepper = [array, array, real, real, size, size, array]
     for name, argtypes, restype in [
@@ -77,8 +80,11 @@ def _compiled_kernels() -> tuple:
         ("quadwell_steps", stepper, size),
         ("hmm_forward", [array, array, array, size, size, array, array], size),
         ("hmm_backward", [array, array, array, size, size, array, array], None),
-        ("hmm_viterbi", [array, array, array, size, size, states, array, states], None),
-        ("markov_chain_steps", [array, size, array, size, states], None),
+        ("hmm_viterbi", [array, array, array, size, size, integers, array, integers], None),
+        ("markov_chain_steps", [array, size, array, size, integers], None),
+        ("rossler_steps", [array, size, real, real, real, real], size),
+        ("jet_rk4_steps", [array, size, real, real, size, real, array, integers,
+                           real, real, real], size),
     ]:
         function = getattr(library, name)
         function.argtypes = argtypes

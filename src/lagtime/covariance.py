@@ -13,7 +13,7 @@ chunking of the same pairs agrees with the single-batch result to about
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from numpy.typing import NDArray

@@ -12,14 +12,20 @@ with arithmetic kept operation-for-operation identical to
 :func:`euler_maruyama`, the pure-Python reference path. Both run in one
 noise-block driver, so they give bit-identical trajectories from the same
 seed. Without a C compiler the generators run :func:`euler_maruyama`.
+:func:`rossler` steps in C the same way, bit-identical to its Python loop.
+:func:`bickley_flow` advects in C on one thread per usable core and agrees
+with its NumPy loop to rounding, since libm's sin, cos and tanh are not
+NumPy's.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
@@ -450,6 +456,11 @@ def bickley_flow(x0_batch: NDArray, t0: float, t1: float, dt: float = 1e-2,
     ``[0, period)`` after every step, the vertical one is unconstrained.
     ``t1 < t0`` integrates backward in time. The time span must be an
     integer number of steps.
+
+    Steps in C when a compiler is available, one contiguous chunk of
+    particles per usable core; the result does not depend on the core count
+    and agrees with the NumPy loop to rounding. A particle that is not
+    finite after a step raises :class:`DivergenceError` carrying that step.
     """
     if not all(map(math.isfinite, (t0, t1, dt))):
         raise InvalidArgument(f"t0, t1 and dt must be finite, got {t0}, {t1}, {dt}")
@@ -467,6 +478,22 @@ def bickley_flow(x0_batch: NDArray, t0: float, t1: float, dt: float = 1e-2,
     if n_steps == 0:
         return X
     h = math.copysign(dt, span)
+    library, _ = _compiled_kernels()
+    if library is None:
+        step = _jet_rk4(X, t0, h, n_steps, config)
+    else:
+        step = _jet_rk4_compiled(library.jet_rk4_steps, X, t0, h, n_steps, config)
+    if step >= 0:
+        raise DivergenceError(f"particle state diverged at integrator step {step}", step=step)
+    return X
+
+
+def _jet_rk4(X: NDArray, t0: float, h: float, n_steps: int, config: JetConfig) -> int:
+    """Advance the particles ``X`` in place; the reference path of :func:`bickley_flow`.
+
+    Returns -1, or the first step (from 1) after which a particle is not
+    finite; it then stops.
+    """
     period = config.period
     t = t0
     for step in range(n_steps):
@@ -478,11 +505,28 @@ def bickley_flow(x0_batch: NDArray, t0: float, t1: float, dt: float = 1e-2,
         X[:, 0] %= period
         t = t0 + (step + 1) * h
         if not np.all(np.isfinite(X)):
-            raise DivergenceError(
-                f"particle state diverged at integrator step {step + 1}",
-                step=step + 1,
-            )
-    return X
+            return step + 1
+    return -1
+
+
+def _jet_rk4_compiled(kernel, X: NDArray, t0: float, h: float, n_steps: int,
+                      config: JetConfig) -> int:
+    """:func:`_jet_rk4` in C, on one contiguous chunk of particles per usable core.
+
+    Each chunk runs on its own thread; the C call releases the GIL. Every
+    particle's arithmetic is independent of the others, so the result does
+    not depend on the number of chunks. Returns the earliest bad step of
+    any chunk.
+    """
+    waves = np.array([config.amplitudes, config.wavenumbers, config.phase_rates],
+                     dtype=np.float64)
+    harmonics = np.array(config._harmonics, dtype=np.int64)
+    constants = (config.u0, config.length_scale, config.wave_speeds[2])
+    chunks = np.array_split(X, max(1, min(len(os.sched_getaffinity(0)), len(X))))
+    with ThreadPoolExecutor(len(chunks)) as pool:
+        steps = pool.map(lambda chunk: kernel(chunk, len(chunk), t0, h, n_steps, config.period,
+                                              waves, harmonics, *constants), chunks)
+        return min((step for step in steps if step >= 0), default=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +604,11 @@ def rossler(x0: NDArray = (0.0, -6.78, 0.02), t1: float = 100.0,
     """Integrate ``(dx1, dx2, dx3) = (-x2 - x3, x1 + a x2, b + x3 (x1 - c))``.
 
     Fixed-step classical Runge-Kutta; the first frame is the initial state.
+    Steps in C when a compiler is available, bit-identical to the reference
+    path.
     """
+    if not (math.isfinite(t1) and math.isfinite(dt)):
+        raise InvalidArgument(f"t1 and dt must be finite, got {t1} and {dt}")
     if dt <= 0:
         raise InvalidArgument(f"dt must be positive, got {dt}")
     if t1 <= 0:
@@ -568,14 +616,31 @@ def rossler(x0: NDArray = (0.0, -6.78, 0.02), t1: float = 100.0,
     start = np.asarray(x0, dtype=np.float64).ravel()
     if start.size != 3:
         raise InvalidArgument(f"x0 must have dimension 3, got {start.size}")
+    if not np.all(np.isfinite(start)):
+        raise InvalidArgument(f"x0 must be finite, got {start}")
 
     n_steps = int(round(t1 / dt))
     frames = np.empty((n_steps + 1, 3))
     frames[0] = start
-    x1, x2, x3 = start
+    library, _ = _compiled_kernels()
+    if library is None:
+        step = _rossler_steps(frames, dt, a, b, c)
+    else:
+        step = library.rossler_steps(frames, n_steps, dt, a, b, c)
+    if step >= 0:
+        raise DivergenceError(f"state diverged at step {step}", step=step)
+    return Trajectory(frames=frames, dt_effective=dt, seed=None)
+
+
+def _rossler_steps(frames: NDArray, dt: float, a: float, b: float, c: float) -> int:
+    """Fill ``frames[1:]`` by RK4 steps from ``frames[0]``; the reference path of :func:`rossler`.
+
+    Returns -1, or the first step whose state is not finite; it then stops.
+    """
+    x1, x2, x3 = frames[0]
     half = 0.5 * dt
     sixth = dt / 6.0
-    for k in range(1, n_steps + 1):
+    for k in range(1, len(frames)):
         a1 = -x2 - x3
         a2 = x1 + a * x2
         a3 = b + x3 * (x1 - c)
@@ -595,11 +660,11 @@ def rossler(x0: NDArray = (0.0, -6.78, 0.02), t1: float = 100.0,
         x2 += sixth * (a2 + 2.0 * (b2 + c2) + d2)
         x3 += sixth * (a3 + 2.0 * (b3 + c3) + d3)
         if not (math.isfinite(x1) and math.isfinite(x2) and math.isfinite(x3)):
-            raise DivergenceError(f"state diverged at step {k}", step=k)
+            return k
         frames[k, 0] = x1
         frames[k, 1] = x2
         frames[k, 2] = x3
-    return Trajectory(frames=frames, dt_effective=dt, seed=None)
+    return -1
 
 
 # ---------------------------------------------------------------------------

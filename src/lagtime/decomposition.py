@@ -16,8 +16,8 @@ the customary convention for those methods.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import scipy.linalg

@@ -11,7 +11,7 @@ The chain sampler's per-step loop runs in the compiled kernels of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from numpy.typing import NDArray

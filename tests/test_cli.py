@@ -406,6 +406,15 @@ class TestInputFuzz:
         timing = ["--discrete"] if discrete else ["--dt", "0.1"]
         self.run(capfd, ["sindy", "--input", str(path), *timing, "--out", str(tmp_path)])
 
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(t1=st.floats(-1.0, 3.0) | st.sampled_from([np.nan, np.inf, -np.inf]),
+           dt=st.floats(-1.0, 0.0) | st.floats(1e-3, 0.05)
+           | st.sampled_from([np.nan, np.inf, -np.inf]))
+    def test_sindy_demo_options(self, tmp_path, capfd, t1, dt):
+        self.run(capfd, ["sindy", "--demo-rossler", f"--demo-t1={t1}", f"--dt={dt}",
+                         "--out", str(tmp_path)])
+
     @FUZZ
     @given(text=STATE_FILES, lag=st.integers(1, 3),
            counting=st.sampled_from(["sliding", "strided"]))

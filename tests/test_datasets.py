@@ -1,5 +1,7 @@
 """Tests for the synthetic data generators and their field definitions."""
 
+import math
+import os
 import shutil
 import tempfile
 
@@ -358,6 +360,79 @@ class TestBickleyFlow:
         with pytest.raises(InvalidArgument, match="finite"):
             bickley_flow(np.zeros((2, 2)), t0, t1, dt)
 
+    @pytest.mark.parametrize("t0, t1, dt, config", [
+        (0.0, 40.0, 0.02, JetConfig()),
+        (0.0, 40.0, 0.01, JetConfig()),
+        (0.0, 4.0, 0.2, JetConfig()),  # stage offsets too large for the series
+        (40.0, 0.0, 0.02, JetConfig(amplitudes=(0.01, 0.1, 0.2),
+                                    wavenumbers=tuple(math.pi * m / 10.0 for m in (1, 3, 5)))),
+    ])
+    def test_compiled_kernel_matches_the_reference(self, backends, t0, t1, dt, config):
+        # The C kernel takes sin, cos and tanh from libm, not NumPy, and
+        # rotates them between stages, so it agrees to rounding, not bit for
+        # bit. Over one time unit every particle agrees to 1e-12. Over 40,
+        # the chaotic part of the flow amplifies rounding differences to
+        # 1e-7..5e-6 for a few particles in a thousand, as it does between
+        # any two libm-accurate implementations: the median and the 99th
+        # percentile are bounded there, not the maximum.
+        start = np.random.default_rng(11).uniform([0.0, -4.0], [20.0, 4.0], size=(2500, 2))
+        ends = {t0 + math.copysign(1.0, t1 - t0): {1.0: 1e-12}, t1: {0.5: 1e-12, 0.99: 1e-8}}
+        runs = {backend: [bickley_flow(start, t0, end, dt, config) for end in ends]
+                for backend in backends}
+        reference = runs.pop("python")
+        for compiled in runs.values():
+            for fast, slow, bounds in zip(compiled, reference, ends.values()):
+                deviation = np.abs(fast - slow)
+                deviation[:, 0] = np.minimum(deviation[:, 0], config.period - deviation[:, 0])
+                for quantile, bound in bounds.items():
+                    assert np.quantile(deviation.max(axis=1), quantile) <= bound, quantile
+
+    @pytest.mark.parametrize("bad", [[np.nan, 0.0], [1e308, 0.0], [0.0, np.inf]])
+    def test_divergence_reports_the_same_step(self, monkeypatch, backends, bad):
+        # The bad particle sits in the second of two chunks. x = 1e308 does
+        # not diverge: both paths wrap it onto the cylinder.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        start = np.column_stack([np.linspace(0.0, 19.0, 10), np.linspace(-2.0, 2.0, 10)])
+        start[7] = bad
+        outcomes = {}
+        for backend in backends:
+            try:
+                outcomes[backend] = bickley_flow(start, 0.0, 1.0, 0.01)
+            except DivergenceError as exc:
+                outcomes[backend] = exc.step
+        reference = outcomes.pop("python")
+        for compiled in outcomes.values():
+            if isinstance(reference, int):
+                assert compiled == reference == 1
+            else:
+                np.testing.assert_allclose(compiled, reference, rtol=0.0, atol=1e-9)
+
+    def test_output_does_not_depend_on_the_core_count(self, monkeypatch, backends):
+        start = np.random.default_rng(5).uniform([0.0, -4.0], [20.0, 4.0], size=(101, 2))
+        for _ in backends:
+            runs = []
+            for cores in ({0}, {0, 1}):
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cores=cores: cores)
+                runs.append(bickley_flow(start, 0.0, 2.0, 0.01).tobytes())
+            assert runs[0] == runs[1]
+
+    def test_reference_path_is_the_numpy_rk4_loop(self, backends):
+        # The loop bickley_flow ran before the C kernel existed, verbatim.
+        config = JetConfig()
+        start = np.random.default_rng(2).uniform([0.0, -4.0], [20.0, 4.0], size=(200, 2))
+        X, t0, h = start.copy(), 0.0, 0.01
+        t = t0
+        for step in range(200):
+            k1 = jet_velocity(t, X, config)
+            k2 = jet_velocity(t + 0.5 * h, X + (0.5 * h) * k1, config)
+            k3 = jet_velocity(t + 0.5 * h, X + (0.5 * h) * k2, config)
+            k4 = jet_velocity(t + h, X + h * k3, config)
+            X += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            X[:, 0] %= config.period
+            t = t0 + (step + 1) * h
+        runs = {backend: bickley_flow(start, 0.0, 2.0, h) for backend in backends}
+        assert runs["python"].tobytes() == X.tobytes()
+
 
 class TestSqrtModel:
     def test_transform_round_trip_is_exact(self):
@@ -426,6 +501,33 @@ class TestRossler:
             rossler(dt=0.0)
         with pytest.raises(InvalidArgument):
             rossler(x0=(1.0, 2.0))
+
+    @pytest.mark.parametrize("arguments", [
+        {"dt": np.nan}, {"dt": np.inf}, {"t1": np.nan}, {"t1": np.inf}, {"t1": -np.inf},
+        {"x0": (0.0, np.nan, 0.02)}, {"x0": (np.inf, -6.78, 0.02)},
+    ])
+    def test_non_finite_arguments_are_rejected(self, arguments):
+        with pytest.raises(InvalidArgument, match="finite"):
+            rossler(**arguments)
+
+    def test_compiled_steps_match_the_reference(self, backends):
+        # The default start, and one the trajectory benchmark draws.
+        perturbed = np.array([0.0, -6.78, 0.02]) + 0.01 * np.random.default_rng(3).standard_normal(3)
+        runs = {backend: [rossler(t1=20.0).frames, rossler(x0=perturbed, t1=20.0).frames]
+                for backend in backends}
+        reference = runs.pop("python")
+        for compiled in runs.values():
+            for fast, slow in zip(compiled, reference):
+                assert fast.tobytes() == slow.tobytes()
+
+    def test_divergence_reports_the_same_step(self, backends):
+        steps = set()
+        for _ in backends:
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(DivergenceError) as caught:
+                    rossler(x0=(1e4, 0.0, 1.0), t1=1.0)
+            steps.add(caught.value.step)
+        assert steps == {7}
 
 
 class TestDoubleWell2d:

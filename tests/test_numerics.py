@@ -221,6 +221,30 @@ def test_native_code_is_loaded_in_one_module():
     assert importers == ["__init__.py", "cli.py", "experiments.py"]
 
 
+def unused_imports(path):
+    """(line, name) of each name a source file imports and never references."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.setdefault(name, node.lineno)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_every_import_is_used():
+    # __init__.py imports to re-export.
+    src = Path(lagtime.__file__).parent
+    unused = [f"{path.name}:{line} {name}"
+              for path in sorted(src.glob("*.py")) if path.name != "__init__.py"
+              for line, name in unused_imports(path)]
+    assert not unused, unused
+
+
 def _hmm():
     return HiddenMarkovModel(
         transition_model=MarkovStateModel(np.array([[0.9, 0.1], [0.2, 0.8]])),
