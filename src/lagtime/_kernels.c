@@ -7,8 +7,9 @@
  * - the scaled forward and backward recursions and the Viterbi recursion of
  *   a hidden Markov model (hmm.py),
  * - the per-step loop of the Markov-chain sampler (markov.py),
- * - the Runge-Kutta steps of the Roessler attractor and of the perturbed
- *   Bickley jet (datasets.py).
+ * - the Runge-Kutta steps of the Roessler attractor and of the one fixed,
+ *   periodically perturbed Bickley jet (datasets.py), whose constants are
+ *   copied here.
  *
  * Each loop has a pure-Python reference next to its caller. Without a C
  * compiler the reference runs instead, and the tests compare the two: the
@@ -252,16 +253,33 @@ long rossler_steps(double *frames, long n_steps, double dt, double a, double b,
  * the same bytes.
  */
 
+/* The one jet: _JET_U0, _JET_L, _JET_AMPLITUDES and _JET_PERIOD of
+ * datasets.py, and the wavenumbers (_JET_WAVENUMBERS, k_n = 2 pi n / period
+ * for n = 1, 2, 3), wave speeds (_JET_C1, _JET_C2, _JET_C3) and phase rates
+ * (_JET_PHASE_RATES) it derives from them, by the same expressions. */
+#define JET_U0 5.4138893066379419
+#define JET_L 1.77
+#define JET_PERIOD 20.0
+#define JET_K(n) (2.0 * 3.141592653589793 * (n) / JET_PERIOD)
+#define JET_C3 (0.461 * JET_U0)
+#define JET_C2 (0.205 * JET_U0)
+#define JET_C1 (JET_C3 + ((sqrt(5.0) - 1.0) / 2.0) * (JET_K(2) / JET_K(1)) \
+                * (JET_C2 - JET_C3))
+static const double jet_amplitudes[3] = {0.0075, 0.15, 0.3};
+
 /* The coefficients of the three waves at one stage time t: amp_i
  * cos/sin(rho_i t), and the same times k_i, as jet_velocity forms them. */
 struct jet_stage {
     double ac[3], as[3], kc[3], ks[3];
 };
 
-static void jet_stage_at(struct jet_stage *stage, const double *waves, double t)
+static void jet_stage_at(struct jet_stage *stage, double t)
 {
+    const double ks[3] = {JET_K(1), JET_K(2), JET_K(3)};
+    const double rhos[3] = {ks[0] * (JET_C1 - JET_C3), ks[1] * (JET_C2 - JET_C3),
+                            ks[2] * (JET_C3 - JET_C3)};
     for (int i = 0; i < 3; i++) {
-        double amp = waves[i], k = waves[3 + i], rho = waves[6 + i];
+        double amp = jet_amplitudes[i], k = ks[i], rho = rhos[i];
         double cr = cos(rho * t), sr = sin(rho * t);
         stage->ac[i] = amp * cr;
         stage->as[i] = amp * sr;
@@ -270,38 +288,23 @@ static void jet_stage_at(struct jet_stage *stage, const double *waves, double t)
     }
 }
 
-struct jet {
-    double u0, L, c3, k1;
-    const int64_t *m; /* wave i is harmonic m[i] of k1 */
-    int64_t top;      /* the largest of m */
-};
-
 /* The velocity (u, v) at a point with cos/sin(k1 x) = (c1, s1) and
- * tanh(y / L) = th. The harmonics follow by angle addition. */
-static void jet_field(const struct jet *jet, const struct jet_stage *stage,
-                      double c1, double s1, double th, double *u, double *v)
+ * tanh(y / L) = th. Waves 2 and 3 are harmonics 2 and 3 of k1, which follow
+ * by angle addition. */
+static void jet_field(const struct jet_stage *stage, double c1, double s1, double th,
+                      double *u, double *v)
 {
-    double hc[3], hs[3], c = c1, s = s1;
-    for (int64_t j = 1;; j++) {
-        for (int i = 0; i < 3; i++)
-            if (jet->m[i] == j) {
-                hc[i] = c;
-                hs[i] = s;
-            }
-        if (j == jet->top)
-            break;
-        double next = c * c1 - s * s1;
-        s = s * c1 + c * s1;
-        c = next;
-    }
+    double c2 = c1 * c1 - s1 * s1, s2 = s1 * c1 + c1 * s1;
+    double hc[3] = {c1, c2, c2 * c1 - s2 * s1};
+    double hs[3] = {s1, s2, s2 * c1 + c2 * s1};
     double wave_cos = 0.0, wave_ksin = 0.0;
     for (int i = 0; i < 3; i++) {
         wave_cos += stage->ac[i] * hc[i] + stage->as[i] * hs[i];
         wave_ksin += stage->kc[i] * hs[i] - stage->ks[i] * hc[i];
     }
     double sech2 = 1.0 - th * th;
-    *u = -jet->c3 + jet->u0 * sech2 * (1.0 + 2.0 * th * wave_cos);
-    *v = -jet->u0 * jet->L * sech2 * wave_ksin;
+    *u = -JET_C3 + JET_U0 * sech2 * (1.0 + 2.0 * th * wave_cos);
+    *v = -JET_U0 * JET_L * sech2 * wave_ksin;
 }
 
 /* Offsets up to SMALL take their sin, cos and tanh from Taylor series,
@@ -312,11 +315,10 @@ static void jet_field(const struct jet *jet, const struct jet_stage *stage,
  * cos/sin by angle addition, tanh(a + b) = (tanh a + tanh b) / (1 + tanh a
  * tanh b). The offsets are taken between the rounded points, where the
  * reference evaluates the field. */
-static void jet_shift(const struct jet *jet, double x, double y, double c0, double s0,
-                      double th0, double xs, double ys, double *c, double *s,
-                      double *th)
+static void jet_shift(double x, double y, double c0, double s0, double th0, double xs,
+                      double ys, double *c, double *s, double *th)
 {
-    double e = jet->k1 * (xs - x);
+    double e = JET_K(1) * (xs - x);
     if (fabs(e) <= SMALL) {
         double e2 = e * e;
         double se = e * (1.0 + e2 * (-1.0 / 6.0 + e2 * (1.0 / 120.0 + e2 * (-1.0 / 5040.0
@@ -326,71 +328,64 @@ static void jet_shift(const struct jet *jet, double x, double y, double c0, doub
         *c = c0 * ce - s0 * se;
         *s = s0 * ce + c0 * se;
     } else {
-        double phase = jet->k1 * xs;
+        double phase = JET_K(1) * xs;
         *c = cos(phase);
         *s = sin(phase);
     }
-    double f = (ys - y) / jet->L;
+    double f = (ys - y) / JET_L;
     if (fabs(f) <= SMALL) {
         double f2 = f * f;
         double tf = f * (1.0 + f2 * (-1.0 / 3.0 + f2 * (2.0 / 15.0 + f2 * (-17.0 / 315.0
                     + f2 * (62.0 / 2835.0 + f2 * (-1382.0 / 155925.0))))));
         *th = (th0 + tf) / (1.0 + th0 * tf);
     } else {
-        *th = tanh(ys / jet->L);
+        *th = tanh(ys / JET_L);
     }
 }
 
-/* x % period as NumPy takes it for a positive period: fmod, moved into
- * [0, period] when negative, and +0 for a zero result. The first three
- * cases give the same value without the division. */
-static double jet_wrap(double x, double period)
+/* x % JET_PERIOD as NumPy takes it: fmod, moved into [0, period] when
+ * negative, and +0 for a zero result. The first three cases give the same
+ * value without the division. */
+static double jet_wrap(double x)
 {
-    double less = x - period;
-    if (x >= 0.0 && x < period)
+    double less = x - JET_PERIOD;
+    if (x >= 0.0 && x < JET_PERIOD)
         return x + 0.0;
-    if (x >= period && less < period)
+    if (x >= JET_PERIOD && less < JET_PERIOD)
         return less;
-    if (x < 0.0 && x > -period)
-        return x + period;
-    double mod = fmod(x, period);
+    if (x < 0.0 && x > -JET_PERIOD)
+        return x + JET_PERIOD;
+    double mod = fmod(x, JET_PERIOD);
     if (mod == 0.0)
         return 0.0;
-    return mod < 0.0 ? mod + period : mod;
+    return mod < 0.0 ? mod + JET_PERIOD : mod;
 }
 
 /* Advance the n particles of X (n, 2) by n_steps steps of h from t0, in
- * place; x is wrapped into [0, period) after every step. waves (3, 3) holds
- * the amplitudes, wavenumbers and phase rates of the three waves. Returns
- * -1, or the first step (from 1) after which a particle is not finite; it
- * then stops and leaves X partly advanced. */
-long jet_rk4_steps(double *X, long n, double t0, double h, long n_steps,
-                   double period, const double *waves, const int64_t *harmonics,
-                   double u0, double L, double c3)
+ * place; x is wrapped into [0, period) after every step. Returns -1, or the
+ * first step (from 1) after which a particle is not finite; it then stops
+ * and leaves X partly advanced. */
+long jet_rk4_steps(double *X, long n, double t0, double h, long n_steps)
 {
-    struct jet jet = {u0, L, c3, 2.0 * 3.141592653589793 / period, harmonics, 1};
-    for (int i = 0; i < 3; i++)
-        if (harmonics[i] > jet.top)
-            jet.top = harmonics[i];
     for (long step = 0; step < n_steps; step++) {
         double t = t0 + (double)step * h;
         struct jet_stage start, middle, end;
-        jet_stage_at(&start, waves, t);
-        jet_stage_at(&middle, waves, t + 0.5 * h);
-        jet_stage_at(&end, waves, t + h);
+        jet_stage_at(&start, t);
+        jet_stage_at(&middle, t + 0.5 * h);
+        jet_stage_at(&end, t + h);
         for (long p = 0; p < n; p++) {
             double x = X[2 * p], y = X[2 * p + 1];
             double u1, v1, u2, v2, u3, v3, u4, v4, c, s, th;
-            double phase = jet.k1 * x;
-            double c0 = cos(phase), s0 = sin(phase), th0 = tanh(y / L);
-            jet_field(&jet, &start, c0, s0, th0, &u1, &v1);
-            jet_shift(&jet, x, y, c0, s0, th0, x + (0.5 * h) * u1, y + (0.5 * h) * v1, &c, &s, &th);
-            jet_field(&jet, &middle, c, s, th, &u2, &v2);
-            jet_shift(&jet, x, y, c0, s0, th0, x + (0.5 * h) * u2, y + (0.5 * h) * v2, &c, &s, &th);
-            jet_field(&jet, &middle, c, s, th, &u3, &v3);
-            jet_shift(&jet, x, y, c0, s0, th0, x + h * u3, y + h * v3, &c, &s, &th);
-            jet_field(&jet, &end, c, s, th, &u4, &v4);
-            x = jet_wrap(x + (h / 6.0) * (u1 + 2.0 * u2 + 2.0 * u3 + u4), period);
+            double phase = JET_K(1) * x;
+            double c0 = cos(phase), s0 = sin(phase), th0 = tanh(y / JET_L);
+            jet_field(&start, c0, s0, th0, &u1, &v1);
+            jet_shift(x, y, c0, s0, th0, x + (0.5 * h) * u1, y + (0.5 * h) * v1, &c, &s, &th);
+            jet_field(&middle, c, s, th, &u2, &v2);
+            jet_shift(x, y, c0, s0, th0, x + (0.5 * h) * u2, y + (0.5 * h) * v2, &c, &s, &th);
+            jet_field(&middle, c, s, th, &u3, &v3);
+            jet_shift(x, y, c0, s0, th0, x + h * u3, y + h * v3, &c, &s, &th);
+            jet_field(&end, c, s, th, &u4, &v4);
+            x = jet_wrap(x + (h / 6.0) * (u1 + 2.0 * u2 + 2.0 * u3 + u4));
             y = y + (h / 6.0) * (v1 + 2.0 * v2 + 2.0 * v3 + v4);
             if (!(isfinite(x) && isfinite(y)))
                 return step + 1;

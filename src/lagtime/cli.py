@@ -231,7 +231,7 @@ def cmd_sindy(args: argparse.Namespace) -> None:
     start = time.perf_counter()
     out_dir = Path(args.out)
     if args.demo_rossler:
-        trajectory = rossler(t1=args.demo_t1, dt=args.dt or 1e-3)
+        trajectory = rossler(t1=args.demo_t1, dt=1e-3 if args.dt is None else args.dt)
         X = trajectory.frames
         dt = trajectory.dt_effective
         names = ["x1", "x2", "x3"]
@@ -420,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="integration time for the demonstration system")
     p.add_argument("--dt", type=float,
                    help="time step between frames (default: from the .json sidecar"
-                        " that generate writes next to --input)")
+                        " that generate writes next to --input; 1e-3 for --demo-rossler)")
     p.add_argument("--degree", type=int, default=2, help="polynomial library degree")
     p.add_argument("--threshold", type=float, default=0.1,
                    help="sparsification threshold")

@@ -2,8 +2,9 @@
 
 Provides stochastic differential equation integration (Euler-Maruyama), the
 two-dimensional double-well diffusion, an asymmetric one-dimensional
-four-well random walk, the periodically perturbed planar jet flow used for
-coherent-set studies, a two-state hidden-Markov sampler with a square-root
+four-well random walk, the one fixed, periodically perturbed Bickley jet
+used for coherent-set studies (its constants are module constants, copied
+by ``_kernels.c``), a two-state hidden-Markov sampler with a square-root
 warped output space, and a chaotic three-dimensional attractor integrator.
 
 All generators are deterministic per seed. The double-well and four-well
@@ -26,7 +27,7 @@ import os
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -49,7 +50,6 @@ __all__ = [
     "quadwell_potential",
     "quadwell_1d",
     "QUADWELL_MINIMA",
-    "JetConfig",
     "jet_stream_function",
     "jet_velocity",
     "bickley_flow",
@@ -324,136 +324,81 @@ def quadwell_1d(seed: Optional[int] = None, n_frames: int = 100000,
 # ---------------------------------------------------------------------------
 
 
-def _default_wavenumbers(period: float) -> tuple:
-    return tuple(2.0 * math.pi * n / period for n in (1, 2, 3))
+# The one flow this module advects. The stream function, in a frame
+# co-moving with the third wave, is
+#
+#     psi(x, y, t) = c3*y - U0*L*tanh(y/L)
+#                    + U0*L*sech(y/L)^2 * sum_i A_i*cos(k_i*x - rho_i*t)
+#
+# with wavenumbers k_n = 2*pi*n/period, so the field is exactly periodic on
+# the cylinder of circumference period; wave speeds c3 = 0.461*U0,
+# c2 = 0.205*U0, c1 = c3 + ((sqrt(5)-1)/2)*(k2/k1)*(c2-c3); and phase rates
+# rho_i = k_i*(c_i - c3), so the third wave is stationary. Units are Mm and
+# days. _kernels.c copies these constants.
+_JET_U0 = 5.4138893066379419
+_JET_L = 1.77
+_JET_AMPLITUDES = (0.0075, 0.15, 0.3)
+_JET_PERIOD = 20.0
+_JET_WAVENUMBERS = tuple(2.0 * math.pi * n / _JET_PERIOD for n in (1, 2, 3))
+_JET_C3 = 0.461 * _JET_U0
+_JET_C2 = 0.205 * _JET_U0
+_JET_C1 = (_JET_C3 + ((math.sqrt(5.0) - 1.0) / 2.0)
+           * (_JET_WAVENUMBERS[1] / _JET_WAVENUMBERS[0]) * (_JET_C2 - _JET_C3))
+_JET_PHASE_RATES = tuple(k * (c - _JET_C3) for k, c in
+                         zip(_JET_WAVENUMBERS, (_JET_C1, _JET_C2, _JET_C3)))
 
 
-@dataclass(frozen=True)
-class JetConfig:
-    """Named parameter record for the perturbed jet stream function.
-
-    The stream function, in a frame co-moving with the third wave, is::
-
-        psi(x, y, t) = c3*y - U0*L*tanh(y/L)
-                       + U0*L*sech(y/L)^2 * sum_i A_i*cos(k_i*x - rho_i*t)
-
-    with phase rates ``rho_i = k_i*(c_i - c3)`` (so the third wave is
-    stationary) and wave speeds ``c3 = 0.461*U0``, ``c2 = 0.205*U0``,
-    ``c1 = c3 + ((sqrt(5)-1)/2)*(k2/k1)*(c2-c3)``. Units are Mm and days.
-    The wavenumbers are integer multiples of ``2*pi/period`` so the field
-    is exactly periodic on the cylinder of circumference ``period``; a
-    configuration with other than three amplitudes and three such
-    wavenumbers raises ``InvalidArgument``.
-    """
-
-    u0: float = 5.4138893066379419
-    length_scale: float = 1.77
-    amplitudes: tuple = (0.0075, 0.15, 0.3)
-    period: float = 20.0
-    wavenumbers: tuple = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if not (math.isfinite(self.period) and self.period > 0):
-            raise InvalidArgument(f"period must be positive and finite, got {self.period}")
-        if self.wavenumbers is None:
-            object.__setattr__(self, "wavenumbers", _default_wavenumbers(self.period))
-        if len(self.amplitudes) != 3 or len(self.wavenumbers) != 3:
-            raise InvalidArgument(
-                f"need three amplitudes and three wavenumbers, got "
-                f"{len(self.amplitudes)} and {len(self.wavenumbers)}"
-            )
-        base = 2.0 * math.pi / self.period
-        harmonics = []
-        for k in self.wavenumbers:
-            m = round(k / base) if math.isfinite(k) else 0
-            if m < 1 or abs(k - m * base) > 1e-9 * abs(k):
-                raise InvalidArgument(
-                    f"wavenumber {k} is not a positive integer multiple of "
-                    f"2*pi/period = {base}"
-                )
-            harmonics.append(m)
-        # Not a field: derived from the ones above, read by jet_velocity.
-        object.__setattr__(self, "_harmonics", tuple(harmonics))
-
-    @property
-    def wave_speeds(self) -> tuple:
-        c3 = 0.461 * self.u0
-        c2 = 0.205 * self.u0
-        k1, k2, _ = self.wavenumbers
-        c1 = c3 + ((math.sqrt(5.0) - 1.0) / 2.0) * (k2 / k1) * (c2 - c3)
-        return (c1, c2, c3)
-
-    @property
-    def phase_rates(self) -> tuple:
-        c1, c2, c3 = self.wave_speeds
-        k1, k2, k3 = self.wavenumbers
-        return (k1 * (c1 - c3), k2 * (c2 - c3), k3 * (c3 - c3))
-
-
-_DEFAULT_JET = JetConfig()
-
-
-def jet_stream_function(t: float, points: NDArray,
-                        config: JetConfig = _DEFAULT_JET) -> NDArray:
+def jet_stream_function(t: float, points: NDArray) -> NDArray:
     """Evaluate the jet stream function at (n, 2) points."""
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     x = points[:, 0]
     y = points[:, 1]
-    u0 = config.u0
-    L = config.length_scale
-    c3 = config.wave_speeds[2]
-    sech2 = 1.0 / np.cosh(y / L) ** 2
+    sech2 = 1.0 / np.cosh(y / _JET_L) ** 2
     wave = np.zeros_like(x)
-    for amp, k, rho in zip(config.amplitudes, config.wavenumbers, config.phase_rates):
+    for amp, k, rho in zip(_JET_AMPLITUDES, _JET_WAVENUMBERS, _JET_PHASE_RATES):
         wave += amp * np.cos(k * x - rho * t)
-    return c3 * y - u0 * L * np.tanh(y / L) + u0 * L * sech2 * wave
+    return _JET_C3 * y - _JET_U0 * _JET_L * np.tanh(y / _JET_L) + _JET_U0 * _JET_L * sech2 * wave
 
 
-def jet_velocity(t: float, points: NDArray,
-                 config: JetConfig = _DEFAULT_JET) -> NDArray:
+def jet_velocity(t: float, points: NDArray) -> NDArray:
     """Velocity field ``(-d(psi)/dy, d(psi)/dx)`` at (n, 2) points.
 
-    Every wavenumber is ``m * k1`` with ``k1 = 2*pi/period``, so the field
-    needs one cosine and one sine per point, of ``k1*x``: the harmonics
-    ``cos/sin(m*k1*x)`` follow by the angle-addition recurrence, and each
-    wave's phase ``k_i*x - rho_i*t`` by rotating them through the scalars
-    ``cos/sin(rho_i*t)``. ``sech^2`` is taken as ``1 - tanh^2``.
+    The wavenumbers are ``k1``, ``2*k1`` and ``3*k1``, so the field needs
+    one cosine and one sine per point, of ``k1*x``: the harmonics follow by
+    angle addition, and each wave's phase ``k_i*x - rho_i*t`` by rotating
+    them through the scalars ``cos/sin(rho_i*t)``. ``sech^2`` is taken as
+    ``1 - tanh^2``.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     x = points[:, 0]
     y = points[:, 1]
-    u0 = config.u0
-    L = config.length_scale
-    c3 = config.wave_speeds[2]
-    tanh = np.tanh(y / L)
+    tanh = np.tanh(y / _JET_L)
     sech2 = 1.0 - tanh * tanh
-    phase = (2.0 * math.pi / config.period) * x
+    phase = _JET_WAVENUMBERS[0] * x
     cos1, sin1 = np.cos(phase), np.sin(phase)
-    harmonics = [(cos1, sin1)]
-    for _ in range(1, max(config._harmonics)):
-        c, s = harmonics[-1]
-        harmonics.append((c * cos1 - s * sin1, s * cos1 + c * sin1))
+    cos2, sin2 = cos1 * cos1 - sin1 * sin1, sin1 * cos1 + cos1 * sin1
+    harmonics = ((cos1, sin1), (cos2, sin2),
+                 (cos2 * cos1 - sin2 * sin1, sin2 * cos1 + cos2 * sin1))
     wave_cos = np.zeros_like(x)
     wave_ksin = np.zeros_like(x)
-    for amp, k, rho, m in zip(config.amplitudes, config.wavenumbers, config.phase_rates,
-                              config._harmonics):
-        c, s = harmonics[m - 1]
+    for amp, k, rho, (c, s) in zip(_JET_AMPLITUDES, _JET_WAVENUMBERS, _JET_PHASE_RATES,
+                                   harmonics):
         # cos/sin(k*x - rho*t) from cos/sin(k*x) and cos/sin(rho*t).
         cos_rt, sin_rt = math.cos(rho * t), math.sin(rho * t)
         wave_cos += (amp * cos_rt) * c + (amp * sin_rt) * s
         wave_ksin += (amp * k * cos_rt) * s - (amp * k * sin_rt) * c
-    u = -c3 + u0 * sech2 * (1.0 + 2.0 * tanh * wave_cos)
-    v = -u0 * L * sech2 * wave_ksin
+    u = -_JET_C3 + _JET_U0 * sech2 * (1.0 + 2.0 * tanh * wave_cos)
+    v = -_JET_U0 * _JET_L * sech2 * wave_ksin
     return np.column_stack([u, v])
 
 
-def bickley_flow(x0_batch: NDArray, t0: float, t1: float, dt: float = 1e-2,
-                 config: JetConfig = _DEFAULT_JET) -> NDArray:
+def bickley_flow(x0_batch: NDArray, t0: float, t1: float, dt: float = 1e-2) -> NDArray:
     """Advect a batch of particles under the jet flow from ``t0`` to ``t1``.
 
-    Fixed-step classical Runge-Kutta integration of the non-autonomous
-    velocity field; the horizontal coordinate is wrapped into
-    ``[0, period)`` after every step, the vertical one is unconstrained.
+    Fixed-step classical Runge-Kutta integration of the one non-autonomous
+    velocity field :func:`jet_velocity` defines; the horizontal coordinate
+    is wrapped into ``[0, 20)`` after every step, the vertical one is
+    unconstrained.
     ``t1 < t0`` integrates backward in time. The time span must be an
     integer number of steps.
 
@@ -480,37 +425,35 @@ def bickley_flow(x0_batch: NDArray, t0: float, t1: float, dt: float = 1e-2,
     h = math.copysign(dt, span)
     library, _ = _compiled_kernels()
     if library is None:
-        step = _jet_rk4(X, t0, h, n_steps, config)
+        step = _jet_rk4(X, t0, h, n_steps)
     else:
-        step = _jet_rk4_compiled(library.jet_rk4_steps, X, t0, h, n_steps, config)
+        step = _jet_rk4_compiled(library.jet_rk4_steps, X, t0, h, n_steps)
     if step >= 0:
         raise DivergenceError(f"particle state diverged at integrator step {step}", step=step)
     return X
 
 
-def _jet_rk4(X: NDArray, t0: float, h: float, n_steps: int, config: JetConfig) -> int:
+def _jet_rk4(X: NDArray, t0: float, h: float, n_steps: int) -> int:
     """Advance the particles ``X`` in place; the reference path of :func:`bickley_flow`.
 
     Returns -1, or the first step (from 1) after which a particle is not
     finite; it then stops.
     """
-    period = config.period
     t = t0
     for step in range(n_steps):
-        k1 = jet_velocity(t, X, config)
-        k2 = jet_velocity(t + 0.5 * h, X + (0.5 * h) * k1, config)
-        k3 = jet_velocity(t + 0.5 * h, X + (0.5 * h) * k2, config)
-        k4 = jet_velocity(t + h, X + h * k3, config)
+        k1 = jet_velocity(t, X)
+        k2 = jet_velocity(t + 0.5 * h, X + (0.5 * h) * k1)
+        k3 = jet_velocity(t + 0.5 * h, X + (0.5 * h) * k2)
+        k4 = jet_velocity(t + h, X + h * k3)
         X += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        X[:, 0] %= period
+        X[:, 0] %= _JET_PERIOD
         t = t0 + (step + 1) * h
         if not np.all(np.isfinite(X)):
             return step + 1
     return -1
 
 
-def _jet_rk4_compiled(kernel, X: NDArray, t0: float, h: float, n_steps: int,
-                      config: JetConfig) -> int:
+def _jet_rk4_compiled(kernel, X: NDArray, t0: float, h: float, n_steps: int) -> int:
     """:func:`_jet_rk4` in C, on one contiguous chunk of particles per usable core.
 
     Each chunk runs on its own thread; the C call releases the GIL. Every
@@ -518,14 +461,9 @@ def _jet_rk4_compiled(kernel, X: NDArray, t0: float, h: float, n_steps: int,
     not depend on the number of chunks. Returns the earliest bad step of
     any chunk.
     """
-    waves = np.array([config.amplitudes, config.wavenumbers, config.phase_rates],
-                     dtype=np.float64)
-    harmonics = np.array(config._harmonics, dtype=np.int64)
-    constants = (config.u0, config.length_scale, config.wave_speeds[2])
     chunks = np.array_split(X, max(1, min(len(os.sched_getaffinity(0)), len(X))))
     with ThreadPoolExecutor(len(chunks)) as pool:
-        steps = pool.map(lambda chunk: kernel(chunk, len(chunk), t0, h, n_steps, config.period,
-                                              waves, harmonics, *constants), chunks)
+        steps = pool.map(lambda chunk: kernel(chunk, len(chunk), t0, h, n_steps), chunks)
         return min((step for step in steps if step >= 0), default=-1)
 
 
@@ -605,7 +543,8 @@ def rossler(x0: NDArray = (0.0, -6.78, 0.02), t1: float = 100.0,
 
     Fixed-step classical Runge-Kutta; the first frame is the initial state.
     Steps in C when a compiler is available, bit-identical to the reference
-    path.
+    path. A ``t1 / dt`` whose frames cannot be allocated raises
+    :class:`InvalidArgument`.
     """
     if not (math.isfinite(t1) and math.isfinite(dt)):
         raise InvalidArgument(f"t1 and dt must be finite, got {t1} and {dt}")
@@ -619,8 +558,13 @@ def rossler(x0: NDArray = (0.0, -6.78, 0.02), t1: float = 100.0,
     if not np.all(np.isfinite(start)):
         raise InvalidArgument(f"x0 must be finite, got {start}")
 
-    n_steps = int(round(t1 / dt))
-    frames = np.empty((n_steps + 1, 3))
+    try:
+        frames = np.empty((int(round(t1 / dt)) + 1, 3))
+    except (OverflowError, ValueError, MemoryError):
+        raise InvalidArgument(
+            f"t1 / dt = {t1} / {dt} is more steps than fit in memory"
+        ) from None
+    n_steps = len(frames) - 1
     frames[0] = start
     library, _ = _compiled_kernels()
     if library is None:

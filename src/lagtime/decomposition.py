@@ -431,8 +431,7 @@ def kernel_edmd_fit(X: NDArray, Y: NDArray, kernel: Kernel, epsilon: float,
 
 
 def kernel_cca_fit(X: NDArray, Y: NDArray, kernel: Kernel, n_components: int,
-                   epsilon: float, normalization: str = "empirical"
-                   ) -> TransferOperatorModel:
+                   epsilon: float) -> TransferOperatorModel:
     """Canonical correlation analysis between kernel spaces of X and Y.
 
     Centers both Gram matrices and solves the regularized eigenproblem
@@ -454,14 +453,9 @@ def kernel_cca_fit(X: NDArray, Y: NDArray, kernel: Kernel, n_components: int,
     and only its top ``n_components`` eigenpairs ``(rho, W)`` are computed.
     The left functions are ``v = Q (sqrt(r) W)``, the right ones
     ``R_Y v / sqrt(rho)``; both sets of expansion coefficients then take
-    thin solves only, against ``Q`` and against the Cholesky factor.
-
-    Parameters
-    ----------
-    normalization : {"empirical", "gram"}
-        "empirical" scales each singular function to unit empirical second
-        moment on the training points; "gram" scales its coefficient vector
-        to unit Euclidean norm.
+    thin solves only, against ``Q`` and against the Cholesky factor. Each
+    singular function is scaled to unit empirical second moment on the
+    training points.
 
     Raises
     ------
@@ -472,8 +466,6 @@ def kernel_cca_fit(X: NDArray, Y: NDArray, kernel: Kernel, n_components: int,
     X, Y = _as_frames(X), _as_frames(Y, "Y")
     if X.shape[0] != Y.shape[0]:
         raise InvalidArgument("X and Y must pair the same number of frames")
-    if normalization not in ("empirical", "gram"):
-        raise InvalidArgument(f"unknown normalization {normalization!r}")
     if epsilon <= 0:
         raise InvalidArgument(f"epsilon must be positive, got {epsilon}")
     n = X.shape[0]
@@ -493,10 +485,7 @@ def kernel_cca_fit(X: NDArray, Y: NDArray, kernel: Kernel, n_components: int,
         return G, KernelSectionFeatures._centered_on(kernel, points, col_means, grand_mean)
 
     def normalized(coeff, values):
-        if normalization == "empirical":
-            scale = np.linalg.norm(values, axis=0) / np.sqrt(n)
-        else:
-            scale = np.linalg.norm(coeff, axis=0)
+        scale = np.linalg.norm(values, axis=0) / np.sqrt(n)
         scale[scale == 0.0] = 1.0
         return coeff / scale
 

@@ -212,18 +212,15 @@ def truncated_svd(M: NDArray, k: Optional[int] = None) -> tuple[NDArray, NDArray
     return U[:, :k], s[:k], Vh[:k].T
 
 
-def pinv_truncated(M: NDArray, rcond: Optional[float] = None) -> NDArray:
+def pinv_truncated(M: NDArray) -> NDArray:
     """Moore-Penrose pseudoinverse through :func:`truncated_svd`.
 
-    Singular values below ``rcond * sigma_max`` are treated as zero. The
-    default ``rcond`` matches the usual dense-LAPACK heuristic
-    ``max(m, n) * machine_eps``.
+    Singular values below ``max(m, n) * machine_eps * sigma_max``, the usual
+    dense-LAPACK heuristic, are treated as zero.
     """
     M = np.asarray(M, dtype=np.float64)
     U, s, V = truncated_svd(M)
-    if rcond is None:
-        rcond = max(M.shape) * np.finfo(np.float64).eps
-    cutoff = rcond * (s[0] if s.size else 0.0)
+    cutoff = max(M.shape) * np.finfo(np.float64).eps * (s[0] if s.size else 0.0)
     nonzero = s > cutoff
     inv = np.zeros_like(s)
     inv[nonzero] = 1.0 / s[nonzero]

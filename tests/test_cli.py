@@ -6,7 +6,7 @@ import warnings
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from lagtime.cli import REPORT_SCHEMA, main
@@ -175,6 +175,14 @@ class TestSindyCommand:
             printed.append(capsys.readouterr().out)
         assert printed[0] == printed[1]
         assert "dx0/dt = " in printed[0]
+
+    def test_zero_dt_is_usage_error_for_the_demo(self, tmp_path, capsys):
+        code = main(["sindy", "--demo-rossler", "--demo-t1", "1", "--dt", "0",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "dt" in err
+        assert not (tmp_path / "report.json").exists()
 
     def test_missing_dt_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "traj.csv"
@@ -408,9 +416,13 @@ class TestInputFuzz:
 
     @settings(max_examples=60, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(t1=st.floats(-1.0, 3.0) | st.sampled_from([np.nan, np.inf, -np.inf]),
+    # t1 = 1e20 and 1e300 ask for more frames than an address space holds,
+    # so the rejection allocates nothing.
+    @given(t1=st.floats(-1.0, 3.0) | st.sampled_from([np.nan, np.inf, -np.inf, 1e20, 1e300]),
            dt=st.floats(-1.0, 0.0) | st.floats(1e-3, 0.05)
            | st.sampled_from([np.nan, np.inf, -np.inf]))
+    @example(t1=1e300, dt=1e-3)
+    @example(t1=1e20, dt=0.05)
     def test_sindy_demo_options(self, tmp_path, capfd, t1, dt):
         self.run(capfd, ["sindy", "--demo-rossler", f"--demo-t1={t1}", f"--dt={dt}",
                          "--out", str(tmp_path)])

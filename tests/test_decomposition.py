@@ -299,7 +299,7 @@ class TestKernelEdmd:
         assert p1.shape == (120, 3)
 
 
-def dense_kernel_cca(X, Y, kernel, n_components, epsilon, normalization="empirical"):
+def dense_kernel_cca(X, Y, kernel, n_components, epsilon):
     """Reference: kernel CCA in its dense formulation, with full
     eigendecompositions of both centered Gram matrices and of the whitened
     product, and n x n solves for the coefficients.
@@ -325,10 +325,7 @@ def dense_kernel_cca(X, Y, kernel, n_components, epsilon, normalization="empiric
     def functions(G, vectors):
         coeff = np.linalg.solve(G + n * epsilon * np.eye(n), vectors)
         values = G @ coeff
-        if normalization == "empirical":
-            scale = np.linalg.norm(values, axis=0) / np.sqrt(n)
-        else:
-            scale = np.linalg.norm(coeff, axis=0)
+        scale = np.linalg.norm(values, axis=0) / np.sqrt(n)
         scale[scale == 0.0] = 1.0
         return values / scale
 
@@ -353,15 +350,19 @@ class IndefiniteKernel(Kernel):
         return -(A @ B.T)
 
 
+KERNEL_CCA_CASES = [
+    ("sqrt", SQRT_KERNEL_CCA_BANDWIDTH, SQRT_KERNEL_CCA_EPSILON, 5),
+    ("jet", BICKLEY_KERNEL_CCA_BANDWIDTH, BICKLEY_KERNEL_CCA_EPSILON, 8),
+    ("small", 1.0, 1e-2, "all"),
+]
+
+
 class TestKernelCca:
-    @pytest.mark.parametrize("normalization", ["empirical", "gram"])
-    @pytest.mark.parametrize("data, bandwidth, epsilon, n_components", [
-        ("sqrt", SQRT_KERNEL_CCA_BANDWIDTH, SQRT_KERNEL_CCA_EPSILON, 5),
-        ("jet", BICKLEY_KERNEL_CCA_BANDWIDTH, BICKLEY_KERNEL_CCA_EPSILON, 8),
-        ("small", 1.0, 1e-2, "all"),
-    ])
-    def test_matches_dense_formulation(self, data, bandwidth, epsilon, n_components,
-                                       normalization):
+    # The ids stay as earlier versions named these cases, so runs compare by test id.
+    @pytest.mark.parametrize("data, bandwidth, epsilon, n_components", KERNEL_CCA_CASES,
+                             ids=["-".join(map(str, case)) + "-empirical"
+                                  for case in KERNEL_CCA_CASES])
+    def test_matches_dense_formulation(self, data, bandwidth, epsilon, n_components):
         if data == "sqrt":
             obs, _ = sample_sqrt_model(601, seed=3)
             X, Y = obs[:-1], obs[1:]
@@ -376,10 +377,8 @@ class TestKernelCca:
         if n_components == "all":
             n_components = X.shape[0]
         kernel = GaussianKernel(bandwidth)
-        model = kernel_cca_fit(X, Y, kernel, n_components, epsilon,
-                               normalization=normalization)
-        rho, f_ref, g_ref = dense_kernel_cca(X, Y, kernel, n_components, epsilon,
-                                             normalization)
+        model = kernel_cca_fit(X, Y, kernel, n_components, epsilon)
+        rho, f_ref, g_ref = dense_kernel_cca(X, Y, kernel, n_components, epsilon)
         np.testing.assert_allclose(model.eigenvalues, rho, rtol=0, atol=1e-12)
         # Centering puts the constant vector in the null space of G_X, so with
         # every component requested the last correlation is zero and its pair
@@ -452,11 +451,6 @@ class TestKernelCca:
             kernel_cca_fit(X, X, GaussianKernel(1.0), n_components=3, epsilon=-1.0)
         with pytest.raises(InvalidArgument):
             kernel_cca_fit(X, X, GaussianKernel(1.0), n_components=11, epsilon=1e-3)
-        with pytest.raises(InvalidArgument):
-            kernel_cca_fit(
-                X, X, GaussianKernel(1.0), n_components=2, epsilon=1e-3,
-                normalization="bogus",
-            )
 
 
 class TestKvad:

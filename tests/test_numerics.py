@@ -1,4 +1,6 @@
 import ast
+import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lagtime
+from lagtime import _native
 from lagtime.basis import RandomFeatureNet
 from lagtime.clustering import kmeans_fit
 from lagtime.datasets import (
@@ -219,6 +222,22 @@ def test_native_code_is_loaded_in_one_module():
         assert users == ["_native.py"], name
     importers = sorted(f for f, found in imports.items() if "lagtime.datasets" in found)
     assert importers == ["__init__.py", "cli.py", "experiments.py"]
+
+
+def test_ctypes_signatures_match_the_c_prototypes():
+    # ctypes checks a call against argtypes only: a row with a wrong argument
+    # count makes the kernel read garbage without any error.
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler")
+    source = _native._KERNEL_SOURCE.read_text()
+    exported = re.findall(r"^(?:long|void|double|int) (\w+)\(([^)]*)\)\s*\{", source, re.M)
+    assert len(exported) >= 8
+    library, backend = _native._compiled_kernels()
+    assert backend == "c"
+    for name, parameters in exported:
+        argtypes = getattr(library, name).argtypes
+        assert argtypes is not None, f"{name} has no row in the argtypes table"
+        assert len(argtypes) == parameters.count(",") + 1, name
 
 
 def unused_imports(path):
