@@ -38,7 +38,6 @@ from .clustering import ClusteringModel, kmeans_assign, kmeans_fit
 from .covariance import (
     CovarianceAccumulator,
     CovarianceModel,
-    TimeLaggedDataset,
     covariances_from_pairs,
     estimate_covariances,
     lagged_pairs,

@@ -209,13 +209,18 @@ void markov_chain_steps(const double *cdf, long n, const double *u,
  *
  *     (x1', x2', x3') = (-x2 - x3, x1 + a x2, b + x3 (x1 - c)),
  *
- * in the operation order of datasets._rossler_steps, so both paths produce
- * bit-identical frames. frames is (n_steps + 1, 3) with the start in row 0;
- * step k writes row k. Returns -1, or the first step whose state is not
- * finite; it then stops and leaves that row unwritten. */
-long rossler_steps(double *frames, long n_steps, double dt, double a, double b,
-                   double c)
+ * with a, b and c the constants datasets._ROSSLER_A, _ROSSLER_B and
+ * _ROSSLER_C, in the operation order of datasets._rossler_steps, so both
+ * paths produce bit-identical frames. frames is (n_steps + 1, 3) with the
+ * start in row 0; step k writes row k. Returns -1, or the first step whose
+ * state is not finite; it then stops and leaves that row unwritten. */
+#define ROSSLER_A 0.1
+#define ROSSLER_B 0.1
+#define ROSSLER_C 14.0
+
+long rossler_steps(double *frames, long n_steps, double dt)
 {
+    const double a = ROSSLER_A, b = ROSSLER_B, c = ROSSLER_C;
     double x1 = frames[0], x2 = frames[1], x3 = frames[2];
     const double half = 0.5 * dt, sixth = dt / 6.0;
     for (long k = 1; k <= n_steps; k++) {

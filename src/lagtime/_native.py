@@ -6,9 +6,9 @@ and the chain sampler (:mod:`lagtime.markov`) call :func:`_compiled_kernels`;
 each keeps a pure-Python reference path that runs when it returns no
 library. Every kernel but the jet's reproduces its reference bit for bit (the
 forward-backward sums to rounding); the jet kernel takes sin, cos and tanh
-from libm and matches its NumPy reference to a tolerance. The jet is one
-fixed flow: its constants are compiled into the kernel, so the call passes
-only the particles and the time grid.
+from libm and matches its NumPy reference to a tolerance. The jet and the
+Roessler attractor are fixed systems: their constants are compiled into the
+kernels, so the calls pass only the state and the time grid.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ def _compiled_kernels() -> tuple:
         ("hmm_backward", [array, array, array, size, size, array, array], None),
         ("hmm_viterbi", [array, array, array, size, size, integers, array, integers], None),
         ("markov_chain_steps", [array, size, array, size, integers], None),
-        ("rossler_steps", [array, size, real, real, real, real], size),
+        ("rossler_steps", [array, size, real], size),
         ("jet_rk4_steps", [array, size, real, real, size], size),
     ]:
         function = getattr(library, name)

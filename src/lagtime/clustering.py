@@ -28,10 +28,6 @@ class ClusteringModel:
     n_iterations: int
     converged: bool
 
-    @property
-    def n_clusters(self) -> int:
-        return self.centers.shape[0]
-
     def assign(self, X: NDArray) -> NDArray:
         """Index of the nearest center for each row."""
         return kmeans_assign(self.centers, X)

@@ -24,7 +24,6 @@ from .numerics import _as_frames
 __all__ = [
     "CovarianceModel",
     "CovarianceAccumulator",
-    "TimeLaggedDataset",
     "lagged_pairs",
     "estimate_covariances",
     "covariances_from_pairs",
@@ -56,26 +55,6 @@ def lagged_pairs(trajectory: NDArray, lag: int) -> tuple[NDArray, NDArray]:
             f"trajectory of length {traj.shape[0]} yields no pairs at lag {lag}"
         )
     return traj[:-lag], traj[lag:]
-
-
-@dataclass(frozen=True)
-class TimeLaggedDataset:
-    """Paired frames ``(x_t, x_{t+lag})`` with the lag they were built at."""
-
-    X: NDArray
-    Y: NDArray
-    lag: int = 1
-
-    @classmethod
-    def from_trajectory(cls, trajectory: NDArray, lag: int) -> "TimeLaggedDataset":
-        X, Y = lagged_pairs(trajectory, lag)
-        return cls(X=X, Y=Y, lag=lag)
-
-    def __post_init__(self):
-        if self.X.shape != self.Y.shape:
-            raise InvalidArgument(
-                f"X and Y must have identical shapes, got {self.X.shape} and {self.Y.shape}"
-            )
 
 
 @dataclass(frozen=True)

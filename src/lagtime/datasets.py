@@ -127,8 +127,8 @@ class Trajectory:
 
 
 def euler_maruyama(system: SdeSystem, x0: NDArray, n_frames: int,
-                   seed: Optional[int] = None, t0: float = 0.0) -> Trajectory:
-    """Integrate an SDE, emitting every ``n_substeps``-th state.
+                   seed: Optional[int] = None) -> Trajectory:
+    """Integrate an SDE from time 0, emitting every ``n_substeps``-th state.
 
     The first frame is the initial condition; each subsequent frame advances
     ``n_substeps`` steps of ``x <- x + drift(t, x) h + diffusion sqrt(h) xi``
@@ -142,7 +142,7 @@ def euler_maruyama(system: SdeSystem, x0: NDArray, n_frames: int,
     """
     h = system.step
     sig_sqrt_h = system.diffusion * math.sqrt(h)
-    t = t0
+    t = 0.0
 
     def advance(x, noise, out):
         nonlocal t
@@ -400,7 +400,7 @@ def bickley_flow(x0_batch: NDArray, t0: float, t1: float, dt: float = 1e-2) -> N
     is wrapped into ``[0, 20)`` after every step, the vertical one is
     unconstrained.
     ``t1 < t0`` integrates backward in time. The time span must be an
-    integer number of steps.
+    integer number of steps, fewer than 2**63.
 
     Steps in C when a compiler is available, one contiguous chunk of
     particles per usable core; the result does not depend on the core count
@@ -415,7 +415,13 @@ def bickley_flow(x0_batch: NDArray, t0: float, t1: float, dt: float = 1e-2) -> N
     if X.shape[1] != 2:
         raise InvalidArgument(f"particles must be (n, 2), got {X.shape}")
     span = t1 - t0
-    n_steps = int(round(abs(span) / dt))
+    steps = abs(span) / dt
+    # The C kernel counts steps in a 64-bit long, which ctypes would wrap.
+    if not steps < 2.0**63:
+        raise InvalidArgument(
+            f"time span {span} at dt={dt} needs {steps:g} steps; fewer than 2**63 fit"
+        )
+    n_steps = int(round(steps))
     if abs(n_steps * dt - abs(span)) > 1e-9:
         raise InvalidArgument(
             f"time span {span} is not an integer multiple of dt={dt}"
@@ -536,11 +542,17 @@ def sample_sqrt_model(n_frames: int, seed: Optional[int] = None):
 # ---------------------------------------------------------------------------
 
 
+# The one Roessler attractor this module integrates; _kernels.c copies these.
+_ROSSLER_A = 0.1
+_ROSSLER_B = 0.1
+_ROSSLER_C = 14.0
+
+
 def rossler(x0: NDArray = (0.0, -6.78, 0.02), t1: float = 100.0,
-            dt: float = 1e-3, a: float = 0.1, b: float = 0.1,
-            c: float = 14.0) -> Trajectory:
+            dt: float = 1e-3) -> Trajectory:
     """Integrate ``(dx1, dx2, dx3) = (-x2 - x3, x1 + a x2, b + x3 (x1 - c))``.
 
+    The parameters are fixed at ``a = 0.1``, ``b = 0.1`` and ``c = 14``.
     Fixed-step classical Runge-Kutta; the first frame is the initial state.
     Steps in C when a compiler is available, bit-identical to the reference
     path. A ``t1 / dt`` whose frames cannot be allocated raises
@@ -568,19 +580,20 @@ def rossler(x0: NDArray = (0.0, -6.78, 0.02), t1: float = 100.0,
     frames[0] = start
     library, _ = _compiled_kernels()
     if library is None:
-        step = _rossler_steps(frames, dt, a, b, c)
+        step = _rossler_steps(frames, dt)
     else:
-        step = library.rossler_steps(frames, n_steps, dt, a, b, c)
+        step = library.rossler_steps(frames, n_steps, dt)
     if step >= 0:
         raise DivergenceError(f"state diverged at step {step}", step=step)
     return Trajectory(frames=frames, dt_effective=dt, seed=None)
 
 
-def _rossler_steps(frames: NDArray, dt: float, a: float, b: float, c: float) -> int:
+def _rossler_steps(frames: NDArray, dt: float) -> int:
     """Fill ``frames[1:]`` by RK4 steps from ``frames[0]``; the reference path of :func:`rossler`.
 
     Returns -1, or the first step whose state is not finite; it then stops.
     """
+    a, b, c = _ROSSLER_A, _ROSSLER_B, _ROSSLER_C
     x1, x2, x3 = frames[0]
     half = 0.5 * dt
     sixth = dt / 6.0

@@ -155,24 +155,6 @@ class CovarianceKoopmanModel:
             )
         return self.forward(X)[:, :n_components]
 
-    def timescales(self, lag_duration: Optional[float] = None) -> NDArray:
-        """Implied relaxation timescales ``-lag / log |sigma_i|``.
-
-        Values with ``|sigma_i| >= 1`` map to infinity. ``lag_duration``
-        defaults to the lag the covariances were estimated at.
-        """
-        lag = self.covariances.lag if lag_duration is None else lag_duration
-        mags = np.abs(self.sigma)
-        out = np.full(mags.shape, np.inf)
-        small = mags < 1.0
-        with np.errstate(divide="ignore"):
-            out[small] = -lag / np.log(mags[small])
-        return out
-
-    def score(self, r: float = 2, test_cov: Optional[CovarianceModel] = None,
-              epsilon: float = 1e-12) -> float:
-        return vamp_score(self, r=r, test_cov=test_cov, epsilon=epsilon)
-
 
 @dataclass
 class KVADModel:
@@ -194,10 +176,6 @@ class KVADModel:
     projection_matrix: NDArray
     singular_values: NDArray
     method: str = "kvad"
-
-    def transition_weights(self, X: NDArray) -> NDArray:
-        """Rows: predicted weights over training forward samples for each x."""
-        return self.f(X) @ self.q_weights.T
 
     def propagate(self, X: NDArray) -> NDArray:
         return self.f(X) @ self.K

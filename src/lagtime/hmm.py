@@ -50,6 +50,8 @@ __all__ = [
 ]
 
 _VARIANCE_FLOOR = 1e-10
+# Emission probability that init_from_msm spreads over every symbol.
+_EMISSION_FLOOR = 0.01
 
 
 class OutputModel:
@@ -410,19 +412,17 @@ def viterbi(hmm: HiddenMarkovModel, observations: NDArray) -> NDArray:
     return path
 
 
-def init_from_msm(observations, n_hidden: int, lag: int = 1,
-                  counting_mode: str = "sliding", floor: float = 0.01,
-                  reversible: bool = True) -> HiddenMarkovModel:
+def init_from_msm(observations, n_hidden: int, lag: int = 1) -> HiddenMarkovModel:
     """Data-driven initial hidden Markov model for discrete observations.
 
-    Estimates a Markov state model on the observed symbols, groups the
-    connected states by the sign structure of the dominant non-trivial left
-    eigenvectors (each eigenvector in turn splits the groups it still
-    distinguishes, until ``n_hidden`` groups exist; a magnitude split on the
-    first eigenvector refines the partition if signs alone do not separate
-    enough groups), coarse-grains the transition matrix onto the groups, and
-    spreads a configurable probability floor over all symbols so every
-    observation keeps positive likelihood.
+    Estimates a reversible Markov state model on the observed symbols,
+    counted with a sliding window, groups the connected states by the sign
+    structure of the dominant non-trivial left eigenvectors (each eigenvector
+    in turn splits the groups it still distinguishes, until ``n_hidden``
+    groups exist; a magnitude split on the first eigenvector refines the
+    partition if signs alone do not separate enough groups), coarse-grains
+    the transition matrix onto the groups, and spreads a probability floor
+    of 0.01 over all symbols so every observation keeps positive likelihood.
 
     Raises
     ------
@@ -431,12 +431,10 @@ def init_from_msm(observations, n_hidden: int, lag: int = 1,
     """
     if n_hidden < 1:
         raise InvalidArgument(f"n_hidden must be positive, got {n_hidden}")
-    if not (0.0 <= floor < 1.0):
-        raise InvalidArgument(f"floor must lie in [0, 1), got {floor}")
-    counts = count_transitions(observations, lag=lag, counting_mode=counting_mode)
+    counts = count_transitions(observations, lag=lag)
     n_symbols = counts.n_states
     sub = largest_connected_submodel(counts, directed=True)
-    msm = msm_mle(sub, reversible=reversible)
+    msm = msm_mle(sub, reversible=True)
     n_obs = msm.n_states
     if n_obs < n_hidden:
         raise InvalidArgument(
@@ -503,11 +501,11 @@ def init_from_msm(observations, n_hidden: int, lag: int = 1,
         P_coarse[h] /= max(P_coarse[h].sum(), 1e-300)
 
     # Emissions: group mass spread over member symbols, floor over everything.
-    B = np.full((n_hidden, n_symbols), floor / n_symbols)
+    B = np.full((n_hidden, n_symbols), _EMISSION_FLOOR / n_symbols)
     symbols = sub.state_symbols
     for h, group in enumerate(groups):
         members = symbols[list(group)]
-        B[h, members] += (1.0 - floor) / len(members)
+        B[h, members] += (1.0 - _EMISSION_FLOOR) / len(members)
     return HiddenMarkovModel(
         transition_model=MarkovStateModel(P_coarse, lag=lag),
         output_model=DiscreteOutputModel(B),

@@ -20,6 +20,9 @@ __all__ = [
     "KernelSectionFeatures",
 ]
 
+# Rows per Gram-matrix block; bounds the peak memory of intermediate products.
+_BLOCK_ROWS = 512
+
 
 class Kernel:
     """Base class for positive-definite kernels on R^d."""
@@ -66,13 +69,8 @@ class PolynomialKernel(Kernel):
         return (self.constant + A @ B.T) ** self.degree
 
 
-def gram_matrix(
-    kernel: Kernel,
-    A: NDArray,
-    B: Optional[NDArray] = None,
-    block_size: int = 512,
-) -> NDArray:
-    """Assemble the Gram matrix ``G[i, j] = k(A[i], B[j])`` blockwise.
+def gram_matrix(kernel: Kernel, A: NDArray, B: Optional[NDArray] = None) -> NDArray:
+    """Assemble the Gram matrix ``G[i, j] = k(A[i], B[j])`` in blocks of 512 rows.
 
     When ``B`` is omitted (or is ``A`` itself) the result is made exactly
     symmetric by mirroring the upper triangle, so ``G == G.T`` holds
@@ -83,22 +81,18 @@ def gram_matrix(
     kernel : Kernel
     A : ndarray of shape (m, d)
     B : ndarray of shape (n, d), optional
-    block_size : int, default 512
-        Rows per block; bounds peak memory of intermediate products.
     """
     A = _as_frames(A, "A")
     symmetric = B is None or B is A
     B = A if symmetric else _as_frames(B, "B")
     if A.shape[1] != B.shape[1]:
         raise InvalidArgument(f"point dimensions differ: {A.shape[1]} vs {B.shape[1]}")
-    if block_size <= 0:
-        raise InvalidArgument(f"block_size must be positive, got {block_size}")
     m, n = A.shape[0], B.shape[0]
     G = np.empty((m, n))
-    for i in range(0, m, block_size):
-        hi = min(i + block_size, m)
-        for j in range(0, n, block_size):
-            hj = min(j + block_size, n)
+    for i in range(0, m, _BLOCK_ROWS):
+        hi = min(i + _BLOCK_ROWS, m)
+        for j in range(0, n, _BLOCK_ROWS):
+            hj = min(j + _BLOCK_ROWS, n)
             if symmetric and j < i:
                 G[i:hi, j:hj] = G[j:hj, i:hi].T
             else:

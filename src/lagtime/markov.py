@@ -439,31 +439,20 @@ def mfpt(msm: MarkovStateModel, target_states) -> NDArray:
     return out
 
 
-def msm_to_koopman(msm: MarkovStateModel, empirical: bool = False):
+def msm_to_koopman(msm: MarkovStateModel):
     """Express a Markov state model in the whitened-operator form.
 
     Builds the covariance matrices of the indicator basis implied by the
     model, ``c00 = ctt = diag(w)`` and ``c0t = diag(w) P`` with ``w`` the
-    stationary distribution, or the empirical marginals of the count matrix
-    when ``empirical=True``, then decomposes them variationally. The result
+    stationary distribution, then decomposes them variationally. The result
     scores and projects exactly like any other whitened operator model.
     """
     P = msm.transition_matrix
     n = msm.n_states
-    if empirical:
-        if msm.count_model is None:
-            raise InvalidArgument("empirical weights need a count model")
-        C = msm.count_model.count_matrix.astype(np.float64)
-        total = C.sum()
-        c00 = np.diag(C.sum(axis=1) / total)
-        ctt = np.diag(C.sum(axis=0) / total)
-        c0t = C / total
-        n_pairs = int(total)
-    else:
-        w = msm.stationary_distribution
-        c00 = ctt = np.diag(w)
-        c0t = w[:, None] * P
-        n_pairs = msm.count_model.total_counts if msm.count_model is not None else 2
+    w = msm.stationary_distribution
+    c00 = ctt = np.diag(w)
+    c0t = w[:, None] * P
+    n_pairs = msm.count_model.total_counts if msm.count_model is not None else 2
     cov = CovarianceModel(
         mean_0=np.zeros(n), mean_t=np.zeros(n),
         c00=c00, c0t=c0t, ctt=ctt,
@@ -489,10 +478,6 @@ class CoherenceResult:
     per_set: NDArray
     expectation: float
     empty_sets: tuple[int, ...] = ()
-
-    @property
-    def has_empty_sets(self) -> bool:
-        return len(self.empty_sets) > 0
 
 
 def coherence_score(initial_assignments: NDArray, returned_assignments: NDArray,

@@ -134,8 +134,9 @@ class SINDyModel:
         """Number of nonzero coefficients."""
         return int(np.count_nonzero(self.xi))
 
-    def equations(self, precision: int = 3) -> list[str]:
-        """Human-readable right-hand sides, one per state dimension."""
+    def equations(self) -> list[str]:
+        """Human-readable right-hand sides, one per state dimension, with
+        coefficients to three decimals."""
         names = self.library.feature_names(self.variable_names)
         var = (
             list(self.variable_names)
@@ -145,7 +146,7 @@ class SINDyModel:
         lines = []
         for dim in range(self.xi.shape[0]):
             terms = [
-                f"{c:+.{precision}f} {names[j]}" if names[j] != "1" else f"{c:+.{precision}f}"
+                f"{c:+.3f} {names[j]}" if names[j] != "1" else f"{c:+.3f}"
                 for j, c in enumerate(self.xi[dim])
                 if c != 0.0
             ]
@@ -157,8 +158,7 @@ class SINDyModel:
 
 def sindy_fit(X: NDArray, t=None, library: Optional[FeatureMap] = None,
               threshold: float = 0.1, derivatives: Optional[NDArray] = None,
-              discrete_time: bool = False, max_iter: int = 20,
-              ridge: float = 0.0,
+              discrete_time: bool = False,
               variable_names: Optional[Sequence[str]] = None) -> SINDyModel:
     """Identify sparse dynamics from one trajectory.
 
@@ -172,7 +172,8 @@ def sindy_fit(X: NDArray, t=None, library: Optional[FeatureMap] = None,
     library : FeatureMap
         Feature library; required.
     threshold : float, default 0.1
-        Sparsification threshold for :func:`stlsq`.
+        Sparsification threshold for :func:`stlsq`, which runs with its
+        defaults: at most 20 passes and no ridge penalty.
     derivatives : ndarray, optional
         Exact derivatives matching ``X``; skips finite differencing.
     discrete_time : bool, default False
@@ -196,7 +197,7 @@ def sindy_fit(X: NDArray, t=None, library: Optional[FeatureMap] = None,
             targets = finite_difference(X, t)
         inputs = X
     Theta = library(inputs)
-    xi, emptied = stlsq(Theta, targets, threshold=threshold, max_iter=max_iter, ridge=ridge)
+    xi, emptied = stlsq(Theta, targets, threshold=threshold)
     return SINDyModel(xi=xi, library=library, discrete_time=discrete_time,
                       emptied_dimensions=emptied, variable_names=variable_names)
 

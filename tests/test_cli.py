@@ -405,6 +405,7 @@ class TestInputFuzz:
         assert not caught, [str(w.message) for w in caught]
         assert "Traceback" not in err
         assert err.count("\n") == (code != 0), err
+        return code
 
     @FUZZ
     @given(text=CSV_FILES, discrete=st.booleans())
@@ -442,7 +443,7 @@ class TestInputFuzz:
            particles=st.integers(0, 40), n_sets=st.integers(-1, 5),
            rounds=st.integers(-1, 2), round_size=st.integers(0, 30),
            restarts=st.integers(0, 3),
-           t1=st.sampled_from(["nan", "inf", "-inf", "0", "0.0305", "0.2", "-0.2"]),
+           t1=st.sampled_from(["nan", "inf", "-inf", "1e308", "0", "0.0305", "0.2", "-0.2"]),
            noise=st.sampled_from(["nan", "-1", "0", "0.1"]))
     def test_bickley_options(self, tmp_path, capfd, methods, particles, n_sets, rounds,
                              round_size, restarts, t1, noise):
@@ -451,6 +452,13 @@ class TestInputFuzz:
                          "--rounds", str(rounds), "--round-size", str(round_size),
                          "--restarts", str(restarts), f"--t1={t1}", f"--noise={noise}",
                          "--out", str(tmp_path)])
+
+    def test_bickley_step_count_beyond_int64(self, tmp_path, capfd):
+        # (t1 - t0) / dt overflows to infinity.
+        code = self.run(capfd, ["bickley-experiment", "--methods", "vamp", "--n-particles", "4",
+                                "--n-sets", "2", "--rounds", "1", "--round-size", "4",
+                                "--t1=1e308", "--out", str(tmp_path)])
+        assert code == 2
 
     @settings(max_examples=60, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from lagtime.covariance import (
     CovarianceAccumulator,
-    TimeLaggedDataset,
     covariances_from_pairs,
     estimate_covariances,
     lagged_pairs,
@@ -55,14 +54,6 @@ class TestLaggedPairs:
     def test_invalid_lag(self):
         with pytest.raises(InvalidArgument):
             lagged_pairs(np.arange(4.0), 0)
-
-    def test_dataset_matches(self):
-        traj = np.random.default_rng(0).standard_normal((20, 2))
-        ds = TimeLaggedDataset.from_trajectory(traj, 5)
-        X, Y = lagged_pairs(traj, 5)
-        np.testing.assert_array_equal(ds.X, X)
-        np.testing.assert_array_equal(ds.Y, Y)
-        assert ds.lag == 5
 
 
 class TestAgainstBatchReference:

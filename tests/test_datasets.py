@@ -327,6 +327,10 @@ class TestBickleyFlow:
             bickley_flow(pts, 0.0, 1.0, dt=-0.1)
         with pytest.raises(InvalidArgument):
             bickley_flow(pts, 0.0, 0.0305, dt=1e-2)
+        # An infinite count, and 1e25 steps, which a 64-bit count would wrap.
+        for t1, dt in ((1e308, 1e-2), (1e22, 1e-3)):
+            with pytest.raises(InvalidArgument, match=r"fewer than 2\*\*63"):
+                bickley_flow(pts, 0.0, t1, dt=dt)
         with pytest.raises(InvalidArgument):
             bickley_flow(np.zeros((2, 3)), 0.0, 1.0)
 

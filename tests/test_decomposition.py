@@ -187,14 +187,6 @@ class TestVamp:
         with pytest.raises(UndefinedScore):
             vamp_score(model, r=0.5)
 
-    def test_timescales_from_singular_values(self):
-        P = np.array([[0.95, 0.05], [0.05, 0.95]])
-        model = msm_to_koopman(MarkovStateModel(P))
-        ts = model.timescales()
-        assert ts.shape == (2,)
-        assert ts[0] == np.inf  # the stationary pair does not relax
-        assert ts[1] == pytest.approx(-1.0 / np.log(0.9), rel=1e-10)
-
 
 class TestVariationalDominance:
     def test_nested_monomial_bases_never_score_lower(self):
@@ -481,7 +473,7 @@ class TestKvad:
     def test_transition_weights_rows_predict_forward_kernel_mass(self):
         X, Y = self._pairs()
         model = kvad_fit(X, Y, MonomialFeatures(1, max_degree=2), GaussianKernel(0.5))
-        W = model.transition_weights(X)
+        W = model.f(X) @ model.q_weights.T
         assert W.shape == (X.shape[0], X.shape[0])
         # the constant feature keeps predicted densities normalized exactly
         np.testing.assert_allclose(W.sum(axis=1), 1.0, atol=1e-8)

@@ -367,7 +367,7 @@ class TestInitFromMsm:
 
     def test_groups_metastable_symbols(self):
         obs = self.metastable_observations()
-        hmm = init_from_msm(obs, n_hidden=2, floor=0.01)
+        hmm = init_from_msm(obs, n_hidden=2)
         B = hmm.output_model.emission_matrix
         assert B.shape == (2, 4)
         assert np.all(B > 0)  # floor keeps every symbol possible
@@ -390,8 +390,6 @@ class TestInitFromMsm:
         obs = self.metastable_observations(length=500)
         with pytest.raises(InvalidArgument):
             init_from_msm(obs, n_hidden=0)
-        with pytest.raises(InvalidArgument):
-            init_from_msm(obs, n_hidden=2, floor=1.0)
         with pytest.raises(InvalidArgument):
             init_from_msm(obs, n_hidden=10)
 

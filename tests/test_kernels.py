@@ -73,12 +73,13 @@ class TestGramMatrix:
                 assert G[i, j] == pytest.approx(k.pairwise(A[i][None], B[j][None])[0, 0])
 
     def test_blocking_invariance(self):
+        # 1100 rows: two full blocks of 512 rows and a ragged one of 76.
         rng = np.random.default_rng(2)
-        A = rng.standard_normal((150, 3))
+        A = rng.standard_normal((1100, 3))
         k = GaussianKernel(1.2)
-        G_small_blocks = gram_matrix(k, A, block_size=17)
-        G_one_block = gram_matrix(k, A, block_size=1000)
-        np.testing.assert_allclose(G_small_blocks, G_one_block, atol=1e-14)
+        G = gram_matrix(k, A)
+        np.testing.assert_allclose(G, k.pairwise(A, A), rtol=0, atol=1e-14)
+        assert np.array_equal(G, G.T)
 
     def test_gaussian_matches_direct_formula(self):
         rng = np.random.default_rng(3)

@@ -18,7 +18,6 @@ from lagtime.markov import (
     largest_connected_submodel,
     mfpt,
     msm_mle,
-    msm_to_koopman,
     read_discrete_trajectory,
     sample_markov_chain,
     spectral_analysis,
@@ -389,21 +388,6 @@ class TestMsmToKoopman:
         )
         np.testing.assert_allclose(model.K, msm.transition_matrix, atol=1e-10)
 
-    def test_empirical_weights_need_counts(self):
-        msm = MarkovStateModel(np.array([[0.9, 0.1], [0.1, 0.9]]))
-        with pytest.raises(InvalidArgument):
-            msm_to_koopman(msm, empirical=True)
-
-    def test_empirical_and_stationary_weights_agree_on_long_chains(self):
-        P = np.array([[0.9, 0.1], [0.2, 0.8]])
-        chain = sample_markov_chain(P, length=200_000, seed=5)
-        counts = count_transitions(chain, lag=1)
-        msm = msm_mle(largest_connected_submodel(counts))
-        exact = msm_to_koopman(msm)
-        empirical = msm_to_koopman(msm, empirical=True)
-        np.testing.assert_allclose(exact.sigma, empirical.sigma, atol=5e-3)
-        assert abs(exact.sigma[0] - 1.0) < 1e-10
-
 
 class TestCoherenceScore:
     def test_hand_computed_expectation(self):
@@ -412,14 +396,13 @@ class TestCoherenceScore:
         result = coherence_score(a0, a1, n_sets=2)
         np.testing.assert_allclose(result.per_set, [0.5, 1.0])
         assert result.expectation == pytest.approx(0.75)
-        assert not result.has_empty_sets
+        assert result.empty_sets == ()
 
     def test_empty_sets_are_flagged_and_excluded(self):
         a0 = np.array([0, 0, 1])
         a1 = np.array([0, 2, 1])
         result = coherence_score(a0, a1, n_sets=3)
         assert result.empty_sets == (2,)
-        assert result.has_empty_sets
         assert np.isnan(result.per_set[2])
         assert result.expectation == pytest.approx((2 / 3) * 0.5 + (1 / 3) * 1.0)
 

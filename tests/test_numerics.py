@@ -1,4 +1,5 @@
 import ast
+import ctypes
 import re
 import shutil
 from pathlib import Path
@@ -224,20 +225,104 @@ def test_native_code_is_loaded_in_one_module():
     assert importers == ["__init__.py", "cli.py", "experiments.py"]
 
 
+def c_type(ctypes_type):
+    """The C type that an ``argtypes`` entry or a ``restype`` passes."""
+    if ctypes_type is None:
+        return "void"
+    dtype = getattr(ctypes_type, "_dtype_", None)  # an ndpointer
+    if dtype is not None:
+        return {np.dtype(np.float64): "double *", np.dtype(np.int64): "int64_t *"}[dtype]
+    return {ctypes.c_long: "long", ctypes.c_double: "double"}[ctypes_type]
+
+
+def prototype_type(declaration):
+    """``const double *noise`` -> ``double *``; ``long n`` -> ``long``."""
+    base, pointer = re.fullmatch(r"(?:const )?(\w+) (\*?)\s*\w+", " ".join(declaration.split())
+                                 ).groups()
+    return f"{base} {pointer}".strip()
+
+
 def test_ctypes_signatures_match_the_c_prototypes():
     # ctypes checks a call against argtypes only: a row with a wrong argument
-    # count makes the kernel read garbage without any error.
+    # count, order or kind makes the kernel read garbage without any error.
     if shutil.which("cc") is None:
         pytest.skip("no C compiler")
     source = _native._KERNEL_SOURCE.read_text()
-    exported = re.findall(r"^(?:long|void|double|int) (\w+)\(([^)]*)\)\s*\{", source, re.M)
+    exported = re.findall(r"^(long|void|double|int) (\w+)\(([^)]*)\)\s*\{", source, re.M)
     assert len(exported) >= 8
     library, backend = _native._compiled_kernels()
     assert backend == "c"
-    for name, parameters in exported:
-        argtypes = getattr(library, name).argtypes
-        assert argtypes is not None, f"{name} has no row in the argtypes table"
-        assert len(argtypes) == parameters.count(",") + 1, name
+    for returns, name, parameters in exported:
+        function = getattr(library, name)
+        assert function.argtypes is not None, f"{name} has no row in the argtypes table"
+        declared = [prototype_type(p) for p in parameters.split(",")]
+        assert [c_type(t) for t in function.argtypes] == declared, name
+        assert c_type(function.restype) == returns, name
+
+
+# Public names that only their own tests call, kept as the documented model
+# API: the potential the four-well drift is the gradient of, the operator
+# models' forward prediction and backward singular functions, and the
+# scoring, persistence and simulation entry points.
+MODEL_API = {"quadwell_potential", "propagate", "backward", "kvad_score", "save_model",
+             "load_model", "sindy_simulate", "sindy_score"}
+
+
+def references(path, modules):
+    """(names, members) that a source file refers to. ``names`` holds bare
+    names and attributes of an imported module; ``members`` every other
+    attribute, which is how a method or property is reached."""
+    tree = ast.parse(path.read_text())
+    aliases = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            aliases.update(alias.asname or alias.name for alias in node.names
+                           if alias.name in modules)
+    names, members = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            on_module = isinstance(node.value, ast.Name) and node.value.id in aliases
+            (names if on_module else members).add(node.attr)
+    return names, members
+
+
+def public_definitions(path):
+    """(label, name, is_member) of each public top-level function and class
+    of a source file, and of each public method of those classes."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield f"{path.name}:{node.name}", node.name, False
+            if isinstance(node, ast.ClassDef):
+                for method in node.body:
+                    if isinstance(method, ast.FunctionDef) and not method.name.startswith("_"):
+                        yield f"{path.name}:{node.name}.{method.name}", method.name, True
+
+
+def test_every_public_name_has_a_caller_besides_its_tests():
+    # Callers are the package (whose __init__ and __all__ only re-export),
+    # the benchmark and the acceptance suite; a name that only its own tests
+    # call is code to delete.
+    root = Path(__file__).resolve().parents[1]
+    src = root / "src" / "lagtime"
+    modules = {path.stem for path in src.glob("*.py")}
+    callers = [path for path in sorted(src.glob("*.py")) if path.name != "__init__.py"]
+    callers += sorted((root / "perfbench").glob("*.py")) + [root / "tests" / "test_acceptance.py"]
+    names, members = set(), set()
+    for path in callers:
+        found_names, found_members = references(path, modules)
+        names |= found_names
+        members |= found_members
+    uncalled = [(label, name) for path in sorted(src.glob("*.py"))
+                for label, name, is_member in public_definitions(path)
+                if name not in (members if is_member else names)]
+    unlisted = [label for label, name in uncalled if name not in MODEL_API]
+    assert not unlisted, unlisted
+    # An entry that gained a caller leaves the list.
+    assert {name for _, name in uncalled} == MODEL_API
 
 
 def unused_imports(path):

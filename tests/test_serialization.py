@@ -156,14 +156,13 @@ class TestModelRoundTrips:
         model = kvad_fit(X, Y, MonomialFeatures(2, 2), GaussianKernel(0.8))
         out = roundtrip(model)
         np.testing.assert_array_equal(out.K, model.K)
-        np.testing.assert_array_equal(out.q_weights, model.q_weights)
+        assert out.q_weights.dtype == model.q_weights.dtype
+        assert out.q_weights.shape == model.q_weights.shape
+        assert out.q_weights.tobytes() == model.q_weights.tobytes()
         np.testing.assert_array_equal(out.singular_values, model.singular_values)
         assert out.score == model.score
         assert out.kernel.sigma == model.kernel.sigma
         probe = np.random.default_rng(8).normal(size=(9, 2))
-        np.testing.assert_array_equal(
-            out.transition_weights(probe), model.transition_weights(probe)
-        )
         np.testing.assert_array_equal(out.project(probe, 2), model.project(probe, 2))
 
     def test_transition_count_model(self):

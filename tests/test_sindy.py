@@ -118,9 +118,9 @@ class TestSINDyModelPresentation:
         xi[0, 4] = 0.25   # x0 x1
         xi[1, 0] = 0.5    # constant
         model = SINDyModel(xi=xi, library=lib)
-        eqs = model.equations(precision=2)
-        assert eqs[0] == "dx0/dt = -1.00 x0 +0.25 x0 x1"
-        assert eqs[1] == "dx1/dt = +0.50"
+        eqs = model.equations()
+        assert eqs[0] == "dx0/dt = -1.000 x0 +0.250 x0 x1"
+        assert eqs[1] == "dx1/dt = +0.500"
         assert model.n_terms == 3
 
     def test_discrete_time_and_custom_names(self):
@@ -129,7 +129,7 @@ class TestSINDyModelPresentation:
         model = SINDyModel(
             xi=xi, library=lib, discrete_time=True, variable_names=["u"]
         )
-        assert model.equations(precision=1) == ["u[k+1] = +0.9 u"]
+        assert model.equations() == ["u[k+1] = +0.900 u"]
 
     def test_zero_row_renders_zero(self):
         lib = MonomialFeatures(1, 1)
