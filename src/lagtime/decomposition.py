@@ -12,6 +12,11 @@ The linear-algebra regularization parameter ``epsilon`` is an absolute
 eigenvalue cutoff (see :mod:`lagtime.numerics`); the kernel estimators use a
 local Tikhonov shift ``n * epsilon`` on their Gram matrices instead, which is
 the customary convention for those methods.
+
+Kernel CCA factors its two shifted Gram matrices by Cholesky and finds its
+leading correlations by a block Krylov solve, so on spectra with a gap it
+decomposes no n x n matrix; without a gap it finishes with a dense solve,
+chosen by a fixed work budget.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from .covariance import CovarianceAccumulator, CovarianceModel
 from .errors import InvalidArgument, NumericalDegeneracy, UndefinedScore
 from .kernels import Kernel, KernelSectionFeatures, _gram_means, gram_matrix
 from .numerics import (
-    _as_frames, generalized_eig_sym, pinv_truncated, sym_inverse_sqrt, truncated_svd,
+    _as_frames, _rng, generalized_eig_sym, pinv_truncated, sym_inverse_sqrt, truncated_svd,
 )
 
 __all__ = [
@@ -369,8 +374,8 @@ def vamp_score_cv(F0: NDArray, F1: NDArray, r: float = 2, n_folds: int = 10,
 # kernel estimators
 
 
-def kernel_edmd_fit(X: NDArray, Y: NDArray, kernel: Kernel, epsilon: float,
-                    n_components: Optional[int] = None) -> TransferOperatorModel:
+def kernel_edmd_fit(X: NDArray, Y: NDArray, kernel: Kernel, epsilon: float
+                    ) -> TransferOperatorModel:
     """Forward-operator regression in a reproducing kernel space.
 
     Features are kernel sections anchored at the instantaneous points, with
@@ -378,7 +383,8 @@ def kernel_edmd_fit(X: NDArray, Y: NDArray, kernel: Kernel, epsilon: float,
     ``(G + n epsilon I)^{-1} G_fwd`` where ``G[i, j] = k(x_i, x_j)`` and
     ``G_fwd[i, j] = k(y_i, x_j)``; its eigenvectors give the dominant
     eigenfunctions as kernel expansions over the anchors, ordered by
-    eigenvalue modulus.
+    eigenvalue modulus. The model keeps all n of them, since ``project`` may
+    ask for any number.
     """
     X, Y = _as_frames(X), _as_frames(Y, "Y")
     if X.shape != Y.shape:
@@ -386,8 +392,6 @@ def kernel_edmd_fit(X: NDArray, Y: NDArray, kernel: Kernel, epsilon: float,
     if epsilon < 0:
         raise InvalidArgument(f"epsilon must be non-negative, got {epsilon}")
     n = X.shape[0]
-    if n_components is not None and not (1 <= n_components <= n):
-        raise InvalidArgument(f"n_components must be in 1..{n}")
     H = gram_matrix(kernel, X)
     H.flat[:: n + 1] += n * epsilon
     # LU, not Cholesky, so kernels that are not positive definite still
@@ -404,8 +408,142 @@ def kernel_edmd_fit(X: NDArray, Y: NDArray, kernel: Kernel, epsilon: float,
     K = np.ascontiguousarray(K)
     sections = KernelSectionFeatures(kernel, X, centered=False)
     model = TransferOperatorModel(f=sections, g=sections, K=K, method="kernel_edmd")
-    model.projection_matrix = model._ensure_projection()[:, :n_components]
+    model._ensure_projection()
     return model
+
+
+# Kernel CCA's block Krylov solve (see kernel_cca_fit). R_X's spectrum lies in
+# [0, 1), so the floor on the eigenvalues of U^T R_X U is absolute.
+_CCA_FLOOR = 1e-12
+# Each wanted pair stops at a residual of this much of the leading correlation.
+_CCA_TOL = 1e-12
+# New Krylov directions shorter than this lie in the basis already.
+_CCA_DROP = 1e-10
+# The Krylov basis may grow to this share of n columns. A column costs about
+# 4 n^2 flops of triangular solves and the dense solve about 8 n^3, so the
+# whole budget stays under a fifth of the dense solve's work.
+_CCA_WORK_SHARE = 1 / 3
+
+
+def _unit_second_moment(coeff: NDArray, values: NDArray) -> NDArray:
+    """Scale expansion coefficients so that their function values have unit second moment."""
+    scale = np.linalg.norm(values, axis=0) / np.sqrt(values.shape[0])
+    scale[scale == 0.0] = 1.0
+    return coeff / scale
+
+
+def _smoother(L: NDArray, shift: float):
+    """``M -> R M`` with ``R = I - shift H^{-1}``, from the lower Cholesky factor of ``H``."""
+    factor = (L, True)
+    return lambda M: M - shift * scipy.linalg.cho_solve(factor, M, check_finite=False)
+
+
+def _rayleigh_ritz(B: NDArray, A: NDArray, k: int) -> tuple[NDArray, NDArray]:
+    """Leading ``k`` solutions of ``A c = theta B c``, descending.
+
+    ``B`` is whitened by its eigendecomposition; its eigen-directions at or
+    below the floor are dropped, so fewer than ``k`` pairs can come back.
+    """
+    mu, E = scipy.linalg.eigh(B, check_finite=False)
+    keep = mu > _CCA_FLOOR
+    P = E[:, keep] / np.sqrt(mu[keep])
+    theta, C = scipy.linalg.eigh(P.T @ A @ P, check_finite=False)
+    return theta[::-1][:k], P @ C[:, ::-1][:, :k]
+
+
+def _cca_krylov(apply_x, apply_y, n: int, k: int) -> Optional[tuple[NDArray, NDArray]]:
+    """Top ``k`` eigenpairs ``(rho, v)`` of ``T = R_X R_Y``, or None past the budget.
+
+    The basis ``U`` grows as the block Krylov space of ``R_Y R_X`` from a
+    fixed random block, orthonormal in the Euclidean inner product. With
+    ``V = R_X U``, the Ritz pairs solve ``(V^T R_Y V) c = theta (U^T V) c``:
+    Rayleigh-Ritz for ``S = R_X^{1/2} R_Y R_X^{1/2}`` on ``R_X^{1/2} U``, whose
+    Ritz vectors map to ``v = V c``, scaled as the dense solve scales them.
+    The solve stops when every wanted pair has ``|T v - theta v|`` at most
+    ``_CCA_TOL * theta_1 * |v|``, and gives up (None) as soon as the basis,
+    grown at the rate the residuals fell over the last block, would pass
+    ``_CCA_WORK_SHARE * n`` columns before that.
+    """
+    width = 2 * k + 8
+    cap = int(_CCA_WORK_SHARE * n)
+    if width > cap:
+        return None
+    U = np.empty((n, cap), order="F")
+    V, W = np.empty_like(U), np.empty_like(U)
+    B, A = np.empty((cap, cap)), np.empty((cap, cap))
+    block = np.linalg.qr(_rng(0).standard_normal((n, width)))[0]
+    image = apply_x(block)
+    m, previous = 0, None
+    while True:
+        new = slice(m, m + block.shape[1])
+        m = new.stop
+        U[:, new], V[:, new] = block, image
+        W[:, new] = apply_y(image)
+        for gram, left, right in ((B, V, U), (A, W, V)):
+            gram[new, :m] = left[:, new].T @ right[:, :m]
+            gram[:m, new] = gram[new, :m].T
+        theta, C = _rayleigh_ritz(B[:m, :m], A[:m, :m], k)
+        v = V[:, :m] @ C
+        if theta.size == 0:
+            return theta, v
+        # The next block: classical Gram-Schmidt twice against the basis,
+        # then QR within the block.
+        block = W[:, new] - U[:, :m] @ (U[:, :m].T @ W[:, new])
+        block -= U[:, :m] @ (U[:, :m].T @ block)
+        Q, R = np.linalg.qr(block)
+        block = Q[:, np.abs(np.diag(R)) > _CCA_DROP]
+        # One solve maps both the next block and W c, for T v = R_X W c.
+        image = apply_x(np.hstack([block, W[:, :m] @ C]))
+        image, Tv = image[:, :block.shape[1]], image[:, block.shape[1]:]
+        residual = np.linalg.norm(Tv - v * theta, axis=0)
+        worst = np.max(residual / np.linalg.norm(v, axis=0)) / theta[0]
+        # An empty block means the basis spans an invariant subspace.
+        if worst <= _CCA_TOL or block.shape[1] == 0:
+            return np.clip(theta, 0.0, None), v
+        if previous is not None:
+            rate = worst / previous
+            if rate >= 1.0 or m + width * np.log(_CCA_TOL / worst) / np.log(rate) > cap:
+                return None
+        previous = worst
+        if m + block.shape[1] > cap:
+            return None
+
+
+def _cca_dense(Gx: NDArray, Ly: NDArray, shift: float, k: int
+               ) -> tuple[NDArray, NDArray, NDArray]:
+    """Top ``k`` pairs ``(rho, v, alpha)`` from full decompositions; overwrites ``Gx``.
+
+    With ``G_X = Q diag(lam) Q^T`` and ``r = lam / (lam + n eps)``, the
+    whitened matrix ``S = R_X^{1/2} R_Y R_X^{1/2}`` reads in the eigenbasis of
+    ``G_X``
+
+        S = diag(r) - n eps Z^T Z,    Z = L_Y^{-1} Q diag(sqrt(r)),
+
+    and only its top ``k`` eigenpairs ``(rho, W)`` are computed. The left
+    functions are ``v = Q (sqrt(r) W)``, with coefficients formed in the same
+    eigenbasis.
+    """
+    n = Gx.shape[0]
+    # Gx and S go to LAPACK transposed: that is the same matrix in Fortran
+    # order, so it is overwritten in place instead of copied.
+    lam, Q = scipy.linalg.eigh(Gx.T, overwrite_a=True, check_finite=False, driver="evd")
+    del Gx
+    lam = np.clip(lam, 0.0, None)
+    r = lam / (lam + shift)
+    root_r = np.sqrt(r)
+    Z = scipy.linalg.solve_triangular(Ly, Q * root_r, lower=True, overwrite_b=True,
+                                      check_finite=False)
+    S = Z.T @ Z
+    del Z
+    S *= -shift
+    S.flat[::n + 1] += r
+    rho, W = scipy.linalg.eigh(S.T, subset_by_index=[n - k, n - 1],
+                               overwrite_a=True, check_finite=False)
+    del S
+    rho, W = np.clip(rho[::-1], 0.0, None), W[:, ::-1]
+    vq = root_r[:, None] * W
+    ax = vq / (lam + shift)[:, None]
+    return rho, Q @ vq, Q @ _unit_second_moment(ax, lam[:, None] * ax)
 
 
 def kernel_cca_fit(X: NDArray, Y: NDArray, kernel: Kernel, n_components: int,
@@ -414,32 +552,36 @@ def kernel_cca_fit(X: NDArray, Y: NDArray, kernel: Kernel, n_components: int,
 
     Centers both Gram matrices and solves the regularized eigenproblem
 
-        ((G_X + n eps I)^{-1} G_X) ((G_Y + n eps I)^{-1} G_Y) v = rho v
+        ((G_X + n eps I)^{-1} G_X) ((G_Y + n eps I)^{-1} G_Y) v = rho v,
 
-    in its whitened symmetric form, so correlations ``rho`` are real, lie in
-    [0, 1] up to round-off, and come out descending. Singular functions are
-    kernel expansions over the training points and can be evaluated anywhere.
+    that is ``T v = rho v`` with ``T = R_X R_Y`` and
+    ``R = H^{-1} G = I - n eps H^{-1}``, ``H = G + n eps I``. The correlations
+    ``rho`` are the eigenvalues of the symmetric ``R_X^{1/2} R_Y R_X^{1/2}``,
+    so they are real, lie in [0, 1] up to round-off, and come out
+    descending. Singular functions are kernel expansions over the training
+    points and can be evaluated anywhere.
 
-    The solve takes one full eigendecomposition, of ``G_X = Q diag(lam) Q^T``,
-    and one Cholesky factor ``L L^T = H_Y = G_Y + n eps I``. With
-    ``r = lam / (lam + n eps)`` (``lam`` clipped at zero) and
-    ``R_Y = H_Y^{-1} G_Y = I - n eps H_Y^{-1}``, the whitened matrix
-    ``R_X^{1/2} R_Y R_X^{1/2}`` reads in the eigenbasis of ``G_X``
+    ``H_Y`` and then ``H_X`` are factored by Cholesky, so each ``R`` costs
+    one pair of triangular solves, and the top ``n_components`` eigenpairs
+    of ``T`` come from a block Krylov solve with Rayleigh-Ritz: a few hundred
+    columns of solves instead of decompositions of n x n matrices. When the
+    spectrum has no gap, so that the Krylov basis would pass a fixed share of
+    n columns, and for small n, the dense solve finishes instead: a full
+    eigendecomposition of ``G_X`` and the top eigenpairs of the whitened
+    matrix in its eigenbasis. Correlations that the Krylov basis cannot
+    resolve from zero come back as zero, with zero functions.
 
-        S = diag(r) - n eps Z^T Z,    Z = L^{-1} Q diag(sqrt(r)),
-
-    and only its top ``n_components`` eigenpairs ``(rho, W)`` are computed.
-    The left functions are ``v = Q (sqrt(r) W)``, the right ones
-    ``R_Y v / sqrt(rho)``; both sets of expansion coefficients then take
-    thin solves only, against ``Q`` and against the Cholesky factor. Each
+    The left functions are ``v`` with coefficients ``H_X^{-1} v``, the right
+    ones ``R_Y v / sqrt(rho)`` with coefficients ``H_Y^{-1}`` of those; each
     singular function is scaled to unit empirical second moment on the
     training points.
 
     Raises
     ------
     NumericalDegeneracy
-        If ``G_Y + n eps I`` is not positive definite, which a kernel that is
-        not positive definite can cause.
+        If ``G_Y + n eps I`` or ``G_X + n eps I`` is not positive definite,
+        which a kernel that is not positive definite can cause. The message
+        names Y or X, Y first.
     """
     X, Y = _as_frames(X), _as_frames(Y, "Y")
     if X.shape[0] != Y.shape[0]:
@@ -462,58 +604,43 @@ def kernel_cca_fit(X: NDArray, Y: NDArray, kernel: Kernel, n_components: int,
         G += grand_mean
         return G, KernelSectionFeatures._centered_on(kernel, points, col_means, grand_mean)
 
-    def normalized(coeff, values):
-        scale = np.linalg.norm(values, axis=0) / np.sqrt(n)
-        scale[scale == 0.0] = 1.0
-        return coeff / scale
+    def factored(points, name):
+        H, sections = centered_gram(points)
+        H.flat[::n + 1] += shift
+        # H is exactly symmetric, so its transpose is the Fortran-ordered view
+        # that LAPACK factors in place.
+        try:
+            L = scipy.linalg.cholesky(H.T, lower=True, overwrite_a=True, check_finite=False)
+        except np.linalg.LinAlgError:
+            raise NumericalDegeneracy(
+                f"{name}: centered Gram matrix plus n*epsilon*I is not positive definite; "
+                "the kernel must be positive definite"
+            ) from None
+        return L, sections
 
-    Gx, sections_x = centered_gram(X)
-    # Gx and the other symmetric matrices below go to LAPACK transposed:
-    # that is the same matrix in Fortran order, so it is overwritten in
-    # place instead of copied.
-    lam, Q = scipy.linalg.eigh(Gx.T, overwrite_a=True, check_finite=False, driver="evd")
-    del Gx
-    lam = np.clip(lam, 0.0, None)
-    r = lam / (lam + shift)
-    root_r = np.sqrt(r)
-
-    H, sections_y = centered_gram(Y)
-    H.flat[::n + 1] += shift
-    try:
-        L = scipy.linalg.cholesky(H.T, lower=True, overwrite_a=True, check_finite=False)
-    except np.linalg.LinAlgError:
-        raise NumericalDegeneracy(
-            "Y: centered Gram matrix plus n*epsilon*I is not positive definite; "
-            "the kernel must be positive definite"
-        ) from None
-    del H
-
-    Z = scipy.linalg.solve_triangular(L, Q * root_r, lower=True, overwrite_b=True,
-                                      check_finite=False)
-    S = Z.T @ Z
-    del Z
-    S *= -shift
-    S.flat[::n + 1] += r
-    rho, W = scipy.linalg.eigh(S.T, subset_by_index=[n - n_components, n - 1],
-                               overwrite_a=True, check_finite=False)
-    del S
-    rho, W = np.clip(rho[::-1], 0.0, None), W[:, ::-1]
-
-    # Left functions v = R_X^{1/2} Q W. Their coefficients
-    # (G_X + n eps I)^{-1} v, and the values G_X times those coefficients
-    # that the normalization reads, are formed in G_X's eigenbasis.
-    vq = root_r[:, None] * W
-    v = Q @ vq
-    ax = vq / (lam + shift)[:, None]
-    alpha = Q @ normalized(ax, lam[:, None] * ax)
+    Ly, sections_y = factored(Y, "Y")
+    Lx, sections_x = factored(X, "X")
+    apply_y = _smoother(Ly, shift)
+    found = _cca_krylov(_smoother(Lx, shift), apply_y, n, n_components)
+    if found is None:
+        # H_X was factored in place, so the dense solve builds G_X again.
+        del Lx
+        rho, v, alpha = _cca_dense(centered_gram(X)[0], Ly, shift, n_components)
+    else:
+        rho, v = found
+        missing = n_components - rho.size
+        rho = np.concatenate([rho, np.zeros(missing)])
+        v = np.hstack([v, np.zeros((n, missing))])
+        ax = scipy.linalg.cho_solve((Lx, True), v, check_finite=False)
+        del Lx
+        alpha = _unit_second_moment(ax, v - shift * ax)  # G_X ax = v - n eps ax
     # Right functions from the same decomposition, so each pairs with its
     # left one: with S = M M^T and M = Rx^{1/2} Ry^{1/2}, the right singular
     # vectors are M^T W / sqrt(rho), and Ry^{1/2} of those is Ry v / sqrt(rho).
-    factor = (L, True)
-    v2 = v - shift * scipy.linalg.cho_solve(factor, v, check_finite=False)
+    v2 = apply_y(v)
     v2 /= np.sqrt(np.where(rho > 0.0, rho, 1.0))
-    by = scipy.linalg.cho_solve(factor, v2, check_finite=False)
-    beta = normalized(by, v2 - shift * by)  # G_Y by = (H_Y - n eps I) by
+    by = scipy.linalg.cho_solve((Ly, True), v2, check_finite=False)
+    beta = _unit_second_moment(by, v2 - shift * by)  # G_Y by = (H_Y - n eps I) by
 
     f = sections_x.then(LinearFeatures(alpha))
     g = sections_y.then(LinearFeatures(beta))

@@ -58,13 +58,16 @@ def finite_difference(X: NDArray, t) -> NDArray:
     return out
 
 
-def stlsq(Theta: NDArray, targets: NDArray, threshold: float,
-          max_iter: int = 20, ridge: float = 0.0) -> tuple[NDArray, NDArray]:
+# Least-squares passes per target dimension in :func:`stlsq`.
+_STLSQ_PASSES = 20
+
+
+def stlsq(Theta: NDArray, targets: NDArray, threshold: float) -> tuple[NDArray, NDArray]:
     """Sequentially thresholded least squares, one pass per target dimension.
 
     Repeatedly solves least squares on the active feature set and drops
-    coefficients below ``threshold`` in magnitude; the active set never
-    grows. An optional ridge penalty stabilizes ill-conditioned libraries.
+    coefficients below ``threshold`` in magnitude, for at most 20 passes;
+    the active set never grows.
 
     Returns
     -------
@@ -84,19 +87,13 @@ def stlsq(Theta: NDArray, targets: NDArray, threshold: float,
     xi = np.zeros((n_targets, n_features))
     emptied = np.zeros(n_targets, dtype=bool)
 
-    def solve(A, y):
-        if ridge > 0.0:
-            reg = A.T @ A + ridge * np.eye(A.shape[1])
-            return np.linalg.solve(reg, A.T @ y)
-        return np.linalg.lstsq(A, y, rcond=None)[0]
-
     for dim in range(n_targets):
         active = np.ones(n_features, dtype=bool)
         coeffs = np.zeros(n_features)
-        for _ in range(max_iter):
+        for _ in range(_STLSQ_PASSES):
             if not active.any():
                 break
-            sol = solve(Theta[:, active], targets[:, dim])
+            sol = np.linalg.lstsq(Theta[:, active], targets[:, dim], rcond=None)[0]
             coeffs = np.zeros(n_features)
             coeffs[active] = sol
             new_active = np.abs(coeffs) >= threshold
@@ -172,8 +169,7 @@ def sindy_fit(X: NDArray, t=None, library: Optional[FeatureMap] = None,
     library : FeatureMap
         Feature library; required.
     threshold : float, default 0.1
-        Sparsification threshold for :func:`stlsq`, which runs with its
-        defaults: at most 20 passes and no ridge penalty.
+        Sparsification threshold for :func:`stlsq`.
     derivatives : ndarray, optional
         Exact derivatives matching ``X``; skips finite differencing.
     discrete_time : bool, default False

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -349,6 +350,40 @@ KERNEL_CCA_CASES = [
 ]
 
 
+def assert_matches_dense(model, X, Y, kernel, n_components, epsilon):
+    """Correlations to 1e-12, and functions to 1e-10 of their largest value."""
+    rho, f_ref, g_ref = dense_kernel_cca(X, Y, kernel, n_components, epsilon)
+    np.testing.assert_allclose(model.eigenvalues, rho, rtol=0, atol=1e-12)
+    # Centering puts the constant vector in the null space of G_X, so with
+    # every component requested the last correlation is zero and its pair
+    # of functions is set by round-off in either formulation.
+    keep = rho > 1e-12
+    f_ref, g_ref = f_ref[:, keep], g_ref[:, keep]
+    for got, want in ((model.f(X)[:, keep], f_ref), (model.g(Y)[:, keep], g_ref)):
+        sign = np.where(np.sum(got * want, axis=0) < 0.0, -1.0, 1.0)
+        np.testing.assert_allclose(got * sign, want, rtol=0,
+                                   atol=1e-10 * np.abs(want).max())
+
+
+def recorded_eigh_shapes(monkeypatch):
+    """Wrap scipy's and numpy's ``eigh``; the list collects each input's shape."""
+    shapes = []
+    for module in (scipy.linalg, np.linalg):
+        def spy(a, *args, _original=module.eigh, **kwargs):
+            shapes.append(np.shape(a))
+            return _original(a, *args, **kwargs)
+        monkeypatch.setattr(module, "eigh", spy)
+    return shapes
+
+
+@pytest.fixture(scope="module")
+def jet_pairs():
+    """The jet experiment's fit at 1200 particles: uniform draws advected over t 0 -> 40."""
+    rng = np.random.default_rng(13)
+    X = rng.uniform([0.0, -4.0], [20.0, 4.0], size=(1200, 2))
+    return X, bickley_flow(X, 0.0, 40.0, 2e-2)
+
+
 class TestKernelCca:
     # The ids stay as earlier versions named these cases, so runs compare by test id.
     @pytest.mark.parametrize("data, bandwidth, epsilon, n_components", KERNEL_CCA_CASES,
@@ -370,22 +405,68 @@ class TestKernelCca:
             n_components = X.shape[0]
         kernel = GaussianKernel(bandwidth)
         model = kernel_cca_fit(X, Y, kernel, n_components, epsilon)
-        rho, f_ref, g_ref = dense_kernel_cca(X, Y, kernel, n_components, epsilon)
-        np.testing.assert_allclose(model.eigenvalues, rho, rtol=0, atol=1e-12)
-        # Centering puts the constant vector in the null space of G_X, so with
-        # every component requested the last correlation is zero and its pair
-        # of functions is set by round-off in either formulation.
-        keep = rho > 1e-12
-        f_ref, g_ref = f_ref[:, keep], g_ref[:, keep]
-        for got, want in ((model.f(X)[:, keep], f_ref), (model.g(Y)[:, keep], g_ref)):
-            sign = np.where(np.sum(got * want, axis=0) < 0.0, -1.0, 1.0)
-            np.testing.assert_allclose(got * sign, want, rtol=0,
-                                       atol=1e-10 * np.abs(want).max())
+        assert_matches_dense(model, X, Y, kernel, n_components, epsilon)
+
+    def test_jet_shaped_fit_matches_dense_formulation(self, jet_pairs):
+        X, Y = jet_pairs
+        kernel = GaussianKernel(BICKLEY_KERNEL_CCA_BANDWIDTH)
+        model = kernel_cca_fit(X, Y, kernel, 8, BICKLEY_KERNEL_CCA_EPSILON)
+        assert_matches_dense(model, X, Y, kernel, 8, BICKLEY_KERNEL_CCA_EPSILON)
+
+    def test_jet_shaped_fit_decomposes_no_n_by_n_matrix(self, jet_pairs, monkeypatch):
+        # The correlations decay fast here, so the block Krylov solve finds
+        # them with small Rayleigh-Ritz eigensolves only. An n x n eigh means
+        # the dense solve is back.
+        X, Y = jet_pairs
+        shapes = recorded_eigh_shapes(monkeypatch)
+        kernel_cca_fit(X, Y, GaussianKernel(BICKLEY_KERNEL_CCA_BANDWIDTH), 8,
+                       BICKLEY_KERNEL_CCA_EPSILON)
+        assert shapes
+        assert all(max(shape) < X.shape[0] for shape in shapes), shapes
+
+    def test_gapless_fit_takes_dense_path(self, monkeypatch):
+        # A kernel much narrower than the spacing of the points makes both
+        # Gram matrices nearly the identity and every correlation nearly 1:
+        # no gap for the Krylov solve to converge on.
+        rng = np.random.default_rng(17)
+        X = rng.uniform([0.0, -4.0], [20.0, 4.0], size=(300, 2))
+        Y = bickley_flow(X, 0.0, 4.0, 2e-2)
+        kernel = GaussianKernel(0.05)
+        shapes = recorded_eigh_shapes(monkeypatch)
+        model = kernel_cca_fit(X, Y, kernel, 8, 1e-6)
+        assert (300, 300) in shapes
+        assert model.eigenvalues[-1] > 0.99
+        assert_matches_dense(model, X, Y, kernel, 8, 1e-6)
+
+    def test_same_bytes_whatever_global_random_state(self):
+        obs, _ = sample_sqrt_model(601, seed=3)
+        X, Y = obs[:-1], obs[1:]
+        kernel = GaussianKernel(SQRT_KERNEL_CCA_BANDWIDTH)
+        state = np.random.get_state()
+        try:
+            models = []
+            for seed in (0, 1):
+                np.random.seed(seed)
+                models.append(kernel_cca_fit(X, Y, kernel, 5, SQRT_KERNEL_CCA_EPSILON))
+        finally:
+            np.random.set_state(state)
+        first, second = models
+        np.testing.assert_array_equal(first.eigenvalues, second.eigenvalues)
+        np.testing.assert_array_equal(first.f(X), second.f(X))
+        np.testing.assert_array_equal(first.g(Y), second.g(Y))
 
     def test_indefinite_kernel_is_numerical_degeneracy(self):
         X = np.random.default_rng(49).standard_normal((20, 2))
         with pytest.raises(NumericalDegeneracy, match="Y"):
             kernel_cca_fit(X, X + 1.0, IndefiniteKernel(), n_components=2, epsilon=1e-3)
+
+    def test_indefinite_kernel_on_x_alone_names_x(self):
+        # Equal points on the Y side center to a zero Gram matrix, so
+        # H_Y = n eps I is positive definite; the X side's is not.
+        X = np.random.default_rng(50).standard_normal((20, 2))
+        with pytest.raises(NumericalDegeneracy, match="^X:"):
+            kernel_cca_fit(X, np.ones((20, 2)), IndefiniteKernel(), n_components=2,
+                           epsilon=1e-3)
 
     def test_correlations_in_unit_interval_descending(self):
         rng = np.random.default_rng(41)
