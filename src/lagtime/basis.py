@@ -220,7 +220,7 @@ class Whitener(FeatureMap):
     """Whitening as a feature map: ``x -> W @ (x - mean)``.
 
     Build from data with :meth:`from_data` (empirical mean and covariance,
-    inverse square root with eigenvalue cutoff ``epsilon``) or wrap an
+    inverse square root with eigenvalue cutoff ``1e-12``) or wrap an
     existing :class:`~lagtime.numerics.WhiteningTransform`.
     """
 
@@ -230,12 +230,12 @@ class Whitener(FeatureMap):
         self.dimension_out = transform.rank
 
     @classmethod
-    def from_data(cls, X: NDArray, epsilon: float = 1e-12) -> "Whitener":
+    def from_data(cls, X: NDArray) -> "Whitener":
         X = _as_frames(X)
         mean = X.mean(axis=0)
         Xc = X - mean
         cov = Xc.T @ Xc / max(X.shape[0] - 1, 1)
-        base = sym_inverse_sqrt(cov, epsilon)
+        base = sym_inverse_sqrt(cov)
         return cls(WhiteningTransform(transform=base.transform, mean=mean, rank=base.rank))
 
     def _evaluate(self, X):

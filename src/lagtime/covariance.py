@@ -227,10 +227,9 @@ def estimate_covariances(
     trajectories: Sequence[NDArray] | NDArray,
     lag: int,
     symmetrize: bool = False,
-    remove_mean: bool = True,
     chunk_size: Optional[int] = None,
 ) -> CovarianceModel:
-    """Estimate covariances from one or more trajectories at a given lag.
+    """Estimate mean-free covariances from one or more trajectories at a given lag.
 
     Pairs are taken with a sliding window of stride one within each
     trajectory; no pairs cross trajectory boundaries.
@@ -248,18 +247,20 @@ def estimate_covariances(
         else:
             for start in range(0, X.shape[0], chunk_size):
                 acc.partial_fit(X[start : start + chunk_size], Y[start : start + chunk_size])
-    return acc.finalize(symmetrize=symmetrize, remove_mean=remove_mean)
+    return acc.finalize(symmetrize=symmetrize)
 
 
 def covariances_from_pairs(
     X: NDArray,
     Y: NDArray,
-    lag: int = 1,
     symmetrize: bool = False,
     remove_mean: bool = True,
 ) -> CovarianceModel:
-    """Estimate covariances directly from pre-built pairs."""
+    """Estimate covariances directly from pre-built pairs.
+
+    The model records ``lag = 1``: the pairs do not say how far apart they are.
+    """
     X = _as_frames(X, "X")
-    acc = CovarianceAccumulator(X.shape[1], lag=lag)
+    acc = CovarianceAccumulator(X.shape[1])
     acc.partial_fit(X, Y)
     return acc.finalize(symmetrize=symmetrize, remove_mean=remove_mean)

@@ -226,33 +226,31 @@ def _double_well_drift(t: float, x: NDArray) -> NDArray:
     return np.array([-4.0 * x[0] * (x[0] * x[0] - 1.0), -2.0 * x[1]])
 
 
-def double_well_system(h: float = 1e-3, n_substeps: int = 100) -> SdeSystem:
+def double_well_system(n_substeps: int = 100) -> SdeSystem:
     """Overdamped diffusion in ``V(x) = (x1^2 - 1)^2 + x2^2``.
 
     Drift is the negative potential gradient ``(-4 x1 (x1^2 - 1), -2 x2)``
-    with isotropic diffusion of strength 0.7.
+    with isotropic diffusion of strength 0.7, stepped at ``h = 1e-3``.
     """
     return SdeSystem(
         dimension=2,
         drift=_double_well_drift,
         diffusion=_DOUBLE_WELL_SIGMA * np.eye(2),
-        step=h,
+        step=1e-3,
         n_substeps=n_substeps,
     )
 
 
 def double_well_2d(seed: Optional[int] = None, n_frames: int = 10000,
-                   h: float = 1e-3, n_substeps: int = 100,
-                   x0: Optional[NDArray] = None) -> Trajectory:
+                   n_substeps: int = 100) -> Trajectory:
     """Sample the two-dimensional double-well diffusion.
 
-    Starts at the saddle ``(0, 0)`` unless ``x0`` is given. Steps in C when
-    a compiler is available; the result is bit-identical to
+    Starts at the saddle ``(0, 0)`` and steps at ``h = 1e-3``. Steps in C
+    when a compiler is available; the result is bit-identical to
     :func:`euler_maruyama` on :func:`double_well_system` with the same seed.
     """
-    system = double_well_system(h=h, n_substeps=n_substeps)
-    start = np.zeros(2) if x0 is None else x0
-    return _run_compiled_sde("double_well_steps", system, start, n_frames, seed)
+    system = double_well_system(n_substeps=n_substeps)
+    return _run_compiled_sde("double_well_steps", system, np.zeros(2), n_frames, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -305,9 +303,8 @@ def quadwell_system(h: float = 1e-3, n_substeps: int = 10) -> SdeSystem:
 
 
 def quadwell_1d(seed: Optional[int] = None, n_frames: int = 100000,
-                h: float = 1e-3, n_substeps: int = 10,
-                x0: float = 0.0) -> Trajectory:
-    """Sample the one-dimensional four-well diffusion.
+                h: float = 1e-3, n_substeps: int = 10) -> Trajectory:
+    """Sample the one-dimensional four-well diffusion, starting at ``x = 0``.
 
     The shipped potential is ``0.25 * [(x+2)(x+0.7)(x-0.8)(x-2.1)]^2`` with
     unit diffusion: four minima at :data:`QUADWELL_MINIMA`, slightly
@@ -316,7 +313,7 @@ def quadwell_1d(seed: Optional[int] = None, n_frames: int = 100000,
     on :func:`quadwell_system`.
     """
     system = quadwell_system(h=h, n_substeps=n_substeps)
-    return _run_compiled_sde("quadwell_steps", system, [float(x0)], n_frames, seed)
+    return _run_compiled_sde("quadwell_steps", system, [0.0], n_frames, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -659,18 +656,19 @@ def benchmark_steps_per_second(n_steps: int = 1_000_000,
 # ---------------------------------------------------------------------------
 
 
-def write_trajectory(trajectory: Trajectory, path, system: str = "",
-                     parameters: Optional[dict] = None) -> None:
+def write_trajectory(trajectory: Trajectory, path, system: str = "") -> None:
     """Write frames as CSV (one frame per row) plus a ``.json`` sidecar.
 
-    The sidecar records the system name, parameters, seed, and effective
-    time step, so the file pair is self-describing.
+    The sidecar records the system name, seed, effective time step, frame
+    count and dimension, so the file pair is self-describing. Its
+    ``"parameters"`` entry is always ``{}``; it stays so that the format
+    does not change.
     """
     path = Path(path)
     np.savetxt(path, trajectory.frames, delimiter=",")
     sidecar = {
         "system": system,
-        "parameters": parameters or {},
+        "parameters": {},
         "seed": trajectory.seed,
         "dt_effective": trajectory.dt_effective,
         "n_frames": int(trajectory.frames.shape[0]),

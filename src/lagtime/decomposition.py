@@ -31,7 +31,7 @@ from numpy.typing import NDArray
 from .basis import FeatureMap, IdentityFeatures, LinearFeatures, WithConstant
 from .covariance import CovarianceAccumulator, CovarianceModel
 from .errors import InvalidArgument, NumericalDegeneracy, UndefinedScore
-from .kernels import Kernel, KernelSectionFeatures, _gram_means, gram_matrix
+from .kernels import Kernel, KernelSectionFeatures, _center_gram, _gram_means, gram_matrix
 from .numerics import (
     _as_frames, _rng, generalized_eig_sym, pinv_truncated, sym_inverse_sqrt, truncated_svd,
 )
@@ -217,12 +217,11 @@ def dmd_fit(X: NDArray, Y: NDArray) -> TransferOperatorModel:
     )
 
 
-def edmd_fit(X: NDArray, Y: NDArray, psi: FeatureMap, epsilon: float = 1e-12
-             ) -> TransferOperatorModel:
+def edmd_fit(X: NDArray, Y: NDArray, psi: FeatureMap) -> TransferOperatorModel:
     """Galerkin projection of the forward operator onto a feature basis.
 
     Solves the regression ``psi(Y) ~= psi(X) K`` through the normal equations
-    ``K = C00^+ C0t`` on raw (uncentered) second moments, with ``epsilon`` as
+    ``K = C00^+ C0t`` on raw (uncentered) second moments, with ``1e-12`` as
     eigenvalue cutoff for the pseudoinverse. With identity features this
     reduces to :func:`dmd_fit`; with indicator features on a discrete state
     signal, ``K`` is the empirical transition matrix.
@@ -236,19 +235,19 @@ def edmd_fit(X: NDArray, Y: NDArray, psi: FeatureMap, epsilon: float = 1e-12
         raise InvalidArgument("need at least two pairs")
     c00 = F0.T @ F0 / (n - 1)
     c0t = F0.T @ F1 / (n - 1)
-    white = sym_inverse_sqrt(0.5 * (c00 + c00.T), epsilon)
+    white = sym_inverse_sqrt(0.5 * (c00 + c00.T))
     K = white.transform.T @ white.transform @ c0t
     return TransferOperatorModel(f=psi, g=psi, K=K, method="edmd")
 
 
-def tica_fit(cov: CovarianceModel, n_components: Optional[int] = None,
-             epsilon: float = 1e-12, chi: Optional[FeatureMap] = None
-             ) -> CovarianceKoopmanModel:
+def tica_fit(cov: CovarianceModel) -> CovarianceKoopmanModel:
     """Time-lagged independent component analysis.
 
     Solves the generalized symmetric eigenproblem ``c0t v = lambda c00 v`` on
     reversibly symmetrized covariances; eigenvalues are real and descending,
-    components are normalized to unit variance under ``c00``.
+    components are normalized to unit variance under ``c00``. Directions of
+    ``c00`` with eigenvalue at most ``1e-12`` are dropped, every other
+    component is kept, and the model's features are the identity.
 
     Raises
     ------
@@ -258,13 +257,9 @@ def tica_fit(cov: CovarianceModel, n_components: Optional[int] = None,
     """
     if not cov.symmetrized:
         raise InvalidArgument("tica_fit requires reversibly symmetrized covariances")
-    dec = generalized_eig_sym(0.5 * (cov.c0t + cov.c0t.T), cov.c00, epsilon)
+    dec = generalized_eig_sym(0.5 * (cov.c0t + cov.c0t.T), cov.c00)
     evals, V = dec.eigenvalues, dec.eigenvectors
-    if n_components is not None:
-        if not (1 <= n_components <= evals.size):
-            raise InvalidArgument(f"n_components must be in 1..{evals.size}")
-        evals, V = evals[:n_components], V[:, :n_components]
-    chi = chi if chi is not None else IdentityFeatures(cov.dim)
+    chi = IdentityFeatures(cov.dim)
     return CovarianceKoopmanModel(
         U=V, V=V.copy(), sigma=evals, covariances=cov, chi0=chi, chi1=chi,
         method="tica",
@@ -305,16 +300,15 @@ def vamp_fit(cov: CovarianceModel, n_components: Optional[int] = None,
 
 
 def vamp_score(model: CovarianceKoopmanModel, r: float = 2,
-               test_cov: Optional[CovarianceModel] = None,
-               epsilon: float = 1e-12) -> float:
+               test_cov: Optional[CovarianceModel] = None) -> float:
     """VAMP-r score: sum of singular values raised to the power ``r``.
 
     Without ``test_cov`` this scores the training singular values. With a
     held-out covariance model, the trained subspaces are re-orthogonalized
-    against the test covariances and the singular values of the projected
-    operator are scored, which is the standard out-of-sample protocol. The
-    test covariances must be estimated with the same centering convention as
-    the training covariances.
+    against the test covariances (eigenvalue cutoff ``1e-12``) and the
+    singular values of the projected operator are scored, which is the
+    standard out-of-sample protocol. The test covariances must be estimated
+    with the same centering convention as the training covariances.
     """
     if r < 1:
         raise UndefinedScore(f"VAMP-r requires r >= 1, got {r}")
@@ -323,8 +317,8 @@ def vamp_score(model: CovarianceKoopmanModel, r: float = 2,
     if test_cov.mean_removed != model.covariances.mean_removed:
         raise InvalidArgument("test covariances use a different centering convention")
     U, V = model.U, model.V
-    a = sym_inverse_sqrt(U.T @ test_cov.c00 @ U, epsilon)
-    b = sym_inverse_sqrt(V.T @ test_cov.ctt @ V, epsilon)
+    a = sym_inverse_sqrt(U.T @ test_cov.c00 @ U)
+    b = sym_inverse_sqrt(V.T @ test_cov.ctt @ V)
     S = a.transform @ (U.T @ test_cov.c0t @ V) @ b.transform.T
     svals = np.linalg.svd(S, compute_uv=False)
     return float(np.sum(svals**r))
@@ -337,14 +331,14 @@ def contiguous_folds(n: int, n_folds: int) -> list[NDArray]:
     return [idx for idx in np.array_split(np.arange(n), n_folds)]
 
 
-def vamp_score_cv(F0: NDArray, F1: NDArray, r: float = 2, n_folds: int = 10,
-                  n_components: Optional[int] = None, epsilon: float = 1e-12,
-                  remove_mean: bool = False) -> tuple[float, float, NDArray]:
+def vamp_score_cv(F0: NDArray, F1: NDArray, r: float = 2, n_folds: int = 10
+                  ) -> tuple[float, float, NDArray]:
     """Cross-validated VAMP-r score over contiguous pair blocks.
 
     ``F0``/``F1`` are featurized pairs (rows aligned). Each fold holds out one
-    contiguous block: the model is fitted on the remaining pairs and scored
-    against the held-out covariances. Returns mean, standard deviation, and
+    contiguous block: a full-rank VAMP model (eigenvalue cutoff ``1e-12``) is
+    fitted on the raw, uncentred second moments of the remaining pairs and
+    scored against the held-out ones. Returns mean, standard deviation, and
     the per-fold scores.
 
     The pairs are accumulated once, one accumulator per fold; each training
@@ -362,10 +356,9 @@ def vamp_score_cv(F0: NDArray, F1: NDArray, r: float = 2, n_folds: int = 10,
         train = CovarianceAccumulator(F0.shape[1])
         for other in folds[:held_out] + folds[held_out + 1:]:
             train.merge(other)
-        cov_train = train.finalize(remove_mean=remove_mean)
-        cov_test = test.finalize(remove_mean=remove_mean)
-        model = vamp_fit(cov_train, n_components=n_components, epsilon=epsilon)
-        scores.append(vamp_score(model, r=r, test_cov=cov_test, epsilon=epsilon))
+        cov_train = train.finalize(remove_mean=False)
+        cov_test = test.finalize(remove_mean=False)
+        scores.append(vamp_score(vamp_fit(cov_train), r=r, test_cov=cov_test))
     scores = np.array(scores)
     return float(scores.mean()), float(scores.std()), scores
 
@@ -598,10 +591,7 @@ def kernel_cca_fit(X: NDArray, Y: NDArray, kernel: Kernel, n_components: int,
         # kernel sections of the returned features.
         G = gram_matrix(kernel, points)
         col_means, grand_mean = _gram_means(G)
-        row_means = G.mean(axis=1, keepdims=True)
-        G -= col_means
-        G -= row_means
-        G += grand_mean
+        _center_gram(G, col_means, grand_mean)
         return G, KernelSectionFeatures._centered_on(kernel, points, col_means, grand_mean)
 
     def factored(points, name):
@@ -654,67 +644,63 @@ def kernel_cca_fit(X: NDArray, Y: NDArray, kernel: Kernel, n_components: int,
 # kernel-embedded density estimation
 
 
-def kvad_feature_score(F: NDArray, Y: NDArray, kernel: Kernel,
-                       epsilon: float = 1e-12) -> float:
+def kvad_feature_score(F: NDArray, Y: NDArray, kernel: Kernel) -> float:
     """Kernel-embedded predictability of forward samples from features.
 
     Measures how much of the kernel mass of ``Y`` the column span of ``F``
     captures: ``trace(G_Y P_F) / n`` with ``P_F`` the orthogonal projector
-    onto the span of ``F``. Monotone in the feature span, so richer feature
+    onto the span of ``F`` (directions of ``F.T @ F`` with eigenvalue at most
+    ``1e-12`` dropped). Monotone in the feature span, so richer feature
     sets never score lower on the same data.
     """
     F = _as_frames(F, "F")
     Y = _as_frames(Y, "Y")
     if F.shape[0] != Y.shape[0]:
         raise InvalidArgument("F and Y must have the same number of rows")
-    return _kvad_score(F, gram_matrix(kernel, Y), epsilon)
+    return _kvad_score(F, gram_matrix(kernel, Y))
 
 
-def _kvad_score(F: NDArray, G_Y: NDArray, epsilon: float) -> float:
+def _kvad_score(F: NDArray, G_Y: NDArray) -> float:
     """:func:`kvad_feature_score` from the Gram matrix of the forward samples."""
     C = F.T @ F
-    white = sym_inverse_sqrt(0.5 * (C + C.T), epsilon)
+    white = sym_inverse_sqrt(0.5 * (C + C.T))
     B = F @ white.transform.T  # orthonormal columns spanning col(F)
     return float(np.sum((G_Y @ B) * B) / F.shape[0])
 
 
-def kvad_fit(X: NDArray, Y: NDArray, f: FeatureMap, kernel: Kernel,
-             epsilon: float = 1e-12, n_components: Optional[int] = None) -> KVADModel:
+def kvad_fit(X: NDArray, Y: NDArray, f: FeatureMap, kernel: Kernel) -> KVADModel:
     """Fit the transition-density ansatz ``p(x, y) ~= f(x)^T q(y)``.
 
     A constant feature is prepended to ``f`` so the ansatz contains the
     marginal of ``Y`` (the constant-only baseline); ``q`` is then estimated
     nonparametrically by least squares in the kernel embedding of the forward
     samples, which makes the fitted score dominate the baseline by
-    construction.
+    construction. Whitening drops feature directions with eigenvalue at most
+    ``1e-12``; the model keeps every direction that remains.
     """
     X, Y = _as_frames(X), _as_frames(Y, "Y")
     if X.shape[0] != Y.shape[0]:
         raise InvalidArgument("X and Y must pair the same number of frames")
     fa = WithConstant(f)
     F = fa(X)
-    n, m = F.shape
-    if n_components is None:
-        n_components = m
+    n = F.shape[0]
     G_Y = gram_matrix(kernel, Y)
     C = F.T @ F
     q_weights = F @ pinv_truncated(0.5 * (C + C.T))  # n x m, optimal embedded weights
     K = q_weights.T @ fa(Y)
-    score = _kvad_score(F, G_Y, epsilon)
+    score = _kvad_score(F, G_Y)
 
     # Dominant directions in feature space by embedded predictability per
     # unit variance; these play the role of singular functions for this model.
     mean_f = F.mean(axis=0)
     Fc = F - mean_f
     c00 = Fc.T @ Fc / n
-    white = sym_inverse_sqrt(c00, max(epsilon, 1e-12))
+    white = sym_inverse_sqrt(c00)
     inner = white.transform @ (Fc.T @ G_Y @ Fc / (n * n)) @ white.transform.T
     inner = 0.5 * (inner + inner.T)
     evals, evecs = np.linalg.eigh(inner)
     order = np.argsort(-evals, kind="stable")
     evals, evecs = evals[order], evecs[:, order]
-    proj = white.transform.T @ evecs
-    k = min(n_components, proj.shape[1])
     return KVADModel(
         f=fa,
         q_weights=q_weights,
@@ -723,8 +709,8 @@ def kvad_fit(X: NDArray, Y: NDArray, f: FeatureMap, kernel: Kernel,
         y_train=Y,
         score=score,
         feature_mean=mean_f,
-        projection_matrix=proj[:, :k],
-        singular_values=evals[:k],
+        projection_matrix=white.transform.T @ evecs,
+        singular_values=evals,
     )
 
 

@@ -433,7 +433,7 @@ def init_from_msm(observations, n_hidden: int, lag: int = 1) -> HiddenMarkovMode
         raise InvalidArgument(f"n_hidden must be positive, got {n_hidden}")
     counts = count_transitions(observations, lag=lag)
     n_symbols = counts.n_states
-    sub = largest_connected_submodel(counts, directed=True)
+    sub = largest_connected_submodel(counts)
     msm = msm_mle(sub, reversible=True)
     n_obs = msm.n_states
     if n_obs < n_hidden:

@@ -108,6 +108,16 @@ def _gram_means(G: NDArray) -> tuple[NDArray, float]:
     return G.mean(axis=0), float(G.mean())
 
 
+def _center_gram(G: NDArray, col_means: NDArray, grand_mean: float) -> NDArray:
+    """Center a Gram matrix in place by the anchors' :func:`_gram_means` and
+    its own row means; every caller centers in this one operation order."""
+    row_means = G.mean(axis=1, keepdims=True)
+    G -= col_means
+    G -= row_means
+    G += grand_mean
+    return G
+
+
 class KernelSectionFeatures(FeatureMap):
     """Kernel sections anchored at a fixed point set: ``x -> [k(x, z_j)]_j``.
 
@@ -145,5 +155,5 @@ class KernelSectionFeatures(FeatureMap):
     def _evaluate(self, X):
         G = gram_matrix(self.kernel, X, self.points)
         if self.centered:
-            G = G - self._col_means[None, :] - G.mean(axis=1, keepdims=True) + self._grand_mean
+            _center_gram(G, self._col_means, self._grand_mean)
         return G

@@ -112,9 +112,11 @@ def _as_dtrajs(trajectories) -> list[NDArray]:
     return out
 
 
-def count_transitions(trajectories, lag: int, counting_mode: str = "sliding",
-                      n_states: Optional[int] = None) -> TransitionCountModel:
+def count_transitions(trajectories, lag: int, counting_mode: str = "sliding"
+                      ) -> TransitionCountModel:
     """Count transitions ``s_i -> s_{i+lag}`` in discrete trajectories.
+
+    The state alphabet is ``0..max observed state``.
 
     Parameters
     ----------
@@ -126,8 +128,6 @@ def count_transitions(trajectories, lag: int, counting_mode: str = "sliding",
         "sliding" counts every pair ``(i, i+lag)``; "strided" only pairs
         starting at multiples of the lag, which makes counts statistically
         independent at the price of using less data.
-    n_states : int, optional
-        Size of the state alphabet; defaults to ``max observed state + 1``.
 
     Raises
     ------
@@ -144,10 +144,7 @@ def count_transitions(trajectories, lag: int, counting_mode: str = "sliding",
     observed_max = max((int(t.max()) for t in dtrajs if t.size), default=-1)
     if observed_max < 0:
         raise InsufficientData("all trajectories are empty")
-    n = observed_max + 1 if n_states is None else int(n_states)
-    if n <= observed_max:
-        raise InvalidArgument(f"n_states={n} but a state {observed_max} was observed")
-    counts = np.zeros((n, n), dtype=np.int64)
+    counts = np.zeros((observed_max + 1, observed_max + 1), dtype=np.int64)
     pairs = 0
     for traj in dtrajs:
         if traj.size <= lag:
@@ -164,26 +161,21 @@ def count_transitions(trajectories, lag: int, counting_mode: str = "sliding",
     return TransitionCountModel(count_matrix=counts, lag=lag, counting_mode=counting_mode)
 
 
-def largest_connected_submodel(counts: TransitionCountModel,
-                               directed: bool = True) -> TransitionCountModel:
+def largest_connected_submodel(counts: TransitionCountModel) -> TransitionCountModel:
     """Restrict a count model to its largest communicating set of states.
 
-    Connectivity is evaluated on the graph with an edge wherever a transition
-    was observed; ``directed=True`` demands strong connectivity. Ties between
-    equally large components are broken towards the one containing the lowest
-    state index.
+    Connectivity is strong connectivity of the graph with an edge wherever a
+    transition was observed. Ties between equally large components are
+    broken towards the one containing the lowest state index.
     """
     C = counts.count_matrix
     graph = csr_matrix((C > 0).astype(np.int8))
-    n_comp, labels = connected_components(
-        graph, directed=directed, connection="strong" if directed else "weak"
-    )
+    n_comp, labels = connected_components(graph, directed=True, connection="strong")
     sizes = np.bincount(labels, minlength=n_comp)
-    best_size = sizes.max()
-    candidates = np.flatnonzero(sizes == best_size)
+    candidates = np.flatnonzero(sizes == sizes.max())
     # The component containing the smallest state index among the candidates.
-    first_occurrence = {label: idx for idx, label in reversed(list(enumerate(labels)))}
-    winner = min(candidates, key=lambda lbl: first_occurrence[lbl])
+    _, first_state = np.unique(labels, return_index=True)
+    winner = candidates[np.argmin(first_state[candidates])]
     keep = np.flatnonzero(labels == winner)
     return counts.submodel(keep)
 

@@ -156,12 +156,12 @@ def sym_inverse_sqrt(C: NDArray, epsilon: float = 1e-12) -> WhiteningTransform:
     return WhiteningTransform(transform=transform, mean=np.zeros(C.shape[0]), rank=int(evals.size))
 
 
-def generalized_eig_sym(A: NDArray, B: NDArray, epsilon: float = 1e-12) -> SpectralDecomposition:
+def generalized_eig_sym(A: NDArray, B: NDArray) -> SpectralDecomposition:
     """Solve ``A v = lam B v`` for symmetric A and symmetric PSD B.
 
     The problem is reduced to an ordinary symmetric eigenproblem by whitening
-    with ``sym_inverse_sqrt(B, epsilon)``; directions of B below the cutoff do
-    not participate. Eigenvalues are real and descending; eigenvector columns
+    with ``sym_inverse_sqrt(B)``; directions of B with eigenvalue at most
+    ``1e-12`` do not participate. Eigenvalues are real and descending; eigenvector columns
     are B-orthonormal on the retained subspace, ``V.T @ B @ V = I``, as in
     ``scipy.linalg.eigh(A, B)``.
 
@@ -171,8 +171,7 @@ def generalized_eig_sym(A: NDArray, B: NDArray, epsilon: float = 1e-12) -> Spect
         If the retained rank of ``B`` is zero.
     """
     A = _check_square_symmetric(A, "A")
-    white = sym_inverse_sqrt(B, epsilon)
-    W = white.transform
+    W = sym_inverse_sqrt(B).transform
     Aw = W @ A @ W.T
     Aw = 0.5 * (Aw + Aw.T)
     evals, evecs = np.linalg.eigh(Aw)

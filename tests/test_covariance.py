@@ -123,11 +123,11 @@ class TestMultipleTrajectories:
     def test_pairs_do_not_cross_boundaries(self):
         t1 = np.zeros((5, 1))
         t2 = np.ones((5, 1))
-        model = estimate_covariances([t1, t2], lag=1, remove_mean=False)
+        model = estimate_covariances([t1, t2], lag=1)
         # 4 pairs from each trajectory; a crossing pair would mix 0 and 1.
-        # Raw cross moment: 4*0 + 4*1 = 4, over n-1 = 7.
+        # Centred cross moment about the mean 0.5: 8 * 0.25 = 2, over n-1 = 7.
         assert model.n_pairs == 8
-        np.testing.assert_allclose(model.c0t, [[4.0 / 7.0]], atol=1e-15)
+        np.testing.assert_allclose(model.c0t, [[2.0 / 7.0]], atol=1e-15)
 
     def test_short_trajectories_skipped(self):
         t_short = np.zeros((2, 1))

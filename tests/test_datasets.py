@@ -151,7 +151,7 @@ class TestCompiledParity:
             with pytest.raises(DivergenceError) as reference:
                 euler_maruyama(double_well_system(), start, n_frames=3, seed=0)
             with pytest.raises(DivergenceError) as fast:
-                double_well_2d(seed=0, n_frames=3, x0=start)
+                datasets._run_compiled_sde("double_well_steps", double_well_system(), start, 3, 0)
         assert fast.value.step == reference.value.step == 4
 
     def test_without_a_compiler_the_reference_path_runs(self, backends):
@@ -545,11 +545,11 @@ class TestTrajectoryIO:
     def test_round_trip_preserves_frames_and_metadata(self, tmp_path):
         traj = quadwell_1d(seed=1, n_frames=50)
         path = tmp_path / "traj.csv"
-        write_trajectory(traj, path, system="quadwell_1d", parameters={"h": 1e-3})
+        write_trajectory(traj, path, system="quadwell_1d")
         loaded, meta = read_trajectory(path)
         np.testing.assert_allclose(loaded.frames, traj.frames, rtol=1e-15)
         assert meta["system"] == "quadwell_1d"
-        assert meta["parameters"] == {"h": 1e-3}
+        assert meta["parameters"] == {}
         assert meta["seed"] == 1
         assert loaded.dt_effective == pytest.approx(traj.dt_effective)
         assert loaded.seed == 1

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lagtime.decomposition import kernel_cca_fit
 from lagtime.errors import InvalidArgument
 from lagtime.kernels import (
     GaussianKernel,
@@ -108,7 +110,7 @@ class TestKernelSectionFeatures:
         X = rng.standard_normal((6, 2))
         np.testing.assert_allclose(f(X), gram_matrix(k, X, pts), atol=1e-14)
 
-    def test_centered_row_sums(self):
+    def test_centered_row_sums(self, monkeypatch):
         rng = np.random.default_rng(5)
         pts = rng.standard_normal((30, 2))
         k = GaussianKernel(1.0)
@@ -118,6 +120,26 @@ class TestKernelSectionFeatures:
         n = len(pts)
         H = np.eye(n) - np.ones((n, n)) / n
         np.testing.assert_allclose(f(pts), H @ G @ H, atol=1e-10)
+
+        # kernel_cca_fit factors its centered Gram matrices plus n*eps*I,
+        # handing Cholesky their transposes; the sections it returns, built by
+        # _centered_on and evaluated at their own anchors, must give the same
+        # matrices bit for bit.
+        factored, cholesky = [], scipy.linalg.cholesky
+
+        def recording_cholesky(a, **kwargs):
+            factored.append(a.copy())
+            return cholesky(a, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "cholesky", recording_cholesky)
+        Y = pts + 0.1 * rng.standard_normal(pts.shape)
+        epsilon = 1e-3
+        model = kernel_cca_fit(pts, Y, k, 2, epsilon)
+        for sections, points, matrix in [(model.g.first, Y, factored[0]),
+                                         (model.f.first, pts, factored[1])]:
+            shifted = sections(points)
+            shifted.flat[:: n + 1] += n * epsilon
+            np.testing.assert_array_equal(shifted, matrix.T)
 
     def test_dimension_out(self):
         pts = np.zeros((12, 3))

@@ -77,18 +77,11 @@ class TestCountTransitions:
         model = count_transitions([np.array([0]), np.array([0, 1, 1])], lag=1)
         np.testing.assert_array_equal(model.count_matrix, np.array([[0, 1], [0, 1]]))
 
-    def test_n_states_pads_alphabet(self):
-        model = count_transitions(np.array([0, 1]), lag=1, n_states=4)
-        assert model.n_states == 4
-        assert model.count_matrix[0, 1] == 1
-
     def test_invalid_inputs(self):
         with pytest.raises(InvalidArgument):
             count_transitions(np.array([0, 1]), lag=0)
         with pytest.raises(InvalidArgument):
             count_transitions(np.array([0, 1]), lag=1, counting_mode="jumping")
-        with pytest.raises(InvalidArgument):
-            count_transitions(np.array([0, 5]), lag=1, n_states=3)
         with pytest.raises(InsufficientData):
             count_transitions([], lag=1)
         with pytest.raises(InsufficientData):
@@ -107,12 +100,6 @@ class TestConnectedSubmodel:
         np.testing.assert_array_equal(
             sub.count_matrix, counts.count_matrix[np.ix_([2, 3, 4], [2, 3, 4])]
         )
-
-    def test_undirected_mode_merges_across_bridge(self):
-        traj = np.array([0, 1, 0, 1, 2, 3, 4, 2, 3, 4, 2])
-        counts = count_transitions(traj, lag=1)
-        sub = largest_connected_submodel(counts, directed=False)
-        assert sub.n_states == 5
 
     def test_tie_breaks_toward_lowest_state(self):
         counts = count_transitions(

@@ -291,38 +291,124 @@ def references(path, modules):
 
 
 def public_definitions(path):
-    """(label, name, is_member) of each public top-level function and class
-    of a source file, and of each public method of those classes."""
+    """(label, name, is_member, node) of each public top-level function and
+    class of a source file, and of each public method of those classes."""
     for node in ast.parse(path.read_text()).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-            yield f"{path.name}:{node.name}", node.name, False
+            yield f"{path.name}:{node.name}", node.name, False, node
             if isinstance(node, ast.ClassDef):
                 for method in node.body:
                     if isinstance(method, ast.FunctionDef) and not method.name.startswith("_"):
-                        yield f"{path.name}:{node.name}.{method.name}", method.name, True
+                        yield f"{path.name}:{node.name}.{method.name}", method.name, True, method
+
+
+def caller_files():
+    """The package (whose __init__ and __all__ only re-export), the benchmark
+    and the acceptance suite: the code that uses the package for real."""
+    root = Path(__file__).resolve().parents[1]
+    src = root / "src" / "lagtime"
+    callers = [path for path in sorted(src.glob("*.py")) if path.name != "__init__.py"]
+    return src, callers + sorted((root / "perfbench").glob("*.py")) + [
+        root / "tests" / "test_acceptance.py"]
 
 
 def test_every_public_name_has_a_caller_besides_its_tests():
-    # Callers are the package (whose __init__ and __all__ only re-export),
-    # the benchmark and the acceptance suite; a name that only its own tests
-    # call is code to delete.
-    root = Path(__file__).resolve().parents[1]
-    src = root / "src" / "lagtime"
+    # A name that only its own tests call is code to delete.
+    src, callers = caller_files()
     modules = {path.stem for path in src.glob("*.py")}
-    callers = [path for path in sorted(src.glob("*.py")) if path.name != "__init__.py"]
-    callers += sorted((root / "perfbench").glob("*.py")) + [root / "tests" / "test_acceptance.py"]
     names, members = set(), set()
     for path in callers:
         found_names, found_members = references(path, modules)
         names |= found_names
         members |= found_members
     uncalled = [(label, name) for path in sorted(src.glob("*.py"))
-                for label, name, is_member in public_definitions(path)
+                for label, name, is_member, _ in public_definitions(path)
                 if name not in (members if is_member else names)]
     unlisted = [label for label, name in uncalled if name not in MODEL_API]
     assert not unlisted, unlisted
     # An entry that gained a caller leaves the list.
     assert {name for _, name in uncalled} == MODEL_API
+
+
+# Defaulted parameters that no caller sets, kept for a reason.
+PARAMETER_ALLOW = {
+    # The console entry point: the interpreter calls it, with sys.argv.
+    "cli.py:main.argv",
+    # The reversible-MSM rewrite on ROADMAP item 1 replaces this iteration.
+    "markov.py:msm_mle.tolerance",
+    "markov.py:msm_mle.max_iter",
+    # The benchmark passes its default, r=2, by keyword.
+    "decomposition.py:vamp_score_cv.r",
+}
+
+
+def defaulted_parameters(path):
+    """(label, called_as, position, name, default) of each defaulted parameter
+    of a public function, public method or constructor (a public class's
+    ``__init__``, called by the class name) of a source file. ``position``
+    counts from the first argument a caller writes; keyword-only parameters
+    have none."""
+    for label, called_as, is_member, node in public_definitions(path):
+        if isinstance(node, ast.ClassDef):
+            node = next((method for method in node.body if isinstance(method, ast.FunctionDef)
+                         and method.name == "__init__"), None)
+            if node is None:
+                continue
+            bound = True
+        else:
+            bound = is_member and not any(getattr(decorator, "id", None) == "staticmethod"
+                                          for decorator in node.decorator_list)
+        arguments = node.args
+        positional = arguments.posonlyargs + arguments.args
+        first = len(positional) - len(arguments.defaults)
+        for index, default in enumerate(arguments.defaults, start=first):
+            yield (f"{label}.{positional[index].arg}", called_as, index - bound,
+                   positional[index].arg, ast.dump(default))
+        for argument, default in zip(arguments.kwonlyargs, arguments.kw_defaults):
+            if default is not None:
+                yield f"{label}.{argument.arg}", called_as, None, argument.arg, ast.dump(default)
+
+
+def parameter_settings(path):
+    """(called_as, position or keyword, value) of each argument a source file
+    passes, with value None for a splat, which may pass anything. The
+    benchmark's ``ops.call(fn, *args, **kw)`` is a call of ``fn``."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.Call):
+            continue
+        function, arguments = node.func, node.args
+        if (isinstance(function, ast.Attribute) and function.attr == "call" and arguments
+                and not isinstance(arguments[0], ast.Starred)):
+            function, arguments = arguments[0], arguments[1:]
+        called_as = getattr(function, "id", None) or getattr(function, "attr", None)
+        for position, argument in enumerate(arguments):
+            splat = isinstance(argument, ast.Starred)
+            yield called_as, None if splat else position, None if splat else ast.dump(argument)
+        for keyword in node.keywords:
+            value = None if keyword.arg is None else ast.dump(keyword.value)
+            yield called_as, keyword.arg, value
+
+
+def test_every_parameter_has_a_caller_that_sets_it():
+    # A defaulted parameter that no caller sets to anything but its default
+    # is an option with one value: a constant, and often a branch, to delete.
+    src, callers = caller_files()
+    passed = {}
+    for path in callers:
+        for called_as, where, value in parameter_settings(path):
+            passed.setdefault(called_as, []).append((where, value))
+    unset = []
+    for path in sorted(src.glob("*.py")):
+        for label, called_as, position, name, default in defaulted_parameters(path):
+            if called_as in MODEL_API:
+                continue
+            if not any(value is None or (where in (position, name) and value != default)
+                       for where, value in passed.get(called_as, ())):
+                unset.append(label)
+    unlisted = [label for label in unset if label not in PARAMETER_ALLOW]
+    assert not unlisted, unlisted
+    # An entry that gained a caller leaves the list.
+    assert set(unset) == PARAMETER_ALLOW
 
 
 def unused_imports(path):
