@@ -76,7 +76,7 @@ from .hmm import (
     init_from_msm,
     viterbi,
 )
-from .kernels import GaussianKernel, Kernel, PolynomialKernel, gram_matrix
+from .kernels import GaussianKernel, Kernel, gram_matrix
 from .markov import (
     MarkovStateModel,
     TransitionCountModel,

@@ -169,23 +169,24 @@ class RandomFeatureNet(FeatureMap):
     """Fixed random two-layer feature map with Gaussian-bump activations.
 
     ``F(x) = W2 @ act(W1 @ x + b1) + b2`` applied row-wise, with
-    ``act(u) = exp(-u^2)`` componentwise. Weights are drawn i.i.d. standard
-    normal, biases i.i.d. uniform on [-1, 1], from a seeded generator, so the
-    map is reproducible.
+    ``act(u) = exp(-u^2)`` componentwise, 100 hidden units and 50 outputs.
+    Weights are drawn i.i.d. standard normal, biases i.i.d. uniform on
+    [-1, 1], from a seeded generator, so the map is reproducible.
     """
 
-    def __init__(self, dim_in: int, n_hidden: int = 100, n_out: int = 50, seed: int = 0):
-        if min(dim_in, n_hidden, n_out) <= 0:
-            raise InvalidArgument("dimensions must be positive")
+    n_hidden = 100
+    dimension_out = 50
+
+    def __init__(self, dim_in: int, seed: int = 0):
+        if dim_in <= 0:
+            raise InvalidArgument(f"dim_in must be positive, got {dim_in}")
         self.dimension_in = int(dim_in)
-        self.n_hidden = int(n_hidden)
-        self.dimension_out = int(n_out)
         self.seed = int(seed)
         rng = _rng(seed)
-        self.W1 = rng.standard_normal((n_hidden, dim_in))
-        self.b1 = rng.uniform(-1.0, 1.0, size=n_hidden)
-        self.W2 = rng.standard_normal((n_out, n_hidden))
-        self.b2 = rng.uniform(-1.0, 1.0, size=n_out)
+        self.W1 = rng.standard_normal((self.n_hidden, dim_in))
+        self.b1 = rng.uniform(-1.0, 1.0, size=self.n_hidden)
+        self.W2 = rng.standard_normal((self.dimension_out, self.n_hidden))
+        self.b2 = rng.uniform(-1.0, 1.0, size=self.dimension_out)
 
     def _evaluate(self, X):
         hidden = np.exp(-((X @ self.W1.T + self.b1) ** 2))
@@ -193,20 +194,17 @@ class RandomFeatureNet(FeatureMap):
 
 
 class CylinderEmbedding(FeatureMap):
-    """Embed a periodic strip into 3-space.
+    """Embed the jet's periodic strip into 3-space.
 
     Maps (x, y) to ``(cos(2 pi x / period), sin(2 pi x / period), y / y_scale)``
-    so that points near opposite x-boundaries become close, as the underlying
-    periodic domain demands.
+    with the jet domain's period 20 and y_scale 3, so that points near
+    opposite x-boundaries become close, as the periodic domain demands.
     """
 
-    def __init__(self, period: float = 20.0, y_scale: float = 3.0):
-        if period <= 0 or y_scale <= 0:
-            raise InvalidArgument("period and y_scale must be positive")
-        self.dimension_in = 2
-        self.dimension_out = 3
-        self.period = float(period)
-        self.y_scale = float(y_scale)
+    dimension_in = 2
+    dimension_out = 3
+    period = 20.0
+    y_scale = 3.0
 
     def _evaluate(self, X):
         angle = 2.0 * np.pi * X[:, 0] / self.period
@@ -243,23 +241,18 @@ class Whitener(FeatureMap):
 
 
 class LinearFeatures(FeatureMap):
-    """Linear recombination of features: ``x -> x @ weights (+ offset)``."""
+    """Linear recombination of features: ``x -> x @ weights``."""
 
-    def __init__(self, weights: NDArray, offset: Optional[NDArray] = None):
+    def __init__(self, weights: NDArray):
         weights = np.asarray(weights)
         if weights.ndim != 2:
             raise InvalidArgument(f"weights must be a matrix, got ndim {weights.ndim}")
         self.weights = weights
-        self.offset = None if offset is None else np.asarray(offset, dtype=np.float64)
-        if self.offset is not None and self.offset.shape != (weights.shape[1],):
-            raise InvalidArgument("offset length must match the number of output features")
         self.dimension_in = weights.shape[0]
         self.dimension_out = weights.shape[1]
 
     def _evaluate(self, X):
         out = X @ self.weights
-        if self.offset is not None:
-            out = out + self.offset
         return np.real(out) if np.iscomplexobj(out) else out
 
 

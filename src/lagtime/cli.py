@@ -230,6 +230,8 @@ def cmd_bickley_experiment(args: argparse.Namespace) -> None:
 def cmd_sindy(args: argparse.Namespace) -> None:
     start = time.perf_counter()
     out_dir = Path(args.out)
+    if args.dt is not None and not (np.isfinite(args.dt) and args.dt > 0):
+        raise InvalidArgument(f"--dt must be finite and positive, got {args.dt}")
     if args.demo_rossler:
         trajectory = rossler(t1=args.demo_t1, dt=1e-3 if args.dt is None else args.dt)
         X = trajectory.frames

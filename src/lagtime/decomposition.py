@@ -180,7 +180,6 @@ class KVADModel:
     feature_mean: NDArray
     projection_matrix: NDArray
     singular_values: NDArray
-    method: str = "kvad"
 
     def propagate(self, X: NDArray) -> NDArray:
         return self.f(X) @ self.K
@@ -399,7 +398,7 @@ def kernel_edmd_fit(X: NDArray, Y: NDArray, kernel: Kernel, epsilon: float
     # purpose: freeing it before the eigendecomposition left the heap more
     # fragmented and raised perfbench crossval's peak RSS by 23 MiB.
     K = np.ascontiguousarray(K)
-    sections = KernelSectionFeatures(kernel, X, centered=False)
+    sections = KernelSectionFeatures(kernel, X)
     model = TransferOperatorModel(f=sections, g=sections, K=K, method="kernel_edmd")
     model._ensure_projection()
     return model

@@ -189,9 +189,7 @@ def _bickley_projectors(methods: Sequence[str], x0: NDArray, x1: NDArray,
     projectors: dict[str, Callable[[NDArray], NDArray]] = {}
     feat = None
     if "vamp" in methods or "kvad" in methods:
-        feat = CylinderEmbedding(period=20.0, y_scale=3.0).then(
-            RandomFeatureNet(3, n_hidden=100, n_out=50, seed=ansatz_seed)
-        )
+        feat = CylinderEmbedding().then(RandomFeatureNet(3, seed=ansatz_seed))
     if "kvad" in methods:
         kvad_model = kvad_fit(x0, x1, feat, GaussianKernel(BICKLEY_KVAD_BANDWIDTH))
         projectors["kvad"] = lambda P: kvad_model.project(P, n_sets - 1)

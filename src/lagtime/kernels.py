@@ -15,7 +15,6 @@ from .numerics import _as_frames
 __all__ = [
     "Kernel",
     "GaussianKernel",
-    "PolynomialKernel",
     "gram_matrix",
     "KernelSectionFeatures",
 ]
@@ -50,23 +49,6 @@ class GaussianKernel(Kernel):
         )
         np.maximum(sq, 0.0, out=sq)
         return np.exp(-sq / (2.0 * self.sigma**2))
-
-
-@dataclass(frozen=True)
-class PolynomialKernel(Kernel):
-    """``k(x, y) = (c + x . y) ** p``."""
-
-    degree: int
-    constant: float = 1.0
-
-    def __post_init__(self):
-        if self.degree < 1:
-            raise InvalidArgument(f"degree must be at least 1, got {self.degree}")
-        if self.constant < 0:
-            raise InvalidArgument(f"constant must be non-negative, got {self.constant}")
-
-    def pairwise(self, A, B):
-        return (self.constant + A @ B.T) ** self.degree
 
 
 def gram_matrix(kernel: Kernel, A: NDArray, B: Optional[NDArray] = None) -> NDArray:
@@ -121,31 +103,27 @@ def _center_gram(G: NDArray, col_means: NDArray, grand_mean: float) -> NDArray:
 class KernelSectionFeatures(FeatureMap):
     """Kernel sections anchored at a fixed point set: ``x -> [k(x, z_j)]_j``.
 
-    With ``centered=True`` the sections are centered with respect to the
-    anchor set's empirical distribution, which matches Gram-matrix centering:
-    evaluating on the anchors themselves reproduces the centered Gram matrix.
+    The constructor builds uncentered sections. :meth:`_centered_on` builds
+    sections centered with respect to the anchor set's empirical
+    distribution, which matches Gram-matrix centering: evaluating on the
+    anchors themselves reproduces the centered Gram matrix.
     """
 
-    def __init__(self, kernel: Kernel, points: NDArray, centered: bool = False):
+    def __init__(self, kernel: Kernel, points: NDArray):
         points = _as_frames(points, "points")
         if points.shape[0] == 0:
             raise InvalidArgument("need at least one anchor point")
         self.kernel = kernel
         self.points = points
-        self.centered = bool(centered)
+        self.centered = False
         self.dimension_in = points.shape[1]
         self.dimension_out = points.shape[0]
-        if centered:
-            self._col_means, self._grand_mean = _gram_means(gram_matrix(kernel, points))
-        else:
-            self._col_means = None
-            self._grand_mean = 0.0
 
     @classmethod
     def _centered_on(cls, kernel: Kernel, points: NDArray, col_means: NDArray,
                      grand_mean: float) -> "KernelSectionFeatures":
         """Centered sections from the :func:`_gram_means` of the anchors'
-        Gram matrix, for a caller that has assembled that matrix already."""
+        Gram matrix, which the caller has assembled already."""
         sections = cls(kernel, points)
         sections.centered = True
         sections._col_means = col_means

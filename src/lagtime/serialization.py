@@ -13,6 +13,13 @@ constructor argument of the same name. Encoding and decoding both read that
 row, so a field added to it is saved and loaded alike. Kernels and HMM output
 models are declared the same way under their ``kind`` tag; feature maps, whose
 constructor arguments differ from their attributes, keep explicit codecs.
+
+Keys whose value is now fixed are still written: the cylinder's ``period``
+(20) and ``y_scale`` (3), the random net's ``n_hidden`` (100) and ``n_out``
+(50), and the linear map's ``offset`` (null). A document holding another
+value there, or a ``"polynomial"`` kernel, raises :class:`InvalidArgument`
+naming the key or kind rather than loading as a different model. Centered
+kernel sections are rebuilt from the means of their anchors' Gram matrix.
 """
 
 from __future__ import annotations
@@ -103,7 +110,6 @@ _INT = (int, _plain)
 _BOOL = (bool, _plain)
 _ARRAY = (encode_array, decode_array)
 _MAYBE_ARRAY = _optional(_ARRAY)
-_maybe_array, _maybe_decode = _MAYBE_ARRAY
 
 
 def _encode(row: tuple, obj) -> dict:
@@ -135,7 +141,6 @@ def _by_kind(table: dict, what: str) -> tuple:
 
 _KERNEL = _by_kind({
     "gaussian": (kernels.GaussianKernel, {"sigma": _VALUE}),
-    "polynomial": (kernels.PolynomialKernel, {"degree": _VALUE, "constant": _VALUE}),
 }, "kernel")
 _encode_kernel, _decode_kernel = _KERNEL
 
@@ -183,7 +188,7 @@ def _encode_feature(f: basis.FeatureMap) -> dict:
         return {
             "kind": "linear",
             "weights": encode_array(f.weights),
-            "offset": _maybe_array(f.offset),
+            "offset": None,
         }
     if isinstance(f, basis.WithConstant):
         return {"kind": "with_constant", "inner": _encode_feature(f.inner)}
@@ -203,6 +208,13 @@ def _encode_feature(f: basis.FeatureMap) -> dict:
     raise InvalidArgument(f"cannot serialize feature map of type {type(f).__name__}")
 
 
+def _require(doc: dict, key: str, value) -> None:
+    """Reject a feature map document whose ``key`` holds a value other than
+    the one this version builds."""
+    if doc[key] != value:
+        raise InvalidArgument(f"cannot load {doc['kind']} feature map: {key} must be {value!r}")
+
+
 def _decode_feature(doc: dict) -> basis.FeatureMap:
     kind = doc["kind"]
     if kind == "identity":
@@ -212,16 +224,18 @@ def _decode_feature(doc: dict) -> basis.FeatureMap:
     if kind == "indicator":
         return basis.IndicatorFeatures(doc["n_states"])
     if kind == "random_net":
-        net = basis.RandomFeatureNet(
-            doc["dim_in"], doc["n_hidden"], doc["n_out"], seed=doc["seed"]
-        )
+        _require(doc, "n_hidden", basis.RandomFeatureNet.n_hidden)
+        _require(doc, "n_out", basis.RandomFeatureNet.dimension_out)
+        net = basis.RandomFeatureNet(doc["dim_in"], seed=doc["seed"])
         net.W1 = decode_array(doc["W1"])
         net.b1 = decode_array(doc["b1"])
         net.W2 = decode_array(doc["W2"])
         net.b2 = decode_array(doc["b2"])
         return net
     if kind == "cylinder":
-        return basis.CylinderEmbedding(period=doc["period"], y_scale=doc["y_scale"])
+        _require(doc, "period", basis.CylinderEmbedding.period)
+        _require(doc, "y_scale", basis.CylinderEmbedding.y_scale)
+        return basis.CylinderEmbedding()
     if kind == "whitener":
         transform = decode_array(doc["transform"])
         return basis.Whitener(numerics.WhiteningTransform(
@@ -230,9 +244,8 @@ def _decode_feature(doc: dict) -> basis.FeatureMap:
             rank=doc["rank"],
         ))
     if kind == "linear":
-        return basis.LinearFeatures(
-            decode_array(doc["weights"]), offset=_maybe_decode(doc["offset"])
-        )
+        _require(doc, "offset", None)
+        return basis.LinearFeatures(decode_array(doc["weights"]))
     if kind == "with_constant":
         return basis.WithConstant(_decode_feature(doc["inner"]))
     if kind == "chained":
@@ -240,11 +253,12 @@ def _decode_feature(doc: dict) -> basis.FeatureMap:
             _decode_feature(doc["first"]), _decode_feature(doc["second"])
         )
     if kind == "kernel_sections":
-        return kernels.KernelSectionFeatures(
-            _decode_kernel(doc["kernel"]),
-            decode_array(doc["points"]),
-            centered=doc["centered"],
-        )
+        kernel, points = _decode_kernel(doc["kernel"]), decode_array(doc["points"])
+        if doc["centered"]:
+            return kernels.KernelSectionFeatures._centered_on(
+                kernel, points, *kernels._gram_means(kernels.gram_matrix(kernel, points))
+            )
+        return kernels.KernelSectionFeatures(kernel, points)
     raise InvalidArgument(f"unknown feature map kind {kind!r}")
 
 

@@ -80,8 +80,8 @@ def stlsq(Theta: NDArray, targets: NDArray, threshold: float) -> tuple[NDArray, 
     targets = _as_frames(targets, "targets")
     if Theta.shape[0] != targets.shape[0]:
         raise InvalidArgument("Theta and targets must have matching rows")
-    if threshold < 0:
-        raise InvalidArgument(f"threshold must be non-negative, got {threshold}")
+    if not (np.isfinite(threshold) and threshold >= 0):
+        raise InvalidArgument(f"threshold must be finite and non-negative, got {threshold}")
     n_features = Theta.shape[1]
     n_targets = targets.shape[1]
     xi = np.zeros((n_targets, n_features))

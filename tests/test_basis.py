@@ -85,39 +85,40 @@ class TestIndicator:
 
 class TestRandomFeatureNet:
     def test_shapes_and_determinism(self):
-        f = RandomFeatureNet(3, n_hidden=10, n_out=5, seed=11)
-        g = RandomFeatureNet(3, n_hidden=10, n_out=5, seed=11)
+        f = RandomFeatureNet(3, seed=11)
+        g = RandomFeatureNet(3, seed=11)
         X = np.random.default_rng(0).standard_normal((7, 3))
-        assert f(X).shape == (7, 5)
+        assert f.W1.shape == (100, 3) and f.W2.shape == (50, 100)
+        assert f(X).shape == (7, 50)
         np.testing.assert_array_equal(f(X), g(X))
 
     def test_seed_changes_output(self):
         X = np.random.default_rng(0).standard_normal((4, 3))
-        a = RandomFeatureNet(3, 10, 5, seed=0)(X)
-        b = RandomFeatureNet(3, 10, 5, seed=1)(X)
+        a = RandomFeatureNet(3, seed=0)(X)
+        b = RandomFeatureNet(3, seed=1)(X)
         assert not np.array_equal(a, b)
 
     def test_matches_manual_forward_pass(self):
-        f = RandomFeatureNet(2, n_hidden=4, n_out=3, seed=5)
+        f = RandomFeatureNet(2, seed=5)
         X = np.array([[0.5, -1.0], [2.0, 0.0]])
         hidden = np.exp(-((X @ f.W1.T + f.b1) ** 2))
         expected = hidden @ f.W2.T + f.b2
         np.testing.assert_allclose(f(X), expected, atol=1e-14)
 
     def test_bounded_weights(self):
-        f = RandomFeatureNet(3, 50, 20, seed=2)
+        f = RandomFeatureNet(3, seed=2)
         assert np.all(np.abs(f.b1) <= 1.0) and np.all(np.abs(f.b2) <= 1.0)
 
 
 class TestCylinderEmbedding:
     def test_periodicity(self):
-        f = CylinderEmbedding(period=20.0, y_scale=3.0)
+        f = CylinderEmbedding()
         a = f(np.array([[0.0, 1.5]]))
         b = f(np.array([[20.0, 1.5]]))
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_values(self):
-        f = CylinderEmbedding(period=20.0, y_scale=3.0)
+        f = CylinderEmbedding()
         out = f(np.array([[5.0, 3.0]]))  # quarter turn
         np.testing.assert_allclose(out, [[0.0, 1.0, 1.0]], atol=1e-12)
 
@@ -144,10 +145,6 @@ class TestLinearAndComposition:
         f = LinearFeatures(W)
         X = np.array([[2.0, 3.0]])
         np.testing.assert_allclose(f(X), X @ W)
-
-    def test_linear_with_offset(self):
-        f = LinearFeatures(np.eye(2), offset=np.array([1.0, -1.0]))
-        np.testing.assert_allclose(f(np.zeros((1, 2))), [[1.0, -1.0]])
 
     def test_complex_weights_realified(self):
         W = np.array([[1.0 + 1.0j], [0.0 + 0.0j]])

@@ -2,6 +2,7 @@
 
 import json
 import warnings
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -388,6 +389,17 @@ STATE_FILES = st.lists(
 ).map(lambda pairs: "".join(token + sep for token, sep in pairs))
 FUZZ = settings(max_examples=400, deadline=None, derandomize=True,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+# Options for a sindy fit of a data file; the last three are usage errors,
+# which a report would otherwise record as NaN or Infinity.
+SINDY_OPTIONS = [["--dt", "0.1"], ["--discrete"]]
+SINDY_REJECTED = [["--dt", "0.1", "--threshold", "nan"], ["--dt", "0.1", "--threshold", "inf"],
+                  ["--discrete", "--dt", "nan"]]
+# Forty frames of a rotation, which every accepted option fits.
+ROTATION_FRAMES = "\n".join(f"{np.cos(0.1 * i)!r},{np.sin(0.1 * i)!r}" for i in range(40))
+
+
+def strict_json_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 class TestInputFuzz:
@@ -405,15 +417,23 @@ class TestInputFuzz:
         assert not caught, [str(w.message) for w in caught]
         assert "Traceback" not in err
         assert err.count("\n") == (code != 0), err
+        if code == 0 and "--out" in argv and argv[0] != "generate":  # generate writes no report
+            report = Path(argv[argv.index("--out") + 1]) / "report.json"
+            json.loads(report.read_text(), parse_constant=strict_json_constant)
         return code
 
     @FUZZ
-    @given(text=CSV_FILES, discrete=st.booleans())
-    def test_sindy_input(self, tmp_path, capfd, text, discrete):
+    @given(text=CSV_FILES, options=st.sampled_from(SINDY_OPTIONS + SINDY_REJECTED))
+    @example(text=ROTATION_FRAMES, options=SINDY_OPTIONS[0])
+    @example(text=ROTATION_FRAMES, options=SINDY_REJECTED[0])
+    @example(text=ROTATION_FRAMES, options=SINDY_REJECTED[1])
+    @example(text=ROTATION_FRAMES, options=SINDY_REJECTED[2])
+    def test_sindy_input(self, tmp_path, capfd, text, options):
         path = tmp_path / "frames.csv"
         path.write_text(text)
-        timing = ["--discrete"] if discrete else ["--dt", "0.1"]
-        self.run(capfd, ["sindy", "--input", str(path), *timing, "--out", str(tmp_path)])
+        code = self.run(capfd, ["sindy", "--input", str(path), *options, "--out", str(tmp_path)])
+        if options in SINDY_REJECTED:
+            assert code != 0
 
     @settings(max_examples=60, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

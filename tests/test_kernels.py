@@ -9,7 +9,7 @@ from lagtime.errors import InvalidArgument
 from lagtime.kernels import (
     GaussianKernel,
     KernelSectionFeatures,
-    PolynomialKernel,
+    _gram_means,
     gram_matrix,
 )
 
@@ -40,18 +40,6 @@ class TestGaussianKernel:
         x, y = rng.standard_normal((2, 3))
         v = k.pairwise(x[None], y[None])[0, 0]
         assert 0.0 < v <= 1.0
-
-
-class TestPolynomialKernel:
-    def test_value(self):
-        k = PolynomialKernel(2, constant=1.0)
-        x, y = np.array([1.0, 2.0]), np.array([3.0, 1.0])
-        assert k.pairwise(x[None], y[None])[0, 0] == pytest.approx((5.0 + 1.0) ** 2)
-
-    def test_degree_one_linear_plus_constant(self):
-        k = PolynomialKernel(1, constant=0.0)
-        x, y = np.array([2.0]), np.array([4.0])
-        assert k.pairwise(x[None], y[None])[0, 0] == pytest.approx(8.0)
 
 
 class TestGramMatrix:
@@ -114,7 +102,7 @@ class TestKernelSectionFeatures:
         rng = np.random.default_rng(5)
         pts = rng.standard_normal((30, 2))
         k = GaussianKernel(1.0)
-        f = KernelSectionFeatures(k, pts, centered=True)
+        f = KernelSectionFeatures._centered_on(k, pts, *_gram_means(gram_matrix(k, pts)))
         # evaluating at the anchor points reproduces the doubly-centered Gram
         G = gram_matrix(k, pts)
         n = len(pts)

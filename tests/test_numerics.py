@@ -303,13 +303,18 @@ def public_definitions(path):
 
 
 def caller_files():
-    """The package (whose __init__ and __all__ only re-export), the benchmark
-    and the acceptance suite: the code that uses the package for real."""
+    """(path, scope) of the package (whose __init__ and __all__ only
+    re-export), the benchmark and the acceptance suite: the code that uses the
+    package for real. ``scope`` is None for a file that may call anything.
+    Persistence calls only the names it defines: its decoders pass every
+    constructor argument back in and its kind tables name every class, so it
+    would otherwise keep alive whatever it can save."""
     root = Path(__file__).resolve().parents[1]
     src = root / "src" / "lagtime"
     callers = [path for path in sorted(src.glob("*.py")) if path.name != "__init__.py"]
-    return src, callers + sorted((root / "perfbench").glob("*.py")) + [
-        root / "tests" / "test_acceptance.py"]
+    callers += sorted((root / "perfbench").glob("*.py")) + [root / "tests" / "test_acceptance.py"]
+    return src, [(path, {name for _, name, _, _ in public_definitions(path)}
+                  if path.name == "serialization.py" else None) for path in callers]
 
 
 def test_every_public_name_has_a_caller_besides_its_tests():
@@ -317,8 +322,11 @@ def test_every_public_name_has_a_caller_besides_its_tests():
     src, callers = caller_files()
     modules = {path.stem for path in src.glob("*.py")}
     names, members = set(), set()
-    for path in callers:
+    for path, scope in callers:
         found_names, found_members = references(path, modules)
+        if scope is not None:
+            found_names &= scope
+            found_members &= scope
         names |= found_names
         members |= found_members
     uncalled = [(label, name) for path in sorted(src.glob("*.py"))
@@ -342,14 +350,34 @@ PARAMETER_ALLOW = {
 }
 
 
+def dataclass_fields(node):
+    """(name, default) of each ``__init__`` field of a ``@dataclass`` class,
+    in order, with default None for a required field; nothing for any other
+    class. A ``field(default=...)`` defaults to its ``default``."""
+    if not any(getattr(decorator, "id", None) == "dataclass"
+               or getattr(getattr(decorator, "func", None), "id", None) == "dataclass"
+               for decorator in node.decorator_list):
+        return
+    for statement in node.body:
+        if isinstance(statement, ast.AnnAssign) and isinstance(statement.target, ast.Name):
+            default = statement.value
+            if isinstance(default, ast.Call) and getattr(default.func, "id", None) == "field":
+                default = next((keyword.value for keyword in default.keywords
+                                if keyword.arg == "default"), None)
+            yield statement.target.id, default
+
+
 def defaulted_parameters(path):
     """(label, called_as, position, name, default) of each defaulted parameter
     of a public function, public method or constructor (a public class's
-    ``__init__``, called by the class name) of a source file. ``position``
-    counts from the first argument a caller writes; keyword-only parameters
-    have none."""
+    ``__init__``, or its dataclass fields, called by the class name) of a
+    source file. ``position`` counts from the first argument a caller writes;
+    keyword-only parameters have none."""
     for label, called_as, is_member, node in public_definitions(path):
         if isinstance(node, ast.ClassDef):
+            for position, (name, default) in enumerate(dataclass_fields(node)):
+                if default is not None:
+                    yield f"{label}.{name}", called_as, position, name, ast.dump(default)
             node = next((method for method in node.body if isinstance(method, ast.FunctionDef)
                          and method.name == "__init__"), None)
             if node is None:
@@ -394,9 +422,10 @@ def test_every_parameter_has_a_caller_that_sets_it():
     # is an option with one value: a constant, and often a branch, to delete.
     src, callers = caller_files()
     passed = {}
-    for path in callers:
+    for path, scope in callers:
         for called_as, where, value in parameter_settings(path):
-            passed.setdefault(called_as, []).append((where, value))
+            if scope is None or called_as in scope:
+                passed.setdefault(called_as, []).append((where, value))
     unset = []
     for path in sorted(src.glob("*.py")):
         for label, called_as, position, name, default in defaulted_parameters(path):
@@ -450,7 +479,7 @@ SEEDED_CALLS = {
         SdeSystem(dimension=1, drift=lambda t, x: -x, diffusion=np.eye(1), step=0.1),
         np.zeros(1), n_frames=3, seed=seed),
     "sample_sqrt_model": lambda seed: sample_sqrt_model(5, seed=seed),
-    "RandomFeatureNet": lambda seed: RandomFeatureNet(2, n_hidden=3, n_out=2, seed=seed),
+    "RandomFeatureNet": lambda seed: RandomFeatureNet(2, seed=seed),
     "kmeans_fit": lambda seed: kmeans_fit(np.arange(6.0), 2, seed=seed),
     "sample_markov_chain": lambda seed: sample_markov_chain(np.eye(2), 5, seed=seed),
     "HiddenMarkovModel.sample": lambda seed: _hmm().sample(5, seed=seed),

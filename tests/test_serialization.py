@@ -1,15 +1,18 @@
 """Tests for the versioned JSON model persistence."""
 
+import functools
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from lagtime.basis import IndicatorFeatures, MonomialFeatures
+from lagtime.basis import CylinderEmbedding, IndicatorFeatures, MonomialFeatures, RandomFeatureNet
 from lagtime.clustering import kmeans_fit
 from lagtime.covariance import covariances_from_pairs
 from lagtime.decomposition import (
     edmd_fit,
+    kernel_cca_fit,
     kernel_edmd_fit,
     kvad_fit,
     vamp_fit,
@@ -291,6 +294,58 @@ class TestDocumentLayout:
         )
         assert json.dumps(to_document(hmm)) == expected
         assert json.dumps(to_document(from_document(json.loads(expected)))) == expected
+
+
+@functools.cache
+def jet_models():
+    """Strip pairs and the models the jet experiment builds from them: VAMP on
+    its cylinder-and-random-net features, and kernel CCA with centered
+    sections. The pairs are a drift plus noise, not the flow, so that neither
+    integrator backend enters the documents' bytes."""
+    rng = np.random.default_rng(17)
+    x0 = rng.uniform([0.0, -4.0], [20.0, 4.0], size=(120, 2))
+    x1 = x0 + [0.5, 0.0] + 0.1 * rng.standard_normal(x0.shape)
+    feat = CylinderEmbedding().then(RandomFeatureNet(3, seed=2))
+    cov = covariances_from_pairs(feat(x0), feat(x1), remove_mean=True)
+    return x0, {
+        "jet_vamp": vamp_fit(cov, n_components=4, chi0=feat, chi1=feat),
+        "kernel_cca": kernel_cca_fit(x0, x1, GaussianKernel(0.58), n_components=3,
+                                     epsilon=5.6e-3),
+    }
+
+
+class TestJetModelDocuments:
+    @pytest.mark.parametrize("name, sha256", [
+        ("jet_vamp", "423c3042e5cf7c9c99d45501e01c4c5270d19f464ee1d827a04985e41b974528"),
+        ("kernel_cca", "b43c1a5ace1b159aa593f32f0f4299d54fdec7535898a7fbcdc2ad7cc02506d6"),
+    ])
+    def test_document_bytes_and_loaded_projection(self, name, sha256):
+        x0, models = jet_models()
+        text = json.dumps(to_document(models[name]))
+        assert hashlib.sha256(text.encode()).hexdigest() == sha256
+        out = from_document(json.loads(text))
+        assert out.project(x0, 3).tobytes() == models[name].project(x0, 3).tobytes()
+
+    # A document holding a value this version no longer builds must not load
+    # as a different model.
+    @pytest.mark.parametrize("name, path, value, named", [
+        ("jet_vamp", ("chi0", "first", "period"), 15.0, "period"),
+        ("jet_vamp", ("chi1", "first", "y_scale"), 1.0, "y_scale"),
+        ("jet_vamp", ("chi0", "second", "n_hidden"), 10, "n_hidden"),
+        ("jet_vamp", ("chi1", "second", "n_out"), 5, "n_out"),
+        ("kernel_cca", ("f", "second", "offset"), encode_array(np.zeros(3)), "offset"),
+        ("kernel_cca", ("g", "first", "kernel"),
+         {"kind": "polynomial", "degree": 2, "constant": 1.0}, "polynomial"),
+    ])
+    def test_unbuildable_values_are_rejected(self, name, path, value, named):
+        doc = to_document(jet_models()[1][name])
+        *parents, key = path
+        node = doc["payload"]
+        for parent in parents:
+            node = node[parent]
+        node[key] = value
+        with pytest.raises(InvalidArgument, match=named):
+            from_document(doc)
 
 
 class TestDocumentValidation:
