@@ -9,7 +9,8 @@
  * - the per-step loop of the Markov-chain sampler (markov.py),
  * - the Runge-Kutta steps of the Roessler attractor and of the one fixed,
  *   periodically perturbed Bickley jet (datasets.py), whose constants are
- *   copied here.
+ *   copied here,
+ * - the Lloyd iterations of k-means (clustering.py).
  *
  * Each loop has a pure-Python reference next to its caller. Without a C
  * compiler the reference runs instead, and the tests compare the two: the
@@ -17,6 +18,9 @@
  * agree bit for bit, the forward-backward sums to rounding, since NumPy may
  * add in another order. The jet kernel agrees with its reference to a
  * tolerance, not bit for bit: its sin, cos and tanh are libm's, not NumPy's.
+ * The Lloyd loop gives the reference's labels, centres and iteration counts
+ * wherever no point lies within rounding of two centres: its distances are
+ * direct sums of squared differences, not NumPy's product expansion.
  *
  * Matrices are row-major. Scratch buffers come from the caller, so no size
  * is fixed here.
@@ -399,4 +403,135 @@ long jet_rk4_steps(double *X, long n, double t0, double h, long n_steps)
         }
     }
     return -1;
+}
+
+/* NumPy's pairwise sum of a contiguous vector (pairwise_sum_DOUBLE, which
+ * np.sum and np.mean use along a contiguous axis): eight running sums over
+ * blocks of at most 128 values, and above that two halves split at a
+ * multiple of eight. */
+static double pairwise_sum(const double *a, long n)
+{
+    if (n < 8) {
+        double res = 0.0;
+        for (long i = 0; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        long i;
+        for (int j = 0; j < 8; j++)
+            r[j] = a[j];
+        for (i = 8; i < n - n % 8; i += 8)
+            for (int j = 0; j < 8; j++)
+                r[j] += a[i + j];
+        double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    long half = n / 2;
+    half -= half % 8;
+    return pairwise_sum(a, half) + pairwise_sum(a + half, n - half);
+}
+
+/* Lloyd iterations from the k centres c (k, d), in place, as _lloyd in
+ * clustering.py runs them: each point goes to its first nearest centre; a
+ * centre becomes the mean of its points, summed in row order and divided by
+ * the count (a single column summed pairwise, as np.mean does); an empty
+ * cluster takes the point farthest from its own centre, whose distance then
+ * counts as zero. The loop stops when no centre coordinate moves more than
+ * tol, or when the inertia falls by no more than tol relative to the last
+ * one. Returns the iteration count and sets *converged. labels, counts and
+ * ends hold n, k and k entries; mind, fresh and column n, k * d and n. */
+static long lloyd(const double *X, long n, long d, long k, long max_iter, double tol,
+                  double *c, int64_t *converged, int64_t *labels, int64_t *counts,
+                  int64_t *ends, double *mind, double *fresh, double *column)
+{
+    double prev = INFINITY;
+    long iterations = 0;
+    *converged = 0;
+    for (long it = 1; it <= max_iter; it++) {
+        iterations = it;
+        for (long j = 0; j < k; j++)
+            counts[j] = 0;
+        for (long i = 0; i < n; i++) {
+            const double *x = X + i * d;
+            long best = 0;
+            double least = INFINITY;
+            for (long j = 0; j < k; j++) {
+                const double *m = c + j * d;
+                double s = 0.0;
+                for (long e = 0; e < d; e++) {
+                    double diff = x[e] - m[e];
+                    s += diff * diff;
+                }
+                best = s < least ? j : best;
+                least = s < least ? s : least;
+            }
+            labels[i] = best;
+            mind[i] = least;
+            counts[best]++;
+        }
+        double inertia = pairwise_sum(mind, n);
+        for (long e = 0; e < k * d; e++)
+            fresh[e] = 0.0;
+        if (d == 1) {
+            /* Gather each cluster's values in row order, then sum them. */
+            long end = 0;
+            for (long j = 0; j < k; j++)
+                ends[j] = end += counts[j];
+            for (long i = n - 1; i >= 0; i--)
+                column[--ends[labels[i]]] = X[i];
+            for (long j = 0; j < k; j++)
+                fresh[j] += pairwise_sum(column + ends[j], counts[j]);
+        } else {
+            for (long i = 0; i < n; i++)
+                for (long e = 0; e < d; e++)
+                    fresh[labels[i] * d + e] += X[i * d + e];
+        }
+        for (long j = 0; j < k; j++) {
+            double *f = fresh + j * d;
+            if (counts[j] == 0) {
+                long far = 0;
+                for (long i = 1; i < n; i++)
+                    if (mind[i] > mind[far])
+                        far = i;
+                for (long e = 0; e < d; e++)
+                    f[e] = X[far * d + e];
+                mind[far] = 0.0;
+            } else {
+                for (long e = 0; e < d; e++)
+                    f[e] /= (double)counts[j];
+            }
+        }
+        double shift = 0.0;
+        for (long e = 0; e < k * d; e++) {
+            double delta = fabs(fresh[e] - c[e]);
+            if (delta > shift)
+                shift = delta;
+            c[e] = fresh[e];
+        }
+        if (shift <= tol || (isfinite(prev) && prev - inertia <= tol * fmax(1.0, fabs(prev)))) {
+            *converged = 1;
+            break;
+        }
+        prev = inertia;
+    }
+    return iterations;
+}
+
+/* Lloyd iterations of n_restarts k-means restarts on the points X (n, d),
+ * one after another. centers (n_restarts, k, d) holds the starts and
+ * receives the results; info (n_restarts, 2) receives each restart's
+ * iteration count and whether it converged. scratch and work hold n + 2 * k
+ * and 2 * n + k * d entries. */
+void kmeans_lloyd(const double *X, long n, long d, long k, long n_restarts,
+                  long max_iter, double tol, double *centers, int64_t *info,
+                  int64_t *scratch, double *work)
+{
+    for (long r = 0; r < n_restarts; r++)
+        info[2 * r] = lloyd(X, n, d, k, max_iter, tol, centers + r * k * d, info + 2 * r + 1,
+                            scratch, scratch + n, scratch + n + k,
+                            work, work + n, work + n + k * d);
 }

@@ -1,14 +1,19 @@
 """Build, cache and load ``_kernels.c``, the compiled inner loops, through ctypes.
 
 The SDE steppers and the Roessler and Bickley-jet Runge-Kutta loops
-(:mod:`lagtime.datasets`), the hidden-Markov recursions (:mod:`lagtime.hmm`)
-and the chain sampler (:mod:`lagtime.markov`) call :func:`_compiled_kernels`;
-each keeps a pure-Python reference path that runs when it returns no
-library. Every kernel but the jet's reproduces its reference bit for bit (the
-forward-backward sums to rounding); the jet kernel takes sin, cos and tanh
-from libm and matches its NumPy reference to a tolerance. The jet and the
-Roessler attractor are fixed systems: their constants are compiled into the
-kernels, so the calls pass only the state and the time grid.
+(:mod:`lagtime.datasets`), the hidden-Markov recursions (:mod:`lagtime.hmm`),
+the chain sampler (:mod:`lagtime.markov`) and the k-means Lloyd loop
+(:mod:`lagtime.clustering`) call :func:`_compiled_kernels`; each keeps a
+pure-Python reference path that runs when it returns no library. The
+steppers, the Roessler frames, the Viterbi paths and the chain states
+reproduce their references bit for bit, and the forward-backward to rounding.
+The jet kernel takes sin, cos and tanh from libm and matches its NumPy
+reference to a tolerance. The Lloyd loop takes distances as sums of squared
+differences, not NumPy's product expansion, so it gives the reference's
+labels, centres and iteration counts wherever no point lies within rounding
+of two centres. The jet and the Roessler attractor are fixed systems: their
+constants are compiled into the kernels, so the calls pass only the state and
+the time grid.
 """
 
 from __future__ import annotations
@@ -86,6 +91,8 @@ def _compiled_kernels() -> tuple:
         ("markov_chain_steps", [array, size, array, size, integers], None),
         ("rossler_steps", [array, size, real], size),
         ("jet_rk4_steps", [array, size, real, real, size], size),
+        ("kmeans_lloyd",
+         [array, size, size, size, size, size, real, array, integers, integers, array], None),
     ]:
         function = getattr(library, name)
         function.argtypes = argtypes

@@ -13,10 +13,14 @@ from typing import Optional
 import numpy as np
 from numpy.typing import NDArray
 
+from ._native import _compiled_kernels
 from .errors import InsufficientData, InvalidArgument
-from .numerics import _as_frames, _rng
+from .numerics import _as_frames, _over_cores, _rng
 
 __all__ = ["ClusteringModel", "kmeans_fit", "kmeans_assign"]
+
+# The C loop counts iterations in a 64-bit long; no fit runs this many.
+_MAX_ITER = 2**62
 
 
 @dataclass(frozen=True)
@@ -66,8 +70,12 @@ def _kmeans_plus_plus(X: NDArray, k: int, rng: np.random.Generator) -> NDArray:
 
 
 def _lloyd(X: NDArray, centers: NDArray, max_iter: int, tol: float
-           ) -> tuple[NDArray, float, int, bool]:
-    """Lloyd iterations from given centers; returns (centers, inertia, iters, converged)."""
+           ) -> tuple[NDArray, int, bool]:
+    """Lloyd iterations from given centers; returns (centers, iters, converged).
+
+    The reference path of :func:`kmeans_fit`; ``kmeans_lloyd`` in
+    ``_kernels.c`` runs the same loop.
+    """
     k = centers.shape[0]
     prev_inertia = np.inf
     converged = False
@@ -97,10 +105,25 @@ def _lloyd(X: NDArray, centers: NDArray, max_iter: int, tol: float
             converged = True
             break
         prev_inertia = inertia
+    return centers, iterations, converged
+
+
+def _lloyd_compiled(kernel, X: NDArray, starts: NDArray, max_iter: int, tol: float
+                    ) -> list[tuple[NDArray, int, bool]]:
+    """:func:`_lloyd` in C for each of the ``starts`` (r, k, d), which it overwrites."""
+    n, d = X.shape
+    k = starts.shape[1]
+    info = np.empty((len(starts), 2), dtype=np.int64)
+    kernel(X, n, d, k, len(starts), min(max(max_iter, 0), _MAX_ITER), tol, starts, info,
+           np.empty(n + 2 * k, dtype=np.int64), np.empty(2 * n + k * d))
+    return [(centers, int(iters), bool(converged))
+            for centers, (iters, converged) in zip(starts, info)]
+
+
+def _inertia(X: NDArray, centers: NDArray) -> float:
+    """Sum of squared distances from each point to its nearest center."""
     d2 = _squared_distances(X, centers)
-    labels = np.argmin(d2, axis=1)
-    inertia = float(d2[np.arange(X.shape[0]), labels].sum())
-    return centers, inertia, iterations, converged
+    return float(d2[np.arange(X.shape[0]), np.argmin(d2, axis=1)].sum())
 
 
 def kmeans_fit(X: NDArray, n_clusters: int, seed: Optional[int] = None,
@@ -111,6 +134,12 @@ def kmeans_fit(X: NDArray, n_clusters: int, seed: Optional[int] = None,
     Each restart ``r`` uses its own generator seeded with ``seed + r`` (when
     a seed is given), so individual restarts are reproducible in isolation.
     The best run by inertia wins; ties go to the earliest restart.
+
+    Every restart is seeded in NumPy, in restart order. With a C compiler
+    the Lloyd iterations then run in C, one contiguous block of restarts per
+    usable core; without one, the NumPy loop runs them. Restarts are
+    independent and the inertia is taken in NumPy for both, so the result
+    does not depend on the core count.
     """
     X = _as_frames(X)
     if n_clusters < 1:
@@ -119,14 +148,26 @@ def kmeans_fit(X: NDArray, n_clusters: int, seed: Optional[int] = None,
         raise InsufficientData(
             f"{X.shape[0]} points cannot support {n_clusters} clusters"
         )
+    if X.shape[1] == 0:
+        raise InvalidArgument("X has no columns to cluster on")
     if n_restarts < 1:
         raise InvalidArgument(f"n_restarts must be >= 1, got {n_restarts}")
 
+    starts = np.stack([
+        _kmeans_plus_plus(X, n_clusters, _rng(None if seed is None else seed + restart))
+        for restart in range(n_restarts)
+    ])
+    library, _ = _compiled_kernels()
+    if library is None:
+        fits = [_lloyd(X, centers, max_iter, tol) for centers in starts]
+    else:
+        points = np.ascontiguousarray(X)
+        fits = [fit for block in _over_cores(
+            lambda block: _lloyd_compiled(library.kmeans_lloyd, points, block, max_iter, tol),
+            starts) for fit in block]
     best: Optional[tuple[NDArray, float, int, bool]] = None
-    for restart in range(n_restarts):
-        rng = _rng(None if seed is None else seed + restart)
-        centers0 = _kmeans_plus_plus(X, n_clusters, rng)
-        centers, inertia, iters, converged = _lloyd(X, centers0, max_iter, tol)
+    for centers, iters, converged in fits:
+        inertia = _inertia(X, centers)
         if best is None or inertia < best[1]:
             best = (centers, inertia, iters, converged)
     assert best is not None

@@ -23,10 +23,8 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
@@ -37,7 +35,7 @@ from numpy.typing import NDArray
 from ._native import _compiled_kernels
 from .errors import DivergenceError, InvalidArgument
 from .markov import sample_markov_chain
-from .numerics import _as_frames, _rng
+from .numerics import _as_frames, _over_cores, _rng
 
 __all__ = [
     "SdeSystem",
@@ -459,15 +457,12 @@ def _jet_rk4(X: NDArray, t0: float, h: float, n_steps: int) -> int:
 def _jet_rk4_compiled(kernel, X: NDArray, t0: float, h: float, n_steps: int) -> int:
     """:func:`_jet_rk4` in C, on one contiguous chunk of particles per usable core.
 
-    Each chunk runs on its own thread; the C call releases the GIL. Every
-    particle's arithmetic is independent of the others, so the result does
-    not depend on the number of chunks. Returns the earliest bad step of
-    any chunk.
+    The C call releases the GIL. Every particle's arithmetic is independent
+    of the others, so the result does not depend on the number of chunks.
+    Returns the earliest bad step of any chunk.
     """
-    chunks = np.array_split(X, max(1, min(len(os.sched_getaffinity(0)), len(X))))
-    with ThreadPoolExecutor(len(chunks)) as pool:
-        steps = pool.map(lambda chunk: kernel(chunk, len(chunk), t0, h, n_steps), chunks)
-        return min((step for step in steps if step >= 0), default=-1)
+    steps = _over_cores(lambda chunk: kernel(chunk, len(chunk), t0, h, n_steps), X)
+    return min((step for step in steps if step >= 0), default=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from numpy.typing import NDArray
 
 from .basis import FeatureMap
 from .errors import InvalidArgument
-from .numerics import _as_frames
+from .numerics import _as_frames, _over_cores
 
 __all__ = [
     "Kernel",
@@ -21,6 +21,8 @@ __all__ = [
 
 # Rows per Gram-matrix block; bounds the peak memory of intermediate products.
 _BLOCK_ROWS = 512
+# Rows of the Gaussian kernel's scratch for squared-norm sums.
+_SCRATCH_ROWS = 64
 
 
 class Kernel:
@@ -29,6 +31,12 @@ class Kernel:
     def pairwise(self, A: NDArray, B: NDArray) -> NDArray:
         """Kernel matrix with entries ``k(A[i], B[j])``."""
         raise NotImplementedError
+
+    def _pairwise_into(self, A: NDArray, B: NDArray, out: NDArray) -> None:
+        """:meth:`pairwise` written into ``out``. :func:`gram_matrix` calls
+        it from several threads at once, each with its own block of one
+        matrix as ``out``."""
+        out[...] = self.pairwise(A, B)
 
 
 @dataclass(frozen=True)
@@ -42,13 +50,26 @@ class GaussianKernel(Kernel):
             raise InvalidArgument(f"sigma must be positive, got {self.sigma}")
 
     def pairwise(self, A, B):
-        sq = (
-            np.sum(A * A, axis=1)[:, None]
-            + np.sum(B * B, axis=1)[None, :]
-            - 2.0 * (A @ B.T)
-        )
-        np.maximum(sq, 0.0, out=sq)
-        return np.exp(-sq / (2.0 * self.sigma**2))
+        out = np.empty((A.shape[0], B.shape[0]))
+        self._pairwise_into(A, B, out)
+        return out
+
+    def _pairwise_into(self, A, B, out):
+        # (|a|^2 + |b|^2) - 2 a.b, clipped, divided by -2 sigma^2, then exp,
+        # in out. The norm sums pass through a scratch of a few rows, since
+        # malloc keeps what a worker thread frees for that thread alone.
+        np.matmul(A, B.T, out=out)
+        out *= 2.0
+        norms_a, norms_b = np.sum(A * A, axis=1), np.sum(B * B, axis=1)
+        sums = np.empty((min(len(norms_a), _SCRATCH_ROWS), len(norms_b)))
+        for r in range(0, len(norms_a), _SCRATCH_ROWS):
+            rows = out[r:r + _SCRATCH_ROWS]
+            np.add(norms_a[r:r + _SCRATCH_ROWS, None], norms_b, out=sums[:len(rows)])
+            np.subtract(sums[:len(rows)], rows, out=rows)
+        np.maximum(out, 0.0, out=out)
+        np.negative(out, out=out)
+        out /= 2.0 * self.sigma**2
+        np.exp(out, out=out)
 
 
 def gram_matrix(kernel: Kernel, A: NDArray, B: Optional[NDArray] = None) -> NDArray:
@@ -57,6 +78,11 @@ def gram_matrix(kernel: Kernel, A: NDArray, B: Optional[NDArray] = None) -> NDAr
     When ``B`` is omitted (or is ``A`` itself) the result is made exactly
     symmetric by mirroring the upper triangle, so ``G == G.T`` holds
     bit-for-bit.
+
+    The kernel writes each block straight into ``G``; the blocks run on one
+    contiguous share per usable core (NumPy releases the GIL), and the
+    lower triangle is mirrored once every upper block is done. Each block
+    is computed alone, so the result does not depend on the core count.
 
     Parameters
     ----------
@@ -69,19 +95,27 @@ def gram_matrix(kernel: Kernel, A: NDArray, B: Optional[NDArray] = None) -> NDAr
     B = A if symmetric else _as_frames(B, "B")
     if A.shape[1] != B.shape[1]:
         raise InvalidArgument(f"point dimensions differ: {A.shape[1]} vs {B.shape[1]}")
-    m, n = A.shape[0], B.shape[0]
+    m, n, b = A.shape[0], B.shape[0], _BLOCK_ROWS
     G = np.empty((m, n))
-    for i in range(0, m, _BLOCK_ROWS):
-        hi = min(i + _BLOCK_ROWS, m)
-        for j in range(0, n, _BLOCK_ROWS):
-            hj = min(j + _BLOCK_ROWS, n)
-            if symmetric and j < i:
-                G[i:hi, j:hj] = G[j:hj, i:hi].T
-            else:
-                G[i:hi, j:hj] = kernel.pairwise(A[i:hi], B[j:hj])
-                if symmetric and j == i:
-                    block = G[i:hi, j:hj]
-                    block[...] = np.triu(block) + np.triu(block, 1).T
+    blocks = np.array([(i, j) for i in range(0, m, b) for j in range(0, n, b)
+                       if not (symmetric and j < i)], dtype=np.int64).reshape(-1, 2)
+
+    def assemble(share):
+        for i, j in share:
+            kernel._pairwise_into(A[i:i + b], B[j:j + b], G[i:i + b, j:j + b])
+
+    def mirror(share):
+        for i, j in share:
+            if j > i:
+                G[j:j + b, i:i + b] = G[i:i + b, j:j + b].T
+            else:  # a diagonal block mirrors its own upper triangle, row by row
+                block = G[i:i + b, i:i + b]
+                for r in range(1, len(block)):
+                    block[r, :r] = block[:r, r]
+
+    _over_cores(assemble, blocks)
+    if symmetric:
+        _over_cores(mirror, blocks)
     return G
 
 

@@ -4,7 +4,8 @@ Every estimator takes data in one layout: rows are frames and columns are
 dimensions, and a one-dimensional array is the frames of one scalar signal.
 ``_as_frames`` applies that rule for all of them: it converts to float64,
 turns a vector into a column, rejects any other number of dimensions and
-names the first row holding a NaN or infinity.
+names the first row holding a NaN or infinity. ``_over_cores`` is the one
+place that spreads work over the usable cores, on threads.
 
 All routines share one regularization convention: ``epsilon`` is an absolute
 eigenvalue cutoff. Eigenvalues less than or equal to ``epsilon`` are discarded
@@ -17,8 +18,10 @@ decomposition produced them.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 from numpy.typing import NDArray
@@ -103,6 +106,24 @@ def _rng(seed: Optional[int]) -> np.random.Generator:
     if seed is not None and seed < 0:
         raise InvalidArgument(f"seed must be non-negative, got {seed}")
     return np.random.default_rng(seed)
+
+
+def _over_cores(function: Callable, items) -> list:
+    """``function`` of each contiguous chunk of ``items``, one chunk per usable core.
+
+    ``items`` is split along its first axis into as many chunks as the
+    process may use cores (``os.sched_getaffinity``), at most one per item;
+    the results come back in chunk order. Each chunk runs on its own thread,
+    so the work overlaps only where it releases the GIL, as the compiled
+    kernels and large NumPy operations do. A worker calls only private
+    helpers, compiled kernels and functions of its caller's own layer: the
+    span tracer of ``perfbench`` keeps one stack for every thread.
+    """
+    chunks = np.array_split(items, max(1, min(len(os.sched_getaffinity(0)), len(items))))
+    if len(chunks) == 1:
+        return [function(chunks[0])]
+    with ThreadPoolExecutor(len(chunks)) as pool:
+        return list(pool.map(function, chunks))
 
 
 def _check_square_symmetric(C: NDArray, name: str, rtol: float = 1e-10) -> NDArray:

@@ -1,10 +1,15 @@
 """Tests for k-means clustering with k-means++ seeding."""
 
+import os
+import shutil
+
 import numpy as np
 import pytest
 
+from lagtime import _native, clustering
 from lagtime.clustering import ClusteringModel, kmeans_assign, kmeans_fit
 from lagtime.errors import InsufficientData, InvalidArgument
+from lagtime.numerics import _rng
 
 
 def three_blobs(seed=0, per_blob=100, spread=0.2):
@@ -100,7 +105,8 @@ class TestKmeansFit:
             kmeans_fit(X, 2, seed=0, n_restarts=0)
         with pytest.raises(InvalidArgument):
             kmeans_fit(np.zeros((2, 2, 2)), 1, seed=0)
-
+        with pytest.raises(InvalidArgument, match="no columns"):
+            kmeans_fit(np.zeros((5, 0)), 2, seed=0)
 
     def test_non_finite_point_is_named(self):
         X, _, _ = three_blobs(seed=7)
@@ -140,3 +146,114 @@ class TestClusteringModel:
         assert model.centers.shape == (3, X.shape[1])
         assert isinstance(model, ClusteringModel)
         assert model.converged
+
+
+requires_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+
+
+def blobs(seed, n, d, k):
+    """n points around k centers spread far apart in d dimensions."""
+    rng = np.random.default_rng(seed)
+    centers = 10.0 * rng.standard_normal((k, d))
+    return centers[rng.integers(k, size=n)] + rng.standard_normal((n, d))
+
+
+def without_compiler(monkeypatch):
+    monkeypatch.setattr(clustering, "_compiled_kernels", lambda: (None, "python (no C compiler)"))
+
+
+# (seed, points, dimensions, clusters); one column is summed pairwise.
+LLOYD_CASES = [(0, 400, 1, 2), (1, 999, 1, 3), (2, 600, 2, 4), (3, 900, 9, 9), (4, 300, 5, 3)]
+
+
+@requires_cc
+class TestCompiledLloyd:
+    """``kmeans_lloyd`` in C against ``_lloyd``, on inputs without near-ties."""
+
+    @staticmethod
+    def assert_same_fits(X, starts, max_iter=300, tol=1e-8):
+        kernel = _native._compiled_kernels()[0].kmeans_lloyd
+        compiled = clustering._lloyd_compiled(kernel, X, starts.copy(), max_iter, tol)
+        for start, (centers, iters, converged) in zip(starts, compiled):
+            reference, ref_iters, ref_converged = clustering._lloyd(X, start, max_iter, tol)
+            np.testing.assert_array_equal(kmeans_assign(centers, X), kmeans_assign(reference, X))
+            np.testing.assert_allclose(centers, reference, rtol=1e-12, atol=0.0)
+            assert (iters, converged) == (ref_iters, ref_converged)
+
+    @pytest.mark.parametrize("seed, n, d, k", LLOYD_CASES)
+    def test_matches_the_reference_from_kmeans_plus_plus_starts(self, seed, n, d, k):
+        X = blobs(seed, n, d, k)
+        starts = np.stack([clustering._kmeans_plus_plus(X, k, _rng(seed + r)) for r in range(4)])
+        self.assert_same_fits(X, starts)
+        # Cut short: the iteration cap stops both loops unconverged.
+        self.assert_same_fits(X, starts, max_iter=2, tol=0.0)
+
+    def test_one_column_is_summed_as_numpy_sums_it(self):
+        # np.mean adds a single column pairwise, not row by row; the C loop
+        # does the same, so one-column centres (the sqrt experiment
+        # clusters one column) keep their bytes.
+        X = blobs(6, 5000, 1, 2)
+        starts = np.stack([clustering._kmeans_plus_plus(X, 2, _rng(r)) for r in range(3)])
+        kernel = _native._compiled_kernels()[0].kmeans_lloyd
+        compiled = clustering._lloyd_compiled(kernel, X, starts.copy(), 1, 0.0)
+        for start, (centers, _, _) in zip(starts, compiled):
+            assert centers.tobytes() == clustering._lloyd(X, start, 1, 0.0)[0].tobytes()
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_empty_clusters_are_reseeded_alike(self, d):
+        # Two starts lie far from every point, so both clusters empty at
+        # once: the first takes the farthest point, the second the next one.
+        X = blobs(5, 300, d, 2)
+        starts = np.stack([X[0], X[1], np.full(d, 1e3), np.full(d, 2e3)])[None]
+        first, _, _ = clustering._lloyd(X, starts[0], 1, 0.0)
+        reseeded = [int(np.flatnonzero((X == center).all(axis=1))[0]) for center in first[2:]]
+        assert reseeded[0] != reseeded[1]
+        self.assert_same_fits(X, starts, max_iter=1, tol=0.0)
+        self.assert_same_fits(X, starts)
+
+    @pytest.mark.parametrize("seed, n, d, k", LLOYD_CASES)
+    def test_kmeans_fit_matches_the_python_backend(self, monkeypatch, seed, n, d, k):
+        X = blobs(seed, n, d, k)
+        compiled = kmeans_fit(X, k, seed=seed, n_restarts=6)
+        without_compiler(monkeypatch)
+        reference = kmeans_fit(X, k, seed=seed, n_restarts=6)
+        np.testing.assert_array_equal(compiled.assign(X), reference.assign(X))
+        np.testing.assert_allclose(compiled.centers, reference.centers, rtol=1e-12, atol=0.0)
+        assert compiled.inertia == pytest.approx(reference.inertia, rel=1e-12)
+        assert (compiled.n_iterations, compiled.converged) == (
+            reference.n_iterations, reference.converged)
+
+
+class TestCoreCount:
+    """Restarts split over the usable cores; the fit does not depend on how many."""
+
+    @pytest.mark.parametrize("seed, n, d, k", LLOYD_CASES)
+    def test_centers_do_not_depend_on_the_core_count(self, monkeypatch, seed, n, d, k):
+        X = blobs(seed, n, d, k)
+        fits = []
+        for cores in ({0}, {0, 1}, os.sched_getaffinity(0)):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cores=cores: cores)
+            model = kmeans_fit(X, k, seed=seed, n_restarts=7)
+            fits.append((model.centers.tobytes(), model.inertia, model.n_iterations))
+        assert fits[0] == fits[1] == fits[2]
+
+    @pytest.mark.parametrize("compiled", [True, False])
+    def test_a_tie_goes_to_the_earliest_restart(self, monkeypatch, compiled):
+        # From one point per blob Lloyd needs two iterations, from the blob
+        # means one; both end on the same centers, hence the same inertia.
+        if compiled and shutil.which("cc") is None:
+            pytest.skip("no C compiler")
+        if not compiled:
+            without_compiler(monkeypatch)
+        X, _, labels = three_blobs(seed=8)
+        slow = X[[0, 100, 200]]
+        fast = np.stack([X[labels == j].mean(axis=0) for j in range(3)])
+        for order, iterations in (([slow, slow, fast, fast], 2), ([fast, fast, slow, slow], 1)):
+            for cores in ({0}, {0, 1}):
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cores=cores: cores)
+                starts = iter(order)
+                monkeypatch.setattr(clustering, "_kmeans_plus_plus",
+                                    lambda X, k, rng: next(starts).copy())
+                model = kmeans_fit(X, 3, seed=0, n_restarts=4)
+                np.testing.assert_array_equal(model.centers, fast)
+                assert model.n_iterations == iterations

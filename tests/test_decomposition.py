@@ -255,7 +255,7 @@ class TestKernelEdmd:
     def test_indicator_kernel_matches_discrete_transition_matrix(self):
         # A kernel that is 1 exactly for equal discrete states reproduces the
         # empirical transition matrix, pinning down the index convention.
-        class StateMatchKernel:
+        class StateMatchKernel(Kernel):
             def pairwise(self, A, B):
                 return (A[:, 0][:, None] == B[:, 0][None, :]).astype(float)
 

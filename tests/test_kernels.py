@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -87,6 +89,44 @@ class TestGramMatrix:
             gram_matrix(GaussianKernel(1.0), A)
         with pytest.raises(InvalidArgument, match="B row 7 "):
             gram_matrix(GaussianKernel(1.0), A[7:], A)
+
+    @staticmethod
+    def serial_blocks(sigma, A, B):
+        """The one-thread assembly with a fresh array per block, verbatim."""
+        symmetric = B is A
+        m, n = A.shape[0], B.shape[0]
+        G = np.empty((m, n))
+        for i in range(0, m, 512):
+            hi = min(i + 512, m)
+            for j in range(0, n, 512):
+                hj = min(j + 512, n)
+                if symmetric and j < i:
+                    G[i:hi, j:hj] = G[j:hj, i:hi].T
+                else:
+                    a, b = A[i:hi], B[j:hj]
+                    sq = (np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :]
+                          - 2.0 * (a @ b.T))
+                    np.maximum(sq, 0.0, out=sq)
+                    G[i:hi, j:hj] = np.exp(-sq / (2.0 * sigma**2))
+                    if symmetric and j == i:
+                        block = G[i:hi, j:hj]
+                        block[...] = np.triu(block) + np.triu(block, 1).T
+        return G
+
+    @pytest.mark.parametrize("m, n, d", [(1100, 1100, 2), (1100, 700, 3), (513, 1030, 1)])
+    def test_bytes_do_not_depend_on_the_core_count(self, monkeypatch, m, n, d):
+        # Blocks are written in place and spread over the cores, and still
+        # give the bytes of the serial loop, symmetric (A with itself) or not.
+        rng = np.random.default_rng(6)
+        A, B = rng.standard_normal((m, d)), rng.standard_normal((n, d))
+        for other in (A, B):
+            expected = self.serial_blocks(0.7, A, other).tobytes()
+            for cores in ({0}, {0, 1}, os.sched_getaffinity(0)):
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cores=cores: cores)
+                G = gram_matrix(GaussianKernel(0.7), A, other)
+                assert G.tobytes() == expected
+                if other is A:
+                    assert np.array_equal(G, G.T)
 
 
 class TestKernelSectionFeatures:
