@@ -50,7 +50,8 @@ class FeatureMap:
         raise NotImplementedError
 
     def feature_names(self, variables: Optional[Sequence[str]] = None) -> list[str]:
-        """Human-readable names of the output features."""
+        """Human-readable names of the output features: ``f0, f1, ...``
+        unless the map names its own, as the monomial library does."""
         return [f"f{i}" for i in range(self.dimension_out)]
 
     def then(self, other: "FeatureMap") -> "FeatureMap":
@@ -69,11 +70,6 @@ class IdentityFeatures(FeatureMap):
 
     def _evaluate(self, X):
         return np.array(X, dtype=np.float64)
-
-    def feature_names(self, variables=None):
-        if variables is None:
-            variables = [f"x{i}" for i in range(self.dimension_in)]
-        return list(variables)
 
 
 class MonomialFeatures(FeatureMap):
@@ -139,9 +135,6 @@ class IndicatorFeatures(FeatureMap):
     def _evaluate(self, X):
         states = np.rint(X[:, 0]).astype(np.int64)
         return indicator_features(states, self.dimension_out)
-
-    def feature_names(self, variables=None):
-        return [f"state={j}" for j in range(self.dimension_out)]
 
 
 def indicator_features(assignments: NDArray, n_states: int) -> NDArray:
@@ -210,9 +203,6 @@ class CylinderEmbedding(FeatureMap):
         angle = 2.0 * np.pi * X[:, 0] / self.period
         return np.column_stack((np.cos(angle), np.sin(angle), X[:, 1] / self.y_scale))
 
-    def feature_names(self, variables=None):
-        return ["cos(2 pi x / period)", "sin(2 pi x / period)", "y / y_scale"]
-
 
 class Whitener(FeatureMap):
     """Whitening as a feature map: ``x -> W @ (x - mean)``.
@@ -268,9 +258,6 @@ class WithConstant(FeatureMap):
         F = self.inner(X)
         return np.column_stack((np.ones(F.shape[0]), F))
 
-    def feature_names(self, variables=None):
-        return ["1"] + list(self.inner.feature_names(variables))
-
 
 class ChainedFeatures(FeatureMap):
     """Function composition of two feature maps (first, then second)."""
@@ -288,6 +275,3 @@ class ChainedFeatures(FeatureMap):
 
     def _evaluate(self, X):
         return self.second(self.first(X))
-
-    def feature_names(self, variables=None):
-        return self.second.feature_names()

@@ -445,7 +445,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", required=True,
                    choices=("double-well", "quadwell", "rossler", "sqrt-model"))
     p.add_argument("--n-frames", type=int, default=10000)
-    add_common(p)
+    # No --format: generate writes no report, so no metrics.csv either.
+    p.add_argument("--seed", type=int, default=0, help="random seed")
+    p.add_argument("--out", default=".", help="output directory")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("benchmark", help="integrator throughput measurement")

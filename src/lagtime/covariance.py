@@ -181,11 +181,15 @@ class CovarianceAccumulator:
         ------
         InsufficientData
             If fewer than two pairs were accumulated.
+        InvalidArgument
+            If ``symmetrize`` is asked for without ``remove_mean``.
         """
         if self.n < 2:
             raise InsufficientData(f"need at least 2 pairs, have {self.n}")
         denom = self.n - 1
         if symmetrize:
+            if not remove_mean:
+                raise InvalidArgument("symmetrized covariances are always mean-free")
             pooled = 0.5 * (self.mean_x + self.mean_y)
             dx = self.mean_x - pooled
             dy = self.mean_y - pooled
@@ -193,10 +197,6 @@ class CovarianceAccumulator:
             c00 = self.m_xx + self.n * np.outer(dx, dx)
             ctt = self.m_yy + self.n * np.outer(dy, dy)
             c0t = self.m_xy + self.n * np.outer(dx, dy)
-            if not remove_mean:
-                c00 = c00 + self.n * np.outer(pooled, pooled)
-                ctt = ctt + self.n * np.outer(pooled, pooled)
-                c0t = c0t + self.n * np.outer(pooled, pooled)
             c00 = 0.5 * (c00 + ctt)
             ctt = c00
             c0t = 0.5 * (c0t + c0t.T)

@@ -50,7 +50,6 @@ __all__ = [
     "kernel_cca_fit",
     "kvad_fit",
     "kvad_score",
-    "kvad_feature_score",
     "contiguous_folds",
 ]
 
@@ -110,9 +109,10 @@ class CovarianceKoopmanModel:
 
     The feature maps ``chi0``/``chi1`` lift raw observations; ``U`` and ``V``
     carry whitened singular directions so that ``U.T @ c00 @ U`` is the
-    identity on the retained rank. ``K = diag(sigma)``, and the forward
-    relation ``E[V.T chi1(y)] = diag(sigma) E[U.T chi0(x)]`` holds for the
-    training distribution.
+    identity on the retained rank. The operator in these coordinates is
+    ``diag(sigma)``: the forward relation
+    ``E[V.T chi1(y)] = diag(sigma) E[U.T chi0(x)]`` holds for the training
+    distribution.
     """
 
     U: NDArray
@@ -122,10 +122,6 @@ class CovarianceKoopmanModel:
     chi0: FeatureMap
     chi1: FeatureMap
     method: str = "vamp"
-
-    @property
-    def K(self) -> NDArray:
-        return np.diag(self.sigma)
 
     @property
     def n_components(self) -> int:
@@ -643,24 +639,16 @@ def kernel_cca_fit(X: NDArray, Y: NDArray, kernel: Kernel, n_components: int,
 # kernel-embedded density estimation
 
 
-def kvad_feature_score(F: NDArray, Y: NDArray, kernel: Kernel) -> float:
-    """Kernel-embedded predictability of forward samples from features.
-
-    Measures how much of the kernel mass of ``Y`` the column span of ``F``
-    captures: ``trace(G_Y P_F) / n`` with ``P_F`` the orthogonal projector
-    onto the span of ``F`` (directions of ``F.T @ F`` with eigenvalue at most
-    ``1e-12`` dropped). Monotone in the feature span, so richer feature
-    sets never score lower on the same data.
-    """
-    F = _as_frames(F, "F")
-    Y = _as_frames(Y, "Y")
-    if F.shape[0] != Y.shape[0]:
-        raise InvalidArgument("F and Y must have the same number of rows")
-    return _kvad_score(F, gram_matrix(kernel, Y))
-
-
 def _kvad_score(F: NDArray, G_Y: NDArray) -> float:
-    """:func:`kvad_feature_score` from the Gram matrix of the forward samples."""
+    """Kernel-embedded predictability of forward samples from features ``F``.
+
+    Measures how much of the kernel mass of the forward samples, whose Gram
+    matrix is ``G_Y``, the column span of ``F`` captures: ``trace(G_Y P_F) /
+    n`` with ``P_F`` the orthogonal projector onto the span of ``F``
+    (directions of ``F.T @ F`` with eigenvalue at most ``1e-12`` dropped).
+    Monotone in the feature span, so richer feature sets never score lower on
+    the same data.
+    """
     C = F.T @ F
     white = sym_inverse_sqrt(0.5 * (C + C.T))
     B = F @ white.transform.T  # orthonormal columns spanning col(F)
@@ -718,8 +706,12 @@ def kvad_score(model: KVADModel, X: NDArray, Y: NDArray,
     """Score the model's feature space on (possibly new) paired data.
 
     Re-estimates the optimal ``q`` for the model's features on the given
-    pairs and returns the kernel-embedded predictability. A different kernel
-    than the one used for fitting may be supplied for scoring.
+    pairs and returns the kernel-embedded predictability (see
+    :func:`_kvad_score`). A different kernel than the one used for fitting
+    may be supplied for scoring.
     """
     kernel = model.kernel if kernel is None else kernel
-    return kvad_feature_score(model.f(X), Y, kernel)
+    F, Y = model.f(X), _as_frames(Y, "Y")
+    if F.shape[0] != Y.shape[0]:
+        raise InvalidArgument("X and Y must pair the same number of frames")
+    return _kvad_score(F, gram_matrix(kernel, Y))

@@ -441,47 +441,40 @@ def init_from_msm(observations, n_hidden: int, lag: int = 1) -> HiddenMarkovMode
             f"only {n_obs} connected observed states for {n_hidden} hidden states"
         )
 
-    if n_hidden == n_obs:
-        groups = [[i] for i in range(n_obs)]
-    else:
-        spectrum = spectral_analysis(msm, min(n_obs, n_hidden))
-        left = np.real(spectrum.left_eigenvectors)
-        groups = [list(range(n_obs))]
-        for comp in range(1, left.shape[1]):
-            if len(groups) >= n_hidden:
-                break
-            vec = left[:, comp]
-            out: list[list[int]] = []
-            remaining = list(groups)
-            while remaining:
-                group = remaining.pop(0)
-                plus = [s for s in group if vec[s] >= 0]
-                minus = [s for s in group if vec[s] < 0]
-                # Splitting is allowed only while below the requested count.
-                if plus and minus and len(out) + 1 + len(remaining) < n_hidden:
-                    out.extend([plus, minus])
-                else:
-                    out.append(group)
-            groups = out
-        # If sign patterns did not separate enough groups, split the largest
-        # groups at the median of the slowest eigenvector until it fits.
-        vec = left[:, 1] if left.shape[1] > 1 else np.zeros(n_obs)
-        while len(groups) < n_hidden:
-            groups.sort(key=len, reverse=True)
-            big = groups.pop(0)
-            if len(big) < 2:
-                raise InvalidArgument(
-                    "cannot split states into the requested number of groups"
-                )
-            values = np.array([vec[s] for s in big])
-            med = np.median(values)
-            lower = [s for s, v in zip(big, values) if v <= med]
-            upper = [s for s, v in zip(big, values) if v > med]
-            if not upper or not lower:  # all equal; split by index
-                lower, upper = big[: len(big) // 2], big[len(big) // 2 :]
-            groups.extend([lower, upper])
-        groups = [sorted(g) for g in groups]
-        groups.sort(key=lambda g: g[0])
+    spectrum = spectral_analysis(msm, n_hidden)
+    left = np.real(spectrum.left_eigenvectors)
+    groups = [list(range(n_obs))]
+    for comp in range(1, left.shape[1]):
+        if len(groups) >= n_hidden:
+            break
+        vec = left[:, comp]
+        out: list[list[int]] = []
+        remaining = list(groups)
+        while remaining:
+            group = remaining.pop(0)
+            plus = [s for s in group if vec[s] >= 0]
+            minus = [s for s in group if vec[s] < 0]
+            # Splitting is allowed only while below the requested count.
+            if plus and minus and len(out) + 1 + len(remaining) < n_hidden:
+                out.extend([plus, minus])
+            else:
+                out.append(group)
+        groups = out
+    # If sign patterns did not separate enough groups, split the largest
+    # groups at the median of the slowest eigenvector until it fits; with
+    # fewer groups than n_hidden <= n_obs, the largest has two states or more.
+    while len(groups) < n_hidden:
+        groups.sort(key=len, reverse=True)
+        big = groups.pop(0)
+        values = left[big, 1]
+        med = np.median(values)
+        lower = [s for s, v in zip(big, values) if v <= med]
+        upper = [s for s, v in zip(big, values) if v > med]
+        if not upper or not lower:  # all equal; split by index
+            lower, upper = big[: len(big) // 2], big[len(big) // 2 :]
+        groups.extend([lower, upper])
+    groups = [sorted(g) for g in groups]
+    groups.sort(key=lambda g: g[0])
 
     membership = np.zeros(n_obs, dtype=np.int64)
     for h, group in enumerate(groups):

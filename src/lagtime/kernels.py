@@ -26,17 +26,18 @@ _SCRATCH_ROWS = 64
 
 
 class Kernel:
-    """Base class for positive-definite kernels on R^d."""
+    """Base class for positive-definite kernels on R^d.
 
-    def pairwise(self, A: NDArray, B: NDArray) -> NDArray:
-        """Kernel matrix with entries ``k(A[i], B[j])``."""
-        raise NotImplementedError
+    A kernel supplies one method, ``_pairwise_into(A, B, out)``, which writes
+    ``k(A[i], B[j])`` into ``out[i, j]``. Callers reach kernel values through
+    :func:`gram_matrix`, which calls it from several threads at once, each
+    with its own block of one matrix as ``out``; it is private because worker
+    threads call no public function (``perfbench/spans.py`` wraps those and
+    keeps one span stack).
+    """
 
     def _pairwise_into(self, A: NDArray, B: NDArray, out: NDArray) -> None:
-        """:meth:`pairwise` written into ``out``. :func:`gram_matrix` calls
-        it from several threads at once, each with its own block of one
-        matrix as ``out``."""
-        out[...] = self.pairwise(A, B)
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -48,11 +49,6 @@ class GaussianKernel(Kernel):
     def __post_init__(self):
         if self.sigma <= 0:
             raise InvalidArgument(f"sigma must be positive, got {self.sigma}")
-
-    def pairwise(self, A, B):
-        out = np.empty((A.shape[0], B.shape[0]))
-        self._pairwise_into(A, B, out)
-        return out
 
     def _pairwise_into(self, A, B, out):
         # (|a|^2 + |b|^2) - 2 a.b, clipped, divided by -2 sigma^2, then exp,

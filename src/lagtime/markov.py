@@ -77,10 +77,6 @@ class TransitionCountModel:
     def n_states(self) -> int:
         return self.count_matrix.shape[0]
 
-    @property
-    def total_counts(self) -> int:
-        return int(self.count_matrix.sum())
-
     def submodel(self, states: NDArray) -> "TransitionCountModel":
         """Restrict to a subset of (internal) state indices, keeping symbols."""
         states = np.asarray(states, dtype=np.int64)
@@ -166,13 +162,17 @@ def largest_connected_submodel(counts: TransitionCountModel) -> TransitionCountM
 
     Connectivity is strong connectivity of the graph with an edge wherever a
     transition was observed. Ties between equally large components are
-    broken towards the one containing the lowest state index.
+    broken towards one with a transition inside it (for a single state, a
+    count to itself), then towards the one containing the lowest state index.
     """
     C = counts.count_matrix
     graph = csr_matrix((C > 0).astype(np.int8))
     n_comp, labels = connected_components(graph, directed=True, connection="strong")
     sizes = np.bincount(labels, minlength=n_comp)
-    candidates = np.flatnonzero(sizes == sizes.max())
+    inside = sizes > 1
+    inside[labels[np.diag(C) > 0]] = True
+    rank = 2 * sizes + inside  # size first, then a transition inside
+    candidates = np.flatnonzero(rank == rank.max())
     # The component containing the smallest state index among the candidates.
     _, first_state = np.unique(labels, return_index=True)
     winner = candidates[np.argmin(first_state[candidates])]
@@ -444,7 +444,7 @@ def msm_to_koopman(msm: MarkovStateModel):
     w = msm.stationary_distribution
     c00 = ctt = np.diag(w)
     c0t = w[:, None] * P
-    n_pairs = msm.count_model.total_counts if msm.count_model is not None else 2
+    n_pairs = int(msm.count_model.count_matrix.sum()) if msm.count_model is not None else 2
     cov = CovarianceModel(
         mean_0=np.zeros(n), mean_t=np.zeros(n),
         c00=c00, c0t=c0t, ctt=ctt,

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -66,14 +66,8 @@ class WhiteningTransform:
     """
 
     transform: NDArray
-    mean: NDArray = field(default=None)  # type: ignore[assignment]
-    rank: int = 0
-
-    def __post_init__(self):
-        if self.mean is None:
-            object.__setattr__(self, "mean", np.zeros(self.transform.shape[1]))
-        if self.rank == 0:
-            object.__setattr__(self, "rank", self.transform.shape[0])
+    mean: NDArray
+    rank: int
 
     def apply(self, X: NDArray) -> NDArray:
         """Whiten rows of ``X``."""

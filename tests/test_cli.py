@@ -272,6 +272,16 @@ class TestMsmCommand:
         assert code == 3
         assert "at least two connected states" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["3\n3\n3\n3\n", "1\n1\n1\n1\n0\n"])
+    def test_single_state_tie_goes_to_a_state_with_counts(self, tmp_path, capsys, text):
+        # Every component is one state: the kept one is the state that moves
+        # to itself, not a lower one that was never seen or only seen last.
+        path = tmp_path / "chain.txt"
+        path.write_text(text)
+        code = main(["msm", "--input", str(path), "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert "at least two connected states" in capsys.readouterr().err
+
     def test_lag_longer_than_data_is_insufficient(self, tmp_path, capsys):
         path = tmp_path / "short.txt"
         path.write_text("0 1 0 1\n")
@@ -294,6 +304,14 @@ class TestGenerateCommand:
         ])
         assert code == 0
         assert (tmp_path / filename).exists()
+
+    def test_format_is_a_usage_error(self, tmp_path, capsys):
+        # generate writes no report, so there is no metrics.csv to ask for.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["generate", "--system", "quadwell", "--n-frames", "10", "--format", "csv",
+                  "--out", str(tmp_path)])
+        assert excinfo.value.code == 2
+        assert not any(tmp_path.iterdir())
 
     def test_rossler_generation(self, tmp_path, capsys):
         code = main([

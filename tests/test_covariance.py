@@ -63,6 +63,10 @@ class TestAgainstBatchReference:
         rng = np.random.default_rng(42)
         X = rng.standard_normal((500, 3))
         Y = rng.standard_normal((500, 3)) + 0.3 * X
+        if symmetrize and not remove_mean:  # no caller asks for raw symmetrized moments
+            with pytest.raises(InvalidArgument, match="always mean-free"):
+                covariances_from_pairs(X, Y, symmetrize=True, remove_mean=False)
+            return
         model = covariances_from_pairs(
             X, Y, symmetrize=symmetrize, remove_mean=remove_mean
         )

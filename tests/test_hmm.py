@@ -386,6 +386,20 @@ class TestInitFromMsm:
         # Each hidden state is pinned to exactly one symbol (up to the floor).
         assert np.all(B.max(axis=1) > 0.9)
 
+    def test_median_split_where_eigenvector_signs_fall_short(self):
+        # On a period-4 cycle the -1 eigenvalue ranks before 1, so the second
+        # left eigenvector is the all-positive stationary one: its signs split
+        # nothing, and the median split of its values makes the two groups.
+        B = init_from_msm(np.tile([0, 1, 2, 3], 50), n_hidden=2).output_model.emission_matrix
+        assert [np.flatnonzero(b > 0.1).tolist() for b in B] == [[0, 1], [2, 3]]
+
+    @pytest.mark.parametrize("obs, symbol", [([3, 3, 3, 3], 3), ([1, 1, 1, 1, 0], 1)])
+    def test_single_state_with_counts_is_kept(self, obs, symbol):
+        # The lower symbols form one-state components with no transition
+        # inside; the observed self-transitions decide the tie.
+        B = init_from_msm(np.array(obs), n_hidden=1).output_model.emission_matrix
+        assert np.argmax(B[0]) == symbol and B[0, symbol] > 0.99
+
     def test_validation(self):
         obs = self.metastable_observations(length=500)
         with pytest.raises(InvalidArgument):

@@ -50,7 +50,7 @@ class TestCountTransitions:
         np.testing.assert_array_equal(model.count_matrix, expected)
         assert model.lag == 1
         assert model.n_states == 3
-        assert model.total_counts == 5
+        assert model.count_matrix.sum() == 5
 
     def test_sliding_larger_lag_pairs_every_offset(self):
         traj = np.array([0, 1, 0, 1, 0, 1])
@@ -64,7 +64,7 @@ class TestCountTransitions:
         strided = count_transitions(traj, lag=2, counting_mode="strided")
         np.testing.assert_array_equal(sliding.count_matrix, np.diag([3, 2]))
         # Strided starts at frames 0, 2, 4 only, and even frames are all 0.
-        assert strided.total_counts == 3
+        assert strided.count_matrix.sum() == 3
         np.testing.assert_array_equal(strided.count_matrix, np.diag([3, 0]))
 
     def test_multiple_trajectories_are_summed(self):
@@ -107,6 +107,12 @@ class TestConnectedSubmodel:
         )
         sub = largest_connected_submodel(counts)
         np.testing.assert_array_equal(sub.state_symbols, [0, 1])
+
+    def test_tie_prefers_a_state_that_moves_to_itself(self):
+        # {0}, {1}, {2} and {3} are all one state; only 3 -> 3 was observed.
+        sub = largest_connected_submodel(count_transitions(np.array([3, 3, 3, 3]), lag=1))
+        np.testing.assert_array_equal(sub.state_symbols, [3])
+        np.testing.assert_array_equal(sub.count_matrix, [[3]])
 
     def test_fully_connected_input_unchanged(self):
         counts = random_count_model(4, seed=0)

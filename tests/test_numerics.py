@@ -86,7 +86,7 @@ class TestSymInverseSqrt:
 
     def test_apply_subtracts_mean(self):
         transform = np.array([[2.0, 0.0], [0.0, 1.0]])
-        white = WhiteningTransform(transform=transform, mean=np.array([1.0, -1.0]))
+        white = WhiteningTransform(transform=transform, mean=np.array([1.0, -1.0]), rank=2)
         out = white.apply(np.array([[1.0, -1.0], [2.0, 0.0]]))
         np.testing.assert_allclose(out, [[0.0, 0.0], [2.0, 1.0]])
 
@@ -269,11 +269,70 @@ MODEL_API = {"quadwell_potential", "propagate", "backward", "kvad_score", "save_
              "load_model", "sindy_simulate", "sindy_score"}
 
 
-def references(path, modules):
+def class_hierarchy(src):
+    """(bases, returns) of the package: the base-class names of each class,
+    and the class named by the return annotation of each function (by name)
+    and method (by ``Class.method``) that has one."""
+    bases, annotated = {}, {}
+    for path in sorted(src.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            functions = [("", node)]
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = {getattr(base, "id", getattr(base, "attr", None))
+                                    for base in node.bases}
+                functions = [(f"{node.name}.", method) for method in node.body]
+            for prefix, function in functions:
+                if isinstance(function, ast.FunctionDef) and function.returns is not None:
+                    returned = function.returns
+                    annotated[prefix + function.name] = getattr(returned, "id", None) or (
+                        returned.value if isinstance(returned, ast.Constant) else None)
+    return bases, {name: cls for name, cls in annotated.items() if cls in bases}
+
+
+def lineage(cls, bases):
+    """``cls`` and every package class it derives from."""
+    found, todo = set(), [cls]
+    while todo:
+        name = todo.pop()
+        if name in bases and name not in found:
+            found.add(name)
+            todo.extend(bases[name])
+    return found
+
+
+def subclasses(cls, bases):
+    """``cls`` and every package class derived from it: what an instance
+    declared as ``cls`` may be."""
+    return {name for name in bases if cls in lineage(name, bases)}
+
+
+def scope_nodes(scope):
+    """The nodes of one scope: everything below it except the bodies of the
+    functions, lambdas and classes it defines, which are scopes of their own."""
+    todo = [value for field, value in ast.iter_fields(scope) if field == "body"]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, list):
+            todo.extend(item)
+        elif isinstance(item, ast.AST):
+            yield item
+            own_scope = isinstance(item, (ast.FunctionDef, ast.Lambda, ast.ClassDef))
+            todo.extend(value for field, value in ast.iter_fields(item)
+                        if not (own_scope and field == "body"))
+
+
+def references(path, src, bases, returns):
     """(names, members) that a source file refers to. ``names`` holds bare
-    names and attributes of an imported module; ``members`` every other
-    attribute, which is how a method or property is reached."""
+    names and attributes of an imported module. ``members`` holds every other
+    attribute, which is how a method or property is reached, as (attribute,
+    classes): the package classes the receiver may be an instance of, or None
+    when the AST does not tell. It tells for ``self`` inside a class (that
+    class or a subclass), for a constructor call (that class), and for a call,
+    or a name every binding of which in its scope is a call, of a function
+    whose return annotation names a class (that class or a subclass). A class
+    outside the package is none of the package's, whatever its name."""
     tree = ast.parse(path.read_text())
+    modules = {module.stem for module in src.glob("*.py")}
     aliases = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -281,26 +340,95 @@ def references(path, modules):
         elif isinstance(node, ast.ImportFrom):
             aliases.update(alias.asname or alias.name for alias in node.names
                            if alias.name in modules)
-    names, members = set(), set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            on_module = isinstance(node.value, ast.Name) and node.value.id in aliases
-            (names if on_module else members).add(node.attr)
+
+    def produced(call):
+        function = call.func
+        if getattr(function, "attr", None) == "call" and call.args:  # ops.call(fn, ...)
+            function = call.args[0]
+        owner = getattr(getattr(function, "value", None), "id", None)
+        if isinstance(function, ast.Attribute) and owner in bases:
+            name = f"{owner}.{function.attr}"
+        elif isinstance(function, ast.Name) or owner in aliases:
+            name = getattr(function, "id", None) or function.attr
+            if name in bases:
+                return {name}
+        else:
+            return None
+        return subclasses(returns[name], bases) if name in returns else None
+
+    names, members = set(), []
+
+    def visit(scope, own_class):
+        nodes = list(scope_nodes(scope))
+        values = {}  # the value each assignment target is bound to
+        for statement in nodes:
+            if isinstance(statement, ast.Assign):
+                values.update((id(target), statement.value) for target in statement.targets)
+            elif isinstance(statement, (ast.AnnAssign, ast.NamedExpr)):
+                values[id(statement.target)] = statement.value
+        bound = {}
+
+        def bind(name, value):
+            classes = produced(value) if isinstance(value, ast.Call) else None
+            known = bound.get(name, set())
+            bound[name] = None if classes is None or known is None else known | classes
+
+        if isinstance(scope, (ast.FunctionDef, ast.Lambda)):
+            arguments = scope.args
+            for argument in (arguments.posonlyargs + arguments.args + arguments.kwonlyargs
+                             + [arguments.vararg, arguments.kwarg]):
+                if argument is not None:
+                    bind(argument.arg, None)
+        for node in nodes:
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+                bind(node.id, values.get(id(node)))
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.ExceptHandler)):
+                bind(node.name, None)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bind(alias.asname or alias.name.split(".")[0], None)
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                for name in node.names:
+                    bind(name, None)
+        for node in nodes:
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                receiver = node.value
+                if isinstance(receiver, ast.Name) and receiver.id in aliases:
+                    names.add(node.attr)
+                    continue
+                classes = None
+                if isinstance(receiver, ast.Call):
+                    classes = produced(receiver)
+                elif isinstance(receiver, ast.Name) and receiver.id == "self" and own_class:
+                    classes = subclasses(own_class, bases)
+                elif isinstance(receiver, ast.Name):
+                    classes = bound.get(receiver.id)
+                members.append((node.attr, classes))
+            if isinstance(node, ast.ClassDef):
+                visit(node, node.name if path.parent == src else None)
+            elif isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                method = isinstance(scope, ast.ClassDef) and isinstance(node, ast.FunctionDef)
+                first = node.args.args[0].arg if node.args.args else None
+                visit(node, (own_class if first == "self" else None) if method else own_class)
+
+    visit(tree, None)
     return names, members
 
 
 def public_definitions(path):
-    """(label, name, is_member, node) of each public top-level function and
-    class of a source file, and of each public method of those classes."""
+    """(label, name, owner, node) of each public top-level function and class
+    of a source file, and of each public method of those classes; ``owner`` is
+    the class that defines a method, None otherwise."""
     for node in ast.parse(path.read_text()).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-            yield f"{path.name}:{node.name}", node.name, False, node
+            yield f"{path.name}:{node.name}", node.name, None, node
             if isinstance(node, ast.ClassDef):
                 for method in node.body:
                     if isinstance(method, ast.FunctionDef) and not method.name.startswith("_"):
-                        yield f"{path.name}:{node.name}.{method.name}", method.name, True, method
+                        yield (f"{path.name}:{node.name}.{method.name}", method.name, node.name,
+                               method)
 
 
 def caller_files():
@@ -319,20 +447,30 @@ def caller_files():
 
 
 def test_every_public_name_has_a_caller_besides_its_tests():
-    # A name that only its own tests call is code to delete.
+    # A name that only its own tests call is code to delete. A method is
+    # called when a caller reads it on a receiver that may be an instance of
+    # its class or of a subclass; a receiver of unknown class may be any.
     src, callers = caller_files()
-    modules = {path.stem for path in src.glob("*.py")}
-    names, members = set(), set()
+    bases, returns = class_hierarchy(src)
+    names, receivers = set(), {}
     for path, scope in callers:
-        found_names, found_members = references(path, modules)
+        found_names, found_members = references(path, src, bases, returns)
         if scope is not None:
             found_names &= scope
-            found_members &= scope
         names |= found_names
-        members |= found_members
+        for attribute, classes in found_members:
+            if scope is None or attribute in scope:
+                receivers.setdefault(attribute, []).append(classes)
+
+    def called(name, owner):
+        if owner is None:
+            return name in names
+        return any(classes is None or any(owner in lineage(cls, bases) for cls in classes)
+                   for classes in receivers.get(name, ()))
+
     uncalled = [(label, name) for path in sorted(src.glob("*.py"))
-                for label, name, is_member, _ in public_definitions(path)
-                if name not in (members if is_member else names)]
+                for label, name, owner, _ in public_definitions(path)
+                if not called(name, owner)]
     unlisted = [label for label, name in uncalled if name not in MODEL_API]
     assert not unlisted, unlisted
     # An entry that gained a caller leaves the list.
@@ -374,7 +512,7 @@ def defaulted_parameters(path):
     ``__init__``, or its dataclass fields, called by the class name) of a
     source file. ``position`` counts from the first argument a caller writes;
     keyword-only parameters have none."""
-    for label, called_as, is_member, node in public_definitions(path):
+    for label, called_as, owner, node in public_definitions(path):
         if isinstance(node, ast.ClassDef):
             for position, (name, default) in enumerate(dataclass_fields(node)):
                 if default is not None:
@@ -385,7 +523,7 @@ def defaulted_parameters(path):
                 continue
             bound = True
         else:
-            bound = is_member and not any(getattr(decorator, "id", None) == "staticmethod"
+            bound = owner is not None and not any(getattr(decorator, "id", None) == "staticmethod"
                                           for decorator in node.decorator_list)
         arguments = node.args
         positional = arguments.posonlyargs + arguments.args

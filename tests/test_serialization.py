@@ -378,8 +378,8 @@ class TestDocumentValidation:
 
     def test_custom_kernel_cannot_be_serialized(self):
         class MyKernel(Kernel):
-            def pairwise(self, A, B):
-                return A @ B.T
+            def _pairwise_into(self, A, B, out):
+                np.matmul(A, B.T, out=out)
 
         X, Y = sample_pairs(seed=15, n=50, d=2)
         model = kernel_edmd_fit(X, Y, MyKernel(), epsilon=1e-6)
