@@ -30,6 +30,10 @@ __all__ = [
 ]
 
 
+# Rows that partial_fit centres and multiplies at a time.
+_BLOCK_ROWS = 8192
+
+
 def lagged_pairs(trajectory: NDArray, lag: int) -> tuple[NDArray, NDArray]:
     """Split one trajectory into instantaneous/time-lagged halves.
 
@@ -124,17 +128,19 @@ class CovarianceAccumulator:
         m = X.shape[0]
         if m == 0:
             return self
-        mean_x = X.mean(axis=0)
-        mean_y = Y.mean(axis=0)
-        Xc = X - mean_x
-        Yc = Y - mean_y
         other = CovarianceAccumulator(self.dim, self.lag)
         other.n = m
-        other.mean_x = mean_x
-        other.mean_y = mean_y
-        other.m_xx = Xc.T @ Xc
-        other.m_xy = Xc.T @ Yc
-        other.m_yy = Yc.T @ Yc
+        other.mean_x = X.mean(axis=0)
+        other.mean_y = Y.mean(axis=0)
+        # Centred copies of one block of rows at a time, so a long batch
+        # costs no full-length temporaries; a chunk of one block sums as
+        # a single product.
+        for start in range(0, m, _BLOCK_ROWS):
+            Xc = X[start : start + _BLOCK_ROWS] - other.mean_x
+            Yc = Y[start : start + _BLOCK_ROWS] - other.mean_y
+            other.m_xx += Xc.T @ Xc
+            other.m_xy += Xc.T @ Yc
+            other.m_yy += Yc.T @ Yc
         self.merge(other)
         return self
 

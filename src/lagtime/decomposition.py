@@ -16,7 +16,8 @@ the customary convention for those methods.
 Kernel CCA factors its two shifted Gram matrices by Cholesky and finds its
 leading correlations by a block Krylov solve, so on spectra with a gap it
 decomposes no n x n matrix; without a gap it finishes with a dense solve,
-chosen by a fixed work budget.
+chosen by a fixed work budget. Kernel EDMD finds only the eigenpairs it
+is asked for, by Arnoldi iteration on its n x n operator.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from typing import Optional
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse.linalg
 from numpy.typing import NDArray
 
 from .basis import FeatureMap, IdentityFeatures, LinearFeatures, WithConstant
@@ -33,7 +35,8 @@ from .covariance import CovarianceAccumulator, CovarianceModel
 from .errors import InvalidArgument, NumericalDegeneracy, UndefinedScore
 from .kernels import Kernel, KernelSectionFeatures, _center_gram, _gram_means, gram_matrix
 from .numerics import (
-    _as_frames, _rng, generalized_eig_sym, pinv_truncated, sym_inverse_sqrt, truncated_svd,
+    _as_frames, _by_modulus, _rng, generalized_eig_sym, pinv_truncated, sym_inverse_sqrt,
+    truncated_svd,
 )
 
 __all__ = [
@@ -56,6 +59,24 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # models
+
+
+def _leading_eigenpairs(evals: NDArray, evecs: NDArray, k: int) -> tuple[NDArray, NDArray]:
+    """The ``k`` eigenpairs of largest modulus, in one form whichever solver found them.
+
+    Pairs come in the order of ``_by_modulus``; a conjugate pair that the
+    cut splits keeps its member with positive imaginary part. Each
+    eigenvector has unit norm and its largest-modulus entry real and
+    positive. Real eigenvalues give real arrays.
+    """
+    order = _by_modulus(evals)[:k]
+    evals, evecs = evals[order], evecs[:, order]
+    if evals[-1].imag < 0 and (k == 1 or evals[-2] != np.conj(evals[-1])):
+        evals[-1], evecs[:, -1] = np.conj(evals[-1]), np.conj(evecs[:, -1])
+    if not np.any(evals.imag):
+        evals, evecs = evals.real, evecs.real
+    pivot = evecs[np.argmax(np.abs(evecs), axis=0), np.arange(k)]
+    return evals, evecs * (np.abs(pivot) / pivot / np.linalg.norm(evecs, axis=0))
 
 
 @dataclass
@@ -87,10 +108,8 @@ class TransferOperatorModel:
                 raise InvalidArgument(
                     "projection requires a square operator or an explicit projection matrix"
                 )
-            evals, evecs = np.linalg.eig(self.K)
-            order = np.argsort(-np.abs(evals), kind="stable")
-            self.eigenvalues = evals[order]
-            self.projection_matrix = evecs[:, order]
+            self.eigenvalues, self.projection_matrix = _leading_eigenpairs(
+                *np.linalg.eig(self.K), self.K.shape[0])
         return self.projection_matrix
 
     def project(self, X: NDArray, n_components: int) -> NDArray:
@@ -362,8 +381,8 @@ def vamp_score_cv(F0: NDArray, F1: NDArray, r: float = 2, n_folds: int = 10
 # kernel estimators
 
 
-def kernel_edmd_fit(X: NDArray, Y: NDArray, kernel: Kernel, epsilon: float
-                    ) -> TransferOperatorModel:
+def kernel_edmd_fit(X: NDArray, Y: NDArray, kernel: Kernel, epsilon: float,
+                    n_components: int) -> TransferOperatorModel:
     """Forward-operator regression in a reproducing kernel space.
 
     Features are kernel sections anchored at the instantaneous points, with
@@ -371,8 +390,12 @@ def kernel_edmd_fit(X: NDArray, Y: NDArray, kernel: Kernel, epsilon: float
     ``(G + n epsilon I)^{-1} G_fwd`` where ``G[i, j] = k(x_i, x_j)`` and
     ``G_fwd[i, j] = k(y_i, x_j)``; its eigenvectors give the dominant
     eigenfunctions as kernel expansions over the anchors, ordered by
-    eigenvalue modulus. The model keeps all n of them, since ``project`` may
-    ask for any number.
+    eigenvalue modulus. The model keeps the leading ``n_components`` of
+    them, found by implicitly restarted Arnoldi (ARPACK) from a fixed start
+    vector, so the same data give the same bytes whatever the global random
+    state. Where Arnoldi does not apply (``n_components >= n - 1``) or does
+    not converge, a dense eigendecomposition of the operator finds them
+    instead; both give each eigenvector the same normalization.
     """
     X, Y = _as_frames(X), _as_frames(Y, "Y")
     if X.shape != Y.shape:
@@ -380,6 +403,8 @@ def kernel_edmd_fit(X: NDArray, Y: NDArray, kernel: Kernel, epsilon: float
     if epsilon < 0:
         raise InvalidArgument(f"epsilon must be non-negative, got {epsilon}")
     n = X.shape[0]
+    if not (1 <= n_components <= n):
+        raise InvalidArgument(f"n_components must be in 1..{n}")
     H = gram_matrix(kernel, X)
     H.flat[:: n + 1] += n * epsilon
     # LU, not Cholesky, so kernels that are not positive definite still
@@ -390,13 +415,20 @@ def kernel_edmd_fit(X: NDArray, Y: NDArray, kernel: Kernel, epsilon: float
         gram_matrix(kernel, Y, X), overwrite_b=True, check_finite=False,
     )
     # Row-major, as a loaded model holds it, so that products with K round
-    # the same before and after a save and load. H is not released early on
-    # purpose: freeing it before the eigendecomposition left the heap more
-    # fragmented and raised perfbench crossval's peak RSS by 23 MiB.
+    # the same before and after a save and load.
     K = np.ascontiguousarray(K)
     sections = KernelSectionFeatures(kernel, X)
     model = TransferOperatorModel(f=sections, g=sections, K=K, method="kernel_edmd")
-    model._ensure_projection()
+    pairs = None
+    if n_components < n - 1:
+        try:
+            pairs = scipy.sparse.linalg.eigs(K, n_components, which="LM", tol=0,
+                                             v0=_rng(0).standard_normal(n))
+        except scipy.sparse.linalg.ArpackNoConvergence:
+            pass
+    if pairs is None:
+        pairs = np.linalg.eig(K)
+    model.eigenvalues, model.projection_matrix = _leading_eigenpairs(*pairs, n_components)
     return model
 
 

@@ -108,6 +108,7 @@ def sqrt_decision_feature(method: str, observations: NDArray) -> NDArray:
             W[:-1], W[1:],
             GaussianKernel(SQRT_KERNEL_EDMD_BANDWIDTH),
             epsilon=SQRT_KERNEL_EDMD_EPSILON,
+            n_components=2,
         )
         return model.project(W, 2)[:, 1]
     if method == "kernel_cca":

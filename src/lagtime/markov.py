@@ -29,7 +29,7 @@ from .errors import (
     InsufficientData,
     InvalidArgument,
 )
-from .numerics import SpectralDecomposition, _rng
+from .numerics import SpectralDecomposition, _by_modulus, _rng
 
 __all__ = [
     "TransitionCountModel",
@@ -309,7 +309,7 @@ def stationary_distribution(P: NDArray) -> NDArray:
 
 def spectral_analysis(msm: MarkovStateModel, n_components: Optional[int] = None
                       ) -> SpectralDecomposition:
-    """Eigenvalues and left/right eigenvectors, ordered by modulus.
+    """Eigenvalues and left/right eigenvectors by descending modulus, ties to larger real part.
 
     For reversible models the spectrum is computed through the symmetrized
     matrix ``diag(sqrt(mu)) P diag(1/sqrt(mu))``, guaranteeing real
@@ -331,7 +331,7 @@ def spectral_analysis(msm: MarkovStateModel, n_components: Optional[int] = None
         S = (sqrt_mu[:, None] * P) / sqrt_mu[None, :]
         S = 0.5 * (S + S.T)
         evals, evecs = np.linalg.eigh(S)
-        order = np.argsort(-np.abs(evals), kind="stable")
+        order = _by_modulus(evals)
         evals, evecs = evals[order], evecs[:, order]
         right = evecs / sqrt_mu[:, None]
         # Unit norm in the stationary inner product: sum(mu * r^2) = 1.
@@ -345,7 +345,7 @@ def spectral_analysis(msm: MarkovStateModel, n_components: Optional[int] = None
             eigenvalues=evals[:k], eigenvectors=right[:, :k], left_eigenvectors=left[:, :k]
         )
     evals, vl, vr = _eig_lr(P, left=True, right=True)
-    order = np.argsort(-np.abs(evals), kind="stable")
+    order = _by_modulus(evals)
     evals, vl, vr = evals[order], vl[:, order], vr[:, order]
     if np.allclose(np.imag(evals[:k]), 0.0, atol=1e-12):
         evals = np.real(evals)

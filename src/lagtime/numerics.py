@@ -102,6 +102,17 @@ def _rng(seed: Optional[int]) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _by_modulus(evals: NDArray) -> NDArray:
+    """Order of descending eigenvalue modulus, stable.
+
+    Moduli equal to 12 decimals put the larger real part first, so a
+    periodic chain's eigenvalue 1 comes before its -1 whichever one the
+    solver rounded up, and then the positive imaginary part, so each
+    conjugate pair sits together in one order whichever solver found it.
+    """
+    return np.lexsort((-np.imag(evals), -np.real(evals), -np.round(np.abs(evals), 12)))
+
+
 def _over_cores(function: Callable, items) -> list:
     """``function`` of each contiguous chunk of ``items``, one chunk per usable core.
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -107,6 +109,28 @@ class TestChunkedEqualsBatch:
             np.testing.assert_allclose(
                 getattr(chunked, name), getattr(batch, name), atol=1e-12
             )
+
+    def test_batch_of_many_row_blocks_matches_chunks(self):
+        # Past 8192 rows a batch is centred and multiplied block by block.
+        rng = np.random.default_rng(10)
+        traj = rng.standard_normal((30_000, 3)).cumsum(axis=0) * 0.01 + 5.0
+        batch = estimate_covariances([traj], lag=3)
+        for chunk in (4096, 8192, 12_345):
+            chunked = estimate_covariances([traj], lag=3, chunk_size=chunk)
+            for name in ("mean_0", "mean_t", "c00", "c0t", "ctt"):
+                np.testing.assert_allclose(
+                    getattr(chunked, name), getattr(batch, name), rtol=0, atol=1e-12
+                )
+
+    def test_long_batch_allocates_no_full_length_copy(self):
+        traj = np.random.default_rng(11).standard_normal((200_000, 20))
+        tracemalloc.start()
+        try:
+            estimate_covariances(traj, lag=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < traj.nbytes / 4, peak
 
     def test_merge_equals_single_accumulator(self):
         rng = np.random.default_rng(9)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,6 +11,7 @@ from lagtime.basis import (
     IdentityFeatures,
     IndicatorFeatures,
     MonomialFeatures,
+    Whitener,
     WithConstant,
 )
 from lagtime.covariance import covariances_from_pairs, lagged_pairs
@@ -34,6 +36,8 @@ from lagtime.experiments import (
     BICKLEY_KERNEL_CCA_EPSILON,
     SQRT_KERNEL_CCA_BANDWIDTH,
     SQRT_KERNEL_CCA_EPSILON,
+    SQRT_KERNEL_EDMD_BANDWIDTH,
+    SQRT_KERNEL_EDMD_EPSILON,
 )
 from lagtime.kernels import GaussianKernel, Kernel, gram_matrix
 from lagtime.markov import MarkovStateModel, msm_to_koopman
@@ -251,18 +255,62 @@ class TestVampScoreCv:
             vamp_score_cv(F, F[1:], n_folds=4)
 
 
+class StateMatchKernel(Kernel):
+    """1 exactly for equal discrete states, 0 otherwise."""
+
+    def _pairwise_into(self, A, B, out):
+        out[...] = A[:, 0][:, None] == B[:, 0][None, :]
+
+
+def three_state_pairs():
+    states = np.random.default_rng(29).integers(0, 3, size=400)
+    return states[:-1, None].astype(float), states[1:, None].astype(float)
+
+
+def recorded_shapes(monkeypatch, solver):
+    """Wrap scipy's and numpy's ``solver`` (``eig`` or ``eigh``); the list collects input shapes."""
+    shapes = []
+    for module in (scipy.linalg, np.linalg):
+        def spy(a, *args, _original=getattr(module, solver), **kwargs):
+            shapes.append(np.shape(a))
+            return _original(a, *args, **kwargs)
+        monkeypatch.setattr(module, solver, spy)
+    return shapes
+
+
+@pytest.fixture(scope="module")
+def sqrt_kernel_edmd():
+    """Criterion 2's kernel EDMD problem (n = 999, seed 0) and the dense
+    eigendecomposition of its operator, sorted by descending modulus."""
+    obs, _ = sample_sqrt_model(1000, seed=0)
+    W = Whitener.from_data(obs)(obs)
+    problem = (W[:-1], W[1:], GaussianKernel(SQRT_KERNEL_EDMD_BANDWIDTH), SQRT_KERNEL_EDMD_EPSILON)
+    evals, evecs = np.linalg.eig(kernel_edmd_fit(*problem, n_components=2).K)
+    order = np.argsort(-np.abs(evals), kind="stable")
+    return problem, evals[order], evecs[:, order]
+
+
+def assert_matches_dense_eig(model, X, evals, evecs, k):
+    """Eigenvalues to 1e-10, and ``project`` columns up to sign to 1e-9 of the
+    largest modulus of their eigenfunction, whose real part they are.
+
+    Real eigenvalues come back as a real array, as a dense ``eig`` of a real
+    spectrum gives them.
+    """
+    np.testing.assert_allclose(model.eigenvalues, evals[:k], rtol=0, atol=1e-10)
+    assert model.eigenvalues.dtype.kind == ("c" if np.any(evals[:k].imag) else "f")
+    functions = model.f(X) @ evecs[:, :k]
+    got, want = model.project(X, k), np.real(functions)
+    sign = np.where(np.sum(got * want, axis=0) < 0.0, -1.0, 1.0)
+    assert np.all(np.abs(got * sign - want) <= 1e-9 * np.abs(functions).max(axis=0))
+
+
 class TestKernelEdmd:
     def test_indicator_kernel_matches_discrete_transition_matrix(self):
         # A kernel that is 1 exactly for equal discrete states reproduces the
         # empirical transition matrix, pinning down the index convention.
-        class StateMatchKernel(Kernel):
-            def _pairwise_into(self, A, B, out):
-                out[...] = A[:, 0][:, None] == B[:, 0][None, :]
-
-        rng = np.random.default_rng(29)
-        states = rng.integers(0, 3, size=400)
-        X, Y = states[:-1, None].astype(float), states[1:, None].astype(float)
-        model = kernel_edmd_fit(X, Y, StateMatchKernel(), epsilon=1e-10)
+        X, Y = three_state_pairs()
+        model = kernel_edmd_fit(X, Y, StateMatchKernel(), epsilon=1e-10, n_components=3)
         # propagate()[i, j] predicts P(state(y) = state(anchor j) | probe i);
         # reading one anchor per state recovers the empirical transition matrix.
         ref = edmd_fit(X, Y, IndicatorFeatures(3)).K
@@ -275,7 +323,7 @@ class TestKernelEdmd:
         rng = np.random.default_rng(31)
         traj = np.tanh(rng.standard_normal((300, 2)).cumsum(axis=0) * 0.05)
         X, Y = traj[:-1], traj[1:]
-        model = kernel_edmd_fit(X, Y, GaussianKernel(1.0), epsilon=1e-6)
+        model = kernel_edmd_fit(X, Y, GaussianKernel(1.0), epsilon=1e-6, n_components=8)
         mags = np.abs(model.eigenvalues)
         assert np.all(np.diff(mags) <= 1e-12)
 
@@ -283,11 +331,89 @@ class TestKernelEdmd:
         rng = np.random.default_rng(37)
         X = rng.standard_normal((120, 2))
         Y = X * 0.9 + 0.05 * rng.standard_normal((120, 2))
-        m1 = kernel_edmd_fit(X, Y, GaussianKernel(0.8), epsilon=1e-5)
-        m2 = kernel_edmd_fit(X, Y, GaussianKernel(0.8), epsilon=1e-5)
+        m1 = kernel_edmd_fit(X, Y, GaussianKernel(0.8), epsilon=1e-5, n_components=3)
+        m2 = kernel_edmd_fit(X, Y, GaussianKernel(0.8), epsilon=1e-5, n_components=3)
         p1, p2 = m1.project(X, 3), m2.project(X, 3)
         np.testing.assert_array_equal(p1, p2)
         assert p1.shape == (120, 3)
+
+    # On this data the cut after 8 falls behind two conjugate pairs, and the
+    # cuts after 3 and 14 split one; at 14 Arnoldi returns the member with
+    # negative imaginary part, which the fit replaces by its conjugate.
+    @pytest.mark.parametrize("k", [2, 3, 8, 14])
+    def test_arnoldi_matches_dense_eig(self, sqrt_kernel_edmd, k):
+        problem, evals, evecs = sqrt_kernel_edmd
+        model = kernel_edmd_fit(*problem, n_components=k)
+        assert_matches_dense_eig(model, problem[0], evals, evecs, k)
+
+    def test_arnoldi_on_degenerate_operator(self):
+        # The state-match operator has rank 3: 396 of its 399 eigenvalues are
+        # zero, and the Krylov space from any start vector closes after three
+        # steps. Its nonzero eigenvalues are those of C / (n_s + n epsilon),
+        # C the transition counts and n_s the visits to state s.
+        # The complex pair's unit eigenvectors lie mostly where the Gram
+        # matrix maps them to almost nothing, so their function values are
+        # ~1e-4 and carry rounding of ~1e-12 that differs between solvers and
+        # BLAS thread counts: the eigenpairs are checked by their residuals
+        # instead of against a dense eig.
+        X, Y = three_state_pairs()
+        epsilon = 1e-3
+        model = kernel_edmd_fit(X, Y, StateMatchKernel(), epsilon, n_components=2)
+        IX, IY = IndicatorFeatures(3)(X), IndicatorFeatures(3)(Y)
+        M = (IX.T @ IY) / (IX.sum(axis=0) + X.shape[0] * epsilon)[:, None]
+        exact = np.linalg.eigvals(M)
+        np.testing.assert_allclose(model.eigenvalues, exact[np.argsort(-np.abs(exact))][:2],
+                                   rtol=0, atol=1e-10)
+        V = model.projection_matrix
+        np.testing.assert_allclose(np.linalg.norm(V, axis=0), 1.0, rtol=0, atol=1e-12)
+        residual = np.linalg.norm(model.K @ V - V * model.eigenvalues, axis=0)
+        assert np.all(residual <= 1e-10 * np.linalg.norm(model.K, 2)), residual
+
+    def test_same_bytes_whatever_global_random_state(self, sqrt_kernel_edmd):
+        problem = sqrt_kernel_edmd[0]
+        state = np.random.get_state()
+        try:
+            models = []
+            for seed in (0, 1):
+                np.random.seed(seed)
+                models.append(kernel_edmd_fit(*problem, n_components=2))
+        finally:
+            np.random.set_state(state)
+        for name in ("eigenvalues", "projection_matrix"):
+            assert getattr(models[0], name).tobytes() == getattr(models[1], name).tobytes()
+
+    def test_unconverged_arnoldi_falls_back_to_dense_eig(self, sqrt_kernel_edmd, monkeypatch):
+        problem = sqrt_kernel_edmd[0]
+        n = problem[0].shape[0]
+        arnoldi = kernel_edmd_fit(*problem, n_components=2)
+        # Past n - 2 components Arnoldi does not apply: this fit is the dense path's.
+        dense = kernel_edmd_fit(*problem, n_components=n - 1)
+
+        def unconverged(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.empty(0),
+                                                         np.empty((n, 0)))
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigs", unconverged)
+        fallback = kernel_edmd_fit(*problem, n_components=2)
+        np.testing.assert_array_equal(fallback.eigenvalues, dense.eigenvalues[:2])
+        np.testing.assert_array_equal(fallback.projection_matrix, dense.projection_matrix[:, :2])
+        np.testing.assert_allclose(fallback.eigenvalues, arnoldi.eigenvalues, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(fallback.projection_matrix, arnoldi.projection_matrix,
+                                   rtol=0, atol=1e-9)
+
+    def test_criterion_2_fit_decomposes_no_n_by_n_matrix(self, sqrt_kernel_edmd, monkeypatch):
+        # The sqrt experiment reads two eigenfunctions; a dense eig of the
+        # n x n operator would find all n.
+        problem = sqrt_kernel_edmd[0]
+        shapes = recorded_shapes(monkeypatch, "eig")
+        kernel_edmd_fit(*problem, n_components=2)
+        assert all(max(shape) < problem[0].shape[0] for shape in shapes), shapes
+
+    def test_component_count_validation(self):
+        X, Y = three_state_pairs()
+        for k in (0, X.shape[0] + 1):
+            with pytest.raises(InvalidArgument, match="n_components"):
+                kernel_edmd_fit(X, Y, StateMatchKernel(), epsilon=1e-10, n_components=k)
 
 
 def dense_kernel_cca(X, Y, kernel, n_components, epsilon):
@@ -363,17 +489,6 @@ def assert_matches_dense(model, X, Y, kernel, n_components, epsilon):
                                    atol=1e-10 * np.abs(want).max())
 
 
-def recorded_eigh_shapes(monkeypatch):
-    """Wrap scipy's and numpy's ``eigh``; the list collects each input's shape."""
-    shapes = []
-    for module in (scipy.linalg, np.linalg):
-        def spy(a, *args, _original=module.eigh, **kwargs):
-            shapes.append(np.shape(a))
-            return _original(a, *args, **kwargs)
-        monkeypatch.setattr(module, "eigh", spy)
-    return shapes
-
-
 @pytest.fixture(scope="module")
 def jet_pairs():
     """The jet experiment's fit at 1200 particles: uniform draws advected over t 0 -> 40."""
@@ -416,7 +531,7 @@ class TestKernelCca:
         # them with small Rayleigh-Ritz eigensolves only. An n x n eigh means
         # the dense solve is back.
         X, Y = jet_pairs
-        shapes = recorded_eigh_shapes(monkeypatch)
+        shapes = recorded_shapes(monkeypatch, "eigh")
         kernel_cca_fit(X, Y, GaussianKernel(BICKLEY_KERNEL_CCA_BANDWIDTH), 8,
                        BICKLEY_KERNEL_CCA_EPSILON)
         assert shapes
@@ -430,7 +545,7 @@ class TestKernelCca:
         X = rng.uniform([0.0, -4.0], [20.0, 4.0], size=(300, 2))
         Y = bickley_flow(X, 0.0, 4.0, 2e-2)
         kernel = GaussianKernel(0.05)
-        shapes = recorded_eigh_shapes(monkeypatch)
+        shapes = recorded_shapes(monkeypatch, "eigh")
         model = kernel_cca_fit(X, Y, kernel, 8, 1e-6)
         assert (300, 300) in shapes
         assert model.eigenvalues[-1] > 0.99

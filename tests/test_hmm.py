@@ -386,12 +386,12 @@ class TestInitFromMsm:
         # Each hidden state is pinned to exactly one symbol (up to the floor).
         assert np.all(B.max(axis=1) > 0.9)
 
-    def test_median_split_where_eigenvector_signs_fall_short(self):
-        # On a period-4 cycle the -1 eigenvalue ranks before 1, so the second
-        # left eigenvector is the all-positive stationary one: its signs split
-        # nothing, and the median split of its values makes the two groups.
+    def test_period_four_cycle_splits_on_the_minus_one_eigenvector(self):
+        # On a period-4 cycle the eigenvalues 1 and -1 tie in modulus; 1 ranks
+        # first, so the split uses the signs of the -1 left eigenvector, which
+        # alternate around the cycle, not the all-positive stationary one.
         B = init_from_msm(np.tile([0, 1, 2, 3], 50), n_hidden=2).output_model.emission_matrix
-        assert [np.flatnonzero(b > 0.1).tolist() for b in B] == [[0, 1], [2, 3]]
+        assert [np.flatnonzero(b > 0.1).tolist() for b in B] == [[0, 2], [1, 3]]
 
     @pytest.mark.parametrize("obs, symbol", [([3, 3, 3, 3], 3), ([1, 1, 1, 1, 0], 1)])
     def test_single_state_with_counts_is_kept(self, obs, symbol):

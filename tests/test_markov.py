@@ -252,6 +252,24 @@ class TestSpectralAnalysis:
             dec.left_eigenvectors[:, 0], msm.stationary_distribution, atol=1e-10
         )
 
+    def test_periodic_chain_puts_unit_eigenvalue_first(self):
+        # Eigenvalues 1 and -1 have equal modulus; the first pair must still
+        # be the constant function and the stationary distribution.
+        msm = msm_mle(count_transitions(np.tile([0, 1, 2, 3], 50), lag=1), reversible=True)
+        dec = spectral_analysis(msm, 3)
+        assert dec.eigenvalues[0] == pytest.approx(1.0, abs=1e-12)
+        assert dec.eigenvalues[1] == pytest.approx(-1.0, abs=1e-12)
+        np.testing.assert_allclose(dec.eigenvectors[:, 0], 1.0, atol=1e-10)
+        np.testing.assert_allclose(
+            dec.left_eigenvectors[:, 0], msm.stationary_distribution, atol=1e-10
+        )
+
+    def test_nonreversible_periodic_chain_puts_unit_eigenvalue_first(self):
+        dec = spectral_analysis(MarkovStateModel(np.roll(np.eye(4), 1, axis=1)))
+        np.testing.assert_allclose(dec.eigenvalues[0], 1.0, atol=1e-12)
+        r0 = dec.eigenvectors[:, 0]
+        np.testing.assert_allclose(r0, np.full(4, r0[0]), atol=1e-12)
+
     def test_eigen_relations_hold(self):
         msm = self.reversible_msm(seed=4)
         P = msm.transition_matrix

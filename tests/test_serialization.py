@@ -126,7 +126,7 @@ class TestModelRoundTrips:
 
     def test_kernel_transfer_operator_model(self):
         X, Y = sample_pairs(seed=3, n=80, d=2)
-        model = kernel_edmd_fit(X, Y, GaussianKernel(1.0), epsilon=1e-6)
+        model = kernel_edmd_fit(X, Y, GaussianKernel(1.0), epsilon=1e-6, n_components=3)
         out = roundtrip(model)
         probe = np.random.default_rng(4).normal(size=(7, 2))
         np.testing.assert_array_equal(out.propagate(probe), model.propagate(probe))
@@ -382,7 +382,7 @@ class TestDocumentValidation:
                 np.matmul(A, B.T, out=out)
 
         X, Y = sample_pairs(seed=15, n=50, d=2)
-        model = kernel_edmd_fit(X, Y, MyKernel(), epsilon=1e-6)
+        model = kernel_edmd_fit(X, Y, MyKernel(), epsilon=1e-6, n_components=3)
         with pytest.raises(InvalidArgument):
             to_document(model)
 
