@@ -231,7 +231,7 @@ class Whitener(FeatureMap):
 
 
 class LinearFeatures(FeatureMap):
-    """Linear recombination of features: ``x -> x @ weights``."""
+    """Linear recombination of features by a real matrix: ``x -> x @ weights``."""
 
     def __init__(self, weights: NDArray):
         weights = np.asarray(weights)
@@ -242,8 +242,7 @@ class LinearFeatures(FeatureMap):
         self.dimension_out = weights.shape[1]
 
     def _evaluate(self, X):
-        out = X @ self.weights
-        return np.real(out) if np.iscomplexobj(out) else out
+        return X @ self.weights
 
 
 class WithConstant(FeatureMap):

@@ -147,11 +147,7 @@ def euler_maruyama(system: SdeSystem, x0: NDArray, n_frames: int,
         y, row = x, 0
         for frame in out:
             for _ in range(system.n_substeps):
-                fx = system.drift(t, y)
-                if noise is None:
-                    y = y + fx * h
-                else:
-                    y = y + fx * h + sig_sqrt_h @ noise[row]
+                y = y + system.drift(t, y) * h + sig_sqrt_h @ noise[row]
                 t += h
                 if not np.all(np.isfinite(y)):
                     return row
@@ -168,7 +164,7 @@ def _integrate(system: SdeSystem, x0, n_frames: int, seed: Optional[int],
     """Check the start, then run a block stepper with noise drawn in blocks.
 
     ``advance(x, noise, out)`` steps from ``x`` with one ``noise`` row per
-    step (``None`` for a noiseless system), writes every ``n_substeps``-th
+    step, writes every ``n_substeps``-th
     state to the next row of ``out`` and leaves the last state in ``x``; it
     returns -1, or the noise row of the first non-finite step.
     """
@@ -180,7 +176,6 @@ def _integrate(system: SdeSystem, x0, n_frames: int, seed: Optional[int],
     if n_frames < 1:
         raise InvalidArgument(f"n_frames must be >= 1, got {n_frames}")
     n_sub = system.n_substeps
-    noiseless = not np.any(system.diffusion)
     rng = _rng(seed)
     frames = np.empty((n_frames, system.dimension))
     frames[0] = x
@@ -188,7 +183,7 @@ def _integrate(system: SdeSystem, x0, n_frames: int, seed: Optional[int],
     written = 1
     while written < n_frames:
         m = min(frames_per_block, n_frames - written)
-        noise = None if noiseless else rng.standard_normal((m * n_sub, system.dimension))
+        noise = rng.standard_normal((m * n_sub, system.dimension))
         bad = advance(x, noise, frames[written:written + m])
         if bad >= 0:
             step = (written - 1) * n_sub + bad + 1
@@ -421,8 +416,6 @@ def bickley_flow(x0_batch: NDArray, t0: float, t1: float, dt: float = 1e-2) -> N
         raise InvalidArgument(
             f"time span {span} is not an integer multiple of dt={dt}"
         )
-    if n_steps == 0:
-        return X
     h = math.copysign(dt, span)
     library, _ = _compiled_kernels()
     if library is None:

@@ -419,15 +419,15 @@ def init_from_msm(observations, n_hidden: int, lag: int = 1) -> HiddenMarkovMode
     counted with a sliding window, groups the connected states by the sign
     structure of the dominant non-trivial left eigenvectors (each eigenvector
     in turn splits the groups it still distinguishes, until ``n_hidden``
-    groups exist; a magnitude split on the first eigenvector refines the
-    partition if signs alone do not separate enough groups), coarse-grains
-    the transition matrix onto the groups, and spreads a probability floor
-    of 0.01 over all symbols so every observation keeps positive likelihood.
+    groups exist; there is no split by magnitude), coarse-grains the
+    transition matrix onto the groups, and spreads a probability floor of
+    0.01 over all symbols so every observation keeps positive likelihood.
 
     Raises
     ------
     InvalidArgument
-        If fewer connected observed states than hidden states remain.
+        If fewer connected observed states than hidden states remain, or if
+        the eigenvector signs split them into fewer than ``n_hidden`` groups.
     """
     if n_hidden < 1:
         raise InvalidArgument(f"n_hidden must be positive, got {n_hidden}")
@@ -460,19 +460,9 @@ def init_from_msm(observations, n_hidden: int, lag: int = 1) -> HiddenMarkovMode
             else:
                 out.append(group)
         groups = out
-    # If sign patterns did not separate enough groups, split the largest
-    # groups at the median of the slowest eigenvector until it fits; with
-    # fewer groups than n_hidden <= n_obs, the largest has two states or more.
-    while len(groups) < n_hidden:
-        groups.sort(key=len, reverse=True)
-        big = groups.pop(0)
-        values = left[big, 1]
-        med = np.median(values)
-        lower = [s for s, v in zip(big, values) if v <= med]
-        upper = [s for s, v in zip(big, values) if v > med]
-        if not upper or not lower:  # all equal; split by index
-            lower, upper = big[: len(big) // 2], big[len(big) // 2 :]
-        groups.extend([lower, upper])
+    if len(groups) < n_hidden:
+        raise InvalidArgument(f"eigenvector sign splits gave {len(groups)} groups, "
+                              f"fewer than n_hidden = {n_hidden}")
     groups = [sorted(g) for g in groups]
     groups.sort(key=lambda g: g[0])
 

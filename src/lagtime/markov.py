@@ -223,15 +223,27 @@ class MarkovStateModel:
         return self._stationary
 
 
-def msm_mle(counts: TransitionCountModel, reversible: bool = False,
-            tolerance: float = 1e-10, max_iter: int = 1_000_000) -> MarkovStateModel:
+# Stop rule (relative log-likelihood change) and cap of the fixed point in msm_mle.
+_MLE_TOLERANCE = 1e-10
+_MLE_MAX_ITER = 1_000_000
+
+
+def msm_mle(counts: TransitionCountModel, reversible: bool = False) -> MarkovStateModel:
     """Maximum-likelihood transition matrix from transition counts.
 
     The non-reversible estimate is the row-normalized count matrix. The
     reversible estimate maximizes the same likelihood under the detailed
-    balance constraint via the standard fixed-point iteration on the
-    unnormalized flux matrix; convergence is declared when the relative
-    log-likelihood change drops below ``tolerance``.
+    balance constraint by the fixed-point iteration of Prinz et al. (*JCP*
+    134, 174105, 2011) on the unnormalized flux matrix, run inside each
+    strongly connected class of the count graph at once; it stops when the
+    relative log-likelihood change drops to 1e-10.
+
+    A class that counts leave is transient: its rows keep their observed
+    outflow, ``P[i, k] = C[i, k] / c_i`` for ``k`` outside the class, and
+    the rest of each row is reversible with respect to the class's own
+    weights. The stationary distribution is zero on transient classes. It
+    is not unique when several classes are closed; each closed class then
+    gets its share of the counts as its weight.
 
     Raises
     ------
@@ -239,7 +251,7 @@ def msm_mle(counts: TransitionCountModel, reversible: bool = False,
         If some state has no outgoing counts. Restrict to the largest
         connected submodel first.
     ConvergenceFailure
-        If the reversible iteration exhausts ``max_iter``.
+        If the reversible iteration does not converge.
     """
     C = counts.count_matrix.astype(np.float64)
     row_sums = C.sum(axis=1)
@@ -249,35 +261,45 @@ def msm_mle(counts: TransitionCountModel, reversible: bool = False,
             f"states {dead.tolist()} have no outgoing counts; "
             "apply largest_connected_submodel first"
         )
+    P = C / row_sums[:, None]  # also the reversible estimate outside each class
     if not reversible:
-        P = C / row_sums[:, None]
         return MarkovStateModel(P, lag=counts.lag, reversible=False, count_model=counts)
 
+    n_classes, labels = connected_components(
+        csr_matrix((C > 0).astype(np.int8)), directed=True, connection="strong")
+    inside = labels[:, None] == labels[None, :]
+    outflow = np.where(inside, 0.0, C).sum(axis=1)
     sym = C + C.T
-    x = sym.copy()
-    x_i = x.sum(axis=1)
-    mask = sym > 0
+    mask = (sym > 0) & inside
+    # The log-likelihood of the counts that leave a class does not change.
+    counted, leaving = (C > 0) & inside, (C > 0) & ~inside
+    weights, fixed = C[counted], float(np.sum(C[leaving] * np.log(P[leaving])))
+    x = np.where(mask, sym, 0.0)
     loglik_prev = -np.inf
-    for iteration in range(1, max_iter + 1):
-        denom = row_sums[:, None] / x_i[:, None] + row_sums[None, :] / x_i[None, :]
-        x_new = np.where(mask, sym / np.where(denom == 0, 1.0, denom), 0.0)
-        x = x_new
-        x_i = x.sum(axis=1)
-        P = x / x_i[:, None]
-        with np.errstate(divide="ignore"):
-            loglik = float(np.sum(C[C > 0] * np.log(P[C > 0])))
-        if np.isfinite(loglik_prev):
-            if abs(loglik - loglik_prev) <= tolerance * max(abs(loglik), 1.0):
-                stationary = x_i / x_i.sum()
-                return MarkovStateModel(
-                    P, lag=counts.lag, reversible=True, count_model=counts,
-                    _stationary=stationary,
-                )
-        loglik_prev = loglik
-    raise ConvergenceFailure(
-        f"reversible estimator did not converge within {max_iter} iterations",
-        iterations=max_iter,
-    )
+    # A state whose counts all leave its class gets an infinite scale, x_i NaN.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = row_sums / (row_sums - outflow)
+        x_i = x.sum(axis=1) * scale
+        for _ in range(_MLE_MAX_ITER):
+            denom = row_sums[:, None] / x_i[:, None] + row_sums[None, :] / x_i[None, :]
+            x = np.where(mask, sym / np.where(denom == 0, 1.0, denom), 0.0)
+            x_i = x.sum(axis=1) * scale
+            loglik = float(np.sum(weights * np.log((x / x_i[:, None])[counted]))) + fixed
+            if abs(loglik - loglik_prev) <= _MLE_TOLERANCE * max(abs(loglik), 1.0):
+                break
+            loglik_prev = loglik
+        else:
+            raise ConvergenceFailure(f"reversible estimator did not converge within "
+                                     f"{_MLE_MAX_ITER} iterations", iterations=_MLE_MAX_ITER)
+        P = np.where(mask, x / x_i[:, None], P)
+    closed = np.bincount(labels, weights=outflow, minlength=n_classes) == 0
+    share = np.bincount(labels, weights=row_sums, minlength=n_classes) * closed
+    stationary = np.zeros(C.shape[0])
+    for k in np.flatnonzero(closed):
+        members = labels == k
+        stationary[members] = x_i[members] / x_i[members].sum() * (share[k] / share.sum())
+    return MarkovStateModel(P, lag=counts.lag, reversible=True, count_model=counts,
+                            _stationary=stationary)
 
 
 def stationary_distribution(P: NDArray) -> NDArray:
@@ -319,6 +341,12 @@ def spectral_analysis(msm: MarkovStateModel, n_components: Optional[int] = None
     the stationary distribution. Non-reversible models use a general
     eigensolver with the same ordering and the sign fixed so each right
     eigenvector's largest-magnitude entry is positive.
+
+    Raises
+    ------
+    DegenerateInput
+        If a reversible model's stationary distribution has a zero, as
+        :func:`msm_mle` gives transient states.
     """
     P = msm.transition_matrix
     n = P.shape[0]
@@ -327,6 +355,8 @@ def spectral_analysis(msm: MarkovStateModel, n_components: Optional[int] = None
         raise InvalidArgument(f"n_components must be in 1..{n}, got {n_components}")
     if msm.reversible:
         mu = msm.stationary_distribution
+        if not np.all(mu > 0):
+            raise DegenerateInput("stationary distribution has zeros (transient states)")
         sqrt_mu = np.sqrt(mu)
         S = (sqrt_mu[:, None] * P) / sqrt_mu[None, :]
         S = 0.5 * (S + S.T)
@@ -444,11 +474,10 @@ def msm_to_koopman(msm: MarkovStateModel):
     w = msm.stationary_distribution
     c00 = ctt = np.diag(w)
     c0t = w[:, None] * P
-    n_pairs = int(msm.count_model.count_matrix.sum()) if msm.count_model is not None else 2
     cov = CovarianceModel(
         mean_0=np.zeros(n), mean_t=np.zeros(n),
         c00=c00, c0t=c0t, ctt=ctt,
-        n_pairs=max(n_pairs, 2), lag=msm.lag,
+        n_pairs=2, lag=msm.lag,
         symmetrized=False, mean_removed=False,
     )
     chi = IndicatorFeatures(n)

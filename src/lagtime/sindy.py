@@ -29,32 +29,20 @@ __all__ = [
 ]
 
 
-def finite_difference(X: NDArray, t) -> NDArray:
-    """First-order finite differences along axis 0.
+def finite_difference(X: NDArray, dt: float) -> NDArray:
+    """First-order finite differences along axis 0, at a scalar time step ``dt``.
 
     Forward differences everywhere, a backward difference for the last row,
-    so the output has the same shape as the input. ``t`` may be a scalar step
-    or a strictly increasing array of sample times.
+    so the output has the same shape as the input.
     """
     X = _as_frames(X)
-    n = X.shape[0]
-    if n < 2:
+    if X.shape[0] < 2:
         raise InvalidArgument("need at least two samples to differentiate")
-    if np.isscalar(t):
-        dt = float(t)
-        if dt <= 0:
-            raise InvalidArgument(f"time step must be positive, got {dt}")
-        steps = np.full(n - 1, dt)
-    else:
-        t = np.asarray(t, dtype=np.float64).ravel()
-        if t.size != n:
-            raise InvalidArgument(f"need {n} sample times, got {t.size}")
-        steps = np.diff(t)
-        if np.any(steps <= 0):
-            raise InvalidArgument("sample times must be strictly increasing")
+    if dt <= 0:
+        raise InvalidArgument(f"time step must be positive, got {dt}")
     out = np.empty_like(X)
-    out[:-1] = (X[1:] - X[:-1]) / steps[:, None]
-    out[-1] = (X[-1] - X[-2]) / steps[-1]
+    out[:-1] = (X[1:] - X[:-1]) / dt
+    out[-1] = (X[-1] - X[-2]) / dt
     return out
 
 
@@ -163,9 +151,9 @@ def sindy_fit(X: NDArray, t=None, library: Optional[FeatureMap] = None,
     ----------
     X : ndarray of shape (n, d)
         Frames in time order.
-    t : scalar or array, optional
-        Time step or sample times; required in continuous time unless
-        explicit ``derivatives`` are given.
+    t : float, optional
+        Time step between frames, one scalar; required in continuous time
+        unless explicit ``derivatives`` are given.
     library : FeatureMap
         Feature library; required.
     threshold : float, default 0.1

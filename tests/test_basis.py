@@ -146,13 +146,6 @@ class TestLinearAndComposition:
         X = np.array([[2.0, 3.0]])
         np.testing.assert_allclose(f(X), X @ W)
 
-    def test_complex_weights_realified(self):
-        W = np.array([[1.0 + 1.0j], [0.0 + 0.0j]])
-        f = LinearFeatures(W)
-        out = f(np.array([[2.0, 5.0]]))
-        assert out.dtype == np.float64
-        np.testing.assert_allclose(out, [[2.0]])
-
     def test_with_constant(self):
         f = WithConstant(IdentityFeatures(2))
         X = np.array([[3.0, 4.0]])

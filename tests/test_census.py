@@ -1,0 +1,36 @@
+"""Tests for the arm finder of ``tests/census.py``."""
+
+import census
+
+
+def traced(source, *calls):
+    """The census's arm findings in ``f`` of ``source`` after ``f(*args)`` for
+    each ``args`` in ``calls``."""
+    namespace = {}
+    exec(compile(source, "<probe>", "exec"), namespace)
+    f = namespace["f"]
+    ran = census.record(lambda: [f(*args) for args in calls],
+                        lambda filename: filename == "<probe>")
+    return census.unreached_arms(f.__code__, ran[f.__code__])
+
+
+def test_unreached_arm_of_a_conditional_expression_at_its_column():
+    source = "def f(x):\n    return 1 if x else 2\n"
+    assert traced(source, (True,)) == [((2, 11), (2, 23))]
+    assert traced(source, (False,)) == [((2, 11), (2, 11))]
+    assert traced(source, (True,), (False,)) == []
+
+
+def test_loop_that_never_runs_its_body():
+    source = "def f(xs):\n    total = 0\n    for x in xs:\n        total += x\n    return total\n"
+    # The body starts by binding the loop variable.
+    assert traced(source, ([],)) == [((3, 4), (3, 8))]
+    assert traced(source, ([1, 2],)) == []
+
+
+def test_jump_with_an_extended_argument():
+    # A jump over more than 255 code units carries an EXTENDED_ARG prefix,
+    # and the tracer reports the prefix's offset, not the jump's.
+    body = "\n".join(f"        y = y + {i}" for i in range(200))
+    source = f"def f(x):\n    y = 0\n    if x:\n{body}\n    return y\n"
+    assert traced(source, (False,)) == [((3, 4), (4, 12))]

@@ -468,12 +468,13 @@ class TestInputFuzz:
 
     @FUZZ
     @given(text=STATE_FILES, lag=st.integers(1, 3),
-           counting=st.sampled_from(["sliding", "strided"]))
-    def test_msm_input(self, tmp_path, capfd, text, lag, counting):
+           counting=st.sampled_from(["sliding", "strided"]), reversible=st.booleans())
+    def test_msm_input(self, tmp_path, capfd, text, lag, counting, reversible):
         path = tmp_path / "states.txt"
         path.write_text(text)
         self.run(capfd, ["msm", "--input", str(path), "--lag", str(lag),
-                         "--counting", counting, "--out", str(tmp_path)])
+                         "--counting", counting, *(["--reversible"] if reversible else []),
+                         "--out", str(tmp_path)])
 
     @settings(max_examples=40, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+import lagtime.hmm
 from lagtime.errors import InsufficientData, InvalidArgument, NumericalDegeneracy
 from lagtime.hmm import (
     DiscreteOutputModel,
@@ -16,6 +17,7 @@ from lagtime.hmm import (
     viterbi,
 )
 from lagtime.markov import MarkovStateModel, sample_markov_chain
+from lagtime.numerics import SpectralDecomposition
 
 
 def brute_force_posteriors(pi, P, log_emission):
@@ -392,6 +394,19 @@ class TestInitFromMsm:
         # alternate around the cycle, not the all-positive stationary one.
         B = init_from_msm(np.tile([0, 1, 2, 3], 50), n_hidden=2).output_model.emission_matrix
         assert [np.flatnonzero(b > 0.1).tolist() for b in B] == [[0, 2], [1, 3]]
+
+    def test_too_few_sign_groups_is_an_invalid_argument(self, monkeypatch):
+        # No input is known whose eigenvector signs give fewer groups than
+        # n_hidden; a spectrum with an all-positive second left eigenvector
+        # stands in for one.
+        def one_signed(msm, k):
+            n = msm.n_states
+            return SpectralDecomposition(np.ones(k), np.ones((n, k)), np.ones((n, k)))
+
+        monkeypatch.setattr(lagtime.hmm, "spectral_analysis", one_signed)
+        with pytest.raises(InvalidArgument, match="sign splits gave 1 groups, fewer than "
+                                                  "n_hidden = 2"):
+            init_from_msm(np.tile([0, 1, 2, 3], 50), n_hidden=2)
 
     @pytest.mark.parametrize("obs, symbol", [([3, 3, 3, 3], 3), ([1, 1, 1, 1, 0], 1)])
     def test_single_state_with_counts_is_kept(self, obs, symbol):

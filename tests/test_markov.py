@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from lagtime.basis import IndicatorFeatures
 from lagtime.decomposition import edmd_fit
@@ -11,8 +13,10 @@ from lagtime.errors import (
     InsufficientData,
     InvalidArgument,
 )
+from lagtime import markov
 from lagtime.markov import (
     MarkovStateModel,
+    TransitionCountModel,
     coherence_score,
     count_transitions,
     largest_connected_submodel,
@@ -177,10 +181,87 @@ class TestMsmMle:
         constrained = msm_mle(counts, reversible=True)
         assert loglik(constrained.transition_matrix) <= loglik(free.transition_matrix) + 1e-9
 
-    def test_convergence_failure_surfaces_iteration_count(self):
+    def test_convergence_failure_surfaces_iteration_count(self, monkeypatch):
+        monkeypatch.setattr(markov, "_MLE_MAX_ITER", 1)
         counts = random_count_model(4, seed=3)
-        with pytest.raises(ConvergenceFailure):
-            msm_mle(counts, reversible=True, max_iter=1)
+        with pytest.raises(ConvergenceFailure) as excinfo:
+            msm_mle(counts, reversible=True)
+        assert excinfo.value.iterations == 1
+
+    def test_transient_class_keeps_its_outflow_and_gets_no_weight(self):
+        # States 0 and 1 leak into the absorbing state 2. The supremum of the
+        # reversible likelihood has pi = (0, 0, 1), which a fixed point over
+        # all pairs only creeps towards (it stopped at log-likelihood
+        # -26.59585 with pi near (1e-5, 1e-4, 0.9999)).
+        C = np.array([[4, 14, 0], [2, 26, 3], [0, 0, 16]])
+        msm = msm_mle(TransitionCountModel(C, lag=1), reversible=True)
+        P, pi = msm.transition_matrix, msm.stationary_distribution
+        np.testing.assert_array_equal(pi, [0.0, 0.0, 1.0])
+        assert P[1, 2] == 3 / 31 and P[0, 2] == 0.0
+        np.testing.assert_array_equal(P[2], [0.0, 0.0, 1.0])
+        np.testing.assert_allclose(P.sum(axis=1), 1.0, atol=1e-15)
+        # Inside the transient class the rows are reversible with respect to
+        # that class's own weights.
+        assert P[0, 1] * P[1, 0] > 0
+        assert np.sum(C[C > 0] * np.log(P[C > 0])) >= -26.59585
+        with pytest.raises(DegenerateInput):
+            spectral_analysis(msm)
+
+    def test_closed_classes_weighted_by_their_share_of_the_counts(self):
+        C = np.array([[9, 1, 0, 0], [1, 9, 0, 0], [0, 0, 5, 5], [0, 0, 5, 5]])
+        pi = msm_mle(TransitionCountModel(C, lag=1), reversible=True).stationary_distribution
+        np.testing.assert_allclose(pi, [0.25, 0.25, 0.25, 0.25], atol=1e-15)
+        C[:2, :2] *= 3
+        pi = msm_mle(TransitionCountModel(C, lag=1), reversible=True).stationary_distribution
+        np.testing.assert_allclose(pi, [0.375, 0.375, 0.125, 0.125], atol=1e-15)
+
+    def test_state_whose_counts_all_leave_its_class(self):
+        C = np.array([[0, 3, 1], [0, 4, 2], [0, 1, 5]])
+        msm = msm_mle(TransitionCountModel(C, lag=1), reversible=True)
+        np.testing.assert_array_equal(msm.transition_matrix[0], [0.0, 0.75, 0.25])
+        assert msm.stationary_distribution[0] == 0.0
+
+    def test_strongly_connected_fits_are_the_single_class_fixed_point_bytes(self):
+        # On criterion 6(a)'s strongly connected count matrices the class
+        # split changes nothing: P and pi equal, byte for byte, those of the
+        # fixed point over all pairs below.
+        rng = np.random.default_rng(2026)
+        compared = 0
+        for _ in range(1000):
+            n = int(rng.integers(2, 7))
+            C = rng.integers(0, 30, size=(n, n)).astype(float)
+            C *= rng.random((n, n)) < 0.8
+            C[np.arange(n), np.arange(n)] += 1.0
+            n_classes, _ = connected_components(csr_matrix(C > 0), connection="strong")
+            if n_classes > 1:
+                continue
+            msm = msm_mle(TransitionCountModel(C, lag=1), reversible=True)
+            P, pi = single_class_fixed_point(C)
+            assert msm.transition_matrix.tobytes() == P.tobytes()
+            assert msm.stationary_distribution.tobytes() == pi.tobytes()
+            compared += 1
+        assert compared == 847
+
+
+def single_class_fixed_point(C):
+    """The reversible estimator before strongly connected classes were split
+    off: the fixed point over every pair with counts, to relative
+    log-likelihood change 1e-10."""
+    row_sums = C.sum(axis=1)
+    sym = C + C.T
+    x = sym.copy()
+    x_i = x.sum(axis=1)
+    mask = sym > 0
+    loglik_prev = -np.inf
+    while True:
+        denom = row_sums[:, None] / x_i[:, None] + row_sums[None, :] / x_i[None, :]
+        x = np.where(mask, sym / np.where(denom == 0, 1.0, denom), 0.0)
+        x_i = x.sum(axis=1)
+        P = x / x_i[:, None]
+        loglik = float(np.sum(C[C > 0] * np.log(P[C > 0])))
+        if np.isfinite(loglik_prev) and abs(loglik - loglik_prev) <= 1e-10 * max(abs(loglik), 1.0):
+            return P, x_i / x_i.sum()
+        loglik_prev = loglik
 
 
 class TestMarkovStateModel:

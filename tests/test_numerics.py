@@ -481,9 +481,6 @@ def test_every_public_name_has_a_caller_besides_its_tests():
 PARAMETER_ALLOW = {
     # The console entry point: the interpreter calls it, with sys.argv.
     "cli.py:main.argv",
-    # The reversible-MSM rewrite on ROADMAP item 1 replaces this iteration.
-    "markov.py:msm_mle.tolerance",
-    "markov.py:msm_mle.max_iter",
     # The benchmark passes its default, r=2, by keyword.
     "decomposition.py:vamp_score_cv.r",
 }

@@ -33,21 +33,6 @@ class TestFiniteDifference:
         np.testing.assert_allclose(dX[:, 0], 3.0, atol=1e-12)
         np.testing.assert_allclose(dX[:, 1], -2.0, atol=1e-12)
 
-    def test_scalar_step_equals_uniform_time_array(self):
-        rng = np.random.default_rng(0)
-        X = rng.normal(size=(20, 3))
-        t = np.arange(20) * 0.05
-        np.testing.assert_allclose(
-            finite_difference(X, 0.05), finite_difference(X, t), atol=1e-12
-        )
-
-    def test_nonuniform_times_divide_by_local_step(self):
-        t = np.array([0.0, 1.0, 3.0, 3.5])
-        x = np.array([0.0, 2.0, 6.0, 7.0])
-        dx = finite_difference(x, t)
-        # Forward differences, then a backward one for the final sample.
-        np.testing.assert_allclose(dx.ravel(), [2.0, 2.0, 2.0, 2.0])
-
     def test_one_dimensional_input_gets_column_shape(self):
         out = finite_difference(np.array([0.0, 1.0]), 1.0)
         assert out.shape == (2, 1)
@@ -57,10 +42,6 @@ class TestFiniteDifference:
             finite_difference(np.array([1.0]), 0.1)
         with pytest.raises(InvalidArgument):
             finite_difference(np.array([1.0, 2.0]), 0.0)
-        with pytest.raises(InvalidArgument):
-            finite_difference(np.array([1.0, 2.0]), np.array([0.0, 1.0, 2.0]))
-        with pytest.raises(InvalidArgument):
-            finite_difference(np.array([1.0, 2.0, 3.0]), np.array([0.0, 1.0, 1.0]))
 
 
 class TestStlsq:
