@@ -150,14 +150,6 @@ class CovarianceAccumulator:
             raise InvalidArgument(f"dimension mismatch: {self.dim} vs {other.dim}")
         if other.n == 0:
             return self
-        if self.n == 0:
-            self.n = other.n
-            self.mean_x = other.mean_x.copy()
-            self.mean_y = other.mean_y.copy()
-            self.m_xx = other.m_xx.copy()
-            self.m_xy = other.m_xy.copy()
-            self.m_yy = other.m_yy.copy()
-            return self
         na, nb = self.n, other.n
         n = na + nb
         dx = other.mean_x - self.mean_x

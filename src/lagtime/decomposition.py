@@ -87,8 +87,10 @@ class TransferOperatorModel:
     ``propagate(x) = K.T @ f(x)``; in row layout ``propagate(X) = f(X) @ K``.
 
     ``projection_matrix`` holds coefficients of the dominant components in
-    ``f``-space, one column per component, dominant first. When absent it is
-    derived from the eigendecomposition of ``K`` on demand.
+    ``f``-space, one column per component, dominant first, and
+    ``eigenvalues`` their eigenvalues. When no projection matrix is given,
+    the model is built with all eigenpairs of ``K``, so a model saves the
+    same document whatever was called on it before.
     """
 
     f: FeatureMap
@@ -98,11 +100,7 @@ class TransferOperatorModel:
     eigenvalues: Optional[NDArray] = None
     projection_matrix: Optional[NDArray] = None
 
-    def propagate(self, X: NDArray) -> NDArray:
-        """Predicted forward feature values, row-wise."""
-        return self.f(X) @ self.K
-
-    def _ensure_projection(self) -> NDArray:
+    def __post_init__(self):
         if self.projection_matrix is None:
             if self.K.shape[0] != self.K.shape[1]:
                 raise InvalidArgument(
@@ -110,11 +108,14 @@ class TransferOperatorModel:
                 )
             self.eigenvalues, self.projection_matrix = _leading_eigenpairs(
                 *np.linalg.eig(self.K), self.K.shape[0])
-        return self.projection_matrix
+
+    def propagate(self, X: NDArray) -> NDArray:
+        """Predicted forward feature values, row-wise."""
+        return self.f(X) @ self.K
 
     def project(self, X: NDArray, n_components: int) -> NDArray:
         """Dominant components evaluated on ``X`` (real parts), columns descending."""
-        P = self._ensure_projection()
+        P = self.projection_matrix
         if not (1 <= n_components <= P.shape[1]):
             raise InvalidArgument(
                 f"n_components must be in 1..{P.shape[1]}, got {n_components}"
@@ -417,8 +418,6 @@ def kernel_edmd_fit(X: NDArray, Y: NDArray, kernel: Kernel, epsilon: float,
     # Row-major, as a loaded model holds it, so that products with K round
     # the same before and after a save and load.
     K = np.ascontiguousarray(K)
-    sections = KernelSectionFeatures(kernel, X)
-    model = TransferOperatorModel(f=sections, g=sections, K=K, method="kernel_edmd")
     pairs = None
     if n_components < n - 1:
         try:
@@ -428,8 +427,10 @@ def kernel_edmd_fit(X: NDArray, Y: NDArray, kernel: Kernel, epsilon: float,
             pass
     if pairs is None:
         pairs = np.linalg.eig(K)
-    model.eigenvalues, model.projection_matrix = _leading_eigenpairs(*pairs, n_components)
-    return model
+    evals, P = _leading_eigenpairs(*pairs, n_components)
+    sections = KernelSectionFeatures(kernel, X)
+    return TransferOperatorModel(f=sections, g=sections, K=K, method="kernel_edmd",
+                                 eigenvalues=evals, projection_matrix=P)
 
 
 # Kernel CCA's block Krylov solve (see kernel_cca_fit). R_X's spectrum lies in

@@ -432,7 +432,8 @@ def init_from_msm(observations, n_hidden: int, lag: int = 1) -> HiddenMarkovMode
     if n_hidden < 1:
         raise InvalidArgument(f"n_hidden must be positive, got {n_hidden}")
     counts = count_transitions(observations, lag=lag)
-    n_symbols = counts.n_states
+    # Emissions are indexed by the raw symbol, observed or not.
+    n_symbols = int(counts.state_symbols[-1]) + 1
     sub = largest_connected_submodel(counts)
     msm = msm_mle(sub, reversible=True)
     n_obs = msm.n_states

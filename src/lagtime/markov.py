@@ -73,10 +73,6 @@ class TransitionCountModel:
                 self, "state_symbols", np.arange(self.count_matrix.shape[0], dtype=np.int64)
             )
 
-    @property
-    def n_states(self) -> int:
-        return self.count_matrix.shape[0]
-
     def submodel(self, states: NDArray) -> "TransitionCountModel":
         """Restrict to a subset of (internal) state indices, keeping symbols."""
         states = np.asarray(states, dtype=np.int64)
@@ -112,7 +108,9 @@ def count_transitions(trajectories, lag: int, counting_mode: str = "sliding"
                       ) -> TransitionCountModel:
     """Count transitions ``s_i -> s_{i+lag}`` in discrete trajectories.
 
-    The state alphabet is ``0..max observed state``.
+    The states are the labels that occur in the trajectories, in ascending
+    order; ``state_symbols`` holds them, so unobserved labels between them
+    cost nothing.
 
     Parameters
     ----------
@@ -137,12 +135,12 @@ def count_transitions(trajectories, lag: int, counting_mode: str = "sliding"
     dtrajs = _as_dtrajs(trajectories)
     if not dtrajs:
         raise InsufficientData("no trajectories given")
-    observed_max = max((int(t.max()) for t in dtrajs if t.size), default=-1)
-    if observed_max < 0:
+    symbols, labels = np.unique(np.concatenate(dtrajs), return_inverse=True)
+    if symbols.size == 0:
         raise InsufficientData("all trajectories are empty")
-    counts = np.zeros((observed_max + 1, observed_max + 1), dtype=np.int64)
-    pairs = 0
-    for traj in dtrajs:
+    n = symbols.size
+    flat = []
+    for traj in np.split(labels, np.cumsum([t.size for t in dtrajs])[:-1]):
         if traj.size <= lag:
             continue
         if counting_mode == "sliding":
@@ -150,11 +148,12 @@ def count_transitions(trajectories, lag: int, counting_mode: str = "sliding"
         else:
             starts = np.arange(0, traj.size - lag, lag)
             src, dst = traj[starts], traj[starts + lag]
-        np.add.at(counts, (src, dst), 1)
-        pairs += src.size
-    if pairs == 0:
+        flat.append(src * n + dst)
+    if not flat:
         raise InsufficientData(f"no transition pairs at lag {lag}")
-    return TransitionCountModel(count_matrix=counts, lag=lag, counting_mode=counting_mode)
+    counts = np.bincount(np.concatenate(flat), minlength=n * n).reshape(n, n)
+    return TransitionCountModel(count_matrix=counts, lag=lag, counting_mode=counting_mode,
+                                state_symbols=symbols)
 
 
 def largest_connected_submodel(counts: TransitionCountModel) -> TransitionCountModel:

@@ -245,7 +245,7 @@ def pinv_truncated(M: NDArray) -> NDArray:
     """
     M = np.asarray(M, dtype=np.float64)
     U, s, V = truncated_svd(M)
-    cutoff = max(M.shape) * np.finfo(np.float64).eps * (s[0] if s.size else 0.0)
+    cutoff = max(M.shape) * np.finfo(np.float64).eps * s[0]
     nonzero = s > cutoff
     inv = np.zeros_like(s)
     inv[nonzero] = 1.0 / s[nonzero]

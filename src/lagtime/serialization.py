@@ -7,12 +7,14 @@ number lists (complex ones as ``"real"`` and ``"imag"`` lists); floats
 serialize via their shortest round-trip representation, so numeric payloads
 survive a save/load cycle bit-exactly.
 
-Each model type's payload layout is declared once, as a row of ``_CODECS``:
-its class and, for each payload key, the codec of the attribute and
-constructor argument of the same name. Encoding and decoding both read that
-row, so a field added to it is saved and loaded alike. Kernels and HMM output
-models are declared the same way under their ``kind`` tag; feature maps, whose
-constructor arguments differ from their attributes, keep explicit codecs.
+Every persisted type's payload layout is declared once, as one row of a
+table: models in ``_CODECS`` under their document type, and kernels, HMM
+output models and feature maps in tables of their own under a ``kind`` tag.
+A row holds the class and, for each payload key, the codec of the attribute
+and constructor argument of the same name. Encoding and decoding both read
+that row, so a field added to it is saved and loaded alike. A key may instead
+read an attribute of another name, or hold a fixed value, and a row whose
+class takes other constructor arguments names the function that builds it.
 
 Keys whose value is now fixed are still written: the cylinder's ``period``
 (20) and ``y_scale`` (3), the random net's ``n_hidden`` (100) and ``n_out``
@@ -25,7 +27,9 @@ kernel sections are rebuilt from the means of their anchors' Gram matrix.
 from __future__ import annotations
 
 import json
+from operator import attrgetter
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -93,6 +97,23 @@ def decode_array(doc: dict) -> NDArray:
 # A codec is an ``(encode, decode)`` pair. A layout maps each payload key to
 # a codec; the key is also the attribute read on save and the constructor
 # argument passed on load, and the layout's order is the document's key order.
+# A row is ``(class, layout)``, or ``(class, layout, build)`` where a function
+# other than the class builds the object from the decoded arguments.
+
+
+class _Attr(NamedTuple):
+    """Layout entry for a key saved from the attribute ``name`` (a dotted name
+    reads a nested one) rather than from the attribute of the key's name."""
+
+    name: str
+    codec: tuple
+
+
+class _Fixed(NamedTuple):
+    """Layout entry for a key whose value this version always builds: written
+    as ``value``, checked on load, and not passed to the constructor."""
+
+    value: object
 
 
 def _plain(value):
@@ -113,14 +134,29 @@ _MAYBE_ARRAY = _optional(_ARRAY)
 
 
 def _encode(row: tuple, obj) -> dict:
-    """Payload of ``obj`` under a ``(class, layout)`` row."""
-    return {key: encode(getattr(obj, key)) for key, (encode, _) in row[1].items()}
+    """Payload of ``obj`` under a layout row."""
+    payload = {}
+    for key, entry in row[1].items():
+        if isinstance(entry, _Fixed):
+            payload[key] = entry.value
+        else:
+            name, (encode, _) = entry if isinstance(entry, _Attr) else (key, entry)
+            payload[key] = encode(attrgetter(name)(obj))
+    return payload
 
 
 def _decode(row: tuple, payload: dict):
     """Object of the row's class built from a payload written by :func:`_encode`."""
-    cls, layout = row
-    return cls(**{key: decode(payload[key]) for key, (_, decode) in layout.items()})
+    cls, layout, *build = row
+    args = {}
+    for key, entry in layout.items():
+        if isinstance(entry, _Fixed):
+            if payload[key] != entry.value:
+                raise InvalidArgument(f"cannot load {cls.__name__}: {key} must be {entry.value!r}")
+        else:
+            _, decode = entry.codec if isinstance(entry, _Attr) else entry
+            args[key] = decode(payload[key])
+    return (build[0] if build else cls)(**args)
 
 
 def _by_kind(table: dict, what: str) -> tuple:
@@ -142,7 +178,6 @@ def _by_kind(table: dict, what: str) -> tuple:
 _KERNEL = _by_kind({
     "gaussian": (kernels.GaussianKernel, {"sigma": _VALUE}),
 }, "kernel")
-_encode_kernel, _decode_kernel = _KERNEL
 
 _OUTPUT_MODEL = _by_kind({
     "discrete": (hmm.DiscreteOutputModel, {"emission_matrix": _ARRAY}),
@@ -155,119 +190,60 @@ _OUTPUT_MODEL = _by_kind({
 # ---------------------------------------------------------------------------
 
 
-def _encode_feature(f: basis.FeatureMap) -> dict:
-    if isinstance(f, basis.IdentityFeatures):
-        return {"kind": "identity", "dim": f.dimension_in}
-    if isinstance(f, basis.MonomialFeatures):
-        return {"kind": "monomial", "dim": f.dimension_in, "max_degree": f.max_degree}
-    if isinstance(f, basis.IndicatorFeatures):
-        return {"kind": "indicator", "n_states": f.dimension_out}
-    if isinstance(f, basis.RandomFeatureNet):
-        return {
-            "kind": "random_net",
-            "dim_in": f.dimension_in,
-            "n_hidden": f.n_hidden,
-            "n_out": f.dimension_out,
-            "seed": f.seed,
-            "W1": encode_array(f.W1),
-            "b1": encode_array(f.b1),
-            "W2": encode_array(f.W2),
-            "b2": encode_array(f.b2),
-        }
-    if isinstance(f, basis.CylinderEmbedding):
-        return {"kind": "cylinder", "period": f.period, "y_scale": f.y_scale}
-    if isinstance(f, basis.Whitener):
-        w = f.whitening
-        return {
-            "kind": "whitener",
-            "transform": encode_array(w.transform),
-            "mean": encode_array(w.mean),
-            "rank": int(w.rank),
-        }
-    if isinstance(f, basis.LinearFeatures):
-        return {
-            "kind": "linear",
-            "weights": encode_array(f.weights),
-            "offset": None,
-        }
-    if isinstance(f, basis.WithConstant):
-        return {"kind": "with_constant", "inner": _encode_feature(f.inner)}
-    if isinstance(f, basis.ChainedFeatures):
-        return {
-            "kind": "chained",
-            "first": _encode_feature(f.first),
-            "second": _encode_feature(f.second),
-        }
-    if isinstance(f, kernels.KernelSectionFeatures):
-        return {
-            "kind": "kernel_sections",
-            "kernel": _encode_kernel(f.kernel),
-            "points": encode_array(f.points),
-            "centered": f.centered,
-        }
-    raise InvalidArgument(f"cannot serialize feature map of type {type(f).__name__}")
+def _random_net(dim_in, seed, W1, b1, W2, b2) -> basis.RandomFeatureNet:
+    net = basis.RandomFeatureNet(dim_in, seed=seed)
+    net.W1, net.b1, net.W2, net.b2 = W1, b1, W2, b2
+    return net
 
 
-def _require(doc: dict, key: str, value) -> None:
-    """Reject a feature map document whose ``key`` holds a value other than
-    the one this version builds."""
-    if doc[key] != value:
-        raise InvalidArgument(f"cannot load {doc['kind']} feature map: {key} must be {value!r}")
+def _whitener(transform, mean, rank) -> basis.Whitener:
+    return basis.Whitener(numerics.WhiteningTransform(transform=transform, mean=mean, rank=rank))
 
 
-def _decode_feature(doc: dict) -> basis.FeatureMap:
-    kind = doc["kind"]
-    if kind == "identity":
-        return basis.IdentityFeatures(doc["dim"])
-    if kind == "monomial":
-        return basis.MonomialFeatures(doc["dim"], doc["max_degree"])
-    if kind == "indicator":
-        return basis.IndicatorFeatures(doc["n_states"])
-    if kind == "random_net":
-        _require(doc, "n_hidden", basis.RandomFeatureNet.n_hidden)
-        _require(doc, "n_out", basis.RandomFeatureNet.dimension_out)
-        net = basis.RandomFeatureNet(doc["dim_in"], seed=doc["seed"])
-        net.W1 = decode_array(doc["W1"])
-        net.b1 = decode_array(doc["b1"])
-        net.W2 = decode_array(doc["W2"])
-        net.b2 = decode_array(doc["b2"])
-        return net
-    if kind == "cylinder":
-        _require(doc, "period", basis.CylinderEmbedding.period)
-        _require(doc, "y_scale", basis.CylinderEmbedding.y_scale)
-        return basis.CylinderEmbedding()
-    if kind == "whitener":
-        transform = decode_array(doc["transform"])
-        return basis.Whitener(numerics.WhiteningTransform(
-            transform=transform,
-            mean=decode_array(doc["mean"]),
-            rank=doc["rank"],
-        ))
-    if kind == "linear":
-        _require(doc, "offset", None)
-        return basis.LinearFeatures(decode_array(doc["weights"]))
-    if kind == "with_constant":
-        return basis.WithConstant(_decode_feature(doc["inner"]))
-    if kind == "chained":
-        return basis.ChainedFeatures(
-            _decode_feature(doc["first"]), _decode_feature(doc["second"])
-        )
-    if kind == "kernel_sections":
-        kernel, points = _decode_kernel(doc["kernel"]), decode_array(doc["points"])
-        if doc["centered"]:
-            return kernels.KernelSectionFeatures._centered_on(
-                kernel, points, *kernels._gram_means(kernels.gram_matrix(kernel, points))
-            )
-        return kernels.KernelSectionFeatures(kernel, points)
-    raise InvalidArgument(f"unknown feature map kind {kind!r}")
+def _kernel_sections(kernel, points, centered) -> kernels.KernelSectionFeatures:
+    """Sections as the fit built them; centered ones take the means of their
+    anchors' Gram matrix, which the document does not hold."""
+    if centered:
+        return kernels.KernelSectionFeatures._centered_on(
+            kernel, points, *kernels._gram_means(kernels.gram_matrix(kernel, points)))
+    return kernels.KernelSectionFeatures(kernel, points)
+
+
+# Composite maps hold feature maps themselves, so their rows use the codec
+# that reads this table, and the table is filled after that codec is made.
+_FEATURES: dict = {}
+_FEATURE = _by_kind(_FEATURES, "feature map")
+_FEATURES.update({
+    "identity": (basis.IdentityFeatures, {"dim": _Attr("dimension_in", _INT)}),
+    "monomial": (basis.MonomialFeatures, {"dim": _Attr("dimension_in", _INT), "max_degree": _INT}),
+    "indicator": (basis.IndicatorFeatures, {"n_states": _Attr("dimension_out", _INT)}),
+    "random_net": (basis.RandomFeatureNet, {
+        "dim_in": _Attr("dimension_in", _INT),
+        "n_hidden": _Fixed(basis.RandomFeatureNet.n_hidden),
+        "n_out": _Fixed(basis.RandomFeatureNet.dimension_out),
+        "seed": _INT, "W1": _ARRAY, "b1": _ARRAY, "W2": _ARRAY, "b2": _ARRAY,
+    }, _random_net),
+    "cylinder": (basis.CylinderEmbedding, {
+        "period": _Fixed(basis.CylinderEmbedding.period),
+        "y_scale": _Fixed(basis.CylinderEmbedding.y_scale),
+    }),
+    "whitener": (basis.Whitener, {
+        "transform": _Attr("whitening.transform", _ARRAY),
+        "mean": _Attr("whitening.mean", _ARRAY),
+        "rank": _Attr("whitening.rank", _INT),
+    }, _whitener),
+    "linear": (basis.LinearFeatures, {"weights": _ARRAY, "offset": _Fixed(None)}),
+    "with_constant": (basis.WithConstant, {"inner": _FEATURE}),
+    "chained": (basis.ChainedFeatures, {"first": _FEATURE, "second": _FEATURE}),
+    "kernel_sections": (kernels.KernelSectionFeatures, {
+        "kernel": _KERNEL, "points": _ARRAY, "centered": _BOOL,
+    }, _kernel_sections),
+})
 
 
 # ---------------------------------------------------------------------------
 # Model payloads
 # ---------------------------------------------------------------------------
-
-
-_FEATURE = (_encode_feature, _decode_feature)
 
 
 def _model(name: str) -> tuple:

@@ -399,9 +399,10 @@ CSV_FILES = st.one_of(
     st.lists(st.lists(st.one_of(CSV_NUMBERS, st.sampled_from(["abc", "", "#"])),
                       min_size=1, max_size=3).map(",".join), max_size=10),
 ).map("\n".join)
-# State indices stay small: the count matrix is dense in the largest index.
+# Large indices cost nothing: the count matrix spans the observed states only.
 STATE_FILES = st.lists(
-    st.tuples(st.sampled_from(["0", "1", "2", "5", "-1", "1.5", "x", "nan", ""]),
+    st.tuples(st.sampled_from(["0", "1", "2", "5", "-1", "1.5", "x", "nan", "",
+                               "4000", str(10**9), str(2**40)]),
               st.sampled_from([" ", ",", "\n", "\t"])),
     max_size=30,
 ).map(lambda pairs: "".join(token + sep for token, sep in pairs))
@@ -475,6 +476,13 @@ class TestInputFuzz:
         self.run(capfd, ["msm", "--input", str(path), "--lag", str(lag),
                          "--counting", counting, *(["--reversible"] if reversible else []),
                          "--out", str(tmp_path)])
+
+    def test_msm_input_ending_in_a_large_state(self, tmp_path, capfd):
+        # A dense count matrix up to state 10**9 would need 8e18 bytes.
+        path = tmp_path / "states.txt"
+        path.write_text(f"0 1 0 1 1 0 {10**9}\n")
+        assert self.run(capfd, ["msm", "--input", str(path), "--lag", "1",
+                                "--out", str(tmp_path)]) == 0
 
     @settings(max_examples=40, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

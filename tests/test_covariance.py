@@ -146,6 +146,20 @@ class TestChunkedEqualsBatch:
         np.testing.assert_allclose(a.c0t, b.c0t, atol=1e-12)
         np.testing.assert_allclose(a.ctt, b.ctt, atol=1e-12)
 
+    def test_empty_chunks_and_accumulators_change_no_byte(self):
+        rng = np.random.default_rng(12)
+        X, Y = rng.standard_normal((50, 3)), rng.standard_normal((50, 3))
+        full = CovarianceAccumulator(3).partial_fit(X, Y)
+        moments = ("n", "mean_x", "mean_y", "m_xx", "m_xy", "m_yy")
+        before = [np.copy(getattr(full, name)) for name in moments]
+        full.partial_fit(np.empty((0, 3)), np.empty((0, 3))).merge(CovarianceAccumulator(3))
+        # An empty accumulator takes on the other's moments through the
+        # general update, bit for bit.
+        into_empty = CovarianceAccumulator(3).merge(full)
+        for acc in (full, into_empty):
+            for name, value in zip(moments, before):
+                assert np.asarray(getattr(acc, name)).tobytes() == value.tobytes(), name
+
 
 class TestMultipleTrajectories:
     def test_pairs_do_not_cross_boundaries(self):

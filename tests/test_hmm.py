@@ -410,9 +410,11 @@ class TestInitFromMsm:
 
     @pytest.mark.parametrize("obs, symbol", [([3, 3, 3, 3], 3), ([1, 1, 1, 1, 0], 1)])
     def test_single_state_with_counts_is_kept(self, obs, symbol):
-        # The lower symbols form one-state components with no transition
-        # inside; the observed self-transitions decide the tie.
+        # Symbol 0 of the second case forms a one-state component with no
+        # transition inside; the observed self-transitions decide the tie.
+        # Symbols that never occur still get an emission column.
         B = init_from_msm(np.array(obs), n_hidden=1).output_model.emission_matrix
+        assert B.shape == (1, symbol + 1)
         assert np.argmax(B[0]) == symbol and B[0, symbol] > 0.99
 
     def test_validation(self):

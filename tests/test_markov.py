@@ -53,7 +53,7 @@ class TestCountTransitions:
         ])
         np.testing.assert_array_equal(model.count_matrix, expected)
         assert model.lag == 1
-        assert model.n_states == 3
+        assert model.count_matrix.shape == (3, 3)
         assert model.count_matrix.sum() == 5
 
     def test_sliding_larger_lag_pairs_every_offset(self):
@@ -81,6 +81,11 @@ class TestCountTransitions:
         model = count_transitions([np.array([0]), np.array([0, 1, 1])], lag=1)
         np.testing.assert_array_equal(model.count_matrix, np.array([[0, 1], [0, 1]]))
 
+    def test_counts_over_the_observed_labels(self):
+        model = count_transitions([np.array([7, 2**40, 7]), np.array([2, 7])], lag=1)
+        np.testing.assert_array_equal(model.state_symbols, [2, 7, 2**40])
+        np.testing.assert_array_equal(model.count_matrix, [[0, 1, 0], [0, 0, 1], [0, 1, 0]])
+
     def test_invalid_inputs(self):
         with pytest.raises(InvalidArgument):
             count_transitions(np.array([0, 1]), lag=0)
@@ -99,7 +104,7 @@ class TestConnectedSubmodel:
         counts = count_transitions(traj, lag=1)
         sub = largest_connected_submodel(counts)
         np.testing.assert_array_equal(sub.state_symbols, [2, 3, 4])
-        assert sub.n_states == 3
+        assert sub.count_matrix.shape == (3, 3)
         # Submatrix is carried over verbatim.
         np.testing.assert_array_equal(
             sub.count_matrix, counts.count_matrix[np.ix_([2, 3, 4], [2, 3, 4])]
@@ -114,7 +119,7 @@ class TestConnectedSubmodel:
 
     def test_tie_prefers_a_state_that_moves_to_itself(self):
         # {0}, {1}, {2} and {3} are all one state; only 3 -> 3 was observed.
-        sub = largest_connected_submodel(count_transitions(np.array([3, 3, 3, 3]), lag=1))
+        sub = largest_connected_submodel(count_transitions(np.array([0, 1, 2, 3, 3, 3, 3]), lag=1))
         np.testing.assert_array_equal(sub.state_symbols, [3])
         np.testing.assert_array_equal(sub.count_matrix, [[3]])
 

@@ -74,6 +74,8 @@ class TestSymInverseSqrt:
     def test_zero_matrix_degenerate(self):
         with pytest.raises(DegenerateInput):
             sym_inverse_sqrt(np.zeros((3, 3)))
+        with pytest.raises(DegenerateInput):
+            sym_inverse_sqrt(np.zeros((0, 0)))
 
     def test_asymmetric_rejected(self):
         M = np.array([[1.0, 0.5], [0.0, 1.0]])

@@ -1,16 +1,28 @@
 """Tests for the versioned JSON model persistence."""
 
+import ast
 import functools
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lagtime.basis import CylinderEmbedding, IndicatorFeatures, MonomialFeatures, RandomFeatureNet
+import lagtime
+from lagtime.basis import (
+    CylinderEmbedding,
+    IdentityFeatures,
+    IndicatorFeatures,
+    MonomialFeatures,
+    RandomFeatureNet,
+    Whitener,
+    WithConstant,
+)
 from lagtime.clustering import kmeans_fit
 from lagtime.covariance import covariances_from_pairs
 from lagtime.decomposition import (
+    dmd_fit,
     edmd_fit,
     kernel_cca_fit,
     kernel_edmd_fit,
@@ -23,14 +35,16 @@ from lagtime.hmm import (
     GaussianOutputModel,
     HiddenMarkovModel,
 )
-from lagtime.kernels import GaussianKernel, Kernel
+from lagtime.kernels import GaussianKernel, Kernel, KernelSectionFeatures
 from lagtime.markov import (
     MarkovStateModel,
     TransitionCountModel,
     count_transitions,
     msm_mle,
 )
+from lagtime.numerics import WhiteningTransform
 from lagtime.serialization import (
+    _FEATURES,
     FORMAT_NAME,
     FORMAT_VERSION,
     decode_array,
@@ -40,7 +54,7 @@ from lagtime.serialization import (
     save_model,
     to_document,
 )
-from lagtime.sindy import sindy_fit
+from lagtime.sindy import SINDyModel, sindy_fit
 
 
 def roundtrip(model):
@@ -296,6 +310,33 @@ class TestDocumentLayout:
         assert json.dumps(to_document(from_document(json.loads(expected)))) == expected
 
 
+class TestOperatorModelDocuments:
+    """A DMD or EDMD model holds its eigenpairs from the start, so its
+    document does not depend on what was called on it before saving."""
+
+    @pytest.mark.parametrize("fit", [
+        dmd_fit,
+        lambda X, Y: edmd_fit(X, Y, MonomialFeatures(3, 2)),
+    ], ids=["dmd", "edmd"])
+    def test_same_document_before_and_after_project(self, fit):
+        X, Y = sample_pairs(seed=18)
+        model = fit(X, Y)
+        before = json.dumps(to_document(model))
+        model.project(X, 2)
+        assert json.dumps(to_document(model)) == before
+        assert json.loads(before)["payload"]["projection_matrix"] is not None
+
+    def test_document_with_null_eigenpairs_loads_and_projects_alike(self):
+        # Documents saved before any projection once held null eigenpairs.
+        X, Y = sample_pairs(seed=19)
+        model = edmd_fit(X, Y, MonomialFeatures(3, 2))
+        doc = to_document(model)
+        doc["payload"]["eigenvalues"] = doc["payload"]["projection_matrix"] = None
+        out = from_document(json.loads(json.dumps(doc)))
+        assert out.project(X, 3).tobytes() == model.project(X, 3).tobytes()
+        assert to_document(out) == to_document(model)
+
+
 @functools.cache
 def jet_models():
     """Strip pairs and the models the jet experiment builds from them: VAMP on
@@ -346,6 +387,78 @@ class TestJetModelDocuments:
         node[key] = value
         with pytest.raises(InvalidArgument, match=named):
             from_document(doc)
+
+
+# One document for each feature-map kind that the jet documents above do not
+# hold, each a one-row SINDy model around the map, recorded from the
+# version-1 layout.
+FEATURE_MAP_DOCUMENTS = [
+    ("identity", IdentityFeatures(2),
+        '{"format": "lagtime", "format_version": 1, "type": "sindy_model", '
+        '"payload": {"xi": {"dtype": "float64", "shape": [1, 2], "data": [1.0, 1.0]}, '
+        '"library": {"kind": "identity", "dim": 2}, "discrete_time": false, '
+        '"emptied_dimensions": {"dtype": "bool", "shape": [1], "data": [false]}, '
+        '"variable_names": null}}'),
+    ("monomial", MonomialFeatures(1, 2),
+        '{"format": "lagtime", "format_version": 1, "type": "sindy_model", '
+        '"payload": {"xi": {"dtype": "float64", "shape": [1, 3], "data": [1.0, 1.0, '
+        '1.0]}, "library": {"kind": "monomial", "dim": 1, "max_degree": 2}, '
+        '"discrete_time": false, "emptied_dimensions": {"dtype": "bool", "shape": [1], '
+        '"data": [false]}, "variable_names": null}}'),
+    ("indicator", IndicatorFeatures(2),
+        '{"format": "lagtime", "format_version": 1, "type": "sindy_model", '
+        '"payload": {"xi": {"dtype": "float64", "shape": [1, 2], "data": [1.0, 1.0]}, '
+        '"library": {"kind": "indicator", "n_states": 2}, "discrete_time": false, '
+        '"emptied_dimensions": {"dtype": "bool", "shape": [1], "data": [false]}, '
+        '"variable_names": null}}'),
+    ("whitener", Whitener(WhiteningTransform(transform=np.diag([2.0, 0.5]),
+                                             mean=np.array([1.0, -1.0]), rank=2)),
+        '{"format": "lagtime", "format_version": 1, "type": "sindy_model", '
+        '"payload": {"xi": {"dtype": "float64", "shape": [1, 2], "data": [1.0, 1.0]}, '
+        '"library": {"kind": "whitener", "transform": {"dtype": "float64", '
+        '"shape": [2, 2], "data": [2.0, 0.0, 0.0, 0.5]}, "mean": {"dtype": "float64", '
+        '"shape": [2], "data": [1.0, -1.0]}, "rank": 2}, "discrete_time": false, '
+        '"emptied_dimensions": {"dtype": "bool", "shape": [1], "data": [false]}, '
+        '"variable_names": null}}'),
+    ("with_constant", WithConstant(IdentityFeatures(1)),
+        '{"format": "lagtime", "format_version": 1, "type": "sindy_model", '
+        '"payload": {"xi": {"dtype": "float64", "shape": [1, 2], "data": [1.0, 1.0]}, '
+        '"library": {"kind": "with_constant", "inner": {"kind": "identity", '
+        '"dim": 1}}, "discrete_time": false, "emptied_dimensions": {"dtype": "bool", '
+        '"shape": [1], "data": [false]}, "variable_names": null}}'),
+    ("kernel_sections", KernelSectionFeatures(GaussianKernel(0.5), np.array([[0.0], [1.5]])),
+        '{"format": "lagtime", "format_version": 1, "type": "sindy_model", '
+        '"payload": {"xi": {"dtype": "float64", "shape": [1, 2], "data": [1.0, 1.0]}, '
+        '"library": {"kind": "kernel_sections", "kernel": {"kind": "gaussian", '
+        '"sigma": 0.5}, "points": {"dtype": "float64", "shape": [2, 1], "data": [0.0, '
+        '1.5]}, "centered": false}, "discrete_time": false, '
+        '"emptied_dimensions": {"dtype": "bool", "shape": [1], "data": [false]}, '
+        '"variable_names": null}}'),
+]
+
+
+class TestFeatureMapDocuments:
+    @pytest.mark.parametrize("kind, feature_map, expected", FEATURE_MAP_DOCUMENTS)
+    def test_layout(self, kind, feature_map, expected):
+        model = SINDyModel(xi=np.ones((1, feature_map.dimension_out)), library=feature_map)
+        assert json.dumps(to_document(model)) == expected
+        out = from_document(json.loads(expected))
+        assert json.dumps(to_document(out)) == expected
+        probe = np.linspace(0.0, 1.0, 3 * feature_map.dimension_in).reshape(3, -1)
+        assert out.library(probe).tobytes() == feature_map(probe).tobytes()
+
+    def test_every_feature_map_class_has_a_row(self):
+        # The FeatureMap subclasses defined in the package's source, so that
+        # a new map without a row in the feature-map table fails here.
+        bases = {}
+        for path in Path(lagtime.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ClassDef):
+                    bases[node.name] = {ast.unparse(base).split(".")[-1] for base in node.bases}
+        maps = {"FeatureMap"}
+        while more := {name for name, of in bases.items() if of & maps} - maps:
+            maps |= more
+        assert maps - {"FeatureMap"} == {row[0].__name__ for row in _FEATURES.values()}
 
 
 class TestDocumentValidation:
