@@ -15,8 +15,8 @@ noise-block driver, so they give bit-identical trajectories from the same
 seed. Without a C compiler the generators run :func:`euler_maruyama`.
 :func:`rossler` steps in C the same way, bit-identical to its Python loop.
 :func:`bickley_flow` advects in C on one thread per usable core and agrees
-with its NumPy loop to rounding, since libm's sin, cos and tanh are not
-NumPy's.
+with its NumPy loop to rounding: the C kernel carries sin, cos and tanh from
+step to step and takes them from libm, not NumPy, now and then.
 """
 
 from __future__ import annotations
@@ -393,9 +393,16 @@ def bickley_flow(x0_batch: NDArray, t0: float, t1: float, dt: float = 1e-2) -> N
     integer number of steps, fewer than 2**63.
 
     Steps in C when a compiler is available, one contiguous chunk of
-    particles per usable core; the result does not depend on the core count
-    and agrees with the NumPy loop to rounding. A particle that is not
-    finite after a step raises :class:`DivergenceError` carrying that step.
+    particles per usable core, and agrees with the NumPy loop to rounding.
+    The C kernel carries each particle's ``cos/sin(k1*x)`` and
+    ``tanh(y/L)`` from one step to the next by a Taylor rotation. It calls
+    libm for them only every 64th step, where a step's offset is too large
+    for the rotation's series, and where the wrap moves ``x`` by more than a
+    period. Every chunk resyncs at the same steps, so the result does not
+    depend on the core count. Each call resyncs at its own first step, so
+    an advection split into calls agrees with one call to rounding. A
+    particle that is not finite after a step raises
+    :class:`DivergenceError` carrying that step.
     """
     if not all(map(math.isfinite, (t0, t1, dt))):
         raise InvalidArgument(f"t0, t1 and dt must be finite, got {t0}, {t1}, {dt}")
@@ -450,11 +457,13 @@ def _jet_rk4(X: NDArray, t0: float, h: float, n_steps: int) -> int:
 def _jet_rk4_compiled(kernel, X: NDArray, t0: float, h: float, n_steps: int) -> int:
     """:func:`_jet_rk4` in C, on one contiguous chunk of particles per usable core.
 
-    The C call releases the GIL. Every particle's arithmetic is independent
-    of the others, so the result does not depend on the number of chunks.
-    Returns the earliest bad step of any chunk.
+    The C call releases the GIL and takes scratch of six doubles per
+    particle. Every particle's arithmetic is independent of the others, so
+    the result does not depend on the number of chunks. Returns the earliest
+    bad step of any chunk.
     """
-    steps = _over_cores(lambda chunk: kernel(chunk, len(chunk), t0, h, n_steps), X)
+    steps = _over_cores(
+        lambda chunk: kernel(chunk, len(chunk), t0, h, n_steps, np.empty(6 * len(chunk))), X)
     return min((step for step in steps if step >= 0), default=-1)
 
 

@@ -93,9 +93,10 @@ def _as_dtrajs(trajectories) -> list[NDArray]:
         if arr.ndim != 1:
             raise InvalidArgument("discrete trajectories must be one-dimensional")
         if arr.size and not np.issubdtype(arr.dtype, np.integer):
+            # Exact integers only, and only those that fit the int64 cast.
             rounded = np.rint(arr)
-            if not np.allclose(arr, rounded):
-                raise InvalidArgument("discrete trajectories must contain integers")
+            if not (np.all(np.abs(arr) < 2.0**63) and np.array_equal(arr, rounded)):
+                raise InvalidArgument("discrete trajectories must contain 64-bit integers")
             arr = rounded
         arr = arr.astype(np.int64)
         if arr.size and arr.min() < 0:

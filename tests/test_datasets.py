@@ -352,8 +352,10 @@ class TestBickleyFlow:
     ])
     def test_compiled_kernel_matches_the_reference(self, backends, t0, t1, dt):
         # The C kernel takes sin, cos and tanh from libm, not NumPy, and
-        # rotates them between stages, so it agrees to rounding, not bit for
-        # bit. Over one time unit every particle agrees to 1e-12. Over 40,
+        # rotates them between stages and from one step to the next, calling
+        # libm again every 64 steps and where an offset is too large for the
+        # rotation's series. So it agrees to rounding, not bit for bit. Over
+        # one time unit every particle agrees to 1e-12. Over 40,
         # the chaotic part of the flow amplifies rounding differences to
         # 1e-7..5e-6 for a few particles in a thousand, as it does between
         # any two libm-accurate implementations: the median and the 99th
@@ -370,6 +372,40 @@ class TestBickleyFlow:
                 deviation[:, 0] = np.minimum(deviation[:, 0], wrapped)
                 for quantile, bound in bounds.items():
                     assert np.quantile(deviation.max(axis=1), quantile) <= bound, quantile
+
+    @pytest.mark.parametrize("n, dt", [(2500, 0.1), (0, 0.01), (1, 0.01), (3, 0.01)])
+    def test_any_batch_matches_the_reference_over_one_time_unit(self, monkeypatch, backends,
+                                                                 n, dt):
+        # The C kernel first steps every particle by the rotation's series
+        # alone, then steps again through libm each particle whose offsets
+        # left the series' range. At dt 0.1 most particles but not all leave
+        # it at the first step, so both passes step particles in one step.
+        # Batches of 1 and 3 in one call end in the vectorized pass's scalar
+        # remainder; 100 steps of 0.01 cross the resync at step 64.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        start = np.random.default_rng(11).uniform([0.0, -4.0], [20.0, 4.0], size=(n, 2))
+        step = dt * jet_velocity(0.0, start)
+        leaves = ((np.abs(datasets._JET_WAVENUMBERS[0] * step[:, 0]) > 0.05)
+                  | (np.abs(step[:, 1] / datasets._JET_L) > 0.05))
+        assert n < 100 or 0.2 < leaves.mean() < 0.9
+        runs = {backend: bickley_flow(start, 0.0, 1.0, dt) for backend in backends}
+        reference = runs.pop("python")
+        for compiled in runs.values():
+            deviation = np.abs(compiled - reference)
+            deviation[:, 0] = np.minimum(deviation[:, 0], datasets._JET_PERIOD - deviation[:, 0])
+            assert deviation.shape == (n, 2) and np.all(deviation <= 1e-12)
+
+    def test_splits_at_multiples_of_64_steps_change_no_byte(self, backends):
+        # The C kernel takes every particle's sin, cos and tanh from libm at a
+        # call's first step and every 64th after it, and carries them
+        # between, so calls of 64 steps each give the bytes of one call.
+        # Steps of 1/64 keep every stage time exact either way.
+        start = np.random.default_rng(4).uniform([0.0, -4.0], [20.0, 4.0], size=(300, 2))
+        for _ in backends:
+            split = start
+            for t in range(4):
+                split = bickley_flow(split, float(t), t + 1.0, 1 / 64)
+            assert bickley_flow(start, 0.0, 4.0, 1 / 64).tobytes() == split.tobytes()
 
     @pytest.mark.parametrize("bad", [[np.nan, 0.0], [1e308, 0.0], [0.0, np.inf]])
     def test_divergence_reports_the_same_step(self, monkeypatch, backends, bad):

@@ -1,5 +1,7 @@
 """Tests for discrete-state transition counting, estimation, and analysis."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
@@ -85,6 +87,17 @@ class TestCountTransitions:
         model = count_transitions([np.array([7, 2**40, 7]), np.array([2, 7])], lag=1)
         np.testing.assert_array_equal(model.state_symbols, [2, 7, 2**40])
         np.testing.assert_array_equal(model.count_matrix, [[0, 1, 0], [0, 0, 1], [0, 1, 0]])
+
+    def test_float_labels_count_only_when_exact_integers(self):
+        model = count_transitions([np.array([0.0, 1.0, 100000.0, 1.0])], 1)
+        np.testing.assert_array_equal(model.state_symbols, [0, 1, 100000])
+        # 100000.4 lies within np.allclose's relative tolerance of 100000,
+        # and a cast to int64 warns for an infinite or too large label.
+        for label in (100000.4, np.inf, np.nan, 2.0**63):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(InvalidArgument, match="must contain 64-bit integers"):
+                    count_transitions([np.array([0.0, 1.0, label, 1.0])], 1)
 
     def test_invalid_inputs(self):
         with pytest.raises(InvalidArgument):

@@ -263,6 +263,19 @@ def test_ctypes_signatures_match_the_c_prototypes():
         assert c_type(function.restype) == returns, name
 
 
+def test_kernel_build_flags_keep_ieee_arithmetic():
+    # The steppers, the Roessler frames, the Viterbi paths, the chain states
+    # and the Lloyd loop match their references bit for bit only while the
+    # compiler neither contracts into fused multiply-adds nor reassociates.
+    # A -march build runs only where the machine matches the one that built
+    # it, and the cached build's name does not record the machine.
+    flags = _native._KERNEL_FLAGS
+    assert "-ffp-contract=off" in flags
+    forbidden = ("-ffast-math", "-Ofast", "-funsafe-math-optimizations",
+                 "-fassociative-math", "-march=")
+    assert [flag for flag in flags if any(bad in flag for bad in forbidden)] == []
+
+
 # Public names that only their own tests call, kept as the documented model
 # API: the potential the four-well drift is the gradient of, the operator
 # models' forward prediction and backward singular functions, and the
