@@ -1,20 +1,19 @@
 """Build, cache and load ``_kernels.c``, the compiled inner loops, through ctypes.
 
-The SDE steppers and the Roessler and Bickley-jet Runge-Kutta loops
-(:mod:`lagtime.datasets`), the hidden-Markov recursions (:mod:`lagtime.hmm`),
-the chain sampler (:mod:`lagtime.markov`) and the k-means Lloyd loop
-(:mod:`lagtime.clustering`) call :func:`_compiled_kernels`; each keeps a
-pure-Python reference path that runs when it returns no library. The
-steppers, the Roessler frames, the Viterbi paths and the chain states
-reproduce their references bit for bit, and the forward-backward to rounding.
-The jet kernel carries each particle's sin, cos and tanh from one
-Runge-Kutta step to the next by a Taylor rotation, takes them from libm only
-every 64th step and where a step leaves the rotation's range, and matches its
-NumPy reference to a tolerance, whatever the split of the particles over
-cores. The Lloyd loop takes distances as sums of squared
+This is the one module that knows which backend runs. The SDE steppers and the
+Roessler and Bickley-jet Runge-Kutta loops (:mod:`lagtime.datasets`), the
+hidden-Markov recursions (:mod:`lagtime.hmm`), the chain sampler
+(:mod:`lagtime.markov`) and the k-means Lloyd loop (:mod:`lagtime.clustering`)
+each register a pure-Python reference with :func:`_kernel`, which takes the C
+prototype's arguments and runs where :func:`_compiled_kernels` loads no
+library. The steppers, the Roessler frames, the Viterbi paths and the chain
+states reproduce their references bit for bit, and the forward-backward to
+rounding. The jet kernel, which carries sin, cos and tanh from step to step by
+a Taylor rotation (:func:`lagtime.datasets.bickley_flow`), matches its NumPy
+reference to a tolerance. The Lloyd loop takes distances as sums of squared
 differences, not NumPy's product expansion, so it gives the reference's
-labels, centres and iteration counts wherever no point lies within rounding
-of two centres. The jet and the Roessler attractor are fixed systems: their
+labels, centres and iteration counts wherever no point lies within rounding of
+two centres. The jet and the Roessler attractor are fixed systems: their
 constants are compiled into the kernels, so the calls pass only the state and
 the time grid.
 
@@ -36,11 +35,13 @@ import shutil
 import subprocess
 import tempfile
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 _KERNEL_SOURCE = Path(__file__).with_name("_kernels.c")
 _KERNEL_FLAGS = ("-O2", "-fopenmp-simd", "-ffp-contract=off", "-shared", "-fPIC")
+_KERNELS: list[tuple[str, Callable]] = []  # (name, reference), registered by _kernel
 
 
 def _build_kernels(compiler: str, path: Path) -> None:
@@ -108,3 +109,24 @@ def _compiled_kernels() -> tuple:
         function.argtypes = argtypes
         function.restype = restype
     return library, "c"
+
+
+def _kernel(name: str) -> Callable:
+    """Register the decorated function as the reference of kernel ``name``; the
+    result calls the kernel, or the reference where no library loads, looked up
+    at each call so that clearing :func:`_compiled_kernels`'s cache switches it.
+    """
+
+    def register(reference: Callable) -> Callable:
+        _KERNELS.append((name, reference))
+
+        @functools.wraps(reference)
+        def call(*args):
+            library, _ = _compiled_kernels()
+            if library is None:
+                return reference(*args)
+            return getattr(library, name)(*args)
+
+        return call
+
+    return register

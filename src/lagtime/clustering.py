@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 from numpy.typing import NDArray
 
-from ._native import _compiled_kernels
+from ._native import _kernel
 from .errors import InsufficientData, InvalidArgument
 from .numerics import _as_frames, _over_cores, _rng
 
@@ -73,8 +73,8 @@ def _lloyd(X: NDArray, centers: NDArray, max_iter: int, tol: float
            ) -> tuple[NDArray, int, bool]:
     """Lloyd iterations from given centers; returns (centers, iters, converged).
 
-    The reference path of :func:`kmeans_fit`; ``kmeans_lloyd`` in
-    ``_kernels.c`` runs the same loop.
+    The loop of one restart in :func:`_kmeans_lloyd`, the reference of
+    ``kmeans_lloyd`` in ``_kernels.c``.
     """
     k = centers.shape[0]
     prev_inertia = np.inf
@@ -108,16 +108,12 @@ def _lloyd(X: NDArray, centers: NDArray, max_iter: int, tol: float
     return centers, iterations, converged
 
 
-def _lloyd_compiled(kernel, X: NDArray, starts: NDArray, max_iter: int, tol: float
-                    ) -> list[tuple[NDArray, int, bool]]:
-    """:func:`_lloyd` in C for each of the ``starts`` (r, k, d), which it overwrites."""
-    n, d = X.shape
-    k = starts.shape[1]
-    info = np.empty((len(starts), 2), dtype=np.int64)
-    kernel(X, n, d, k, len(starts), min(max(max_iter, 0), _MAX_ITER), tol, starts, info,
-           np.empty(n + 2 * k, dtype=np.int64), np.empty(2 * n + k * d))
-    return [(centers, int(iters), bool(converged))
-            for centers, (iters, converged) in zip(starts, info)]
+@_kernel("kmeans_lloyd")
+def _kmeans_lloyd(X, n, d, k, n_restarts, max_iter, tol, centers, info, scratch, work) -> None:
+    """:func:`_lloyd` from each start in ``centers`` (n_restarts, k, d), in place;
+    ``info`` (n_restarts, 2) gets each one's iteration count and convergence."""
+    for start, row in zip(centers, info):
+        start[:], row[0], row[1] = _lloyd(X, start, max_iter, tol)
 
 
 def _inertia(X: NDArray, centers: NDArray) -> float:
@@ -135,11 +131,11 @@ def kmeans_fit(X: NDArray, n_clusters: int, seed: Optional[int] = None,
     a seed is given), so individual restarts are reproducible in isolation.
     The best run by inertia wins; ties go to the earliest restart.
 
-    Every restart is seeded in NumPy, in restart order. With a C compiler
-    the Lloyd iterations then run in C, one contiguous block of restarts per
-    usable core; without one, the NumPy loop runs them. Restarts are
-    independent and the inertia is taken in NumPy for both, so the result
-    does not depend on the core count.
+    Every restart is seeded in NumPy, in restart order. The Lloyd loops then
+    run one contiguous block of restarts per usable core, in C or in NumPy as
+    :mod:`lagtime._native` chooses. Restarts are independent and the inertia
+    is taken in NumPy for both, so the result does not depend on the core
+    count.
     """
     X = _as_frames(X)
     if n_clusters < 1:
@@ -157,19 +153,21 @@ def kmeans_fit(X: NDArray, n_clusters: int, seed: Optional[int] = None,
         _kmeans_plus_plus(X, n_clusters, _rng(None if seed is None else seed + restart))
         for restart in range(n_restarts)
     ])
-    library, _ = _compiled_kernels()
-    if library is None:
-        fits = [_lloyd(X, centers, max_iter, tol) for centers in starts]
-    else:
-        points = np.ascontiguousarray(X)
-        fits = [fit for block in _over_cores(
-            lambda block: _lloyd_compiled(library.kmeans_lloyd, points, block, max_iter, tol),
-            starts) for fit in block]
+    points = np.ascontiguousarray(X)
+    (n, d), k = X.shape, n_clusters
+
+    def lloyd(block: NDArray) -> NDArray:
+        info = np.empty((len(block), 2), dtype=np.int64)
+        _kmeans_lloyd(points, n, d, k, len(block), min(max(max_iter, 0), _MAX_ITER), tol, block,
+                      info, np.empty(n + 2 * k, dtype=np.int64), np.empty(2 * n + k * d))
+        return info
+
+    info = np.concatenate(_over_cores(lloyd, starts))
     best: Optional[tuple[NDArray, float, int, bool]] = None
-    for centers, iters, converged in fits:
+    for centers, (iters, converged) in zip(starts, info):
         inertia = _inertia(X, centers)
         if best is None or inertia < best[1]:
-            best = (centers, inertia, iters, converged)
+            best = (centers, inertia, int(iters), bool(converged))
     assert best is not None
     centers, inertia, iters, converged = best
     return ClusteringModel(centers=centers, inertia=inertia,

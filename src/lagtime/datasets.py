@@ -8,15 +8,14 @@ by ``_kernels.c``), a two-state hidden-Markov sampler with a square-root
 warped output space, and a chaotic three-dimensional attractor integrator.
 
 All generators are deterministic per seed. The double-well and four-well
-generators step in C (``_kernels.c``, loaded by :mod:`lagtime._native`),
-with arithmetic kept operation-for-operation identical to
-:func:`euler_maruyama`, the pure-Python reference path. Both run in one
-noise-block driver, so they give bit-identical trajectories from the same
-seed. Without a C compiler the generators run :func:`euler_maruyama`.
-:func:`rossler` steps in C the same way, bit-identical to its Python loop.
-:func:`bickley_flow` advects in C on one thread per usable core and agrees
-with its NumPy loop to rounding: the C kernel carries sin, cos and tanh from
-step to step and takes them from libm, not NumPy, now and then.
+generators, :func:`rossler` and :func:`bickley_flow` each call one kernel of
+``_kernels.c`` through :mod:`lagtime._native`, which runs the Python reference
+registered with it where no C compiler is found. The steppers' reference is
+the loop of :func:`euler_maruyama`, whose arithmetic the C steppers keep
+operation for operation in one noise-block driver, so both give bit-identical
+trajectories from the same seed; :func:`rossler` does too. :func:`bickley_flow`
+agrees with its NumPy loop to rounding: the C kernel carries sin, cos and tanh
+from step to step and takes them from libm, not NumPy, now and then.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.typing import NDArray
 
-from ._native import _compiled_kernels
+from ._native import _compiled_kernels, _kernel
 from .errors import DivergenceError, InvalidArgument
 from .markov import sample_markov_chain
 from .numerics import _as_frames, _over_cores, _rng
@@ -138,34 +137,41 @@ def euler_maruyama(system: SdeSystem, x0: NDArray, n_frames: int,
         If the state leaves the finite floating-point range; the error
         carries the index of the first bad integrator step.
     """
-    h = system.step
-    sig_sqrt_h = system.diffusion * math.sqrt(h)
+    noise_scale = system.diffusion * math.sqrt(system.step)
     t = 0.0
 
-    def advance(x, noise, out):
+    def steps(x, noise, h, scale, n_sub, n_frames, out):
         nonlocal t
-        y, row = x, 0
-        for frame in out:
-            for _ in range(system.n_substeps):
-                y = y + system.drift(t, y) * h + sig_sqrt_h @ noise[row]
-                t += h
-                if not np.all(np.isfinite(y)):
-                    return row
-                row += 1
-            frame[:] = y
-        x[:] = y
-        return -1
+        bad, t = _euler_maruyama_steps(system.drift, noise_scale, t, x, noise, h, n_sub, out)
+        return bad
 
-    return _integrate(system, x0, n_frames, seed, advance)
+    return _integrate(system, x0, n_frames, seed, steps)
+
+
+def _euler_maruyama_steps(drift, noise_scale, t, x, noise, h, n_sub, out) -> tuple:
+    """Step ``y <- y + drift(t, y) h + noise_scale @ xi`` from ``x`` at time ``t``,
+    one row of ``noise`` as ``xi`` per step, into ``out`` as ``_integrate`` asks;
+    returns that stepper's result and the time reached."""
+    y, row = x, 0
+    for frame in out:
+        for _ in range(n_sub):
+            y = y + drift(t, y) * h + noise_scale @ noise[row]
+            t += h
+            if not np.all(np.isfinite(y)):
+                return row, t
+            row += 1
+        frame[:] = y
+    x[:] = y
+    return -1, t
 
 
 def _integrate(system: SdeSystem, x0, n_frames: int, seed: Optional[int],
-               advance: Callable) -> Trajectory:
-    """Check the start, then run a block stepper with noise drawn in blocks.
+               steps: Callable) -> Trajectory:
+    """Check the start, then run a stepper with noise drawn in blocks.
 
-    ``advance(x, noise, out)`` steps from ``x`` with one ``noise`` row per
-    step, writes every ``n_substeps``-th
-    state to the next row of ``out`` and leaves the last state in ``x``; it
+    ``steps(x, noise, h, scale, n_substeps, n_frames, out)``, the compiled
+    steppers' prototype, steps ``x`` at isotropic noise ``scale``, one noise row
+    a step, into each ``n_substeps``-th of the ``n_frames`` rows of ``out``; it
     returns -1, or the noise row of the first non-finite step.
     """
     x = np.array(x0, dtype=np.float64).ravel()
@@ -175,7 +181,8 @@ def _integrate(system: SdeSystem, x0, n_frames: int, seed: Optional[int],
         )
     if n_frames < 1:
         raise InvalidArgument(f"n_frames must be >= 1, got {n_frames}")
-    n_sub = system.n_substeps
+    h, n_sub = system.step, system.n_substeps
+    scale = system.diffusion[0, 0] * math.sqrt(h)
     rng = _rng(seed)
     frames = np.empty((n_frames, system.dimension))
     frames[0] = x
@@ -184,28 +191,12 @@ def _integrate(system: SdeSystem, x0, n_frames: int, seed: Optional[int],
     while written < n_frames:
         m = min(frames_per_block, n_frames - written)
         noise = rng.standard_normal((m * n_sub, system.dimension))
-        bad = advance(x, noise, frames[written:written + m])
+        bad = steps(x, noise, h, scale, n_sub, m, frames[written:written + m])
         if bad >= 0:
             step = (written - 1) * n_sub + bad + 1
             raise DivergenceError(f"state diverged at integrator step {step}", step=step)
         written += m
     return Trajectory(frames=frames, dt_effective=system.step * n_sub, seed=seed)
-
-
-def _run_compiled_sde(stepper: str, system: SdeSystem, x0, n_frames: int,
-                      seed: Optional[int]) -> Trajectory:
-    """Integrate a shipped system with its C stepper, or with the reference path.
-
-    The stepper's isotropic diffusion is ``system.diffusion[0, 0]``.
-    """
-    library, _ = _compiled_kernels()
-    if library is None:
-        return euler_maruyama(system, x0, n_frames, seed=seed)
-    kernel = getattr(library, stepper)
-    h, n_sub = system.step, system.n_substeps
-    scale = system.diffusion[0, 0] * math.sqrt(h)
-    return _integrate(system, x0, n_frames, seed,
-                      lambda x, noise, out: kernel(x, noise, h, scale, n_sub, len(out), out))
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +208,13 @@ _DOUBLE_WELL_SIGMA = 0.7
 
 def _double_well_drift(t: float, x: NDArray) -> NDArray:
     return np.array([-4.0 * x[0] * (x[0] * x[0] - 1.0), -2.0 * x[1]])
+
+
+@_kernel("double_well_steps")
+def _double_well_steps(x, noise, h, scale, n_sub, n_frames, out) -> int:
+    """:func:`_euler_maruyama_steps` on the double-well drift at isotropic noise ``scale``."""
+    return _euler_maruyama_steps(_double_well_drift, scale * np.eye(2), 0.0, x, noise, h, n_sub,
+                                 out)[0]
 
 
 def double_well_system(n_substeps: int = 100) -> SdeSystem:
@@ -238,12 +236,12 @@ def double_well_2d(seed: Optional[int] = None, n_frames: int = 10000,
                    n_substeps: int = 100) -> Trajectory:
     """Sample the two-dimensional double-well diffusion.
 
-    Starts at the saddle ``(0, 0)`` and steps at ``h = 1e-3``. Steps in C
-    when a compiler is available; the result is bit-identical to
+    Starts at the saddle ``(0, 0)`` and steps at ``h = 1e-3``, in C where
+    :mod:`lagtime._native` loads the kernels; the result is bit-identical to
     :func:`euler_maruyama` on :func:`double_well_system` with the same seed.
     """
     system = double_well_system(n_substeps=n_substeps)
-    return _run_compiled_sde("double_well_steps", system, np.zeros(2), n_frames, seed)
+    return _integrate(system, np.zeros(2), n_frames, seed, _double_well_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +282,13 @@ def _quadwell_drift_tx(t: float, x: NDArray) -> NDArray:
     return quadwell_drift(x)
 
 
+@_kernel("quadwell_steps")
+def _quadwell_steps(x, noise, h, scale, n_sub, n_frames, out) -> int:
+    """:func:`_euler_maruyama_steps` on the four-well drift at isotropic noise ``scale``."""
+    return _euler_maruyama_steps(_quadwell_drift_tx, scale * np.eye(1), 0.0, x, noise, h, n_sub,
+                                 out)[0]
+
+
 def quadwell_system(h: float = 1e-3, n_substeps: int = 10) -> SdeSystem:
     """One-dimensional diffusion in the asymmetric four-well potential."""
     return SdeSystem(
@@ -302,11 +307,11 @@ def quadwell_1d(seed: Optional[int] = None, n_frames: int = 100000,
     The shipped potential is ``0.25 * [(x+2)(x+0.7)(x-0.8)(x-2.1)]^2`` with
     unit diffusion: four minima at :data:`QUADWELL_MINIMA`, slightly
     asymmetric barrier heights, and three slow exchange processes. Steps in
-    C when a compiler is available, bit-identical to :func:`euler_maruyama`
-    on :func:`quadwell_system`.
+    C where :mod:`lagtime._native` loads the kernels, bit-identical to
+    :func:`euler_maruyama` on :func:`quadwell_system`.
     """
     system = quadwell_system(h=h, n_substeps=n_substeps)
-    return _run_compiled_sde("quadwell_steps", system, [0.0], n_frames, seed)
+    return _integrate(system, [0.0], n_frames, seed, _quadwell_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -392,17 +397,17 @@ def bickley_flow(x0_batch: NDArray, t0: float, t1: float, dt: float = 1e-2) -> N
     ``t1 < t0`` integrates backward in time. The time span must be an
     integer number of steps, fewer than 2**63.
 
-    Steps in C when a compiler is available, one contiguous chunk of
-    particles per usable core, and agrees with the NumPy loop to rounding.
-    The C kernel carries each particle's ``cos/sin(k1*x)`` and
-    ``tanh(y/L)`` from one step to the next by a Taylor rotation. It calls
-    libm for them only every 64th step, where a step's offset is too large
-    for the rotation's series, and where the wrap moves ``x`` by more than a
-    period. Every chunk resyncs at the same steps, so the result does not
-    depend on the core count. Each call resyncs at its own first step, so
-    an advection split into calls agrees with one call to rounding. A
-    particle that is not finite after a step raises
-    :class:`DivergenceError` carrying that step.
+    Steps one contiguous chunk of particles per usable core, in C where
+    :mod:`lagtime._native` loads the kernels and otherwise in the NumPy
+    loop; the two agree to rounding. The C kernel carries each particle's
+    ``cos/sin(k1*x)`` and ``tanh(y/L)`` from one step to the next by a
+    Taylor rotation. It calls libm for them only every 64th step, where a
+    step's offset is too large for the rotation's series, and where the wrap
+    moves ``x`` by more than a period. Every chunk resyncs at the same
+    steps, so the result does not depend on the core count. Each call
+    resyncs at its own first step, so an advection split into calls agrees
+    with one call to rounding. A particle that is not finite after a step
+    raises :class:`DivergenceError` carrying that step.
     """
     if not all(map(math.isfinite, (t0, t1, dt))):
         raise InvalidArgument(f"t0, t1 and dt must be finite, got {t0}, {t1}, {dt}")
@@ -424,18 +429,19 @@ def bickley_flow(x0_batch: NDArray, t0: float, t1: float, dt: float = 1e-2) -> N
             f"time span {span} is not an integer multiple of dt={dt}"
         )
     h = math.copysign(dt, span)
-    library, _ = _compiled_kernels()
-    if library is None:
-        step = _jet_rk4(X, t0, h, n_steps)
-    else:
-        step = _jet_rk4_compiled(library.jet_rk4_steps, X, t0, h, n_steps)
+    # Every particle's arithmetic is independent of the others, so the result
+    # does not depend on the chunks; the earliest bad step of any chunk is reported.
+    steps = _over_cores(
+        lambda chunk: _jet_rk4(chunk, len(chunk), t0, h, n_steps, np.empty(6 * len(chunk))), X)
+    step = min((step for step in steps if step >= 0), default=-1)
     if step >= 0:
         raise DivergenceError(f"particle state diverged at integrator step {step}", step=step)
     return X
 
 
-def _jet_rk4(X: NDArray, t0: float, h: float, n_steps: int) -> int:
-    """Advance the particles ``X`` in place; the reference path of :func:`bickley_flow`.
+@_kernel("jet_rk4_steps")
+def _jet_rk4(X: NDArray, n: int, t0: float, h: float, n_steps: int, scratch) -> int:
+    """Advance the ``n`` particles ``X`` in place by ``n_steps`` RK4 steps of ``h`` from ``t0``.
 
     Returns -1, or the first step (from 1) after which a particle is not
     finite; it then stops.
@@ -452,19 +458,6 @@ def _jet_rk4(X: NDArray, t0: float, h: float, n_steps: int) -> int:
         if not np.all(np.isfinite(X)):
             return step + 1
     return -1
-
-
-def _jet_rk4_compiled(kernel, X: NDArray, t0: float, h: float, n_steps: int) -> int:
-    """:func:`_jet_rk4` in C, on one contiguous chunk of particles per usable core.
-
-    The C call releases the GIL and takes scratch of six doubles per
-    particle. Every particle's arithmetic is independent of the others, so
-    the result does not depend on the number of chunks. Returns the earliest
-    bad step of any chunk.
-    """
-    steps = _over_cores(
-        lambda chunk: kernel(chunk, len(chunk), t0, h, n_steps, np.empty(6 * len(chunk))), X)
-    return min((step for step in steps if step >= 0), default=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -548,8 +541,8 @@ def rossler(x0: NDArray = (0.0, -6.78, 0.02), t1: float = 100.0,
 
     The parameters are fixed at ``a = 0.1``, ``b = 0.1`` and ``c = 14``.
     Fixed-step classical Runge-Kutta; the first frame is the initial state.
-    Steps in C when a compiler is available, bit-identical to the reference
-    path. A ``t1 / dt`` whose frames cannot be allocated raises
+    Steps in C where :mod:`lagtime._native` loads the kernels, bit-identical
+    to the Python loop. A ``t1 / dt`` whose frames cannot be allocated raises
     :class:`InvalidArgument`.
     """
     if not (math.isfinite(t1) and math.isfinite(dt)):
@@ -570,20 +563,16 @@ def rossler(x0: NDArray = (0.0, -6.78, 0.02), t1: float = 100.0,
         raise InvalidArgument(
             f"t1 / dt = {t1} / {dt} is more steps than fit in memory"
         ) from None
-    n_steps = len(frames) - 1
     frames[0] = start
-    library, _ = _compiled_kernels()
-    if library is None:
-        step = _rossler_steps(frames, dt)
-    else:
-        step = library.rossler_steps(frames, n_steps, dt)
+    step = _rossler_steps(frames, len(frames) - 1, dt)
     if step >= 0:
         raise DivergenceError(f"state diverged at step {step}", step=step)
     return Trajectory(frames=frames, dt_effective=dt, seed=None)
 
 
-def _rossler_steps(frames: NDArray, dt: float) -> int:
-    """Fill ``frames[1:]`` by RK4 steps from ``frames[0]``; the reference path of :func:`rossler`.
+@_kernel("rossler_steps")
+def _rossler_steps(frames: NDArray, n_steps: int, dt: float) -> int:
+    """Fill ``frames[1:n_steps + 1]`` by RK4 steps of ``dt`` from ``frames[0]``.
 
     Returns -1, or the first step whose state is not finite; it then stops.
     """
@@ -591,7 +580,7 @@ def _rossler_steps(frames: NDArray, dt: float) -> int:
     x1, x2, x3 = frames[0]
     half = 0.5 * dt
     sixth = dt / 6.0
-    for k in range(1, len(frames)):
+    for k in range(1, n_steps + 1):
         a1 = -x2 - x3
         a2 = x1 + a * x2
         a3 = b + x3 * (x1 - c)

@@ -6,11 +6,10 @@ The likelihood is checked to be non-decreasing across EM iterations, up to a
 tiny floating-point slack; a decrease beyond the slack indicates a bug and
 raises, it is never silently accepted.
 
-The per-frame forward, backward and Viterbi recursions run in the compiled
-kernels of ``_kernels.c`` (see :mod:`lagtime._native`); everything around
-them stays in NumPy. Without a C compiler the loops below, ``_forward``,
-``_backward`` and ``_viterbi``, run instead; they are the reference the
-compiled recursions are tested against.
+The per-frame forward, backward and Viterbi recursions run in the kernels of
+``_kernels.c`` or in the loops below, ``_hmm_forward``, ``_hmm_backward`` and
+``_hmm_viterbi``, their references, as :mod:`lagtime._native` chooses at each
+call; everything around them stays in NumPy.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from ._native import _compiled_kernels
+from ._native import _compiled_kernels, _kernel
 from .errors import (
     InsufficientData,
     InternalInvariantError,
@@ -224,17 +223,10 @@ def forward_backward(hmm: HiddenMarkovModel, observations: NDArray
     alphas = np.empty((T, n))
     scales = np.empty(T)
     betas = np.empty((T, n))
-    library, _ = _compiled_kernels()
-    if library is None:
-        bad = _forward(pi, P, b, alphas, scales)
-    else:
-        bad = library.hmm_forward(pi, P, b, T, n, alphas, scales)
+    bad = _hmm_forward(pi, P, b, T, n, alphas, scales)
     if bad >= 0:
         raise _impossible_frame(bad)
-    if library is None:
-        _backward(P, b, scales, betas)
-    else:
-        library.hmm_backward(P, b, scales, T, n, betas, np.empty(n))
+    _hmm_backward(P, b, scales, T, n, betas, np.empty(n))
     gammas = alphas * betas
     gammas /= gammas.sum(axis=1, keepdims=True)
     # xi_sum = P o (A^T W) with A the scaled alphas (t < T) and
@@ -268,12 +260,13 @@ def _impossible_frame(frame: int) -> NumericalDegeneracy:
     )
 
 
-def _forward(pi, P, b, alphas, scales) -> int:
-    """Reference for ``hmm_forward`` in ``_kernels.c``: the scaled forward
-    recursion into ``alphas`` and ``scales``; returns -1, or the first frame
-    whose scale is not positive and finite."""
+@_kernel("hmm_forward")
+def _hmm_forward(pi, P, b, T, n, alphas, scales) -> int:
+    """The scaled forward recursion over ``T`` frames into ``alphas`` and
+    ``scales``; returns -1, or the first frame whose scale is not positive and
+    finite."""
     alpha = pi * b[0]
-    for t in range(len(b)):
+    for t in range(T):
         if t > 0:
             alpha = (alphas[t - 1] @ P) * b[t]
         s = alpha.sum()
@@ -284,21 +277,19 @@ def _forward(pi, P, b, alphas, scales) -> int:
     return -1
 
 
-def _backward(P, b, scales, betas) -> None:
-    """Reference for ``hmm_backward`` in ``_kernels.c``: the scaled backward
-    recursion into ``betas``."""
-    T = len(b)
+@_kernel("hmm_backward")
+def _hmm_backward(P, b, scales, T, n, betas, scratch) -> None:
+    """The scaled backward recursion over ``T`` frames into ``betas``."""
     betas[T - 1] = 1.0
     for t in range(T - 2, -1, -1):
         betas[t] = (P @ (b[t + 1] * betas[t + 1])) / scales[t + 1]
 
 
-def _viterbi(logpi, logP, logb, path) -> None:
-    """Reference for ``hmm_viterbi`` in ``_kernels.c``: the most probable
-    path into ``path``; ties go to the lower index."""
-    T, n = logb.shape
+@_kernel("hmm_viterbi")
+def _hmm_viterbi(logpi, logP, logb, T, n, back, scratch, path) -> None:
+    """The most probable path over ``T`` frames into ``path``, with back-pointers
+    in ``back[1:]``; ties go to the lower index."""
     delta = logpi + logb[0]
-    back = np.zeros((T, n), dtype=np.int64)
     for t in range(1, T):
         cand = delta[:, None] + logP
         back[t] = np.argmax(cand, axis=0)
@@ -403,12 +394,7 @@ def viterbi(hmm: HiddenMarkovModel, observations: NDArray) -> NDArray:
         logP = np.log(np.ascontiguousarray(hmm.transition_model.transition_matrix))
         logpi = np.log(np.ascontiguousarray(hmm.initial_distribution))
     path = np.empty(T, dtype=np.int64)
-    library, _ = _compiled_kernels()
-    if library is None:
-        _viterbi(logpi, logP, logb, path)
-    else:
-        library.hmm_viterbi(logpi, logP, logb, T, n, np.empty((T, n), dtype=np.int64),
-                            np.empty(2 * n), path)
+    _hmm_viterbi(logpi, logP, logb, T, n, np.empty((T, n), dtype=np.int64), np.empty(2 * n), path)
     return path
 
 

@@ -19,7 +19,7 @@ from scipy.linalg import eig as _eig_lr
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from ._native import _compiled_kernels
+from ._native import _kernel
 from .basis import IndicatorFeatures
 from .covariance import CovarianceModel
 from .decomposition import vamp_fit
@@ -541,9 +541,9 @@ def sample_markov_chain(P: NDArray, length: int, seed: int,
                         initial_distribution: Optional[NDArray] = None) -> NDArray:
     """Sample a state sequence from a row-stochastic matrix, reproducibly.
 
-    The steps run in the compiled ``markov_chain_steps`` of ``_kernels.c``
-    (see :mod:`lagtime._native`), or without a C compiler in the reference
-    loop below; both give the same states for a seed.
+    The steps run in ``markov_chain_steps`` of ``_kernels.c``, or in its
+    reference ``_markov_chain_steps``, as :mod:`lagtime._native` chooses;
+    both give the same states for a seed.
     """
     P = np.asarray(P, dtype=np.float64)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
@@ -559,13 +559,15 @@ def sample_markov_chain(P: NDArray, length: int, seed: int,
     states = np.empty(length, dtype=np.int64)
     states[0] = rng.choice(n, p=initial_distribution / np.sum(initial_distribution))
     draws = rng.random(length - 1)
-    library, _ = _compiled_kernels()
-    if library is not None:
-        library.markov_chain_steps(cdf, n, draws, length, states)
-        return states
+    _markov_chain_steps(cdf, n, draws, length, states)
+    return states
+
+
+@_kernel("markov_chain_steps")
+def _markov_chain_steps(cdf, n, draws, length, states) -> None:
+    """Fill ``states[1:]``: each state is the first column of ``cdf`` above its draw."""
     for t in range(1, length):
         states[t] = np.searchsorted(cdf[states[t - 1]], draws[t - 1], side="right")
-    return states
 
 
 def read_discrete_trajectory(path) -> NDArray:

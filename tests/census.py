@@ -22,7 +22,9 @@ by design carries a tag:
 
 - ``raise``: inside a ``raise`` statement;
 - ``except``: inside an ``except`` handler;
-- ``reference``: the pure-Python path that runs when no C compiler is found;
+- ``reference``: the pure-Python path that runs when no C compiler is found:
+  each function registered with ``@_kernel`` in ``lagtime._native``, and that
+  module's own no-library and no-compiler arms;
 - ``model-api``: a public name kept for the model API (``MODEL_API`` in
   ``tests/test_numerics.py``).
 
@@ -147,8 +149,9 @@ def regions(tree: ast.Module) -> tuple:
     findings are kept by design, and of each ``if`` test whose jumps lead into
     one; ``start`` and ``end`` are ``(line, column)``.
 
-    A ``raise`` or ``assert`` statement, an ``except`` handler, and the arm
-    taken when ``_compiled_kernels()`` returns no library (or
+    A ``raise`` or ``assert`` statement, an ``except`` handler, the body of a
+    kernel's reference (a function decorated with ``_kernel(...)``) and the
+    arm taken when ``_compiled_kernels()`` returns no library (or
     ``shutil.which`` no compiler) are kept; so is a guard, an ``if`` without
     ``else`` whose body ends in a ``raise`` or in another guard, with its test.
     """
@@ -162,6 +165,8 @@ def regions(tree: ast.Module) -> tuple:
             tests.append(("raise", _place(node.test), _place(node.test, end=True)))
             bodies.append(("raise", _place(node.body[0]), _place(node.body[-1], end=True)))
         elif isinstance(node, ast.FunctionDef):
+            if _registered(node):
+                bodies.append(("reference", _place(node.body[0]), _place(node.body[-1], end=True)))
             native = {target.id for assign in ast.walk(node) if isinstance(assign, ast.Assign)
                       and isinstance(assign.value, ast.Call)
                       and (getattr(assign.value.func, "id", None) == "_compiled_kernels"
@@ -185,6 +190,12 @@ def regions(tree: ast.Module) -> tuple:
                     if arm:
                         bodies.append(("reference", _place(arm[0]), _place(arm[-1], end=True)))
     return bodies, tests
+
+
+def _registered(node: ast.FunctionDef) -> bool:
+    """Whether ``node`` is a kernel's reference, decorated with ``_kernel(...)``."""
+    return any(getattr(getattr(decorator, "func", None), "id", None) == "_kernel"
+               for decorator in node.decorator_list)
 
 
 def _guard(node) -> bool:
@@ -221,6 +232,8 @@ def function_tags(tree: ast.Module, bodies: list, api: set) -> dict:
     tags.update((name, "model-api") for name in api)
     exceptions = {"Exception"}
     for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and _registered(node):
+            tags[node.name] = "reference"
         if isinstance(node, ast.ClassDef) and any(
                 getattr(base, "id", None) in exceptions for base in node.bases):
             exceptions.add(node.name)

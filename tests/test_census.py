@@ -1,5 +1,7 @@
 """Tests for the arm finder of ``tests/census.py``."""
 
+import ast
+
 import census
 
 
@@ -34,3 +36,16 @@ def test_jump_with_an_extended_argument():
     body = "\n".join(f"        y = y + {i}" for i in range(200))
     source = f"def f(x):\n    y = 0\n    if x:\n{body}\n    return y\n"
     assert traced(source, (False,)) == [((3, 4), (4, 12))]
+
+
+def test_a_registered_reference_is_tagged():
+    # A kernel's reference runs only without a C compiler: its body, and a
+    # helper that only it calls, are kept as the reference path.
+    source = ('@_kernel("k")\ndef f(a):\n    if a:\n        return h()\n    return 2\n\n'
+              'def h():\n    return 1\n\ndef g(a):\n    return f(a)\n')
+    tree = ast.parse(source)
+    bodies, _ = census.regions(tree)
+    assert census.tag_of(bodies, (4, 8)) == "reference"
+    assert census.tag_of(bodies, (11, 4)) == ""
+    tags = census.function_tags(tree, bodies, set())
+    assert tags["f"] == tags["h"] == "reference" and "g" not in tags

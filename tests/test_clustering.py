@@ -158,8 +158,15 @@ def blobs(seed, n, d, k):
     return centers[rng.integers(k, size=n)] + rng.standard_normal((n, d))
 
 
-def without_compiler(monkeypatch):
-    monkeypatch.setattr(clustering, "_compiled_kernels", lambda: (None, "python (no C compiler)"))
+def lloyd_fits(X, starts, max_iter, tol):
+    """(centers, iterations, converged) of each of ``starts`` after the Lloyd
+    loops of ``clustering._kmeans_lloyd``, on the backend that is loaded."""
+    (n, d), (r, k, _) = X.shape, starts.shape
+    info = np.empty((r, 2), dtype=np.int64)
+    clustering._kmeans_lloyd(X, n, d, k, r, max_iter, tol, starts, info,
+                             np.empty(n + 2 * k, dtype=np.int64), np.empty(2 * n + k * d))
+    return [(centers, int(iters), bool(converged))
+            for centers, (iters, converged) in zip(starts, info)]
 
 
 # (seed, points, dimensions, clusters); one column is summed pairwise.
@@ -172,8 +179,8 @@ class TestCompiledLloyd:
 
     @staticmethod
     def assert_same_fits(X, starts, max_iter=300, tol=1e-8):
-        kernel = _native._compiled_kernels()[0].kmeans_lloyd
-        compiled = clustering._lloyd_compiled(kernel, X, starts.copy(), max_iter, tol)
+        assert _native._compiled_kernels()[1] == "c"
+        compiled = lloyd_fits(X, starts.copy(), max_iter, tol)
         for start, (centers, iters, converged) in zip(starts, compiled):
             reference, ref_iters, ref_converged = clustering._lloyd(X, start, max_iter, tol)
             np.testing.assert_array_equal(kmeans_assign(centers, X), kmeans_assign(reference, X))
@@ -194,8 +201,8 @@ class TestCompiledLloyd:
         # clusters one column) keep their bytes.
         X = blobs(6, 5000, 1, 2)
         starts = np.stack([clustering._kmeans_plus_plus(X, 2, _rng(r)) for r in range(3)])
-        kernel = _native._compiled_kernels()[0].kmeans_lloyd
-        compiled = clustering._lloyd_compiled(kernel, X, starts.copy(), 1, 0.0)
+        assert _native._compiled_kernels()[1] == "c"
+        compiled = lloyd_fits(X, starts.copy(), 1, 0.0)
         for start, (centers, _, _) in zip(starts, compiled):
             assert centers.tobytes() == clustering._lloyd(X, start, 1, 0.0)[0].tobytes()
 
@@ -212,11 +219,10 @@ class TestCompiledLloyd:
         self.assert_same_fits(X, starts)
 
     @pytest.mark.parametrize("seed, n, d, k", LLOYD_CASES)
-    def test_kmeans_fit_matches_the_python_backend(self, monkeypatch, seed, n, d, k):
+    def test_kmeans_fit_matches_the_python_backend(self, backends, seed, n, d, k):
         X = blobs(seed, n, d, k)
-        compiled = kmeans_fit(X, k, seed=seed, n_restarts=6)
-        without_compiler(monkeypatch)
-        reference = kmeans_fit(X, k, seed=seed, n_restarts=6)
+        fits = {backend: kmeans_fit(X, k, seed=seed, n_restarts=6) for backend in backends}
+        compiled, reference = fits["c"], fits["python"]
         np.testing.assert_array_equal(compiled.assign(X), reference.assign(X))
         np.testing.assert_allclose(compiled.centers, reference.centers, rtol=1e-12, atol=0.0)
         assert compiled.inertia == pytest.approx(reference.inertia, rel=1e-12)
@@ -238,13 +244,13 @@ class TestCoreCount:
         assert fits[0] == fits[1] == fits[2]
 
     @pytest.mark.parametrize("compiled", [True, False])
-    def test_a_tie_goes_to_the_earliest_restart(self, monkeypatch, compiled):
+    def test_a_tie_goes_to_the_earliest_restart(self, monkeypatch, backends, compiled):
         # From one point per blob Lloyd needs two iterations, from the blob
         # means one; both end on the same centers, hence the same inertia.
         if compiled and shutil.which("cc") is None:
             pytest.skip("no C compiler")
-        if not compiled:
-            without_compiler(monkeypatch)
+        # Leaves the backends generator on the backend under test.
+        next(backend for backend in backends if backend == ("c" if compiled else "python"))
         X, _, labels = three_blobs(seed=8)
         slow = X[[0, 100, 200]]
         fast = np.stack([X[labels == j].mean(axis=0) for j in range(3)])

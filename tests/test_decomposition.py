@@ -7,6 +7,7 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lagtime import decomposition
 from lagtime.basis import (
     IdentityFeatures,
     IndicatorFeatures,
@@ -629,6 +630,26 @@ class TestKernelCca:
             model = kernel_cca_fit(X, Y, GaussianKernel(1.0), n_components=2, epsilon=1e-3)
         np.testing.assert_array_equal(model.eigenvalues, 0.0)
         assert np.all(np.isfinite(model.g(Y)))
+
+    def test_constant_x_on_the_krylov_path_keeps_no_pair(self, monkeypatch):
+        # A constant X centres to a zero Gram matrix, so R_X = 0. At 60 points
+        # the Krylov solve runs, and its Rayleigh-Ritz step keeps no pair.
+        solve, found = decomposition._cca_krylov, []
+
+        def spy(*args):
+            found.append(solve(*args))
+            return found[-1]
+
+        monkeypatch.setattr(decomposition, "_cca_krylov", spy)
+        X = np.ones((60, 2))
+        Y = np.random.default_rng(48).standard_normal((60, 2))
+        with np.errstate(all="raise"):
+            model = kernel_cca_fit(X, Y, GaussianKernel(1.0), n_components=2, epsilon=1e-3)
+        assert found[0] is not None and found[0][0].size == 0
+        np.testing.assert_array_equal(model.eigenvalues, 0.0)
+        for values in (model.f(X), model.g(Y)):
+            assert values.shape == (60, 2)
+            np.testing.assert_array_equal(values, 0.0)
 
     def test_validation(self):
         X = np.zeros((10, 1))

@@ -1,5 +1,6 @@
 import ast
 import ctypes
+import inspect
 import re
 import shutil
 from pathlib import Path
@@ -244,15 +245,22 @@ def prototype_type(declaration):
     return f"{base} {pointer}".strip()
 
 
-def test_ctypes_signatures_match_the_c_prototypes():
+def test_ctypes_signatures_match_the_c_prototypes(monkeypatch):
     # ctypes checks a call against argtypes only: a row with a wrong argument
     # count, order or kind makes the kernel read garbage without any error.
-    if shutil.which("cc") is None:
-        pytest.skip("no C compiler")
+    # Each kernel's reference takes the same arguments where no library loads.
     source = _native._KERNEL_SOURCE.read_text()
     exported = re.findall(r"^(long|void|double|int) (\w+)\(([^)]*)\)\s*\{", source, re.M)
     assert {name for _, name, _ in exported} >= {"jet_rk4_steps", "kmeans_lloyd"}
     assert len(exported) >= 9
+    registered = [name for name, _ in _native._KERNELS]
+    assert sorted(registered) == sorted(name for _, name, _ in exported)
+    references = dict(_native._KERNELS)
+    for _, name, parameters in exported:
+        arguments = len(parameters.split(","))
+        assert len(inspect.signature(references[name]).parameters) == arguments, name
+    if shutil.which("cc") is None:
+        return
     library, backend = _native._compiled_kernels()
     assert backend == "c"
     for returns, name, parameters in exported:
@@ -261,6 +269,15 @@ def test_ctypes_signatures_match_the_c_prototypes():
         declared = [prototype_type(p) for p in parameters.split(",")]
         assert [c_type(t) for t in function.argtypes] == declared, name
         assert c_type(function.restype) == returns, name
+    # Where the library loads, the function registered for a kernel calls it.
+    callers = {function.__wrapped__: function for module in vars(lagtime).values()
+               if inspect.ismodule(module) for function in vars(module).values()
+               if getattr(function, "__wrapped__", None) in references.values()}
+    for _, name, parameters in exported:
+        arguments, calls = tuple(range(len(parameters.split(",")))), []
+        monkeypatch.setattr(library, name, lambda *args, calls=calls: calls.append(args))
+        callers[references[name]](*arguments)
+        assert calls == [arguments], name
 
 
 def test_kernel_build_flags_keep_ieee_arithmetic():
@@ -277,11 +294,12 @@ def test_kernel_build_flags_keep_ieee_arithmetic():
 
 
 # Public names that only their own tests call, kept as the documented model
-# API: the potential the four-well drift is the gradient of, the operator
-# models' forward prediction and backward singular functions, and the
-# scoring, persistence and simulation entry points.
-MODEL_API = {"quadwell_potential", "propagate", "backward", "kvad_score", "save_model",
-             "load_model", "sindy_simulate", "sindy_score"}
+# API: the potential the four-well drift is the gradient of, the integrator of
+# user-defined SDE systems (its loop is also the shipped steppers' reference),
+# the operator models' forward prediction and backward singular functions,
+# and the scoring, persistence and simulation entry points.
+MODEL_API = {"quadwell_potential", "euler_maruyama", "propagate", "backward", "kvad_score",
+             "save_model", "load_model", "sindy_simulate", "sindy_score"}
 
 
 def class_hierarchy(src):
