@@ -16,8 +16,8 @@ the customary convention for those methods.
 Kernel CCA factors its two shifted Gram matrices by Cholesky and finds its
 leading correlations by a block Krylov solve, so on spectra with a gap it
 decomposes no n x n matrix; without a gap it finishes with a dense solve,
-chosen by a fixed work budget. Kernel EDMD finds only the eigenpairs it
-is asked for, by Arnoldi iteration on its n x n operator.
+chosen by a fixed work budget. Kernel EDMD decomposes its operator on the
+numerical range of its Gram matrix, r columns found by pivoted Cholesky.
 """
 
 from __future__ import annotations
@@ -27,12 +27,11 @@ from typing import Optional
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse.linalg
 from numpy.typing import NDArray
 
 from .basis import FeatureMap, IdentityFeatures, LinearFeatures, WithConstant
 from .covariance import CovarianceAccumulator, CovarianceModel
-from .errors import InvalidArgument, NumericalDegeneracy, UndefinedScore
+from .errors import DegenerateInput, InvalidArgument, NumericalDegeneracy, UndefinedScore
 from .kernels import Kernel, KernelSectionFeatures, _center_gram, _gram_means, gram_matrix
 from .numerics import (
     _as_frames, _by_modulus, _rng, generalized_eig_sym, pinv_truncated, sym_inverse_sqrt,
@@ -62,7 +61,7 @@ __all__ = [
 
 
 def _leading_eigenpairs(evals: NDArray, evecs: NDArray, k: int) -> tuple[NDArray, NDArray]:
-    """The ``k`` eigenpairs of largest modulus, in one form whichever solver found them.
+    """The ``k`` eigenpairs of largest modulus of a dense ``eig``, in one form.
 
     Pairs come in the order of ``_by_modulus``; a conjugate pair that the
     cut splits keeps its member with positive imaginary part. Each
@@ -71,8 +70,6 @@ def _leading_eigenpairs(evals: NDArray, evecs: NDArray, k: int) -> tuple[NDArray
     """
     order = _by_modulus(evals)[:k]
     evals, evecs = evals[order], evecs[:, order]
-    if evals[-1].imag < 0 and (k == 1 or evals[-2] != np.conj(evals[-1])):
-        evals[-1], evecs[:, -1] = np.conj(evals[-1]), np.conj(evecs[:, -1])
     if not np.any(evals.imag):
         evals, evecs = evals.real, evecs.real
     pivot = evecs[np.argmax(np.abs(evecs), axis=0), np.arange(k)]
@@ -381,22 +378,31 @@ def vamp_score_cv(F0: NDArray, F1: NDArray, r: float = 2, n_folds: int = 10
 # ---------------------------------------------------------------------------
 # kernel estimators
 
+# Kernel EDMD's pivot cutoff, relative to the largest modulus on the Gram diagonal.
+_EDMD_CUTOFF = 1e-12
+
 
 def kernel_edmd_fit(X: NDArray, Y: NDArray, kernel: Kernel, epsilon: float,
                     n_components: int) -> TransferOperatorModel:
     """Forward-operator regression in a reproducing kernel space.
 
     Features are kernel sections anchored at the instantaneous points, with
-    Gram matrices left uncentered. The operator solves
-    ``(G + n epsilon I)^{-1} G_fwd`` where ``G[i, j] = k(x_i, x_j)`` and
-    ``G_fwd[i, j] = k(y_i, x_j)``; its eigenvectors give the dominant
-    eigenfunctions as kernel expansions over the anchors, ordered by
-    eigenvalue modulus. The model keeps the leading ``n_components`` of
-    them, found by implicitly restarted Arnoldi (ARPACK) from a fixed start
-    vector, so the same data give the same bytes whatever the global random
-    state. Where Arnoldi does not apply (``n_components >= n - 1``) or does
-    not converge, a dense eigendecomposition of the operator finds them
-    instead; both give each eigenvector the same normalization.
+    uncentered Gram matrices ``G[i, j] = k(x_i, x_j)`` and ``G_fwd[i, j] =
+    k(y_i, x_j)``. The operator ``(G + n epsilon I)^{-1} G_fwd`` is restricted
+    to the numerical range of ``G`` (Williams, Rowley and Kevrekidis, 2015),
+    spanned by the orthonormal ``Q`` of a pivoted Cholesky factor cut at
+    ``_EDMD_CUTOFF``: ``K = Q A Q^T`` with ``A = (Q^T G Q + n epsilon I)^{-1}
+    Q^T G_fwd Q``. All eigenpairs of the r x r ``A``, by descending modulus,
+    give the eigenfunctions as kernel expansions over the anchors; components
+    past the rank r have eigenvalue zero and zero coefficients.
+
+    Raises
+    ------
+    NumericalDegeneracy
+        If ``G`` is not positive semi-definite to the cutoff: kernels that are
+        not positive definite (see :class:`Kernel`) are not solved.
+    DegenerateInput
+        If ``G`` has rank zero under the cutoff.
     """
     X, Y = _as_frames(X), _as_frames(Y, "Y")
     if X.shape != Y.shape:
@@ -406,31 +412,27 @@ def kernel_edmd_fit(X: NDArray, Y: NDArray, kernel: Kernel, epsilon: float,
     n = X.shape[0]
     if not (1 <= n_components <= n):
         raise InvalidArgument(f"n_components must be in 1..{n}")
-    H = gram_matrix(kernel, X)
-    H.flat[:: n + 1] += n * epsilon
-    # LU, not Cholesky, so kernels that are not positive definite still
-    # solve. H is exactly symmetric, so its transpose is the Fortran-ordered
-    # view LAPACK factors in place; the solve overwrites its copy of G_fwd.
-    K = scipy.linalg.lu_solve(
-        scipy.linalg.lu_factor(H.T, overwrite_a=True, check_finite=False),
-        gram_matrix(kernel, Y, X), overwrite_b=True, check_finite=False,
-    )
-    # Row-major, as a loaded model holds it, so that products with K round
-    # the same before and after a save and load.
-    K = np.ascontiguousarray(K)
-    pairs = None
-    if n_components < n - 1:
-        try:
-            pairs = scipy.sparse.linalg.eigs(K, n_components, which="LM", tol=0,
-                                             v0=_rng(0).standard_normal(n))
-        except scipy.sparse.linalg.ArpackNoConvergence:
-            pass
-    if pairs is None:
-        pairs = np.linalg.eig(K)
-    evals, P = _leading_eigenpairs(*pairs, n_components)
+    G = gram_matrix(kernel, X)
+    cutoff = _EDMD_CUTOFF * np.abs(G.diagonal()).max()
+    L, pivots, r, _ = scipy.linalg.lapack.dpstrf(G, tol=cutoff, lower=1)
+    # Rows in the anchors' order; LAPACK leaves the upper triangle as it found it.
+    L = np.tril(L[:, :r])[np.argsort(pivots)]
+    if np.any(G.diagonal() - np.einsum("ij,ij->i", L, L) < -cutoff):
+        raise NumericalDegeneracy("Gram matrix is not positive semi-definite; "
+                                  "the kernel must be positive definite")
+    if r == 0:
+        raise DegenerateInput(f"Gram matrix rank collapsed to zero under pivot cutoff {cutoff:g}")
+    Q = np.linalg.qr(L)[0]
+    S = Q.T @ G @ Q
+    S.flat[:: r + 1] += n * epsilon
+    A = np.linalg.solve(S, Q.T @ gram_matrix(kernel, Y, X) @ Q)
+    evals, C = np.linalg.eig(A)
+    evals, P = _leading_eigenpairs(evals, Q @ C, min(n_components, r))
+    missing = n_components - evals.size
     sections = KernelSectionFeatures(kernel, X)
-    return TransferOperatorModel(f=sections, g=sections, K=K, method="kernel_edmd",
-                                 eigenvalues=evals, projection_matrix=P)
+    return TransferOperatorModel(f=sections, g=sections, K=Q @ A @ Q.T, method="kernel_edmd",
+                                 eigenvalues=np.concatenate([evals, np.zeros(missing)]),
+                                 projection_matrix=np.hstack([P, np.zeros((n, missing))]))
 
 
 # Kernel CCA's block Krylov solve (see kernel_cca_fit). R_X's spectrum lies in

@@ -76,9 +76,10 @@ def gram_matrix(kernel: Kernel, A: NDArray, B: Optional[NDArray] = None) -> NDAr
     bit-for-bit.
 
     The kernel writes each block straight into ``G``; the blocks run on one
-    contiguous share per usable core (NumPy releases the GIL), and the
-    lower triangle is mirrored once every upper block is done. Each block
-    is computed alone, so the result does not depend on the core count.
+    contiguous share per usable core (NumPy releases the GIL), and the worker
+    of each upper block also writes its mirror, the one writer of that lower
+    block. Each block is computed alone, so the result does not depend on
+    the core count.
 
     Parameters
     ----------
@@ -99,19 +100,14 @@ def gram_matrix(kernel: Kernel, A: NDArray, B: Optional[NDArray] = None) -> NDAr
     def assemble(share):
         for i, j in share:
             kernel._pairwise_into(A[i:i + b], B[j:j + b], G[i:i + b, j:j + b])
-
-    def mirror(share):
-        for i, j in share:
-            if j > i:
+            if symmetric and j > i:
                 G[j:j + b, i:i + b] = G[i:i + b, j:j + b].T
-            else:  # a diagonal block mirrors its own upper triangle, row by row
+            elif symmetric:  # a diagonal block mirrors its own upper triangle, row by row
                 block = G[i:i + b, i:i + b]
                 for r in range(1, len(block)):
                     block[r, :r] = block[:r, r]
 
     _over_cores(assemble, blocks)
-    if symmetric:
-        _over_cores(mirror, blocks)
     return G
 
 

@@ -26,7 +26,11 @@ by design carries a tag:
   each function registered with ``@_kernel`` in ``lagtime._native``, and that
   module's own no-library and no-compiler arms;
 - ``model-api``: a public name kept for the model API (``MODEL_API`` in
-  ``tests/test_numerics.py``).
+  ``tests/test_numerics.py``);
+- ``cache``: an ``if`` whose body calls ``_build_kernels``, with its test:
+  ``lagtime._native`` builds the kernels only when ``__pycache__`` holds no
+  build, so whether that arm runs depends on the cache, not on the callers,
+  and the count is the same on a cold and on a warm cache.
 
 An untagged finding is code that no caller needs: delete it, or state in
 ``CHANGES.md`` why it stays. The last line counts the untagged arms. Pytest
@@ -153,7 +157,8 @@ def regions(tree: ast.Module) -> tuple:
     kernel's reference (a function decorated with ``_kernel(...)``) and the
     arm taken when ``_compiled_kernels()`` returns no library (or
     ``shutil.which`` no compiler) are kept; so is a guard, an ``if`` without
-    ``else`` whose body ends in a ``raise`` or in another guard, with its test.
+    ``else`` whose body ends in a ``raise`` or in another guard, with its test,
+    and an ``if`` whose body builds the kernels, with its test.
     """
     bodies, tests = [], []
     for node in ast.walk(tree):
@@ -161,9 +166,10 @@ def regions(tree: ast.Module) -> tuple:
             bodies.append(("raise", _place(node), _place(node, end=True)))
         elif isinstance(node, ast.ExceptHandler):
             bodies.append(("except", _place(node), _place(node, end=True)))
-        elif _guard(node):
-            tests.append(("raise", _place(node.test), _place(node.test, end=True)))
-            bodies.append(("raise", _place(node.body[0]), _place(node.body[-1], end=True)))
+        elif _guard(node) or _builds(node):
+            tag = "raise" if _guard(node) else "cache"
+            tests.append((tag, _place(node.test), _place(node.test, end=True)))
+            bodies.append((tag, _place(node.body[0]), _place(node.body[-1], end=True)))
         elif isinstance(node, ast.FunctionDef):
             if _registered(node):
                 bodies.append(("reference", _place(node.body[0]), _place(node.body[-1], end=True)))
@@ -201,6 +207,13 @@ def _registered(node: ast.FunctionDef) -> bool:
 def _guard(node) -> bool:
     return isinstance(node, ast.If) and not node.orelse and (
         isinstance(node.body[-1], ast.Raise) or _guard(node.body[-1]))
+
+
+def _builds(node) -> bool:
+    """Whether ``node`` is an ``if`` whose body calls ``_build_kernels``."""
+    return isinstance(node, ast.If) and any(
+        getattr(getattr(call, "func", None), "id", None) == "_build_kernels"
+        for statement in node.body for call in ast.walk(statement))
 
 
 def tag_of(bodies: list, place: tuple) -> str:

@@ -49,3 +49,14 @@ def test_a_registered_reference_is_tagged():
     assert census.tag_of(bodies, (11, 4)) == ""
     tags = census.function_tags(tree, bodies, set())
     assert tags["f"] == tags["h"] == "reference" and "g" not in tags
+
+
+def test_the_build_on_a_cache_miss_is_tagged():
+    # Whether the build runs depends on the kernel cache, not on the callers:
+    # on a warm cache its arm is never taken, and it is kept.
+    source = ('def _build_kernels():\n    pass\n\n'
+              'def f(miss):\n    if miss:\n        _build_kernels()\n    return 1\n')
+    bodies, tests = census.regions(ast.parse(source))
+    [(jump, arm)] = traced(source, (False,))
+    assert arm == (6, 8) and census.arm_tag(bodies, tests, jump, arm) == "cache"
+    assert census.tag_of(bodies, (7, 4)) == ""

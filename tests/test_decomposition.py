@@ -31,7 +31,7 @@ from lagtime.decomposition import (
     vamp_score_cv,
 )
 from lagtime.datasets import bickley_flow, sample_sqrt_model
-from lagtime.errors import InvalidArgument, NumericalDegeneracy, UndefinedScore
+from lagtime.errors import DegenerateInput, InvalidArgument, NumericalDegeneracy, UndefinedScore
 from lagtime.experiments import (
     BICKLEY_KERNEL_CCA_BANDWIDTH,
     BICKLEY_KERNEL_CCA_EPSILON,
@@ -267,14 +267,18 @@ def three_state_pairs():
     return states[:-1, None].astype(float), states[1:, None].astype(float)
 
 
-def recorded_shapes(monkeypatch, solver):
-    """Wrap scipy's and numpy's ``solver`` (``eig`` or ``eigh``); the list collects input shapes."""
+def recorded_shapes(monkeypatch, *solvers):
+    """Wrap each of ``solvers`` (such as ``eig``, ``eigh``, ``lu_factor`` or
+    ``eigs``) wherever scipy's dense or sparse or numpy's linear algebra
+    defines it; the list collects input shapes."""
     shapes = []
-    for module in (scipy.linalg, np.linalg):
-        def spy(a, *args, _original=getattr(module, solver), **kwargs):
-            shapes.append(np.shape(a))
-            return _original(a, *args, **kwargs)
-        monkeypatch.setattr(module, solver, spy)
+    for module in (scipy.linalg, np.linalg, scipy.sparse.linalg):
+        for solver in solvers:
+            if hasattr(module, solver):
+                def spy(a, *args, _original=getattr(module, solver), **kwargs):
+                    shapes.append(np.shape(a))
+                    return _original(a, *args, **kwargs)
+                monkeypatch.setattr(module, solver, spy)
     return shapes
 
 
@@ -338,36 +342,66 @@ class TestKernelEdmd:
         assert p1.shape == (120, 3)
 
     # On this data the cut after 8 falls behind two conjugate pairs, and the
-    # cuts after 3 and 14 split one; at 14 Arnoldi returns the member with
-    # negative imaginary part, which the fit replaces by its conjugate.
+    # cuts after 3 and 14 split one.
     @pytest.mark.parametrize("k", [2, 3, 8, 14])
-    def test_arnoldi_matches_dense_eig(self, sqrt_kernel_edmd, k):
+    def test_eigenpairs_match_dense_eig_of_the_operator(self, sqrt_kernel_edmd, k):
         problem, evals, evecs = sqrt_kernel_edmd
         model = kernel_edmd_fit(*problem, n_components=k)
         assert_matches_dense_eig(model, problem[0], evals, evecs, k)
 
-    def test_arnoldi_on_degenerate_operator(self):
-        # The state-match operator has rank 3: 396 of its 399 eigenvalues are
-        # zero, and the Krylov space from any start vector closes after three
-        # steps. Its nonzero eigenvalues are those of C / (n_s + n epsilon),
-        # C the transition counts and n_s the visits to state s.
-        # The complex pair's unit eigenvectors lie mostly where the Gram
-        # matrix maps them to almost nothing, so their function values are
-        # ~1e-4 and carry rounding of ~1e-12 that differs between solvers and
-        # BLAS thread counts: the eigenpairs are checked by their residuals
-        # instead of against a dense eig.
+    @pytest.mark.parametrize("epsilon", [0.0, 1e-10, 1e-3])
+    def test_rank_three_operator_has_the_empirical_spectrum(self, epsilon):
+        # The state-match Gram matrix has rank 3, and on its range the
+        # operator's eigenvalues are those of C / (n_s + n epsilon), C the
+        # transition counts and n_s the visits to state s; epsilon = 0 is the
+        # plain least-squares fit.
         X, Y = three_state_pairs()
-        epsilon = 1e-3
-        model = kernel_edmd_fit(X, Y, StateMatchKernel(), epsilon, n_components=2)
+        model = kernel_edmd_fit(X, Y, StateMatchKernel(), epsilon, n_components=3)
         IX, IY = IndicatorFeatures(3)(X), IndicatorFeatures(3)(Y)
         M = (IX.T @ IY) / (IX.sum(axis=0) + X.shape[0] * epsilon)[:, None]
         exact = np.linalg.eigvals(M)
-        np.testing.assert_allclose(model.eigenvalues, exact[np.argsort(-np.abs(exact))][:2],
+        np.testing.assert_allclose(model.eigenvalues, exact[np.argsort(-np.abs(exact))],
                                    rtol=0, atol=1e-10)
         V = model.projection_matrix
         np.testing.assert_allclose(np.linalg.norm(V, axis=0), 1.0, rtol=0, atol=1e-12)
         residual = np.linalg.norm(model.K @ V - V * model.eigenvalues, axis=0)
         assert np.all(residual <= 1e-10 * np.linalg.norm(model.K, 2)), residual
+
+    def test_components_past_the_rank_are_zero(self):
+        # A linear kernel on 2-D points has a rank-2 Gram matrix; on its range
+        # the operator is the ridge regression (X^T X + n epsilon I)^{-1} X^T Y.
+        class LinearKernel(Kernel):
+            def _pairwise_into(self, A, B, out):
+                np.matmul(A, B.T, out=out)
+
+        rng = np.random.default_rng(15)
+        X = rng.standard_normal((50, 2))
+        Y = X @ np.array([[0.9, 0.2], [-0.1, 0.5]]) + 0.1 * rng.standard_normal((50, 2))
+        epsilon = 1e-6
+        model = kernel_edmd_fit(X, Y, LinearKernel(), epsilon, n_components=3)
+        exact = np.linalg.eigvals(np.linalg.solve(X.T @ X + 50 * epsilon * np.eye(2), X.T @ Y))
+        np.testing.assert_allclose(model.eigenvalues[:2], exact[np.argsort(-np.abs(exact))],
+                                   rtol=0, atol=1e-12)
+        assert model.eigenvalues[2] == 0.0
+        assert not np.any(model.projection_matrix[:, 2])
+        assert not np.any(model.project(X, 3)[:, 2])
+
+    def test_kernel_not_positive_semi_definite_or_zero_is_rejected(self):
+        class NegatedGaussian(Kernel):
+            def _pairwise_into(self, A, B, out):
+                GaussianKernel(1.0)._pairwise_into(A, B, out)
+                np.negative(out, out=out)
+
+        class Zero(Kernel):
+            def _pairwise_into(self, A, B, out):
+                out[...] = 0.0
+
+        rng = np.random.default_rng(41)
+        X = rng.standard_normal((60, 2))
+        with pytest.raises(NumericalDegeneracy, match="positive semi-definite"):
+            kernel_edmd_fit(X[:-1], X[1:], NegatedGaussian(), 1e-6, n_components=2)
+        with pytest.raises(DegenerateInput, match="rank collapsed to zero"):
+            kernel_edmd_fit(X[:-1], X[1:], Zero(), 1e-6, n_components=2)
 
     def test_same_bytes_whatever_global_random_state(self, sqrt_kernel_edmd):
         problem = sqrt_kernel_edmd[0]
@@ -382,32 +416,13 @@ class TestKernelEdmd:
         for name in ("eigenvalues", "projection_matrix"):
             assert getattr(models[0], name).tobytes() == getattr(models[1], name).tobytes()
 
-    def test_unconverged_arnoldi_falls_back_to_dense_eig(self, sqrt_kernel_edmd, monkeypatch):
-        problem = sqrt_kernel_edmd[0]
-        n = problem[0].shape[0]
-        arnoldi = kernel_edmd_fit(*problem, n_components=2)
-        # Past n - 2 components Arnoldi does not apply: this fit is the dense path's.
-        dense = kernel_edmd_fit(*problem, n_components=n - 1)
-
-        def unconverged(*args, **kwargs):
-            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.empty(0),
-                                                         np.empty((n, 0)))
-
-        monkeypatch.setattr(scipy.sparse.linalg, "eigs", unconverged)
-        fallback = kernel_edmd_fit(*problem, n_components=2)
-        np.testing.assert_array_equal(fallback.eigenvalues, dense.eigenvalues[:2])
-        np.testing.assert_array_equal(fallback.projection_matrix, dense.projection_matrix[:, :2])
-        np.testing.assert_allclose(fallback.eigenvalues, arnoldi.eigenvalues, rtol=0, atol=1e-10)
-        np.testing.assert_allclose(fallback.projection_matrix, arnoldi.projection_matrix,
-                                   rtol=0, atol=1e-9)
-
     def test_criterion_2_fit_decomposes_no_n_by_n_matrix(self, sqrt_kernel_edmd, monkeypatch):
-        # The sqrt experiment reads two eigenfunctions; a dense eig of the
-        # n x n operator would find all n.
+        # The sqrt experiment reads two eigenfunctions; a dense eig, an LU
+        # factor or an Arnoldi solve of the n x n operator would see all n.
         problem = sqrt_kernel_edmd[0]
-        shapes = recorded_shapes(monkeypatch, "eig")
+        shapes = recorded_shapes(monkeypatch, "eig", "lu_factor", "eigs")
         kernel_edmd_fit(*problem, n_components=2)
-        assert all(max(shape) < problem[0].shape[0] for shape in shapes), shapes
+        assert shapes and all(max(shape) < problem[0].shape[0] for shape in shapes), shapes
 
     def test_component_count_validation(self):
         X, Y = three_state_pairs()
