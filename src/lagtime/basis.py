@@ -38,13 +38,16 @@ class FeatureMap:
     dimension_out: int
 
     def __call__(self, X: NDArray) -> NDArray:
+        return self._evaluate(self._checked(X))
+
+    def _checked(self, X: NDArray) -> NDArray:
+        """``X`` as frames (:func:`~lagtime.numerics._as_frames`) of this map's input width."""
         X = _as_frames(X)
         if X.shape[1] != self.dimension_in:
             raise InvalidArgument(
                 f"{type(self).__name__} expects {self.dimension_in} columns, got {X.shape[1]}"
             )
-        out = self._evaluate(X)
-        return out
+        return X
 
     def _evaluate(self, X: NDArray) -> NDArray:
         raise NotImplementedError

@@ -29,13 +29,14 @@ import numpy as np
 import scipy.linalg
 from numpy.typing import NDArray
 
-from .basis import FeatureMap, IdentityFeatures, LinearFeatures, WithConstant
+from .basis import ChainedFeatures, FeatureMap, IdentityFeatures, LinearFeatures, WithConstant
 from .covariance import CovarianceAccumulator, CovarianceModel
 from .errors import DegenerateInput, InvalidArgument, NumericalDegeneracy, UndefinedScore
 from .kernels import Kernel, KernelSectionFeatures, _center_gram, _gram_means, gram_matrix
+from . import _native
 from .numerics import (
-    _as_frames, _by_modulus, _rng, generalized_eig_sym, pinv_truncated, sym_inverse_sqrt,
-    truncated_svd,
+    _as_frames, _by_modulus, _over_cores, _rng, generalized_eig_sym, pinv_truncated,
+    sym_inverse_sqrt, truncated_svd,
 )
 
 __all__ = [
@@ -106,18 +107,36 @@ class TransferOperatorModel:
             self.eigenvalues, self.projection_matrix = _leading_eigenpairs(
                 *np.linalg.eig(self.K), self.K.shape[0])
 
+    def _features_times(self, X: NDArray, W: NDArray) -> NDArray:
+        """``f(X) @ W``, with kernel sections, alone or then a linear map, in row blocks.
+
+        This is the one place that recognizes the pair: the sections of
+        kernel EDMD, and kernel CCA's sections then its coefficients, are
+        evaluated by :meth:`KernelSectionFeatures._times` over cores, without
+        the full section matrix and with its bytes; any other map is evaluated
+        whole.
+        """
+        f = self.f
+        if isinstance(f, KernelSectionFeatures):
+            return f._times(X, W)
+        if (isinstance(f, ChainedFeatures) and isinstance(f.first, KernelSectionFeatures)
+                and isinstance(f.second, LinearFeatures)):
+            return f.first._times(X, f.second.weights) @ W
+        return f(X) @ W
+
     def propagate(self, X: NDArray) -> NDArray:
-        """Predicted forward feature values, row-wise."""
-        return self.f(X) @ self.K
+        """Predicted forward feature values, row-wise; kernel expansions in row blocks."""
+        return self._features_times(X, self.K)
 
     def project(self, X: NDArray, n_components: int) -> NDArray:
-        """Dominant components evaluated on ``X`` (real parts), columns descending."""
+        """Dominant components evaluated on ``X`` (real parts), columns descending;
+        kernel expansions are evaluated in row blocks over cores."""
         P = self.projection_matrix
         if not (1 <= n_components <= P.shape[1]):
             raise InvalidArgument(
                 f"n_components must be in 1..{P.shape[1]}, got {n_components}"
             )
-        return np.real(self.f(X) @ P[:, :n_components])
+        return np.real(self._features_times(X, P[:, :n_components]))
 
 
 @dataclass
@@ -446,6 +465,10 @@ _CCA_DROP = 1e-10
 # 4 n^2 flops of triangular solves and the dense solve about 8 n^3, so the
 # whole budget stays under a fifth of the dense solve's work.
 _CCA_WORK_SHARE = 1 / 3
+# OpenBLAS's triangular solves treat right-hand sides in groups of 12
+# columns here; a share of whole groups leaves each column's bytes as they
+# are in one solve of all columns.
+_SOLVE_COLUMNS = 12
 
 
 def _unit_second_moment(coeff: NDArray, values: NDArray) -> NDArray:
@@ -455,10 +478,21 @@ def _unit_second_moment(coeff: NDArray, values: NDArray) -> NDArray:
     return coeff / scale
 
 
+def _cho_solve(L: NDArray, M: NDArray) -> NDArray:
+    """``H^{-1} M`` from the lower Cholesky factor of ``H``, columns split over cores.
+
+    The shares are whole groups of ``_SOLVE_COLUMNS`` columns, on which each
+    column's bytes are those of one ``cho_solve`` of all of ``M``.
+    """
+    out = np.array(M, order="F")
+    _over_cores(lambda share: _native._dpotrs(L, out[:, share[0]:share[-1] + _SOLVE_COLUMNS]),
+                np.arange(0, out.shape[1], _SOLVE_COLUMNS))
+    return out
+
+
 def _smoother(L: NDArray, shift: float):
     """``M -> R M`` with ``R = I - shift H^{-1}``, from the lower Cholesky factor of ``H``."""
-    factor = (L, True)
-    return lambda M: M - shift * scipy.linalg.cho_solve(factor, M, check_finite=False)
+    return lambda M: M - shift * _cho_solve(L, M)
 
 
 def _rayleigh_ritz(B: NDArray, A: NDArray, k: int) -> tuple[NDArray, NDArray]:
@@ -584,8 +618,11 @@ def kernel_cca_fit(X: NDArray, Y: NDArray, kernel: Kernel, n_components: int,
     descending. Singular functions are kernel expansions over the training
     points and can be evaluated anywhere.
 
-    ``H_Y`` and then ``H_X`` are factored by Cholesky, so each ``R`` costs
-    one pair of triangular solves, and the top ``n_components`` eigenpairs
+    ``H_Y`` and ``H_X`` are centered and factored by Cholesky at once, one on
+    each core (``_over_cores`` and SciPy's ``dpotrf`` through
+    :mod:`lagtime._native`, off the GIL), so each ``R`` costs one pair of
+    triangular solves, whose columns split over the cores in groups that
+    keep each column's bytes; the top ``n_components`` eigenpairs
     of ``T`` come from a block Krylov solve with Rayleigh-Ritz: a few hundred
     columns of solves instead of decompositions of n x n matrices. When the
     spectrum has no gap, so that the Krylov basis would pass a fixed share of
@@ -617,41 +654,45 @@ def kernel_cca_fit(X: NDArray, Y: NDArray, kernel: Kernel, n_components: int,
     shift = n * epsilon
 
     def centered_gram(points):
-        # The raw Gram matrix's means center it in place and center the
-        # kernel sections of the returned features.
         G = gram_matrix(kernel, points)
-        col_means, grand_mean = _gram_means(G)
-        _center_gram(G, col_means, grand_mean)
-        return G, KernelSectionFeatures._centered_on(kernel, points, col_means, grand_mean)
+        return _center_gram(G, *_gram_means(G))
 
-    def factored(points, name):
-        H, sections = centered_gram(points)
-        H.flat[::n + 1] += shift
-        # H is exactly symmetric, so its transpose is the Fortran-ordered view
+    def factor(G):
+        # The raw Gram matrix's means center it in place and center the
+        # kernel sections of the returned features. H = G + n eps I is
+        # exactly symmetric, so its transpose is the Fortran-ordered view
         # that LAPACK factors in place.
-        try:
-            L = scipy.linalg.cholesky(H.T, lower=True, overwrite_a=True, check_finite=False)
-        except np.linalg.LinAlgError:
+        means = _gram_means(G)
+        _center_gram(G, *means)
+        G.flat[::n + 1] += shift
+        return means, _native._dpotrf(G.T)
+
+    # Both Gram matrices are assembled, then centered and factored at once.
+    grams = [gram_matrix(kernel, Y), gram_matrix(kernel, X)]
+    shares = _over_cores(lambda share: [factor(grams[i]) for i in share], np.arange(2))
+    sections = []
+    for name, points, (means, info) in zip("YX", (Y, X), sum(shares, [])):
+        if info:
             raise NumericalDegeneracy(
                 f"{name}: centered Gram matrix plus n*epsilon*I is not positive definite; "
                 "the kernel must be positive definite"
-            ) from None
-        return L, sections
-
-    Ly, sections_y = factored(Y, "Y")
-    Lx, sections_x = factored(X, "X")
+            )
+        sections.append(KernelSectionFeatures._centered_on(kernel, points, *means))
+    sections_y, sections_x = sections
+    Ly, Lx = grams[0].T, grams[1].T
+    del grams
     apply_y = _smoother(Ly, shift)
     found = _cca_krylov(_smoother(Lx, shift), apply_y, n, n_components)
     if found is None:
         # H_X was factored in place, so the dense solve builds G_X again.
         del Lx
-        rho, v, alpha = _cca_dense(centered_gram(X)[0], Ly, shift, n_components)
+        rho, v, alpha = _cca_dense(centered_gram(X), Ly, shift, n_components)
     else:
         rho, v = found
         missing = n_components - rho.size
         rho = np.concatenate([rho, np.zeros(missing)])
         v = np.hstack([v, np.zeros((n, missing))])
-        ax = scipy.linalg.cho_solve((Lx, True), v, check_finite=False)
+        ax = _cho_solve(Lx, v)
         del Lx
         alpha = _unit_second_moment(ax, v - shift * ax)  # G_X ax = v - n eps ax
     # Right functions from the same decomposition, so each pairs with its
@@ -659,7 +700,7 @@ def kernel_cca_fit(X: NDArray, Y: NDArray, kernel: Kernel, n_components: int,
     # vectors are M^T W / sqrt(rho), and Ry^{1/2} of those is Ry v / sqrt(rho).
     v2 = apply_y(v)
     v2 /= np.sqrt(np.where(rho > 0.0, rho, 1.0))
-    by = scipy.linalg.cho_solve((Ly, True), v2, check_finite=False)
+    by = _cho_solve(Ly, v2)
     beta = _unit_second_moment(by, v2 - shift * by)  # G_Y by = (H_Y - n eps I) by
 
     f = sections_x.then(LinearFeatures(alpha))

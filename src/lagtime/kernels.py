@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import mmap
 from dataclasses import dataclass
 from typing import Optional
 
@@ -10,7 +12,7 @@ from numpy.typing import NDArray
 
 from .basis import FeatureMap
 from .errors import InvalidArgument
-from .numerics import _as_frames, _over_cores
+from .numerics import _as_frames, _cores, _over_cores
 
 __all__ = [
     "Kernel",
@@ -23,6 +25,11 @@ __all__ = [
 _BLOCK_ROWS = 512
 # Rows of the Gaussian kernel's scratch for squared-norm sums.
 _SCRATCH_ROWS = 64
+# OpenBLAS multiplies a product of at most 100^3 multiply-adds with its
+# small-matrix kernels, and a single row by gemv, each summing in another
+# order than its blocked kernel. Every row block of a kernel expansion makes
+# a product of more than twice that, or the whole product is one block.
+_SMALL_PRODUCT = 2 * 100**3
 
 
 class Kernel:
@@ -102,13 +109,28 @@ def gram_matrix(kernel: Kernel, A: NDArray, B: Optional[NDArray] = None) -> NDAr
             kernel._pairwise_into(A[i:i + b], B[j:j + b], G[i:i + b, j:j + b])
             if symmetric and j > i:
                 G[j:j + b, i:i + b] = G[i:i + b, j:j + b].T
-            elif symmetric:  # a diagonal block mirrors its own upper triangle, row by row
-                block = G[i:i + b, i:i + b]
-                for r in range(1, len(block)):
-                    block[r, :r] = block[:r, r]
+            elif symmetric:
+                _mirror_upper(G[i:i + b, i:i + b])
 
     _over_cores(assemble, blocks)
     return G
+
+
+def _mapped(shape: tuple) -> NDArray:
+    """An empty float64 array on an anonymous mapping of its own.
+
+    The mapping goes back to the system as soon as the array is freed. Memory
+    from malloc would not: once a block of this size has been freed, malloc
+    serves the next ones from its arenas and keeps them.
+    """
+    size = math.prod(shape)
+    return np.frombuffer(mmap.mmap(-1, 8 * max(size, 1)), count=size).reshape(shape)
+
+
+def _mirror_upper(block: NDArray) -> None:
+    """Copy a diagonal block's upper triangle onto its lower one, row by row."""
+    for r in range(1, len(block)):
+        block[r, :r] = block[:r, r]
 
 
 def _gram_means(G: NDArray) -> tuple[NDArray, float]:
@@ -161,3 +183,50 @@ class KernelSectionFeatures(FeatureMap):
         if self.centered:
             _center_gram(G, self._col_means, self._grand_mean)
         return G
+
+    def _times(self, X: NDArray, W: NDArray) -> NDArray:
+        """``self(X) @ W`` in row blocks over cores, byte for byte.
+
+        A block is one or more whole row bands of :func:`gram_matrix`'s tiles,
+        enough that its product with ``W`` exceeds ``_SMALL_PRODUCT``; rows
+        left over, too few for that, join the last block. Its sections are
+        assembled tile by tile as ``gram_matrix`` assembles them, mirrored
+        tiles included where ``X`` is the anchor array itself, then centered
+        by :func:`_center_gram` and multiplied by ``W`` into the block's rows
+        of the result. So every byte is that of the full-matrix path, and no
+        section matrix larger than a block is held: each worker fills one
+        block scratch, which this caller allocates.
+        """
+        X = self._checked(X)
+        Z, m, n, b = self.points, X.shape[0], self.points.shape[0], _BLOCK_ROWS
+        symmetric = X is Z
+        rows = b * max(1, -(-_SMALL_PRODUCT // (b * n * W.shape[1])))
+        # Rows past the last whole block are a block of their own only if
+        # their product is large enough.
+        large_tail = (m % rows) * n * W.shape[1] > _SMALL_PRODUCT
+        edges = np.append(np.arange(max(1, m // rows + int(large_tail))) * rows, m)
+        out = np.empty((m, W.shape[1]), dtype=np.result_type(X, W))
+        scratch = [(_mapped((np.diff(edges).max(), n)), _mapped((b, b)) if symmetric else None)
+                   for _ in range(min(_cores(), len(edges) - 1))]
+
+        def evaluate(share):
+            G, tile = scratch.pop()
+            for start, stop in zip(edges[share], edges[share + 1]):
+                block = G[:stop - start]
+                for i in range(start, stop, b):
+                    band = block[i - start:i - start + b]
+                    for j in range(0, n, b):
+                        if symmetric and j < i:  # the mirror of tile (j, i)
+                            upper = tile[:len(Z[j:j + b]), :len(band)]
+                            self.kernel._pairwise_into(Z[j:j + b], X[i:i + b], upper)
+                            band[:, j:j + b] = upper.T
+                        else:
+                            self.kernel._pairwise_into(X[i:i + b], Z[j:j + b], band[:, j:j + b])
+                            if symmetric and j == i:
+                                _mirror_upper(band[:, j:j + b])
+                if self.centered:
+                    _center_gram(block, self._col_means, self._grand_mean)
+                np.matmul(block, W, out=out[start:stop])
+
+        _over_cores(evaluate, np.arange(len(edges) - 1))
+        return out

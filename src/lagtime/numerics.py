@@ -26,6 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.typing import NDArray
 
+from ._native import _one_lapack_thread
 from .errors import DegenerateInput, InvalidArgument
 
 __all__ = [
@@ -113,6 +114,11 @@ def _by_modulus(evals: NDArray) -> NDArray:
     return np.lexsort((-np.imag(evals), -np.real(evals), -np.round(np.abs(evals), 12)))
 
 
+def _cores() -> int:
+    """The number of cores the process may use."""
+    return len(os.sched_getaffinity(0))
+
+
 def _over_cores(function: Callable, items) -> list:
     """``function`` of each contiguous chunk of ``items``, one chunk per usable core.
 
@@ -120,15 +126,21 @@ def _over_cores(function: Callable, items) -> list:
     process may use cores (``os.sched_getaffinity``), at most one per item;
     the results come back in chunk order. Each chunk runs on its own thread,
     so the work overlaps only where it releases the GIL, as the compiled
-    kernels and large NumPy operations do. A worker calls only private
-    helpers, compiled kernels and functions of its caller's own layer: the
-    span tracer of ``perfbench`` keeps one stack for every thread.
+    kernels, large NumPy operations and the LAPACK calls of
+    :mod:`lagtime._native` do. Meanwhile SciPy's OpenBLAS runs one thread, so
+    that two factorizations do not each ask for every core; the caller's
+    count comes back on return, also after an exception, and the bytes do
+    not depend on the core count; NumPy's OpenBLAS keeps the caller's
+    count. A worker calls only private helpers, compiled kernels and
+    functions of its caller's own layer: the span tracer of ``perfbench``
+    keeps one stack for every thread.
     """
-    chunks = np.array_split(items, max(1, min(len(os.sched_getaffinity(0)), len(items))))
-    if len(chunks) == 1:
-        return [function(chunks[0])]
-    with ThreadPoolExecutor(len(chunks)) as pool:
-        return list(pool.map(function, chunks))
+    chunks = np.array_split(items, max(1, min(_cores(), len(items))))
+    with _one_lapack_thread():
+        if len(chunks) == 1:
+            return [function(chunks[0])]
+        with ThreadPoolExecutor(len(chunks)) as pool:
+            return list(pool.map(function, chunks))
 
 
 def _check_square_symmetric(C: NDArray, name: str, rtol: float = 1e-10) -> NDArray:

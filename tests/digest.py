@@ -20,7 +20,9 @@ that output:
 - small ``quadwell_1d``, ``double_well_2d``, ``rossler``, ``bickley_flow``,
   ``sample_markov_chain``, ``kmeans_fit``, ``baum_welch`` and ``viterbi``
   runs: the arrays (dtype, shape and bytes) and the EM log-likelihoods;
-- the ``to_document`` text of a fitted model of each serialized type.
+- the ``to_document`` text of a fitted model of each serialized type;
+- a kernel-CCA ``project`` and a kernel-EDMD ``propagate`` of 513 fresh
+  points, which the models evaluate in row bands.
 
 ``--compare`` prints each entry that differs or is in one file only, and each
 header field that differs, and exits with status 1 if an entry differs. A
@@ -181,6 +183,13 @@ def library_runs() -> dict:
         "viterbi discrete": viterbi(discrete, symbols),
         "viterbi gaussian": viterbi(gaussian, walk[:, 0]),
     }
+    # 513 fresh points evaluate the kernel expansions in two row bands, the
+    # second a single row.
+    fresh = np.random.default_rng(12).uniform([0.0, -3.0], [20.0, 3.0], size=(513, 2))
+    outputs["kernel_cca project 513"] = (
+        models["transfer_operator_model kernel_cca"].project(fresh, 4))
+    outputs["kernel_edmd propagate 513"] = (
+        models["transfer_operator_model kernel_edmd"].propagate(fresh))
     outputs.update((f"to_document {name}", to_document(model)) for name, model in models.items())
     return outputs
 

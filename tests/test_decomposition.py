@@ -1,5 +1,7 @@
 """Operator decomposition methods: linear, featurized, kernelized, variational."""
 
+import os
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,7 +9,7 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lagtime import decomposition
+from lagtime import _native, decomposition
 from lagtime.basis import (
     IdentityFeatures,
     IndicatorFeatures,
@@ -595,6 +597,62 @@ class TestKernelCca:
         with pytest.raises(NumericalDegeneracy, match="^X:"):
             kernel_cca_fit(X, np.ones((20, 2)), IndefiniteKernel(), n_components=2,
                            epsilon=1e-3)
+
+    def test_column_shares_of_a_solve_keep_the_bytes_of_one_solve(self, monkeypatch):
+        rng = np.random.default_rng(52)
+        n = 600
+        A = rng.standard_normal((n, n))
+        L = np.asfortranarray(A @ A.T + n * np.eye(n))
+        assert _native._dpotrf(L) == 0
+        for cores in ({0}, {0, 1}, {0, 1, 2}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cores=cores: cores)
+            for width in (1, 2, 7, 8, 9, 24, 33):
+                M = rng.standard_normal((n, width))
+                np.testing.assert_array_equal(
+                    decomposition._cho_solve(L, M),
+                    scipy.linalg.cho_solve((L, True), M, check_finite=False))
+
+    def test_scipys_blas_threads_come_back_also_after_a_worker_raises(self, monkeypatch):
+        _, _, threads, set_threads = _native._lapack()
+        before = threads()
+        X = np.random.default_rng(53).standard_normal((40, 2))
+        seen, dpotrf = [], _native._dpotrf
+
+        def recording_dpotrf(a):
+            seen.append(threads())
+            return dpotrf(a)
+
+        def failing_dpotrf(a):
+            raise RuntimeError("worker failed")
+
+        try:
+            set_threads(2)
+            expected = threads()
+            monkeypatch.setattr(_native, "_dpotrf", recording_dpotrf)
+            kernel_cca_fit(X, X + 0.1, GaussianKernel(1.0), 2, 1e-3)
+            assert seen == [1, 1]  # each factorization ran on one BLAS thread
+            assert threads() == expected
+            monkeypatch.setattr(_native, "_dpotrf", failing_dpotrf)
+            with pytest.raises(RuntimeError, match="worker failed"):
+                kernel_cca_fit(X, X + 0.1, GaussianKernel(1.0), 2, 1e-3)
+            assert threads() == expected
+        finally:
+            set_threads(before)
+
+    @pytest.mark.parametrize("fit", ["kernel_cca", "kernel_edmd"])
+    def test_project_and_propagate_keep_the_bytes_of_the_feature_matrix(self, fit):
+        rng = np.random.default_rng(54)
+        X = rng.standard_normal((300, 2))
+        Y = X + 0.1 * rng.standard_normal((300, 2))
+        if fit == "kernel_cca":
+            model = kernel_cca_fit(X, Y, GaussianKernel(1.0), 3, 1e-3)
+        else:
+            model = kernel_edmd_fit(X, Y, GaussianKernel(1.0), 1e-3, 3)
+        for points in (rng.standard_normal((513, 2)), X):
+            F = model.f(points)
+            np.testing.assert_array_equal(model.project(points, 2),
+                                          np.real(F @ model.projection_matrix[:, :2]))
+            np.testing.assert_array_equal(model.propagate(points), F @ model.K)
 
     def test_correlations_in_unit_interval_descending(self):
         rng = np.random.default_rng(41)

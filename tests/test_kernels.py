@@ -2,10 +2,10 @@ import os
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lagtime import _native
 from lagtime.decomposition import kernel_cca_fit
 from lagtime.errors import InvalidArgument
 from lagtime.kernels import (
@@ -152,24 +152,48 @@ class TestKernelSectionFeatures:
         np.testing.assert_allclose(f(pts), H @ G @ H, atol=1e-10)
 
         # kernel_cca_fit factors its centered Gram matrices plus n*eps*I,
-        # handing Cholesky their transposes; the sections it returns, built by
-        # _centered_on and evaluated at their own anchors, must give the same
-        # matrices bit for bit.
-        factored, cholesky = [], scipy.linalg.cholesky
+        # handing LAPACK's dpotrf their transposes; the sections it returns,
+        # built by _centered_on and evaluated at their own anchors, must give
+        # the same matrices bit for bit. The two factorizations run at once,
+        # so each matrix is matched to its side by its values.
+        factored, dpotrf = [], _native._dpotrf
 
-        def recording_cholesky(a, **kwargs):
+        def recording_dpotrf(a):
             factored.append(a.copy())
-            return cholesky(a, **kwargs)
+            return dpotrf(a)
 
-        monkeypatch.setattr(scipy.linalg, "cholesky", recording_cholesky)
+        monkeypatch.setattr(_native, "_dpotrf", recording_dpotrf)
         Y = pts + 0.1 * rng.standard_normal(pts.shape)
         epsilon = 1e-3
         model = kernel_cca_fit(pts, Y, k, 2, epsilon)
-        for sections, points, matrix in [(model.g.first, Y, factored[0]),
-                                         (model.f.first, pts, factored[1])]:
+        assert len(factored) == 2
+        for sections, points in [(model.g.first, Y), (model.f.first, pts)]:
             shifted = sections(points)
             shifted.flat[:: n + 1] += n * epsilon
+            matrix = min(factored, key=lambda a: np.abs(a.T - shifted).max())
             np.testing.assert_array_equal(shifted, matrix.T)
+
+    @pytest.mark.parametrize("centered", [True, False])
+    def test_row_blocks_give_the_bytes_of_the_full_matrix(self, centered, monkeypatch):
+        # Kernel CCA's sections are centered, kernel EDMD's are not. 601
+        # anchors and 8 columns make blocks of one 512-row band, and leave a
+        # last column tile whose width is no multiple of 8. 257 and 513 rows
+        # end in a one-row band, 1537 in a one-row band after three.
+        rng = np.random.default_rng(9)
+        k = GaussianKernel(0.8)
+        Z = rng.standard_normal((601, 2))
+        if centered:
+            f = KernelSectionFeatures._centered_on(k, Z, *_gram_means(gram_matrix(k, Z)))
+        else:
+            f = KernelSectionFeatures(k, Z)
+        W = rng.standard_normal((601, 8))
+        for cores in ({0}, {0, 1}, {0, 1, 2}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cores=cores: cores)
+            for rows in (1, 4, 255, 256, 257, 260, 511, 512, 513, 1537, 2500):
+                X = rng.standard_normal((rows, 2))
+                np.testing.assert_array_equal(f._times(X, W), f._evaluate(X) @ W)
+            # The anchors themselves: gram_matrix mirrors the symmetric matrix.
+            np.testing.assert_array_equal(f._times(Z, W), f._evaluate(Z) @ W)
 
     def test_dimension_out(self):
         pts = np.zeros((12, 3))

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -663,3 +664,19 @@ def test_negative_seed_is_an_invalid_argument(name):
     # numpy's own ValueError would not say which argument was wrong.
     with pytest.raises(InvalidArgument, match="seed must be non-negative, got -1"):
         SEEDED_CALLS[name](-1)
+
+
+def test_lapack_seam_gives_the_bytes_of_scipys_wrappers():
+    rng = np.random.default_rng(55)
+    A = rng.standard_normal((300, 300))
+    H = A @ A.T + 300 * np.eye(300)
+    L = np.asfortranarray(H)
+    assert _native._dpotrf(L) == 0
+    factor = scipy.linalg.cholesky(H, lower=True)
+    np.testing.assert_array_equal(np.tril(L), factor)
+    B = rng.standard_normal((300, 5))
+    solved = np.asfortranarray(B)
+    _native._dpotrs(L, solved)
+    np.testing.assert_array_equal(solved, scipy.linalg.cho_solve((factor, True), B))
+    # info names the first leading minor that is not positive definite.
+    assert _native._dpotrf(np.asfortranarray(-H)) == 1
