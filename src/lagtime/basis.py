@@ -52,6 +52,16 @@ class FeatureMap:
     def _evaluate(self, X: NDArray) -> NDArray:
         raise NotImplementedError
 
+    def _times(self, X: NDArray, W: NDArray) -> NDArray:
+        """``self(X) @ W``; a map that can form the product without its whole
+        feature matrix, with the same bytes, overrides this."""
+        return self(X) @ W
+
+    def _times_after(self, first: "FeatureMap", X: NDArray, W: NDArray) -> NDArray:
+        """``self(first(X)) @ W``, for :class:`ChainedFeatures`; a linear map
+        overrides this to fold itself into ``first``'s product."""
+        return self(first(X)) @ W
+
     def feature_names(self, variables: Optional[Sequence[str]] = None) -> list[str]:
         """Human-readable names of the output features: ``f0, f1, ...``
         unless the map names its own, as the monomial library does."""
@@ -247,6 +257,9 @@ class LinearFeatures(FeatureMap):
     def _evaluate(self, X):
         return X @ self.weights
 
+    def _times_after(self, first, X, W):
+        return first._times(X, self.weights) @ W
+
 
 class WithConstant(FeatureMap):
     """Prepend a constant-one feature to another map's output."""
@@ -277,3 +290,6 @@ class ChainedFeatures(FeatureMap):
 
     def _evaluate(self, X):
         return self.second(self.first(X))
+
+    def _times(self, X, W):
+        return self.second._times_after(self.first, X, W)

@@ -29,7 +29,7 @@ import numpy as np
 import scipy.linalg
 from numpy.typing import NDArray
 
-from .basis import ChainedFeatures, FeatureMap, IdentityFeatures, LinearFeatures, WithConstant
+from .basis import FeatureMap, IdentityFeatures, LinearFeatures, WithConstant
 from .covariance import CovarianceAccumulator, CovarianceModel
 from .errors import DegenerateInput, InvalidArgument, NumericalDegeneracy, UndefinedScore
 from .kernels import Kernel, KernelSectionFeatures, _center_gram, _gram_means, gram_matrix
@@ -107,26 +107,13 @@ class TransferOperatorModel:
             self.eigenvalues, self.projection_matrix = _leading_eigenpairs(
                 *np.linalg.eig(self.K), self.K.shape[0])
 
-    def _features_times(self, X: NDArray, W: NDArray) -> NDArray:
-        """``f(X) @ W``, with kernel sections, alone or then a linear map, in row blocks.
-
-        This is the one place that recognizes the pair: the sections of
-        kernel EDMD, and kernel CCA's sections then its coefficients, are
-        evaluated by :meth:`KernelSectionFeatures._times` over cores, without
-        the full section matrix and with its bytes; any other map is evaluated
-        whole.
-        """
-        f = self.f
-        if isinstance(f, KernelSectionFeatures):
-            return f._times(X, W)
-        if (isinstance(f, ChainedFeatures) and isinstance(f.first, KernelSectionFeatures)
-                and isinstance(f.second, LinearFeatures)):
-            return f.first._times(X, f.second.weights) @ W
-        return f(X) @ W
-
     def propagate(self, X: NDArray) -> NDArray:
-        """Predicted forward feature values, row-wise; kernel expansions in row blocks."""
-        return self._features_times(X, self.K)
+        """Predicted forward feature values, row-wise.
+
+        Kernel sections, alone (kernel EDMD) or then a linear map (kernel
+        CCA), are evaluated in row blocks over cores with the bytes of the
+        whole feature matrix (:meth:`FeatureMap._times`)."""
+        return self.f._times(X, self.K)
 
     def project(self, X: NDArray, n_components: int) -> NDArray:
         """Dominant components evaluated on ``X`` (real parts), columns descending;
@@ -136,7 +123,7 @@ class TransferOperatorModel:
             raise InvalidArgument(
                 f"n_components must be in 1..{P.shape[1]}, got {n_components}"
             )
-        return np.real(self._features_times(X, P[:, :n_components]))
+        return np.real(self.f._times(X, P[:, :n_components]))
 
 
 @dataclass
@@ -465,9 +452,10 @@ _CCA_DROP = 1e-10
 # 4 n^2 flops of triangular solves and the dense solve about 8 n^3, so the
 # whole budget stays under a fifth of the dense solve's work.
 _CCA_WORK_SHARE = 1 / 3
-# OpenBLAS's triangular solves treat right-hand sides in groups of 12
-# columns here; a share of whole groups leaves each column's bytes as they
-# are in one solve of all columns.
+# A share of a solve's right-hand sides that starts and ends at multiples of
+# 12 columns (or at the last column) gives each column the bytes it has in
+# one solve of all columns, with each of OpenBLAS's x86-64 kernels (a test
+# forces each one). On other architectures this is unchecked.
 _SOLVE_COLUMNS = 12
 
 
@@ -482,7 +470,8 @@ def _cho_solve(L: NDArray, M: NDArray) -> NDArray:
     """``H^{-1} M`` from the lower Cholesky factor of ``H``, columns split over cores.
 
     The shares are whole groups of ``_SOLVE_COLUMNS`` columns, on which each
-    column's bytes are those of one ``cho_solve`` of all of ``M``.
+    column's bytes are those of one ``cho_solve`` of all of ``M``, whatever
+    the core count, where ``_SOLVE_COLUMNS`` says that was checked.
     """
     out = np.array(M, order="F")
     _over_cores(lambda share: _native._dpotrs(L, out[:, share[0]:share[-1] + _SOLVE_COLUMNS]),

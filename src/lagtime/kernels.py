@@ -99,21 +99,48 @@ def gram_matrix(kernel: Kernel, A: NDArray, B: Optional[NDArray] = None) -> NDAr
     B = A if symmetric else _as_frames(B, "B")
     if A.shape[1] != B.shape[1]:
         raise InvalidArgument(f"point dimensions differ: {A.shape[1]} vs {B.shape[1]}")
-    m, n, b = A.shape[0], B.shape[0], _BLOCK_ROWS
-    G = np.empty((m, n))
-    blocks = np.array([(i, j) for i in range(0, m, b) for j in range(0, n, b)
-                       if not (symmetric and j < i)], dtype=np.int64).reshape(-1, 2)
-
-    def assemble(share):
-        for i, j in share:
-            kernel._pairwise_into(A[i:i + b], B[j:j + b], G[i:i + b, j:j + b])
-            if symmetric and j > i:
-                G[j:j + b, i:i + b] = G[i:i + b, j:j + b].T
-            elif symmetric:
-                _mirror_upper(G[i:i + b, i:i + b])
-
-    _over_cores(assemble, blocks)
+    G = np.empty((A.shape[0], B.shape[0]))
+    tiles = np.array(_tiles(range(A.shape[0]), B.shape[0], symmetric), dtype=np.int64)
+    _over_cores(lambda share: _assemble(kernel, A, B, share, G, symmetric), tiles.reshape(-1, 2))
     return G
+
+
+def _tiles(rows: range, n: int, upper: bool = False) -> list[tuple[int, int]]:
+    """Corners ``(i, j)`` of the tiles of Gram-matrix rows ``rows`` (from a
+    multiple of ``_BLOCK_ROWS``) and ``n`` columns; with ``upper``, only the
+    tiles on or above the diagonal."""
+    b = _BLOCK_ROWS
+    return [(i, j) for i in range(rows.start, rows.stop, b) for j in range(0, n, b)
+            if not (upper and j < i)]
+
+
+def _assemble(kernel: Kernel, A: NDArray, B: NDArray, tiles, out: NDArray, symmetric: bool,
+              top: int = 0, scratch: Optional[NDArray] = None) -> None:
+    """Tiles ``(i, j)`` of ``gram_matrix(kernel, A, B)`` into ``out``, whose row 0 is row ``top``.
+
+    The one tile grid of Gram matrices: tiles of ``_BLOCK_ROWS`` rows and
+    columns, each evaluated alone, so a tile's bytes do not depend on which
+    other tiles are asked for. Where ``symmetric`` (``B`` is ``A``) the matrix
+    is exactly symmetric: a diagonal tile mirrors its own upper triangle, and
+    a tile ``(j, i)`` below the diagonal is the transpose of tile ``(i, j)``.
+    Without ``scratch``, ``out`` is the whole matrix and the tiles are those
+    on or above the diagonal, each of which writes its mirror; with it, a
+    tile below the diagonal is made from the tile across, evaluated in
+    ``scratch`` (one tile's room).
+    """
+    b = _BLOCK_ROWS
+    for i, j in tiles:
+        tile = out[i - top:i - top + b, j:j + b]
+        if symmetric and j < i:
+            across = scratch[:tile.shape[1], :tile.shape[0]]
+            kernel._pairwise_into(B[j:j + b], A[i:i + b], across)
+            tile[...] = across.T
+            continue
+        kernel._pairwise_into(A[i:i + b], B[j:j + b], tile)
+        if symmetric and j == i:
+            _mirror_upper(tile)
+        elif symmetric and scratch is None:
+            out[j:j + b, i:i + b] = tile.T
 
 
 def _mapped(shape: tuple) -> NDArray:
@@ -190,12 +217,12 @@ class KernelSectionFeatures(FeatureMap):
         A block is one or more whole row bands of :func:`gram_matrix`'s tiles,
         enough that its product with ``W`` exceeds ``_SMALL_PRODUCT``; rows
         left over, too few for that, join the last block. Its sections are
-        assembled tile by tile as ``gram_matrix`` assembles them, mirrored
-        tiles included where ``X`` is the anchor array itself, then centered
-        by :func:`_center_gram` and multiplied by ``W`` into the block's rows
-        of the result. So every byte is that of the full-matrix path, and no
-        section matrix larger than a block is held: each worker fills one
-        block scratch, which this caller allocates.
+        assembled by :func:`_assemble`, mirrored tiles included where ``X``
+        is the anchor array itself, then centered by :func:`_center_gram` and
+        multiplied by ``W`` into the block's rows of the result. So every byte
+        is that of the full-matrix path, and no section matrix larger than a
+        block is held: each worker fills one block scratch, which this caller
+        allocates.
         """
         X = self._checked(X)
         Z, m, n, b = self.points, X.shape[0], self.points.shape[0], _BLOCK_ROWS
@@ -213,17 +240,8 @@ class KernelSectionFeatures(FeatureMap):
             G, tile = scratch.pop()
             for start, stop in zip(edges[share], edges[share + 1]):
                 block = G[:stop - start]
-                for i in range(start, stop, b):
-                    band = block[i - start:i - start + b]
-                    for j in range(0, n, b):
-                        if symmetric and j < i:  # the mirror of tile (j, i)
-                            upper = tile[:len(Z[j:j + b]), :len(band)]
-                            self.kernel._pairwise_into(Z[j:j + b], X[i:i + b], upper)
-                            band[:, j:j + b] = upper.T
-                        else:
-                            self.kernel._pairwise_into(X[i:i + b], Z[j:j + b], band[:, j:j + b])
-                            if symmetric and j == i:
-                                _mirror_upper(band[:, j:j + b])
+                _assemble(self.kernel, X, Z, _tiles(range(start, stop), n), block, symmetric,
+                          start, tile)
                 if self.centered:
                     _center_gram(block, self._col_means, self._grand_mean)
                 np.matmul(block, W, out=out[start:stop])

@@ -167,6 +167,19 @@ class TestLinearAndComposition:
         with pytest.raises(InvalidArgument):
             ChainedFeatures(IdentityFeatures(2), IdentityFeatures(3))
 
+    @pytest.mark.parametrize("second", ["linear", "nonlinear"])
+    def test_chain_times_a_matrix_keeps_the_bytes_of_the_chain(self, second):
+        # A linear second map folds into the first map's product; any other
+        # is evaluated whole.
+        rng = np.random.default_rng(3)
+        last = (LinearFeatures(rng.standard_normal((3, 4))) if second == "linear"
+                else RandomFeatureNet(3, seed=1))
+        f = CylinderEmbedding().then(last)
+        X, W = rng.uniform(size=(40, 2)), rng.standard_normal((f.dimension_out, 2))
+        np.testing.assert_array_equal(f._times(X, W), f(X) @ W)
+        with pytest.raises(InvalidArgument):
+            f._times(np.ones((4, 3)), W)
+
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 500), deg=st.integers(0, 3))

@@ -1,6 +1,11 @@
 """Operator decomposition methods: linear, featurized, kernelized, variational."""
 
 import os
+import platform
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -611,6 +616,34 @@ class TestKernelCca:
                 np.testing.assert_array_equal(
                     decomposition._cho_solve(L, M),
                     scipy.linalg.cho_solve((L, True), M, check_finite=False))
+
+    @pytest.mark.skipif(platform.machine() != "x86_64", reason="x86-64 OpenBLAS kernels")
+    @pytest.mark.parametrize("core", ["Haswell", "SandyBridge", "Nehalem", "Prescott"])
+    def test_column_shares_keep_the_bytes_on_other_openblas_kernels(self, core):
+        # SciPy's OpenBLAS picks its kernels for the CPU at load time;
+        # OPENBLAS_CORETYPE makes it load another x86-64 family's, so the
+        # 12-column groups are checked on kernels this CPU would not pick.
+        # One BLAS thread: the shares run on one, and so must the whole solve.
+        script = textwrap.dedent("""
+            import os
+            import numpy as np, scipy.linalg
+            from lagtime import _native, decomposition
+            rng = np.random.default_rng(56)
+            n = 500
+            A = rng.standard_normal((n, n))
+            L = np.asfortranarray(A @ A.T + n * np.eye(n))
+            assert _native._dpotrf(L) == 0
+            for cores in ({0, 1}, {0, 1, 2}, {0, 1, 2, 3}):
+                os.sched_getaffinity = lambda pid, cores=cores: cores
+                for width in (2, 7, 13, 24, 25, 33, 40):
+                    M = rng.standard_normal((n, width))
+                    assert np.array_equal(
+                        decomposition._cho_solve(L, M),
+                        scipy.linalg.cho_solve((L, True), M, check_finite=False)), (cores, width)
+        """)
+        src = str(Path(decomposition.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_CORETYPE=core, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
+        subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=120)
 
     def test_scipys_blas_threads_come_back_also_after_a_worker_raises(self, monkeypatch):
         _, _, threads, set_threads = _native._lapack()
