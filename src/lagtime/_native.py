@@ -25,12 +25,12 @@ bit-for-bit claims rest on, with no instruction beyond the compiler's default
 target.
 
 The module also calls SciPy's own LAPACK through ctypes, which releases the
-GIL: :func:`_dpotrf` and :func:`_dpotrs` take ``dpotrf`` and ``dpotrs`` from
-the function pointers that ``scipy.linalg.cython_lapack`` exports, so two
-Cholesky factorizations or two column shares of one solve run on two cores,
-where SciPy's own wrappers hold the GIL. :func:`_one_lapack_thread` holds the
-OpenBLAS that SciPy links to one thread meanwhile. The seam is loaded on
-first use, like the kernels.
+GIL: :func:`_dpotrf` takes ``dpotrf`` from the function pointer that
+``scipy.linalg.cython_lapack`` exports, so two Cholesky factorizations run on
+two cores, where SciPy's own wrappers hold the GIL.
+:func:`_one_lapack_thread` holds the OpenBLAS that SciPy links to one thread
+where its callers run SciPy's LAPACK. The seam is loaded on first use, like
+the kernels.
 """
 
 from __future__ import annotations
@@ -143,8 +143,8 @@ def _kernel(name: str) -> Callable:
 
 @functools.cache
 def _lapack() -> tuple:
-    """SciPy's ``dpotrf`` and ``dpotrs`` as ctypes functions, and the thread getter
-    and setter of the OpenBLAS that SciPy links, loaded on first use.
+    """SciPy's ``dpotrf`` as a ctypes function, and the thread getter and setter
+    of the OpenBLAS that SciPy links, loaded on first use.
 
     Where SciPy's LAPACK is not its bundled OpenBLAS, there is no setter to
     find: the getter reports one thread and the setter does nothing.
@@ -155,17 +155,13 @@ def _lapack() -> tuple:
         ("PyCapsule_GetName", ctypes.pythonapi))
     pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
         ("PyCapsule_GetPointer", ctypes.pythonapi))
-    integer, address = ctypes.POINTER(ctypes.c_int), ctypes.c_void_p
-
-    def routine(label, *argtypes):
-        capsule = cython_lapack.__pyx_capi__[label]
-        return ctypes.CFUNCTYPE(None, *argtypes)(pointer(capsule, name(capsule)))
-
+    integer = ctypes.POINTER(ctypes.c_int)
+    capsule = cython_lapack.__pyx_capi__["dpotrf"]
+    dpotrf = ctypes.CFUNCTYPE(None, ctypes.c_char_p, integer, ctypes.c_void_p, integer,
+                              integer)(pointer(capsule, name(capsule)))
     # dlsym on SciPy's LAPACK module also searches the libraries it links.
     openblas = ctypes.CDLL(cython_lapack.__file__)
-    return (routine("dpotrf", ctypes.c_char_p, integer, address, integer, integer),
-            routine("dpotrs", ctypes.c_char_p, integer, integer, address, integer, address,
-                    integer, integer),
+    return (dpotrf,
             getattr(openblas, "scipy_openblas_get_num_threads", lambda: 1),
             getattr(openblas, "scipy_openblas_set_num_threads", lambda count: None))
 
@@ -183,26 +179,14 @@ def _dpotrf(a: np.ndarray) -> int:
     return info.value
 
 
-def _dpotrs(factor: np.ndarray, b: np.ndarray) -> None:
-    """Overwrite ``b`` with ``H^{-1} b`` by SciPy's ``dpotrs``, from :func:`_dpotrf`'s factor.
-
-    ``b`` is a float64 matrix whose columns are contiguous, such as a column
-    slice of a Fortran-ordered array.
-    """
-    n, info = ctypes.c_int(factor.shape[0]), ctypes.c_int()
-    _lapack()[1](b"L", n, ctypes.c_int(b.shape[1]), factor.ctypes.data, n, b.ctypes.data,
-                 ctypes.c_int(b.strides[1] // b.itemsize), info)
-
-
 @contextlib.contextmanager
 def _one_lapack_thread():
     """Hold SciPy's OpenBLAS to one thread in the body, and give back the caller's
     count on leaving it, also after an exception (see :func:`_lapack`).
 
-    NumPy's OpenBLAS keeps the caller's count: a product split over rows then
-    gives each row the bytes it has in the whole product.
+    NumPy links its own OpenBLAS, whose count this leaves as it is.
     """
-    _, _, threads, set_threads = _lapack()
+    _, threads, set_threads = _lapack()
     count = threads()
     set_threads(1)
     try:

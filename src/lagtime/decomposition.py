@@ -328,6 +328,8 @@ def vamp_score(model: CovarianceKoopmanModel, r: float = 2,
     standard out-of-sample protocol. The test covariances must be estimated
     with the same centering convention as the training covariances.
     """
+    if np.isnan(r):
+        raise InvalidArgument("VAMP-r requires a number r, got nan")
     if r < 1:
         raise UndefinedScore(f"VAMP-r requires r >= 1, got {r}")
     if test_cov is None:
@@ -413,8 +415,8 @@ def kernel_edmd_fit(X: NDArray, Y: NDArray, kernel: Kernel, epsilon: float,
     X, Y = _as_frames(X), _as_frames(Y, "Y")
     if X.shape != Y.shape:
         raise InvalidArgument(f"X and Y must have identical shapes: {X.shape} vs {Y.shape}")
-    if epsilon < 0:
-        raise InvalidArgument(f"epsilon must be non-negative, got {epsilon}")
+    if not 0 <= epsilon < np.inf:
+        raise InvalidArgument(f"epsilon must be non-negative and finite, got {epsilon}")
     n = X.shape[0]
     if not (1 <= n_components <= n):
         raise InvalidArgument(f"n_components must be in 1..{n}")
@@ -452,11 +454,6 @@ _CCA_DROP = 1e-10
 # 4 n^2 flops of triangular solves and the dense solve about 8 n^3, so the
 # whole budget stays under a fifth of the dense solve's work.
 _CCA_WORK_SHARE = 1 / 3
-# A share of a solve's right-hand sides that starts and ends at multiples of
-# 12 columns (or at the last column) gives each column the bytes it has in
-# one solve of all columns, with each of OpenBLAS's x86-64 kernels (a test
-# forces each one). On other architectures this is unchecked.
-_SOLVE_COLUMNS = 12
 
 
 def _unit_second_moment(coeff: NDArray, values: NDArray) -> NDArray:
@@ -467,16 +464,9 @@ def _unit_second_moment(coeff: NDArray, values: NDArray) -> NDArray:
 
 
 def _cho_solve(L: NDArray, M: NDArray) -> NDArray:
-    """``H^{-1} M`` from the lower Cholesky factor of ``H``, columns split over cores.
-
-    The shares are whole groups of ``_SOLVE_COLUMNS`` columns, on which each
-    column's bytes are those of one ``cho_solve`` of all of ``M``, whatever
-    the core count, where ``_SOLVE_COLUMNS`` says that was checked.
-    """
-    out = np.array(M, order="F")
-    _over_cores(lambda share: _native._dpotrs(L, out[:, share[0]:share[-1] + _SOLVE_COLUMNS]),
-                np.arange(0, out.shape[1], _SOLVE_COLUMNS))
-    return out
+    """``H^{-1} M`` from the lower Cholesky factor of ``H``, one LAPACK call on one thread."""
+    with _native._one_lapack_thread():
+        return scipy.linalg.cho_solve((L, True), M, check_finite=False)
 
 
 def _smoother(L: NDArray, shift: float):
@@ -610,8 +600,9 @@ def kernel_cca_fit(X: NDArray, Y: NDArray, kernel: Kernel, n_components: int,
     ``H_Y`` and ``H_X`` are centered and factored by Cholesky at once, one on
     each core (``_over_cores`` and SciPy's ``dpotrf`` through
     :mod:`lagtime._native`, off the GIL), so each ``R`` costs one pair of
-    triangular solves, whose columns split over the cores in groups that
-    keep each column's bytes; the top ``n_components`` eigenpairs
+    triangular solves in one LAPACK call. SciPy's OpenBLAS runs one thread
+    for the factors and the solves, so their bytes depend on neither the core
+    count nor the caller's BLAS threads. The top ``n_components`` eigenpairs
     of ``T`` come from a block Krylov solve with Rayleigh-Ritz: a few hundred
     columns of solves instead of decompositions of n x n matrices. When the
     spectrum has no gap, so that the Krylov basis would pass a fixed share of
@@ -635,8 +626,8 @@ def kernel_cca_fit(X: NDArray, Y: NDArray, kernel: Kernel, n_components: int,
     X, Y = _as_frames(X), _as_frames(Y, "Y")
     if X.shape[0] != Y.shape[0]:
         raise InvalidArgument("X and Y must pair the same number of frames")
-    if epsilon <= 0:
-        raise InvalidArgument(f"epsilon must be positive, got {epsilon}")
+    if not 0 < epsilon < np.inf:
+        raise InvalidArgument(f"epsilon must be positive and finite, got {epsilon}")
     n = X.shape[0]
     if not (1 <= n_components <= n):
         raise InvalidArgument(f"n_components must be in 1..{n}")
@@ -658,7 +649,8 @@ def kernel_cca_fit(X: NDArray, Y: NDArray, kernel: Kernel, n_components: int,
 
     # Both Gram matrices are assembled, then centered and factored at once.
     grams = [gram_matrix(kernel, Y), gram_matrix(kernel, X)]
-    shares = _over_cores(lambda share: [factor(grams[i]) for i in share], np.arange(2))
+    with _native._one_lapack_thread():
+        shares = _over_cores(lambda share: [factor(grams[i]) for i in share], np.arange(2))
     sections = []
     for name, points, (means, info) in zip("YX", (Y, X), sum(shares, [])):
         if info:

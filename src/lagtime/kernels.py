@@ -36,11 +36,11 @@ class Kernel:
     """Base class for positive-definite kernels on R^d.
 
     A kernel supplies one method, ``_pairwise_into(A, B, out)``, which writes
-    ``k(A[i], B[j])`` into ``out[i, j]``. Callers reach kernel values through
-    :func:`gram_matrix`, which calls it from several threads at once, each
-    with its own block of one matrix as ``out``; it is private because worker
-    threads call no public function (``perfbench/spans.py`` wraps those and
-    keeps one span stack).
+    ``k(A[i], B[j])`` into ``out[i, j]``. :func:`gram_matrix` and
+    :meth:`KernelSectionFeatures._times` call it through :func:`_assemble`
+    from several threads at once, each with its own tile as ``out``; it is
+    private because worker threads call no public function
+    (``perfbench/spans.py`` wraps those and keeps one span stack).
     """
 
     def _pairwise_into(self, A: NDArray, B: NDArray, out: NDArray) -> None:
@@ -54,8 +54,8 @@ class GaussianKernel(Kernel):
     sigma: float
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise InvalidArgument(f"sigma must be positive, got {self.sigma}")
+        if not 0 < self.sigma < math.inf:
+            raise InvalidArgument(f"sigma must be positive and finite, got {self.sigma}")
 
     def _pairwise_into(self, A, B, out):
         # (|a|^2 + |b|^2) - 2 a.b, clipped, divided by -2 sigma^2, then exp,

@@ -5,7 +5,8 @@ dimensions, and a one-dimensional array is the frames of one scalar signal.
 ``_as_frames`` applies that rule for all of them: it converts to float64,
 turns a vector into a column, rejects any other number of dimensions and
 names the first row holding a NaN or infinity. ``_over_cores`` is the one
-place that spreads work over the usable cores, on threads.
+place that spreads work over the usable cores, on threads, at the caller's
+BLAS thread counts.
 
 All routines share one regularization convention: ``epsilon`` is an absolute
 eigenvalue cutoff. Eigenvalues less than or equal to ``epsilon`` are discarded
@@ -26,7 +27,6 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.typing import NDArray
 
-from ._native import _one_lapack_thread
 from .errors import DegenerateInput, InvalidArgument
 
 __all__ = [
@@ -127,20 +127,16 @@ def _over_cores(function: Callable, items) -> list:
     the results come back in chunk order. Each chunk runs on its own thread,
     so the work overlaps only where it releases the GIL, as the compiled
     kernels, large NumPy operations and the LAPACK calls of
-    :mod:`lagtime._native` do. Meanwhile SciPy's OpenBLAS runs one thread, so
-    that two factorizations do not each ask for every core; the caller's
-    count comes back on return, also after an exception, and the bytes do
-    not depend on the core count; NumPy's OpenBLAS keeps the caller's
-    count. A worker calls only private helpers, compiled kernels and
+    :mod:`lagtime._native` do. BLAS thread counts are left as the caller
+    set them. A worker calls only private helpers, compiled kernels and
     functions of its caller's own layer: the span tracer of ``perfbench``
     keeps one stack for every thread.
     """
     chunks = np.array_split(items, max(1, min(_cores(), len(items))))
-    with _one_lapack_thread():
-        if len(chunks) == 1:
-            return [function(chunks[0])]
-        with ThreadPoolExecutor(len(chunks)) as pool:
-            return list(pool.map(function, chunks))
+    if len(chunks) == 1:
+        return [function(chunks[0])]
+    with ThreadPoolExecutor(len(chunks)) as pool:
+        return list(pool.map(function, chunks))
 
 
 def _check_square_symmetric(C: NDArray, name: str, rtol: float = 1e-10) -> NDArray:

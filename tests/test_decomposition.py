@@ -1,11 +1,6 @@
 """Operator decomposition methods: linear, featurized, kernelized, variational."""
 
 import os
-import platform
-import subprocess
-import sys
-import textwrap
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -198,6 +193,8 @@ class TestVamp:
         assert s1 >= s2  # singular values are <= 1
         with pytest.raises(UndefinedScore):
             vamp_score(model, r=0.5)
+        with pytest.raises(InvalidArgument, match="nan"):
+            vamp_score(model, r=np.nan)
 
 
 class TestVariationalDominance:
@@ -437,6 +434,12 @@ class TestKernelEdmd:
             with pytest.raises(InvalidArgument, match="n_components"):
                 kernel_edmd_fit(X, Y, StateMatchKernel(), epsilon=1e-10, n_components=k)
 
+    def test_non_finite_epsilon_is_rejected(self):
+        X, Y = three_state_pairs()
+        for epsilon in (-1.0, np.nan, np.inf):
+            with pytest.raises(InvalidArgument, match="epsilon"):
+                kernel_edmd_fit(X, Y, StateMatchKernel(), epsilon=epsilon, n_components=2)
+
 
 def dense_kernel_cca(X, Y, kernel, n_components, epsilon):
     """Reference: kernel CCA in its dense formulation, with full
@@ -603,57 +606,33 @@ class TestKernelCca:
             kernel_cca_fit(X, np.ones((20, 2)), IndefiniteKernel(), n_components=2,
                            epsilon=1e-3)
 
-    def test_column_shares_of_a_solve_keep_the_bytes_of_one_solve(self, monkeypatch):
-        rng = np.random.default_rng(52)
-        n = 600
-        A = rng.standard_normal((n, n))
-        L = np.asfortranarray(A @ A.T + n * np.eye(n))
-        assert _native._dpotrf(L) == 0
+    def test_same_bytes_on_any_core_count(self, jet_pairs, monkeypatch):
+        # The jet pairs take the Krylov path, where four components make
+        # blocks of 16 columns, each solved by one LAPACK call.
+        X, Y = jet_pairs
+        fresh = np.random.default_rng(56).uniform([0.0, -4.0], [20.0, 4.0], size=(513, 2))
+        kernel = GaussianKernel(BICKLEY_KERNEL_CCA_BANDWIDTH)
+        outputs = []
         for cores in ({0}, {0, 1}, {0, 1, 2}):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cores=cores: cores)
-            for width in (1, 2, 7, 8, 9, 24, 33):
-                M = rng.standard_normal((n, width))
-                np.testing.assert_array_equal(
-                    decomposition._cho_solve(L, M),
-                    scipy.linalg.cho_solve((L, True), M, check_finite=False))
-
-    @pytest.mark.skipif(platform.machine() != "x86_64", reason="x86-64 OpenBLAS kernels")
-    @pytest.mark.parametrize("core", ["Haswell", "SandyBridge", "Nehalem", "Prescott"])
-    def test_column_shares_keep_the_bytes_on_other_openblas_kernels(self, core):
-        # SciPy's OpenBLAS picks its kernels for the CPU at load time;
-        # OPENBLAS_CORETYPE makes it load another x86-64 family's, so the
-        # 12-column groups are checked on kernels this CPU would not pick.
-        # One BLAS thread: the shares run on one, and so must the whole solve.
-        script = textwrap.dedent("""
-            import os
-            import numpy as np, scipy.linalg
-            from lagtime import _native, decomposition
-            rng = np.random.default_rng(56)
-            n = 500
-            A = rng.standard_normal((n, n))
-            L = np.asfortranarray(A @ A.T + n * np.eye(n))
-            assert _native._dpotrf(L) == 0
-            for cores in ({0, 1}, {0, 1, 2}, {0, 1, 2, 3}):
-                os.sched_getaffinity = lambda pid, cores=cores: cores
-                for width in (2, 7, 13, 24, 25, 33, 40):
-                    M = rng.standard_normal((n, width))
-                    assert np.array_equal(
-                        decomposition._cho_solve(L, M),
-                        scipy.linalg.cho_solve((L, True), M, check_finite=False)), (cores, width)
-        """)
-        src = str(Path(decomposition.__file__).resolve().parents[1])
-        env = dict(os.environ, OPENBLAS_CORETYPE=core, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
-        subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=120)
+            model = kernel_cca_fit(X, Y, kernel, 4, BICKLEY_KERNEL_CCA_EPSILON)
+            outputs.append([model.eigenvalues.tobytes(), model.f.second.weights.tobytes(),
+                            model.g.second.weights.tobytes(), model.project(fresh, 4).tobytes()])
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_scipys_blas_threads_come_back_also_after_a_worker_raises(self, monkeypatch):
-        _, _, threads, set_threads = _native._lapack()
+        _, threads, set_threads = _native._lapack()
         before = threads()
         X = np.random.default_rng(53).standard_normal((40, 2))
-        seen, dpotrf = [], _native._dpotrf
+        seen, solved, dpotrf, cho_solve = [], [], _native._dpotrf, scipy.linalg.cho_solve
 
         def recording_dpotrf(a):
             seen.append(threads())
             return dpotrf(a)
+
+        def recording_cho_solve(*args, **kwargs):
+            solved.append(threads())
+            return cho_solve(*args, **kwargs)
 
         def failing_dpotrf(a):
             raise RuntimeError("worker failed")
@@ -662,8 +641,10 @@ class TestKernelCca:
             set_threads(2)
             expected = threads()
             monkeypatch.setattr(_native, "_dpotrf", recording_dpotrf)
+            monkeypatch.setattr(scipy.linalg, "cho_solve", recording_cho_solve)
             kernel_cca_fit(X, X + 0.1, GaussianKernel(1.0), 2, 1e-3)
             assert seen == [1, 1]  # each factorization ran on one BLAS thread
+            assert solved and set(solved) == {1}  # and so did each solve
             assert threads() == expected
             monkeypatch.setattr(_native, "_dpotrf", failing_dpotrf)
             with pytest.raises(RuntimeError, match="worker failed"):
@@ -759,8 +740,9 @@ class TestKernelCca:
 
     def test_validation(self):
         X = np.zeros((10, 1))
-        with pytest.raises(InvalidArgument):
-            kernel_cca_fit(X, X, GaussianKernel(1.0), n_components=3, epsilon=-1.0)
+        for epsilon in (-1.0, np.nan, np.inf):
+            with pytest.raises(InvalidArgument, match="epsilon"):
+                kernel_cca_fit(X, X, GaussianKernel(1.0), n_components=3, epsilon=epsilon)
         with pytest.raises(InvalidArgument):
             kernel_cca_fit(X, X, GaussianKernel(1.0), n_components=11, epsilon=1e-3)
 

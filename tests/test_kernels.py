@@ -29,10 +29,9 @@ class TestGaussianKernel:
         assert gram_matrix(k, x[None], y[None])[0, 0] == pytest.approx(np.exp(-1.0))
 
     def test_invalid_bandwidth(self):
-        with pytest.raises(InvalidArgument):
-            GaussianKernel(0.0)
-        with pytest.raises(InvalidArgument):
-            GaussianKernel(-1.0)
+        for sigma in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(InvalidArgument, match="sigma"):
+                GaussianKernel(sigma)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 400))
