@@ -14,7 +14,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import InvalidArgument
-from .numerics import WhiteningTransform, _as_frames, _rng, sym_inverse_sqrt
+from .numerics import WhiteningTransform, _as_frames, _checked, _rng, sym_inverse_sqrt
 
 __all__ = [
     "FeatureMap",
@@ -76,9 +76,7 @@ class IdentityFeatures(FeatureMap):
     """The observations themselves."""
 
     def __init__(self, dim: int):
-        if dim <= 0:
-            raise InvalidArgument(f"dim must be positive, got {dim}")
-        self.dimension_in = dim
+        self.dimension_in = _checked("dim", dim, 1)
         self.dimension_out = dim
 
     def _evaluate(self, X):
@@ -94,10 +92,8 @@ class MonomialFeatures(FeatureMap):
     """
 
     def __init__(self, dim: int, max_degree: int):
-        if dim <= 0 or max_degree < 0:
-            raise InvalidArgument("dim must be positive and max_degree non-negative")
-        self.dimension_in = dim
-        self.max_degree = int(max_degree)
+        self.dimension_in = _checked("dim", dim, 1)
+        self.max_degree = int(_checked("max_degree", max_degree, 0))
         self._exponents = []
         for degree in range(max_degree + 1):
             for combo in combinations_with_replacement(range(dim), degree):
@@ -140,10 +136,8 @@ class IndicatorFeatures(FeatureMap):
     """
 
     def __init__(self, n_states: int):
-        if n_states <= 0:
-            raise InvalidArgument(f"n_states must be positive, got {n_states}")
         self.dimension_in = 1
-        self.dimension_out = int(n_states)
+        self.dimension_out = int(_checked("n_states", n_states, 1))
 
     def _evaluate(self, X):
         states = np.rint(X[:, 0]).astype(np.int64)
@@ -159,8 +153,7 @@ def indicator_features(assignments: NDArray, n_states: int) -> NDArray:
         If any assignment lies outside ``0..n_states-1``.
     """
     assignments = np.asarray(assignments, dtype=np.int64).ravel()
-    if n_states <= 0:
-        raise InvalidArgument(f"n_states must be positive, got {n_states}")
+    _checked("n_states", n_states, 1)
     if assignments.size and (assignments.min() < 0 or assignments.max() >= n_states):
         raise InvalidArgument(
             f"assignments must lie in 0..{n_states - 1}, "
@@ -184,9 +177,7 @@ class RandomFeatureNet(FeatureMap):
     dimension_out = 50
 
     def __init__(self, dim_in: int, seed: int = 0):
-        if dim_in <= 0:
-            raise InvalidArgument(f"dim_in must be positive, got {dim_in}")
-        self.dimension_in = int(dim_in)
+        self.dimension_in = int(_checked("dim_in", dim_in, 1))
         self.seed = int(seed)
         rng = _rng(seed)
         self.W1 = rng.standard_normal((self.n_hidden, dim_in))

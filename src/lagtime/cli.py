@@ -60,6 +60,7 @@ from .markov import (
     read_discrete_trajectory,
     timescales,
 )
+from .numerics import _checked
 from .sindy import finite_difference, sindy_fit, sindy_predict
 
 __all__ = ["main", "REPORT_SCHEMA"]
@@ -133,17 +134,14 @@ def _print_metrics(metrics: dict) -> None:
         print(line)
 
 
-def _parse_methods(raw: Optional[str], allowed: tuple[str, ...]) -> tuple[str, ...]:
-    if raw is None or raw == "all":
+def _parse_methods(raw: str, allowed: tuple[str, ...]) -> tuple[str, ...]:
+    """The methods named in ``raw``, or ``allowed`` for ``all``; the experiment
+    rejects unknown ones."""
+    if raw == "all":
         return allowed
     methods = tuple(part.strip() for part in raw.split(",") if part.strip())
     if not methods:
         raise InvalidArgument("no methods given")
-    for method in methods:
-        if method not in allowed:
-            raise InvalidArgument(
-                f"unknown method {method!r}; choose from {', '.join(allowed)}"
-            )
     return methods
 
 
@@ -230,8 +228,8 @@ def cmd_bickley_experiment(args: argparse.Namespace) -> None:
 def cmd_sindy(args: argparse.Namespace) -> None:
     start = time.perf_counter()
     out_dir = Path(args.out)
-    if args.dt is not None and not (np.isfinite(args.dt) and args.dt > 0):
-        raise InvalidArgument(f"--dt must be finite and positive, got {args.dt}")
+    if args.dt is not None:
+        _checked("--dt", args.dt, 0, open_low=True)
     if args.demo_rossler:
         trajectory = rossler(t1=args.demo_t1, dt=1e-3 if args.dt is None else args.dt)
         X = trajectory.frames
@@ -329,8 +327,7 @@ def cmd_generate(args: argparse.Namespace) -> None:
         path = out_dir / "quadwell.csv"
         write_trajectory(trajectory, path, system="quadwell")
     elif args.system == "rossler":
-        if args.n_frames < 2:
-            raise InvalidArgument(f"rossler needs n_frames >= 2, got {args.n_frames}")
+        _checked("n_frames", args.n_frames, 2)
         trajectory = rossler(t1=(args.n_frames - 1) * 1e-3)
         path = out_dir / "rossler.csv"
         write_trajectory(trajectory, path, system="rossler")

@@ -15,7 +15,7 @@ from numpy.typing import NDArray
 
 from ._native import _kernel
 from .errors import InsufficientData, InvalidArgument
-from .numerics import _as_frames, _over_cores, _rng
+from .numerics import _as_frames, _checked, _over_cores, _rng
 
 __all__ = ["ClusteringModel", "kmeans_fit", "kmeans_assign"]
 
@@ -136,18 +136,27 @@ def kmeans_fit(X: NDArray, n_clusters: int, seed: Optional[int] = None,
     :mod:`lagtime._native` chooses. Restarts are independent and the inertia
     is taken in NumPy for both, so the result does not depend on the core
     count.
+
+    Raises
+    ------
+    InvalidArgument
+        If ``n_clusters`` or ``n_restarts`` is below 1, ``max_iter`` or
+        ``tol`` is negative, any of them is not finite, or ``X`` has no
+        columns.
+    InsufficientData
+        If ``X`` has fewer rows than ``n_clusters``.
     """
     X = _as_frames(X)
-    if n_clusters < 1:
-        raise InvalidArgument(f"n_clusters must be >= 1, got {n_clusters}")
+    _checked("n_clusters", n_clusters, 1)
     if X.shape[0] < n_clusters:
         raise InsufficientData(
             f"{X.shape[0]} points cannot support {n_clusters} clusters"
         )
     if X.shape[1] == 0:
         raise InvalidArgument("X has no columns to cluster on")
-    if n_restarts < 1:
-        raise InvalidArgument(f"n_restarts must be >= 1, got {n_restarts}")
+    _checked("n_restarts", n_restarts, 1)
+    _checked("max_iter", max_iter, 0)
+    _checked("tol", tol, 0)
 
     starts = np.stack([
         _kmeans_plus_plus(X, n_clusters, _rng(None if seed is None else seed + restart))
@@ -158,7 +167,7 @@ def kmeans_fit(X: NDArray, n_clusters: int, seed: Optional[int] = None,
 
     def lloyd(block: NDArray) -> NDArray:
         info = np.empty((len(block), 2), dtype=np.int64)
-        _kmeans_lloyd(points, n, d, k, len(block), min(max(max_iter, 0), _MAX_ITER), tol, block,
+        _kmeans_lloyd(points, n, d, k, len(block), min(max_iter, _MAX_ITER), tol, block,
                       info, np.empty(n + 2 * k, dtype=np.int64), np.empty(2 * n + k * d))
         return info
 

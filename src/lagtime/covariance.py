@@ -19,7 +19,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import InsufficientData, InvalidArgument
-from .numerics import _as_frames
+from .numerics import _as_frames, _checked
 
 __all__ = [
     "CovarianceModel",
@@ -52,8 +52,7 @@ def lagged_pairs(trajectory: NDArray, lag: int) -> tuple[NDArray, NDArray]:
         each with ``n - lag`` rows.
     """
     traj = _as_frames(trajectory, "trajectory")
-    if lag <= 0:
-        raise InvalidArgument(f"lag must be positive, got {lag}")
+    _checked("lag", lag, 1)
     if traj.shape[0] <= lag:
         raise InsufficientData(
             f"trajectory of length {traj.shape[0]} yields no pairs at lag {lag}"
@@ -106,9 +105,7 @@ class CovarianceAccumulator:
     """
 
     def __init__(self, dim: int, lag: int = 1):
-        if dim <= 0:
-            raise InvalidArgument(f"dim must be positive, got {dim}")
-        self.dim = int(dim)
+        self.dim = int(_checked("dim", dim, 1))
         self.lag = int(lag)
         self.n = 0
         self.mean_x = np.zeros(dim)

@@ -34,7 +34,7 @@ from numpy.typing import NDArray
 from ._native import _compiled_kernels, _kernel
 from .errors import DivergenceError, InvalidArgument
 from .markov import sample_markov_chain
-from .numerics import _as_frames, _over_cores, _rng
+from .numerics import _as_frames, _checked, _over_cores, _rng
 
 __all__ = [
     "SdeSystem",
@@ -92,10 +92,8 @@ class SdeSystem:
                 f"diffusion must be {self.dimension}x{self.dimension}, got {sigma.shape}"
             )
         object.__setattr__(self, "diffusion", sigma)
-        if self.step <= 0:
-            raise InvalidArgument(f"step must be positive, got {self.step}")
-        if self.n_substeps < 1:
-            raise InvalidArgument(f"n_substeps must be >= 1, got {self.n_substeps}")
+        _checked("step", self.step, 0, open_low=True)
+        _checked("n_substeps", self.n_substeps, 1)
 
 
 @dataclass(frozen=True)
@@ -179,8 +177,7 @@ def _integrate(system: SdeSystem, x0, n_frames: int, seed: Optional[int],
         raise InvalidArgument(
             f"x0 has dimension {x.size}, system expects {system.dimension}"
         )
-    if n_frames < 1:
-        raise InvalidArgument(f"n_frames must be >= 1, got {n_frames}")
+    _checked("n_frames", n_frames, 1)
     h, n_sub = system.step, system.n_substeps
     scale = system.diffusion[0, 0] * math.sqrt(h)
     rng = _rng(seed)
@@ -409,10 +406,9 @@ def bickley_flow(x0_batch: NDArray, t0: float, t1: float, dt: float = 1e-2) -> N
     with one call to rounding. A particle that is not finite after a step
     raises :class:`DivergenceError` carrying that step.
     """
-    if not all(map(math.isfinite, (t0, t1, dt))):
-        raise InvalidArgument(f"t0, t1 and dt must be finite, got {t0}, {t1}, {dt}")
-    if dt <= 0:
-        raise InvalidArgument(f"dt must be positive, got {dt}")
+    _checked("t0", t0)
+    _checked("t1", t1)
+    _checked("dt", dt, 0, open_low=True)
     X = np.atleast_2d(np.asarray(x0_batch, dtype=np.float64)).copy()
     if X.shape[1] != 2:
         raise InvalidArgument(f"particles must be (n, 2), got {X.shape}")
@@ -511,8 +507,7 @@ def sample_sqrt_model(n_frames: int, seed: Optional[int] = None):
         Warped observations of shape (n_frames, 2) and the integer hidden
         sequence of length n_frames.
     """
-    if n_frames < 1:
-        raise InvalidArgument(f"n_frames must be >= 1, got {n_frames}")
+    _checked("n_frames", n_frames, 1)
     hidden = sample_markov_chain(
         SQRT_MODEL_TRANSITION_MATRIX, n_frames, seed=seed,
         initial_distribution=np.array([0.5, 0.5]),
@@ -545,12 +540,8 @@ def rossler(x0: NDArray = (0.0, -6.78, 0.02), t1: float = 100.0,
     to the Python loop. A ``t1 / dt`` whose frames cannot be allocated raises
     :class:`InvalidArgument`.
     """
-    if not (math.isfinite(t1) and math.isfinite(dt)):
-        raise InvalidArgument(f"t1 and dt must be finite, got {t1} and {dt}")
-    if dt <= 0:
-        raise InvalidArgument(f"dt must be positive, got {dt}")
-    if t1 <= 0:
-        raise InvalidArgument(f"t1 must be positive, got {t1}")
+    _checked("dt", dt, 0, open_low=True)
+    _checked("t1", t1, 0, open_low=True)
     start = np.asarray(x0, dtype=np.float64).ravel()
     if start.size != 3:
         raise InvalidArgument(f"x0 must have dimension 3, got {start.size}")
@@ -619,8 +610,7 @@ def benchmark_steps_per_second(n_steps: int = 1_000_000,
     Runs one warm-up call (so one-time compilation is excluded), then times
     a generation of ``n_steps`` integrator steps including noise generation.
     """
-    if n_steps < 1:
-        raise InvalidArgument(f"n_steps must be >= 1, got {n_steps}")
+    _checked("n_steps", n_steps, 1)
     n_substeps = 100
     n_frames = max(2, n_steps // n_substeps + 1)
     actual_steps = (n_frames - 1) * n_substeps

@@ -35,8 +35,8 @@ from .errors import DegenerateInput, InvalidArgument, NumericalDegeneracy, Undef
 from .kernels import Kernel, KernelSectionFeatures, _center_gram, _gram_means, gram_matrix
 from . import _native
 from .numerics import (
-    _as_frames, _by_modulus, _over_cores, _rng, generalized_eig_sym, pinv_truncated,
-    sym_inverse_sqrt, truncated_svd,
+    _as_frames, _by_modulus, _checked, _over_cores, _rng, generalized_eig_sym,
+    pinv_truncated, sym_inverse_sqrt, truncated_svd,
 )
 
 __all__ = [
@@ -119,10 +119,7 @@ class TransferOperatorModel:
         """Dominant components evaluated on ``X`` (real parts), columns descending;
         kernel expansions are evaluated in row blocks over cores."""
         P = self.projection_matrix
-        if not (1 <= n_components <= P.shape[1]):
-            raise InvalidArgument(
-                f"n_components must be in 1..{P.shape[1]}, got {n_components}"
-            )
+        _checked("n_components", n_components, 1, P.shape[1])
         return np.real(self.f._times(X, P[:, :n_components]))
 
 
@@ -173,10 +170,7 @@ class CovarianceKoopmanModel:
         return self.forward(X) * self.sigma
 
     def project(self, X: NDArray, n_components: int) -> NDArray:
-        if not (1 <= n_components <= self.n_components):
-            raise InvalidArgument(
-                f"n_components must be in 1..{self.n_components}, got {n_components}"
-            )
+        _checked("n_components", n_components, 1, self.n_components)
         return self.forward(X)[:, :n_components]
 
 
@@ -204,11 +198,7 @@ class KVADModel:
         return self.f(X) @ self.K
 
     def project(self, X: NDArray, n_components: int) -> NDArray:
-        if not (1 <= n_components <= self.projection_matrix.shape[1]):
-            raise InvalidArgument(
-                f"n_components must be in 1..{self.projection_matrix.shape[1]}, "
-                f"got {n_components}"
-            )
+        _checked("n_components", n_components, 1, self.projection_matrix.shape[1])
         F = self.f(X) - self.feature_mean
         return F @ self.projection_matrix[:, :n_components]
 
@@ -295,14 +285,20 @@ def vamp_fit(cov: CovarianceModel, n_components: Optional[int] = None,
     non-reversible and non-stationary pairs; singular values are descending
     and, because they are canonical correlations of the feature spaces, never
     exceed one beyond round-off.
+
+    Raises
+    ------
+    InvalidArgument
+        If ``epsilon`` is negative or not finite, or ``n_components`` is not
+        in ``1..`` the smaller retained rank.
+    DegenerateInput
+        If no eigenvalue of ``c00`` or ``ctt`` exceeds ``epsilon``.
     """
     w0 = sym_inverse_sqrt(cov.c00, epsilon)
     w1 = sym_inverse_sqrt(cov.ctt, epsilon)
     M = w0.transform @ cov.c0t @ w1.transform.T
     k_max = min(M.shape)
-    k = k_max if n_components is None else n_components
-    if not (1 <= k <= k_max):
-        raise InvalidArgument(f"n_components must be in 1..{k_max}, got {n_components}")
+    k = k_max if n_components is None else _checked("n_components", n_components, 1, k_max)
     Uh, sigma, Vh = truncated_svd(M, k)
     chi0 = chi0 if chi0 is not None else IdentityFeatures(cov.dim)
     chi1 = chi1 if chi1 is not None else IdentityFeatures(cov.dim)
@@ -328,9 +324,7 @@ def vamp_score(model: CovarianceKoopmanModel, r: float = 2,
     standard out-of-sample protocol. The test covariances must be estimated
     with the same centering convention as the training covariances.
     """
-    if np.isnan(r):
-        raise InvalidArgument("VAMP-r requires a number r, got nan")
-    if r < 1:
+    if _checked("r", r) < 1:
         raise UndefinedScore(f"VAMP-r requires r >= 1, got {r}")
     if test_cov is None:
         return float(np.sum(np.abs(model.sigma) ** r))
@@ -346,8 +340,7 @@ def vamp_score(model: CovarianceKoopmanModel, r: float = 2,
 
 def contiguous_folds(n: int, n_folds: int) -> list[NDArray]:
     """Split ``0..n-1`` into contiguous, nearly equal blocks."""
-    if not (2 <= n_folds <= n):
-        raise InvalidArgument(f"n_folds must be in 2..{n}, got {n_folds}")
+    _checked("n_folds", n_folds, 2, n)
     return [idx for idx in np.array_split(np.arange(n), n_folds)]
 
 
@@ -415,11 +408,9 @@ def kernel_edmd_fit(X: NDArray, Y: NDArray, kernel: Kernel, epsilon: float,
     X, Y = _as_frames(X), _as_frames(Y, "Y")
     if X.shape != Y.shape:
         raise InvalidArgument(f"X and Y must have identical shapes: {X.shape} vs {Y.shape}")
-    if not 0 <= epsilon < np.inf:
-        raise InvalidArgument(f"epsilon must be non-negative and finite, got {epsilon}")
+    _checked("epsilon", epsilon, 0)
     n = X.shape[0]
-    if not (1 <= n_components <= n):
-        raise InvalidArgument(f"n_components must be in 1..{n}")
+    _checked("n_components", n_components, 1, n)
     G = gram_matrix(kernel, X)
     cutoff = _EDMD_CUTOFF * np.abs(G.diagonal()).max()
     L, pivots, r, _ = scipy.linalg.lapack.dpstrf(G, tol=cutoff, lower=1)
@@ -626,11 +617,9 @@ def kernel_cca_fit(X: NDArray, Y: NDArray, kernel: Kernel, n_components: int,
     X, Y = _as_frames(X), _as_frames(Y, "Y")
     if X.shape[0] != Y.shape[0]:
         raise InvalidArgument("X and Y must pair the same number of frames")
-    if not 0 < epsilon < np.inf:
-        raise InvalidArgument(f"epsilon must be positive and finite, got {epsilon}")
+    _checked("epsilon", epsilon, 0, open_low=True)
     n = X.shape[0]
-    if not (1 <= n_components <= n):
-        raise InvalidArgument(f"n_components must be in 1..{n}")
+    _checked("n_components", n_components, 1, n)
     shift = n * epsilon
 
     def centered_gram(points):

@@ -14,7 +14,6 @@ reported with; all randomness flows from a single seed per run.
 
 from __future__ import annotations
 
-import math
 import time
 from typing import Callable, Sequence
 
@@ -39,7 +38,7 @@ from .decomposition import (
 from .errors import InvalidArgument
 from .kernels import GaussianKernel, gram_matrix
 from .markov import coherence_score
-from .numerics import _rng
+from .numerics import _checked, _rng
 
 __all__ = [
     "SQRT_METHODS",
@@ -235,22 +234,25 @@ def run_bickley_experiment(methods: Sequence[str] = BICKLEY_METHODS,
     ``seed`` drives the particle draws and the scoring noise; ``ansatz_seed``
     fixes the shared random feature basis of the operator methods, which is a
     model hyperparameter rather than part of the data stream.
+
+    Raises
+    ------
+    InvalidArgument
+        If a method is unknown, ``n_sets`` is below 2, ``n_particles`` below
+        ``n_sets``, ``restarts``, ``rounds`` or ``round_size`` below 1,
+        ``noise`` negative, or any of these numbers or ``t1`` not finite.
     """
     for method in methods:
         if method not in BICKLEY_METHODS:
             raise InvalidArgument(
                 f"unknown method {method!r}; choose from {', '.join(BICKLEY_METHODS)}"
             )
-    if rounds < 1:
-        raise InvalidArgument(f"need at least one scoring round, got {rounds}")
-    if n_sets < 2:
-        raise InvalidArgument(f"need at least two coherent sets, got {n_sets}")
-    if n_particles < n_sets:
-        raise InvalidArgument(
-            f"need at least as many particles as coherent sets ({n_sets}), got {n_particles}"
-        )
-    if not (math.isfinite(noise) and noise >= 0):
-        raise InvalidArgument(f"noise must be finite and non-negative, got {noise}")
+    _checked("n_sets", n_sets, 2)
+    _checked("n_particles", n_particles, n_sets)
+    _checked("restarts", restarts, 1)
+    _checked("rounds", rounds, 1)
+    _checked("round_size", round_size, 1)
+    _checked("noise", noise, 0)
     start = time.perf_counter()
     rng = _rng(seed)
     x0 = _uniform_particles(rng, n_particles)

@@ -35,7 +35,7 @@ from .markov import (
     sample_markov_chain,
     spectral_analysis,
 )
-from .numerics import _rng
+from .numerics import _checked, _rng
 
 __all__ = [
     "OutputModel",
@@ -118,15 +118,17 @@ class DiscreteOutputModel(OutputModel):
 
 
 class GaussianOutputModel(OutputModel):
-    """Independent scalar Gaussian emissions per hidden state."""
+    """Independent scalar Gaussian emissions per hidden state, with finite
+    means and finite positive standard deviations."""
 
     def __init__(self, means: NDArray, stds: NDArray):
         means = np.asarray(means, dtype=np.float64).ravel()
         stds = np.asarray(stds, dtype=np.float64).ravel()
         if means.shape != stds.shape:
             raise InvalidArgument("means and stds must have equal length")
-        if np.any(stds <= 0):
-            raise InvalidArgument("standard deviations must be positive")
+        for mean, std in zip(means, stds):
+            _checked("means", mean)
+            _checked("stds", std, 0, open_low=True)
         self.means = means
         self.stds = stds
         self.n_hidden = means.size
@@ -186,8 +188,6 @@ class HiddenMarkovModel:
 
     def sample(self, length: int, seed: int) -> tuple[NDArray, NDArray]:
         """Sample (hidden_states, observations) of a given length."""
-        if length <= 0:
-            raise InvalidArgument(f"length must be positive, got {length}")
         states = sample_markov_chain(
             self.transition_model.transition_matrix, length, seed=seed,
             initial_distribution=self.initial_distribution,
@@ -322,10 +322,14 @@ def baum_welch(initial: HiddenMarkovModel, observations, max_iter: int = 500,
 
     Raises
     ------
+    InvalidArgument
+        If ``max_iter`` or ``tolerance`` is negative or not finite.
     InternalInvariantError
         If the log-likelihood decreases beyond floating-point slack, which
         would indicate a broken maximization step.
     """
+    _checked("max_iter", max_iter, 0)
+    _checked("tolerance", tolerance, 0)
     if isinstance(observations, np.ndarray) and observations.ndim == 1:
         observations = [observations]
     observations = [np.asarray(o).ravel() for o in observations]
@@ -415,8 +419,7 @@ def init_from_msm(observations, n_hidden: int, lag: int = 1) -> HiddenMarkovMode
         If fewer connected observed states than hidden states remain, or if
         the eigenvector signs split them into fewer than ``n_hidden`` groups.
     """
-    if n_hidden < 1:
-        raise InvalidArgument(f"n_hidden must be positive, got {n_hidden}")
+    _checked("n_hidden", n_hidden, 1)
     counts = count_transitions(observations, lag=lag)
     # Emissions are indexed by the raw symbol, observed or not.
     n_symbols = int(counts.state_symbols[-1]) + 1

@@ -12,7 +12,7 @@ from numpy.typing import NDArray
 
 from .basis import FeatureMap
 from .errors import InvalidArgument
-from .numerics import _as_frames, _cores, _over_cores
+from .numerics import _as_frames, _checked, _cores, _over_cores
 
 __all__ = [
     "Kernel",
@@ -54,8 +54,7 @@ class GaussianKernel(Kernel):
     sigma: float
 
     def __post_init__(self):
-        if not 0 < self.sigma < math.inf:
-            raise InvalidArgument(f"sigma must be positive and finite, got {self.sigma}")
+        _checked("sigma", self.sigma, 0, open_low=True)
 
     def _pairwise_into(self, A, B, out):
         # (|a|^2 + |b|^2) - 2 a.b, clipped, divided by -2 sigma^2, then exp,

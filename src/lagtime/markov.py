@@ -29,7 +29,7 @@ from .errors import (
     InsufficientData,
     InvalidArgument,
 )
-from .numerics import SpectralDecomposition, _by_modulus, _rng
+from .numerics import SpectralDecomposition, _by_modulus, _checked, _rng
 
 __all__ = [
     "TransitionCountModel",
@@ -129,8 +129,7 @@ def count_transitions(trajectories, lag: int, counting_mode: str = "sliding"
     InsufficientData
         If no trajectory produces a single pair at this lag.
     """
-    if lag <= 0:
-        raise InvalidArgument(f"lag must be positive, got {lag}")
+    _checked("lag", lag, 1)
     if counting_mode not in ("sliding", "strided"):
         raise InvalidArgument(f"unknown counting mode {counting_mode!r}")
     dtrajs = _as_dtrajs(trajectories)
@@ -157,6 +156,13 @@ def count_transitions(trajectories, lag: int, counting_mode: str = "sliding"
                                 state_symbols=symbols)
 
 
+def _strong_classes(M: NDArray) -> tuple[int, NDArray]:
+    """Count and labels of the strongly connected classes of the graph with
+    an edge wherever ``M > 0``."""
+    return connected_components(csr_matrix((M > 0).astype(np.int8)), directed=True,
+                                connection="strong")
+
+
 def largest_connected_submodel(counts: TransitionCountModel) -> TransitionCountModel:
     """Restrict a count model to its largest communicating set of states.
 
@@ -166,8 +172,7 @@ def largest_connected_submodel(counts: TransitionCountModel) -> TransitionCountM
     count to itself), then towards the one containing the lowest state index.
     """
     C = counts.count_matrix
-    graph = csr_matrix((C > 0).astype(np.int8))
-    n_comp, labels = connected_components(graph, directed=True, connection="strong")
+    n_comp, labels = _strong_classes(C)
     sizes = np.bincount(labels, minlength=n_comp)
     inside = sizes > 1
     inside[labels[np.diag(C) > 0]] = True
@@ -265,8 +270,7 @@ def msm_mle(counts: TransitionCountModel, reversible: bool = False) -> MarkovSta
     if not reversible:
         return MarkovStateModel(P, lag=counts.lag, reversible=False, count_model=counts)
 
-    n_classes, labels = connected_components(
-        csr_matrix((C > 0).astype(np.int8)), directed=True, connection="strong")
+    n_classes, labels = _strong_classes(C)
     inside = labels[:, None] == labels[None, :]
     outflow = np.where(inside, 0.0, C).sum(axis=1)
     sym = C + C.T
@@ -313,8 +317,7 @@ def stationary_distribution(P: NDArray) -> NDArray:
     """
     P = np.asarray(P, dtype=np.float64)
     n = P.shape[0]
-    graph = csr_matrix((P > 0).astype(np.int8))
-    n_comp, _ = connected_components(graph, directed=True, connection="strong")
+    n_comp, _ = _strong_classes(P)
     if n_comp != 1:
         raise DegenerateInput(
             f"transition matrix is reducible ({n_comp} communicating classes); "
@@ -350,9 +353,7 @@ def spectral_analysis(msm: MarkovStateModel, n_components: Optional[int] = None
     """
     P = msm.transition_matrix
     n = P.shape[0]
-    k = n if n_components is None else int(n_components)
-    if not (1 <= k <= n):
-        raise InvalidArgument(f"n_components must be in 1..{n}, got {n_components}")
+    k = n if n_components is None else int(_checked("n_components", n_components, 1, n))
     if msm.reversible:
         mu = msm.stationary_distribution
         if not np.all(mu > 0):
@@ -405,9 +406,7 @@ def timescales(msm: MarkovStateModel, n_timescales: Optional[int] = None) -> NDA
     n = msm.n_states
     if n < 2:
         raise InsufficientData("need at least two connected states for timescales")
-    k = n - 1 if n_timescales is None else int(n_timescales)
-    if not (1 <= k <= n - 1):
-        raise InvalidArgument(f"n_timescales must be in 1..{n - 1}, got {n_timescales}")
+    k = n - 1 if n_timescales is None else int(_checked("n_timescales", n_timescales, 1, n - 1))
     evals = spectral_analysis(msm, k + 1).eigenvalues
     mags = np.abs(evals[1:])
     out = np.full(k, np.inf)
@@ -516,8 +515,7 @@ def coherence_score(initial_assignments: NDArray, returned_assignments: NDArray,
         raise InvalidArgument("assignment arrays must have equal length")
     if a0.size == 0:
         raise InsufficientData("no particles to score")
-    if n_sets <= 0:
-        raise InvalidArgument(f"n_sets must be positive, got {n_sets}")
+    _checked("n_sets", n_sets, 1)
     for arr, name in ((a0, "initial"), (a1, "returned")):
         if arr.min() < 0 or arr.max() >= n_sets:
             raise InvalidArgument(f"{name} assignments must lie in 0..{n_sets - 1}")
@@ -549,8 +547,7 @@ def sample_markov_chain(P: NDArray, length: int, seed: int,
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise InvalidArgument(f"transition matrix must be square, got {P.shape}")
     n = P.shape[0]
-    if length <= 0:
-        raise InvalidArgument(f"length must be positive, got {length}")
+    _checked("length", length, 1)
     rng = _rng(seed)
     if initial_distribution is None:
         initial_distribution = np.full(n, 1.0 / n)

@@ -4,7 +4,9 @@ Every estimator takes data in one layout: rows are frames and columns are
 dimensions, and a one-dimensional array is the frames of one scalar signal.
 ``_as_frames`` applies that rule for all of them: it converts to float64,
 turns a vector into a column, rejects any other number of dimensions and
-names the first row holding a NaN or infinity. ``_over_cores`` is the one
+names the first row holding a NaN or infinity. ``_checked`` is the rule
+for every scalar parameter: a finite number within its caller's bounds,
+or an ``InvalidArgument`` that names it. ``_over_cores`` is the one
 place that spreads work over the usable cores, on threads, at the caller's
 BLAS thread counts.
 
@@ -19,6 +21,7 @@ decomposition produced them.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -94,6 +97,25 @@ def _as_frames(X, name: str = "X") -> NDArray:
                 f"{name} row {bad[0] + 1} (counting from 1) holds a non-finite value"
             )
     return X
+
+
+def _checked(name: str, value, low=-math.inf, high=math.inf, *, open_low: bool = False):
+    """``value``, checked to be a finite number from ``low`` (excluded when
+    ``open_low``) to ``high``.
+
+    The one rule for every scalar parameter: NaN fails each comparison, so
+    it is rejected with the infinities, and the message names ``name`` and
+    ``value``.
+    """
+    finite = abs(value) < math.inf
+    if not (finite and (value > low if open_low else value >= low) and value <= high):
+        rules = [] if finite else ["finite"]
+        if high < math.inf:
+            rules.append(f"in {low}..{high}")
+        elif low > -math.inf:
+            rules.append(f"{'>' if open_low else '>='} {low}")
+        raise InvalidArgument(f"{name} must be {' and '.join(rules)}, got {value}")
+    return value
 
 
 def _rng(seed: Optional[int]) -> np.random.Generator:
@@ -172,11 +194,13 @@ def sym_inverse_sqrt(C: NDArray, epsilon: float = 1e-12) -> WhiteningTransform:
     Raises
     ------
     InvalidArgument
-        If ``C`` is not square or not symmetric.
+        If ``C`` is not square or not symmetric, or ``epsilon`` is negative
+        or not finite.
     DegenerateInput
         If no eigenvalue survives the cutoff.
     """
     C = _check_square_symmetric(C, "C")
+    _checked("epsilon", epsilon, 0)
     evals, evecs = np.linalg.eigh(C)
     order = np.argsort(-evals, kind="stable")
     evals, evecs = evals[order], evecs[:, order]
@@ -237,10 +261,7 @@ def truncated_svd(M: NDArray, k: Optional[int] = None) -> tuple[NDArray, NDArray
     if M.ndim != 2:
         raise InvalidArgument(f"expected a matrix, got array of ndim {M.ndim}")
     full = min(M.shape)
-    if k is None:
-        k = full
-    if not (1 <= k <= full):
-        raise InvalidArgument(f"k must be in 1..{full}, got {k}")
+    k = full if k is None else _checked("k", k, 1, full)
     U, s, Vh = np.linalg.svd(M, full_matrices=False)
     return U[:, :k], s[:k], Vh[:k].T
 

@@ -16,7 +16,7 @@ from numpy.typing import NDArray
 
 from .basis import FeatureMap
 from .errors import DivergenceError, InvalidArgument, UndefinedScore
-from .numerics import _as_frames
+from .numerics import _as_frames, _checked
 
 __all__ = [
     "SINDyModel",
@@ -34,12 +34,16 @@ def finite_difference(X: NDArray, dt: float) -> NDArray:
 
     Forward differences everywhere, a backward difference for the last row,
     so the output has the same shape as the input.
+
+    Raises
+    ------
+    InvalidArgument
+        If ``X`` has fewer than two rows, or ``dt`` is not finite and positive.
     """
     X = _as_frames(X)
     if X.shape[0] < 2:
         raise InvalidArgument("need at least two samples to differentiate")
-    if dt <= 0:
-        raise InvalidArgument(f"time step must be positive, got {dt}")
+    _checked("dt", dt, 0, open_low=True)
     out = np.empty_like(X)
     out[:-1] = (X[1:] - X[:-1]) / dt
     out[-1] = (X[-1] - X[-2]) / dt
@@ -68,8 +72,7 @@ def stlsq(Theta: NDArray, targets: NDArray, threshold: float) -> tuple[NDArray, 
     targets = _as_frames(targets, "targets")
     if Theta.shape[0] != targets.shape[0]:
         raise InvalidArgument("Theta and targets must have matching rows")
-    if not (np.isfinite(threshold) and threshold >= 0):
-        raise InvalidArgument(f"threshold must be finite and non-negative, got {threshold}")
+    _checked("threshold", threshold, 0)
     n_features = Theta.shape[1]
     n_targets = targets.shape[1]
     xi = np.zeros((n_targets, n_features))
@@ -178,7 +181,7 @@ def sindy_fit(X: NDArray, t=None, library: Optional[FeatureMap] = None,
         else:
             if t is None:
                 raise InvalidArgument("continuous time needs t or explicit derivatives")
-            targets = finite_difference(X, t)
+            targets = finite_difference(X, _checked("t", t, 0, open_low=True))
         inputs = X
     Theta = library(inputs)
     xi, emptied = stlsq(Theta, targets, threshold=threshold)
@@ -211,9 +214,7 @@ def sindy_simulate(model: SINDyModel, x0: NDArray, t) -> NDArray:
         return (model.library(state[None, :]) @ model.xi.T)[0]
 
     if model.discrete_time:
-        n = int(t)
-        if n < 1:
-            raise InvalidArgument("need at least one frame")
+        n = int(_checked("t", t, 1))
         out = np.empty((n, x0.size))
         out[0] = x0
         for k in range(1, n):

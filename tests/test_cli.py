@@ -113,6 +113,15 @@ class TestBickleyExperimentCommand:
         assert report["parameters"]["ansatz_seed"] == 2
         assert (tmp_path / "bickley_projection_vamp.csv").exists()
 
+    @pytest.mark.parametrize("flag, name", [("--round-size", "round_size"),
+                                            ("--restarts", "restarts")])
+    def test_zero_count_names_its_flag(self, tmp_path, capsys, flag, name):
+        code = main(["bickley-experiment", "--methods", "vamp", flag, "0",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {name} must be >= 1, got 0\n"
+        assert not (tmp_path / "report.json").exists()
+
 
 class TestSindyCommand:
     def test_demo_system_recovers_sparse_dynamics(self, tmp_path, capsys):

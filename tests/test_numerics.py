@@ -1,6 +1,8 @@
 import ast
 import ctypes
+import functools
 import inspect
+import math
 import re
 import shutil
 from pathlib import Path
@@ -13,26 +15,54 @@ from hypothesis import strategies as st
 
 import lagtime
 from lagtime import _native
-from lagtime.basis import RandomFeatureNet
+from lagtime.basis import (
+    IdentityFeatures,
+    IndicatorFeatures,
+    MonomialFeatures,
+    RandomFeatureNet,
+    indicator_features,
+)
 from lagtime.clustering import kmeans_fit
+from lagtime.covariance import CovarianceAccumulator, covariances_from_pairs, lagged_pairs
 from lagtime.datasets import (
     SdeSystem,
+    benchmark_steps_per_second,
+    bickley_flow,
     double_well_2d,
     euler_maruyama,
     quadwell_1d,
+    rossler,
     sample_sqrt_model,
+)
+from lagtime.decomposition import (
+    contiguous_folds,
+    kernel_cca_fit,
+    kernel_edmd_fit,
+    kvad_fit,
+    vamp_fit,
+    vamp_score,
 )
 from lagtime.errors import DegenerateInput, InvalidArgument
 from lagtime.experiments import run_bickley_experiment, run_sqrt_experiment
-from lagtime.hmm import GaussianOutputModel, HiddenMarkovModel
-from lagtime.markov import MarkovStateModel, sample_markov_chain
+from lagtime.hmm import GaussianOutputModel, HiddenMarkovModel, baum_welch, init_from_msm
+from lagtime.kernels import GaussianKernel
+from lagtime.markov import (
+    MarkovStateModel,
+    coherence_score,
+    count_transitions,
+    sample_markov_chain,
+    spectral_analysis,
+    timescales,
+)
 from lagtime.numerics import (
     SpectralDecomposition,
     WhiteningTransform,
+    _checked,
     generalized_eig_sym,
     sym_inverse_sqrt,
     truncated_svd,
 )
+from lagtime.sindy import finite_difference, sindy_fit, sindy_simulate, stlsq
 from lagtime.numerics import pinv_truncated
 
 
@@ -676,3 +706,131 @@ def test_lapack_seam_gives_the_bytes_of_scipys_wrappers():
     np.testing.assert_array_equal(np.tril(L), factor)
     # info names the first leading minor that is not positive definite.
     assert _native._dpotrf(np.asfortranarray(-H)) == 1
+
+
+@functools.cache
+def _pairs():
+    X = np.random.default_rng(8).normal(size=(30, 2))
+    return X, X + 0.1 * np.random.default_rng(9).normal(size=(30, 2))
+
+
+def _vamp_model():
+    return vamp_fit(covariances_from_pairs(*_pairs()))
+
+
+def _two_state_msm():
+    return MarkovStateModel(np.array([[0.9, 0.1], [0.2, 0.8]]))
+
+
+def _sde(step=0.1, n_substeps=1):
+    return SdeSystem(dimension=1, drift=lambda t, x: -x, diffusion=np.eye(1), step=step,
+                     n_substeps=n_substeps)
+
+
+def _discrete_sindy_model():
+    return sindy_fit(np.arange(10.0), library=MonomialFeatures(1, 1), discrete_time=True)
+
+
+# One row per scalar parameter: the name its message must give, a call that
+# passes the value to it, and a finite value outside its range (None when
+# every finite value is allowed). NaN and both infinities are tried on all.
+CHECKED_PARAMETERS = [
+    ("IdentityFeatures", "dim", lambda v: IdentityFeatures(v), 0),
+    ("MonomialFeatures", "dim", lambda v: MonomialFeatures(v, 2), 0),
+    ("MonomialFeatures", "max_degree", lambda v: MonomialFeatures(1, v), -1),
+    ("IndicatorFeatures", "n_states", lambda v: IndicatorFeatures(v), 0),
+    ("indicator_features", "n_states", lambda v: indicator_features([0], v), 0),
+    ("RandomFeatureNet", "dim_in", lambda v: RandomFeatureNet(v), 0),
+    ("kmeans_fit", "n_clusters", lambda v: kmeans_fit(np.arange(6.0), v), 0),
+    ("kmeans_fit", "n_restarts", lambda v: kmeans_fit(np.arange(6.0), 2, n_restarts=v), 0),
+    ("kmeans_fit", "max_iter", lambda v: kmeans_fit(np.arange(6.0), 2, max_iter=v), -5),
+    ("kmeans_fit", "tol", lambda v: kmeans_fit(np.arange(6.0), 2, tol=v), -1.0),
+    ("lagged_pairs", "lag", lambda v: lagged_pairs(np.arange(6.0), v), 0),
+    ("CovarianceAccumulator", "dim", lambda v: CovarianceAccumulator(v), 0),
+    ("SdeSystem", "step", lambda v: _sde(step=v), 0.0),
+    ("SdeSystem", "n_substeps", lambda v: _sde(n_substeps=v), 0),
+    ("quadwell_1d", "step", lambda v: quadwell_1d(n_frames=3, h=v), -1e-3),
+    ("euler_maruyama", "n_frames", lambda v: euler_maruyama(_sde(), np.zeros(1), v), 0),
+    ("sample_sqrt_model", "n_frames", lambda v: sample_sqrt_model(v), 0),
+    ("benchmark_steps_per_second", "n_steps", lambda v: benchmark_steps_per_second(v), 0),
+    ("bickley_flow", "t0", lambda v: bickley_flow(np.zeros((1, 2)), v, 1.0), None),
+    ("bickley_flow", "t1", lambda v: bickley_flow(np.zeros((1, 2)), 0.0, v), None),
+    ("bickley_flow", "dt", lambda v: bickley_flow(np.zeros((1, 2)), 0.0, 1.0, v), 0.0),
+    ("rossler", "t1", lambda v: rossler(t1=v), 0.0),
+    ("rossler", "dt", lambda v: rossler(dt=v), -1e-3),
+    ("TransferOperatorModel.project", "n_components", lambda v: kernel_edmd_fit(
+        *_pairs(), GaussianKernel(1.0), epsilon=1e-6, n_components=2).project(_pairs()[0], v), 0),
+    ("CovarianceKoopmanModel.project", "n_components",
+     lambda v: _vamp_model().project(_pairs()[0], v), 3),
+    ("KVADModel.project", "n_components", lambda v: kvad_fit(
+        *_pairs(), IdentityFeatures(2), GaussianKernel(1.0)).project(_pairs()[0], v), 0),
+    ("vamp_fit", "n_components", lambda v: vamp_fit(covariances_from_pairs(*_pairs()), v), 0),
+    ("vamp_fit", "epsilon",
+     lambda v: vamp_fit(covariances_from_pairs(*_pairs()), epsilon=v), -1.0),
+    ("sym_inverse_sqrt", "epsilon", lambda v: sym_inverse_sqrt(np.eye(2), v), -1.0),
+    ("vamp_score", "r", lambda v: vamp_score(_vamp_model(), r=v), None),
+    ("contiguous_folds", "n_folds", lambda v: contiguous_folds(10, v), 1),
+    ("kernel_edmd_fit", "epsilon", lambda v: kernel_edmd_fit(
+        *_pairs(), GaussianKernel(1.0), epsilon=v, n_components=2), -1.0),
+    ("kernel_edmd_fit", "n_components", lambda v: kernel_edmd_fit(
+        *_pairs(), GaussianKernel(1.0), epsilon=1e-6, n_components=v), 0),
+    ("kernel_cca_fit", "epsilon", lambda v: kernel_cca_fit(
+        *_pairs(), GaussianKernel(1.0), n_components=2, epsilon=v), 0.0),
+    ("kernel_cca_fit", "n_components", lambda v: kernel_cca_fit(
+        *_pairs(), GaussianKernel(1.0), n_components=v, epsilon=1e-3), 31),
+    *[("run_bickley_experiment", name, lambda v, name=name: run_bickley_experiment(
+        ("vamp",), **{name: v}), bad) for name, bad in [
+            ("n_sets", 1), ("n_particles", 8), ("restarts", 0), ("rounds", 0),
+            ("round_size", 0), ("noise", -0.1)]],
+    ("init_from_msm", "n_hidden", lambda v: init_from_msm([0, 1, 0, 1], v), 0),
+    ("HiddenMarkovModel.sample", "length", lambda v: _hmm().sample(v, seed=0), 0),
+    ("baum_welch", "max_iter", lambda v: baum_welch(_hmm(), np.zeros(5), max_iter=v), -1),
+    ("baum_welch", "tolerance", lambda v: baum_welch(_hmm(), np.zeros(5), tolerance=v), -1.0),
+    ("GaussianOutputModel", "means", lambda v: GaussianOutputModel([0.0, v], [1.0, 1.0]), None),
+    ("GaussianOutputModel", "stds", lambda v: GaussianOutputModel([0.0, 1.0], [v, 1.0]), 0.0),
+    ("GaussianKernel", "sigma", lambda v: GaussianKernel(v), 0.0),
+    ("count_transitions", "lag", lambda v: count_transitions([0, 1, 0], v), 0),
+    ("spectral_analysis", "n_components", lambda v: spectral_analysis(_two_state_msm(), v), 3),
+    ("timescales", "n_timescales", lambda v: timescales(_two_state_msm(), v), 2),
+    ("coherence_score", "n_sets", lambda v: coherence_score([0], [0], v), 0),
+    ("sample_markov_chain", "length", lambda v: sample_markov_chain(np.eye(2), v, seed=0), 0),
+    ("truncated_svd", "k", lambda v: truncated_svd(np.eye(3), v), 4),
+    ("finite_difference", "dt", lambda v: finite_difference(np.arange(5.0), v), 0.0),
+    ("stlsq", "threshold", lambda v: stlsq(np.ones((5, 2)), np.ones(5), v), -1.0),
+    ("sindy_fit", "t", lambda v: sindy_fit(np.arange(5.0), t=v, library=MonomialFeatures(1, 1)),
+     0.0),
+    ("sindy_simulate", "t", lambda v: sindy_simulate(_discrete_sindy_model(), [0.0], v), 0),
+]
+
+
+@pytest.mark.parametrize("call, name, value", [
+    pytest.param(call, name, value, id=f"{where}-{name}={value}")
+    for where, name, call, bad in CHECKED_PARAMETERS
+    for value in (np.nan, np.inf, -np.inf, bad) if value is not None
+])
+def test_each_scalar_parameter_rejects_non_finite_and_out_of_range_values(call, name, value):
+    with pytest.raises(InvalidArgument) as caught:
+        call(value)
+    message = str(caught.value)
+    assert message.startswith(f"{name} must be ") and message.endswith(f", got {value}"), message
+
+
+@pytest.mark.parametrize("value, low, high, open_low, rule", [
+    (0, 1, math.inf, False, ">= 1"),
+    (0.0, 0, math.inf, True, "> 0"),
+    (5, 1, 3, False, "in 1..3"),
+    (np.nan, 1, 3, False, "finite and in 1..3"),
+    (-np.inf, 0, math.inf, False, "finite and >= 0"),
+    (np.inf, -math.inf, math.inf, False, "finite"),
+])
+def test_checked_states_the_rule_that_failed(value, low, high, open_low, rule):
+    with pytest.raises(InvalidArgument, match=re.escape(f"x must be {rule}, got {value}")):
+        _checked("x", value, low, high, open_low=open_low)
+
+
+@pytest.mark.parametrize("value, low, high, open_low", [
+    (0, 0, math.inf, False), (1e-300, 0, math.inf, True), (3, 1, 3, False),
+    (np.int64(2), 1, 3, False), (-1e308, -math.inf, math.inf, False), (10**400, 1, math.inf, False),
+])
+def test_checked_returns_allowed_values_unchanged(value, low, high, open_low):
+    assert _checked("x", value, low, high, open_low=open_low) is value
