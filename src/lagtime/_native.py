@@ -6,16 +6,14 @@ hidden-Markov recursions (:mod:`lagtime.hmm`), the chain sampler
 (:mod:`lagtime.markov`) and the k-means Lloyd loop (:mod:`lagtime.clustering`)
 each register a pure-Python reference with :func:`_kernel`, which takes the C
 prototype's arguments and runs where :func:`_compiled_kernels` loads no
-library. The steppers, the Roessler frames, the Viterbi paths and the chain
-states reproduce their references bit for bit, and the forward-backward to
-rounding. The jet kernel, which carries sin, cos and tanh from step to step by
-a Taylor rotation (:func:`lagtime.datasets.bickley_flow`), matches its NumPy
-reference to a tolerance. The Lloyd loop takes distances as sums of squared
-differences, not NumPy's product expansion, so it gives the reference's
-labels, centres and iteration counts wherever no point lies within rounding of
-two centres. The jet and the Roessler attractor are fixed systems: their
-constants are compiled into the kernels, so the calls pass only the state and
-the time grid.
+library. Each reference adds in its kernel's loop order, through NumPy
+operations whose order is part of their definition (``np.add.accumulate``,
+``np.cumsum``, ``np.bincount``), so every kernel reproduces its reference bit
+for bit, with one exception: the jet kernel, which carries sin, cos and tanh
+from step to step by a Taylor rotation (:func:`lagtime.datasets.bickley_flow`),
+matches its NumPy reference to a tolerance. The jet and the Roessler attractor
+are fixed systems: their constants are compiled into the kernels, so the calls
+pass only the state and the time grid.
 
 The build is ``-O2`` with ``-fopenmp-simd``, which vectorizes the one loop
 marked ``omp simd``, the jet's series pass, and leaves the code of every other

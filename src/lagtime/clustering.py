@@ -74,34 +74,37 @@ def _lloyd(X: NDArray, centers: NDArray, max_iter: int, tol: float
     """Lloyd iterations from given centers; returns (centers, iters, converged).
 
     The loop of one restart in :func:`_kmeans_lloyd`, the reference of
-    ``kmeans_lloyd`` in ``_kernels.c``.
+    ``kmeans_lloyd`` in ``_kernels.c``, with every sum in the C loop's order:
+    distances over the dimensions, the inertia and each center's points
+    (``np.bincount``) over the rows.
     """
-    k = centers.shape[0]
+    (n, d), k = X.shape, centers.shape[0]
     prev_inertia = np.inf
     converged = False
     iterations = 0
     for iteration in range(1, max_iter + 1):
         iterations = iteration
-        d2 = _squared_distances(X, centers)
+        diff = X.T[:, :, None] - centers.T[:, None, :]
+        d2 = np.add.accumulate(diff * diff, axis=0)[-1]
         labels = np.argmin(d2, axis=1)
-        inertia = float(d2[np.arange(X.shape[0]), labels].sum())
-        new_centers = np.empty_like(centers)
+        mind = d2[np.arange(n), labels]
+        inertia = float(np.cumsum(mind)[-1])
         counts = np.bincount(labels, minlength=k)
+        new_centers = np.stack([np.bincount(labels, weights=X[:, e], minlength=k)
+                                for e in range(d)], axis=1)
         for j in range(k):
             if counts[j] == 0:
-                # Re-seed an empty cluster at the point farthest from its center.
-                far = int(np.argmax(d2[np.arange(X.shape[0]), labels]))
+                # Re-seed an empty cluster at the point farthest from its center,
+                # whose distance then counts as zero so two empties don't collide.
+                far = int(np.argmax(mind))
                 new_centers[j] = X[far]
-                # Recompute that point's distance so two empties don't collide.
-                d2[far] = 0.0
+                mind[far] = 0.0
             else:
-                new_centers[j] = X[labels == j].mean(axis=0)
+                new_centers[j] /= counts[j]
         shift = float(np.max(np.abs(new_centers - centers)))
         centers = new_centers
-        if shift <= tol:
-            converged = True
-            break
-        if prev_inertia - inertia <= tol * max(1.0, abs(prev_inertia)) and np.isfinite(prev_inertia):
+        if shift <= tol or (np.isfinite(prev_inertia)
+                            and prev_inertia - inertia <= tol * max(1.0, abs(prev_inertia))):
             converged = True
             break
         prev_inertia = inertia
@@ -133,9 +136,9 @@ def kmeans_fit(X: NDArray, n_clusters: int, seed: Optional[int] = None,
 
     Every restart is seeded in NumPy, in restart order. The Lloyd loops then
     run one contiguous block of restarts per usable core, in C or in NumPy as
-    :mod:`lagtime._native` chooses. Restarts are independent and the inertia
-    is taken in NumPy for both, so the result does not depend on the core
-    count.
+    :mod:`lagtime._native` chooses; both give the same bytes. Restarts are
+    independent and the inertia that ranks them is taken in NumPy, so the
+    result does not depend on the core count.
 
     Raises
     ------
@@ -168,27 +171,31 @@ def kmeans_fit(X: NDArray, n_clusters: int, seed: Optional[int] = None,
     def lloyd(block: NDArray) -> NDArray:
         info = np.empty((len(block), 2), dtype=np.int64)
         _kmeans_lloyd(points, n, d, k, len(block), min(max_iter, _MAX_ITER), tol, block,
-                      info, np.empty(n + 2 * k, dtype=np.int64), np.empty(2 * n + k * d))
+                      info, np.empty(n + k, dtype=np.int64), np.empty(n + k * d))
         return info
 
     info = np.concatenate(_over_cores(lloyd, starts))
-    best: Optional[tuple[NDArray, float, int, bool]] = None
-    for centers, (iters, converged) in zip(starts, info):
-        inertia = _inertia(X, centers)
-        if best is None or inertia < best[1]:
-            best = (centers, inertia, int(iters), bool(converged))
-    assert best is not None
-    centers, inertia, iters, converged = best
-    return ClusteringModel(centers=centers, inertia=inertia,
-                           n_iterations=iters, converged=converged)
+    inertias = [_inertia(X, centers) for centers in starts]
+    best = int(np.argmin(inertias))
+    return ClusteringModel(centers=starts[best], inertia=inertias[best],
+                           n_iterations=int(info[best, 0]), converged=bool(info[best, 1]))
 
 
 def kmeans_assign(centers: NDArray, X: NDArray) -> NDArray:
-    """Nearest-center index for each row of ``X``."""
+    """Nearest-center index for each row of ``X``.
+
+    Raises
+    ------
+    InvalidArgument
+        If ``centers`` is not a matrix of at least one row of finite numbers
+        as wide as ``X``.
+    """
     centers = np.asarray(centers, dtype=np.float64)
     X = _as_frames(X)
     if centers.ndim != 2:
         raise InvalidArgument("centers must be 2-d")
+    if centers.shape[0] == 0 or not np.all(np.isfinite(centers)):
+        raise InvalidArgument("centers must be at least one row of finite numbers")
     if X.shape[1] != centers.shape[1]:
         raise InvalidArgument(
             f"data dimension {X.shape[1]} does not match centers {centers.shape[1]}"

@@ -227,11 +227,14 @@ def estimate_covariances(
     """Estimate mean-free covariances from one or more trajectories at a given lag.
 
     Pairs are taken with a sliding window of stride one within each
-    trajectory; no pairs cross trajectory boundaries.
+    trajectory; no pairs cross trajectory boundaries. Raises
+    ``InsufficientData`` if no trajectory is given or none yields a pair.
     """
     if isinstance(trajectories, np.ndarray) and trajectories.ndim <= 2:
         trajectories = [trajectories]
     trajectories = [_as_frames(traj, "trajectory") for traj in trajectories]
+    if not trajectories:
+        raise InsufficientData("no trajectories given")
     acc = CovarianceAccumulator(trajectories[0].shape[1], lag=lag)
     for traj in trajectories:
         if traj.shape[0] <= lag:  # too short to yield a single pair

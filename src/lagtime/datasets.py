@@ -288,6 +288,7 @@ def _quadwell_steps(x, noise, h, scale, n_sub, n_frames, out) -> int:
 
 def quadwell_system(h: float = 1e-3, n_substeps: int = 10) -> SdeSystem:
     """One-dimensional diffusion in the asymmetric four-well potential."""
+    _checked("h", h, 0, open_low=True)
     return SdeSystem(
         dimension=1,
         drift=_quadwell_drift_tx,

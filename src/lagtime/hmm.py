@@ -9,7 +9,8 @@ raises, it is never silently accepted.
 The per-frame forward, backward and Viterbi recursions run in the kernels of
 ``_kernels.c`` or in the loops below, ``_hmm_forward``, ``_hmm_backward`` and
 ``_hmm_viterbi``, their references, as :mod:`lagtime._native` chooses at each
-call; everything around them stays in NumPy.
+call; the references sum over the states in the C loops' order, so both give
+the same bytes. Everything around them stays in NumPy.
 """
 
 from __future__ import annotations
@@ -268,8 +269,8 @@ def _hmm_forward(pi, P, b, T, n, alphas, scales) -> int:
     alpha = pi * b[0]
     for t in range(T):
         if t > 0:
-            alpha = (alphas[t - 1] @ P) * b[t]
-        s = alpha.sum()
+            alpha = np.add.accumulate(alphas[t - 1][:, None] * P, axis=0)[-1] * b[t]
+        s = np.cumsum(alpha)[-1]
         if s <= 0 or not np.isfinite(s):
             return t
         scales[t] = s
@@ -282,7 +283,7 @@ def _hmm_backward(P, b, scales, T, n, betas, scratch) -> None:
     """The scaled backward recursion over ``T`` frames into ``betas``."""
     betas[T - 1] = 1.0
     for t in range(T - 2, -1, -1):
-        betas[t] = (P @ (b[t + 1] * betas[t + 1])) / scales[t + 1]
+        betas[t] = np.add.accumulate(P * (b[t + 1] * betas[t + 1]), axis=1)[:, -1] / scales[t + 1]
 
 
 @_kernel("hmm_viterbi")

@@ -542,15 +542,25 @@ def sample_markov_chain(P: NDArray, length: int, seed: int,
     The steps run in ``markov_chain_steps`` of ``_kernels.c``, or in its
     reference ``_markov_chain_steps``, as :mod:`lagtime._native` chooses;
     both give the same states for a seed.
+
+    Raises
+    ------
+    InvalidArgument
+        If ``P`` is not a transition matrix, as :class:`MarkovStateModel`
+        checks it, or ``initial_distribution`` is not ``n`` non-negative
+        weights with a positive finite sum.
     """
-    P = np.asarray(P, dtype=np.float64)
-    if P.ndim != 2 or P.shape[0] != P.shape[1]:
-        raise InvalidArgument(f"transition matrix must be square, got {P.shape}")
+    P = MarkovStateModel(P).transition_matrix
     n = P.shape[0]
     _checked("length", length, 1)
     rng = _rng(seed)
     if initial_distribution is None:
         initial_distribution = np.full(n, 1.0 / n)
+    initial_distribution = np.asarray(initial_distribution, dtype=np.float64)
+    if initial_distribution.shape != (n,) or not (
+            np.all(initial_distribution >= 0) and 0 < initial_distribution.sum() < np.inf):
+        raise InvalidArgument(f"initial distribution must be {n} non-negative weights "
+                              "with a positive finite sum")
     cdf = np.cumsum(P, axis=1)
     cdf[:, -1] = 1.0
     states = np.empty(length, dtype=np.int64)

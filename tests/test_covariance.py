@@ -181,6 +181,11 @@ class TestMultipleTrajectories:
         with pytest.raises(InsufficientData):
             estimate_covariances([np.zeros((3, 1))], lag=10)
 
+    @pytest.mark.parametrize("trajectories", [[], np.zeros((0, 4, 2))])
+    def test_no_trajectories(self, trajectories):
+        with pytest.raises(InsufficientData, match="^no trajectories given$"):
+            estimate_covariances(trajectories, lag=1)
+
 
 class TestSymmetrizedStructure:
     def test_symmetric_blocks(self):

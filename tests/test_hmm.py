@@ -434,7 +434,7 @@ class TestInitFromMsm:
 
 
 class TestCompiledParity:
-    """The compiled recursions must agree with the reference loops."""
+    """The compiled recursions must give the reference loops' bytes."""
 
     def both(self, backends, compute):
         results = {backend: compute() for backend in backends}
@@ -455,9 +455,9 @@ class TestCompiledParity:
     def assert_posteriors_agree(self, fast, reference):
         ll, gammas, xi_sum = fast
         ll_ref, gammas_ref, xi_ref = reference
-        assert abs(ll - ll_ref) <= 1e-12 * abs(ll_ref)
-        np.testing.assert_allclose(gammas, gammas_ref, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(xi_sum, xi_ref, rtol=0, atol=1e-12 * np.abs(xi_ref).max())
+        assert ll == ll_ref
+        assert gammas.tobytes() == gammas_ref.tobytes()
+        assert xi_sum.tobytes() == xi_ref.tobytes()
 
     @pytest.mark.parametrize("length", [20_000, 9_973, 1])
     def test_discrete_posteriors_and_path(self, backends, length):
@@ -486,14 +486,32 @@ class TestCompiledParity:
         assert fast[1]["backend"] == "c"
         assert reference[1]["backend"] == "python (no C compiler)"
         assert fast[1]["iterations"] == reference[1]["iterations"] == 5
-        np.testing.assert_allclose(fast[1]["log_likelihoods"],
-                                   reference[1]["log_likelihoods"], rtol=1e-12, atol=0)
-        np.testing.assert_allclose(fast[0].transition_model.transition_matrix,
-                                   reference[0].transition_model.transition_matrix,
-                                   rtol=0, atol=1e-12)
-        np.testing.assert_allclose(fast[0].output_model.emission_matrix,
-                                   reference[0].output_model.emission_matrix,
-                                   rtol=0, atol=1e-12)
+        assert fast[1]["log_likelihoods"] == reference[1]["log_likelihoods"]
+        assert (fast[0].transition_model.transition_matrix.tobytes()
+                == reference[0].transition_model.transition_matrix.tobytes())
+        assert (fast[0].output_model.emission_matrix.tobytes()
+                == reference[0].output_model.emission_matrix.tobytes())
+
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_recursions_give_the_same_bytes(self, backends, n):
+        # Random dense models of 1 to 11 states: the references sum over the
+        # states in the C loops' order, so no entry may differ in any bit.
+        rng = np.random.default_rng(n)
+        P = rng.random((n, n)) + np.eye(n)
+        P /= P.sum(axis=1, keepdims=True)
+        pi = rng.random(n)
+        pi /= pi.sum()
+        T = 50 * n
+        b = rng.random((T, n))
+
+        def recursions():
+            alphas, scales, betas = np.empty((T, n)), np.empty(T), np.empty((T, n))
+            assert lagtime.hmm._hmm_forward(pi, P, b, T, n, alphas, scales) == -1
+            lagtime.hmm._hmm_backward(P, b, scales, T, n, betas, np.empty(n))
+            return alphas.tobytes(), scales.tobytes(), betas.tobytes()
+
+        fast, reference = self.both(backends, recursions)
+        assert fast == reference
 
     def test_chain_states_are_identical(self, backends):
         rng = np.random.default_rng(9)

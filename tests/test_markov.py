@@ -564,6 +564,20 @@ class TestSampling:
         with pytest.raises(InvalidArgument, match="square"):
             sample_markov_chain(np.full((2, 3), 1.0 / 3.0), length=10, seed=0)
 
+    @pytest.mark.parametrize("P", [[[2.0, -1.0], [0.5, 0.5]], [[0.25, 0.25], [0.5, 0.5]],
+                                   [[np.nan, 1.0], [0.5, 0.5]]])
+    def test_matrix_is_checked_as_the_model_checks_it(self, P):
+        with pytest.raises(InvalidArgument) as caught:
+            MarkovStateModel(P)
+        with pytest.raises(InvalidArgument, match=f"^{caught.value}$"):
+            sample_markov_chain(P, length=10, seed=0)
+
+    @pytest.mark.parametrize("initial", [[1.0, 0.0, 0.0], [-1.0, 2.0], [0.0, 0.0],
+                                         [np.nan, 1.0], [np.inf, 1.0]])
+    def test_bad_initial_distribution_is_rejected(self, initial):
+        with pytest.raises(InvalidArgument, match="^initial distribution must be 2 "):
+            sample_markov_chain(np.eye(2), length=10, seed=0, initial_distribution=initial)
+
 
 class TestDiscreteTrajectoryIO:
     def test_reads_whitespace_and_commas(self, tmp_path):

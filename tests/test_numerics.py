@@ -31,6 +31,7 @@ from lagtime.datasets import (
     double_well_2d,
     euler_maruyama,
     quadwell_1d,
+    quadwell_system,
     rossler,
     sample_sqrt_model,
 )
@@ -749,7 +750,8 @@ CHECKED_PARAMETERS = [
     ("CovarianceAccumulator", "dim", lambda v: CovarianceAccumulator(v), 0),
     ("SdeSystem", "step", lambda v: _sde(step=v), 0.0),
     ("SdeSystem", "n_substeps", lambda v: _sde(n_substeps=v), 0),
-    ("quadwell_1d", "step", lambda v: quadwell_1d(n_frames=3, h=v), -1e-3),
+    ("quadwell_1d", "h", lambda v: quadwell_1d(n_frames=3, h=v), -1e-3),
+    ("quadwell_system", "h", lambda v: quadwell_system(h=v), 0.0),
     ("euler_maruyama", "n_frames", lambda v: euler_maruyama(_sde(), np.zeros(1), v), 0),
     ("sample_sqrt_model", "n_frames", lambda v: sample_sqrt_model(v), 0),
     ("benchmark_steps_per_second", "n_steps", lambda v: benchmark_steps_per_second(v), 0),
