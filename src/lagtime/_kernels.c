@@ -13,13 +13,9 @@
  * - the Lloyd iterations of k-means (clustering.py).
  *
  * Each loop has a pure-Python reference next to its caller, which adds in
- * the loop's order wherever it sums. Without a C compiler the reference
- * runs instead, and the tests compare the two bit for bit, the one
- * exception being the jet kernel, which agrees with its reference to a
- * tolerance: it carries each particle's sin, cos and tanh from one step to
- * the next by a Taylor rotation, and takes them from libm, not NumPy, only
- * every 64th step and where a step leaves the rotation's range; its result
- * does not depend on how the particles are split into calls.
+ * the loop's order wherever it sums and takes sin, cos and tanh from libm
+ * where the loop does. Without a C compiler the reference runs instead, and
+ * the tests compare the two bit for bit.
  *
  * Matrices are row-major. Scratch buffers come from the caller, so no size
  * is fixed here. The build (_native._KERNEL_FLAGS) is -O2 with
@@ -254,21 +250,19 @@ long rossler_steps(double *frames, long n_steps, double dt)
     return -1;
 }
 
-/* Classical Runge-Kutta steps of the perturbed Bickley jet, the loop of
- * datasets._jet_rk4 with the field of datasets.jet_velocity.
+/* Classical Runge-Kutta steps of the perturbed Bickley jet, with the field
+ * of datasets.jet_velocity. datasets._jet_rk4 transcribes this loop in
+ * NumPy, function for function, and gives its bytes.
  *
- * This kernel matches its reference to a tolerance, not bit for bit. The
- * field needs cos and sin of k1 x and tanh(y / L) at every stage point. A
- * particle carries these stage-1 values from one step to the next: the
+ * The field needs cos and sin of k1 x and tanh(y / L) at every stage point.
+ * A particle carries these stage-1 values from one step to the next: the
  * next step's values follow from this step's by the Taylor rotation of
  * jet_shift through the step's offset, as do the values at stages 2-4.
- * libm's cos, sin and tanh, which differ from NumPy's by an ulp or so, run
- * only where an offset leaves the series' range, where the wrap moves x by
- * more than a period, and at every JET_RESYNC-th step for every particle,
- * so that the rotations' rounding cannot drift. Each expression otherwise
- * keeps the reference's operation order. Particles do not interact and
- * every call resyncs at the same steps, so any split of them into calls
- * gives the same bytes.
+ * libm's cos, sin and tanh run only where an offset leaves the series'
+ * range, where the wrap moves x by more than a period, and at every
+ * JET_RESYNC-th step for every particle, so that the rotations' rounding
+ * cannot drift. Particles do not interact and every call resyncs at the
+ * same steps, so any split of them into calls gives the same bytes.
  */
 
 /* The one jet: _JET_U0, _JET_L, _JET_AMPLITUDES and _JET_PERIOD of
@@ -286,7 +280,8 @@ long rossler_steps(double *frames, long n_steps, double dt)
 static const double jet_amplitudes[3] = {0.0075, 0.15, 0.3};
 
 /* The coefficients of the three waves at one stage time t: amp_i
- * cos/sin(rho_i t), and the same times k_i, as jet_velocity forms them. */
+ * cos/sin(rho_i t), and the same times k_i, as datasets._jet_stage forms
+ * them. */
 struct jet_stage {
     double ac[3], as[3], kc[3], ks[3];
 };
@@ -336,14 +331,15 @@ JET_INLINE void jet_field(const struct jet_stage *stage, double c1, double s1, d
 
 /* Every JET_RESYNC-th step takes every particle's stage-1 values from libm
  * again. The rotations' rounding grows with the steps between two resyncs:
- * over t 0 -> 40 at h = 0.01, the median deviation from the reference is
- * 3.6e-13 at 64 and 6.2e-13 at 256, against the tests' bound of 1e-12. */
+ * over t 0 -> 40 at h = 0.01, the median deviation from plain RK4 steps
+ * with the field from NumPy's sin, cos and tanh is 3.6e-13 at 64 and
+ * 6.2e-13 at 256, against the tests' bound of 1e-12 on that deviation. */
 #define JET_RESYNC 64
 
 /* (c, s, th) at the stage point (xs, ys), given (c0, s0, th0) at (x, y):
  * cos/sin by angle addition, tanh(a + b) = (tanh a + tanh b) / (1 + tanh a
  * tanh b). The offsets are taken between the rounded points, where the
- * reference evaluates the field. Returns 1 where an offset is beyond SMALL
+ * field is evaluated. Returns 1 where an offset is beyond SMALL
  * or not a number, else 0. There the series' values are wrong: with exact
  * set, libm's replace them; without it, no branch is taken and the caller
  * must discard the result. */

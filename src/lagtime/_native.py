@@ -8,10 +8,9 @@ each register a pure-Python reference with :func:`_kernel`, which takes the C
 prototype's arguments and runs where :func:`_compiled_kernels` loads no
 library. Each reference adds in its kernel's loop order, through NumPy
 operations whose order is part of their definition (``np.add.accumulate``,
-``np.cumsum``, ``np.bincount``), so every kernel reproduces its reference bit
-for bit, with one exception: the jet kernel, which carries sin, cos and tanh
-from step to step by a Taylor rotation (:func:`lagtime.datasets.bickley_flow`),
-matches its NumPy reference to a tolerance. The jet and the Roessler attractor
+``np.cumsum``, ``np.bincount``) and takes sin, cos and tanh from libm through
+:mod:`math` where its kernel calls libm, so every kernel reproduces its
+reference bit for bit. The jet and the Roessler attractor
 are fixed systems: their constants are compiled into the kernels, so the calls
 pass only the state and the time grid.
 

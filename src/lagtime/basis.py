@@ -14,7 +14,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import InvalidArgument
-from .numerics import WhiteningTransform, _as_frames, _checked, _rng, sym_inverse_sqrt
+from .numerics import WhiteningTransform, _as_frames, _integer, _rng, sym_inverse_sqrt
 
 __all__ = [
     "FeatureMap",
@@ -76,7 +76,7 @@ class IdentityFeatures(FeatureMap):
     """The observations themselves."""
 
     def __init__(self, dim: int):
-        self.dimension_in = _checked("dim", dim, 1)
+        self.dimension_in = _integer("dim", dim, 1)
         self.dimension_out = dim
 
     def _evaluate(self, X):
@@ -92,8 +92,8 @@ class MonomialFeatures(FeatureMap):
     """
 
     def __init__(self, dim: int, max_degree: int):
-        self.dimension_in = _checked("dim", dim, 1)
-        self.max_degree = int(_checked("max_degree", max_degree, 0))
+        self.dimension_in = _integer("dim", dim, 1)
+        self.max_degree = _integer("max_degree", max_degree, 0)
         self._exponents = []
         for degree in range(max_degree + 1):
             for combo in combinations_with_replacement(range(dim), degree):
@@ -137,7 +137,7 @@ class IndicatorFeatures(FeatureMap):
 
     def __init__(self, n_states: int):
         self.dimension_in = 1
-        self.dimension_out = int(_checked("n_states", n_states, 1))
+        self.dimension_out = _integer("n_states", n_states, 1)
 
     def _evaluate(self, X):
         states = np.rint(X[:, 0]).astype(np.int64)
@@ -153,7 +153,7 @@ def indicator_features(assignments: NDArray, n_states: int) -> NDArray:
         If any assignment lies outside ``0..n_states-1``.
     """
     assignments = np.asarray(assignments, dtype=np.int64).ravel()
-    _checked("n_states", n_states, 1)
+    _integer("n_states", n_states, 1)
     if assignments.size and (assignments.min() < 0 or assignments.max() >= n_states):
         raise InvalidArgument(
             f"assignments must lie in 0..{n_states - 1}, "
@@ -177,9 +177,9 @@ class RandomFeatureNet(FeatureMap):
     dimension_out = 50
 
     def __init__(self, dim_in: int, seed: int = 0):
-        self.dimension_in = int(_checked("dim_in", dim_in, 1))
-        self.seed = int(seed)
+        self.dimension_in = _integer("dim_in", dim_in, 1)
         rng = _rng(seed)
+        self.seed = _integer("seed", seed)
         self.W1 = rng.standard_normal((self.n_hidden, dim_in))
         self.b1 = rng.uniform(-1.0, 1.0, size=self.n_hidden)
         self.W2 = rng.standard_normal((self.dimension_out, self.n_hidden))

@@ -60,7 +60,7 @@ from .markov import (
     read_discrete_trajectory,
     timescales,
 )
-from .numerics import _checked
+from .numerics import _checked, _integer
 from .sindy import finite_difference, sindy_fit, sindy_predict
 
 __all__ = ["main", "REPORT_SCHEMA"]
@@ -327,7 +327,7 @@ def cmd_generate(args: argparse.Namespace) -> None:
         path = out_dir / "quadwell.csv"
         write_trajectory(trajectory, path, system="quadwell")
     elif args.system == "rossler":
-        _checked("n_frames", args.n_frames, 2)
+        _integer("n_frames", args.n_frames, 2)
         trajectory = rossler(t1=(args.n_frames - 1) * 1e-3)
         path = out_dir / "rossler.csv"
         write_trajectory(trajectory, path, system="rossler")

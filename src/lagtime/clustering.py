@@ -15,7 +15,7 @@ from numpy.typing import NDArray
 
 from ._native import _kernel
 from .errors import InsufficientData, InvalidArgument
-from .numerics import _as_frames, _checked, _over_cores, _rng
+from .numerics import _as_frames, _checked, _integer, _over_cores, _rng
 
 __all__ = ["ClusteringModel", "kmeans_fit", "kmeans_assign"]
 
@@ -150,19 +150,19 @@ def kmeans_fit(X: NDArray, n_clusters: int, seed: Optional[int] = None,
         If ``X`` has fewer rows than ``n_clusters``.
     """
     X = _as_frames(X)
-    _checked("n_clusters", n_clusters, 1)
+    _integer("n_clusters", n_clusters, 1)
     if X.shape[0] < n_clusters:
         raise InsufficientData(
             f"{X.shape[0]} points cannot support {n_clusters} clusters"
         )
     if X.shape[1] == 0:
         raise InvalidArgument("X has no columns to cluster on")
-    _checked("n_restarts", n_restarts, 1)
-    _checked("max_iter", max_iter, 0)
+    _integer("n_restarts", n_restarts, 1)
+    _integer("max_iter", max_iter, 0)
     _checked("tol", tol, 0)
 
     starts = np.stack([
-        _kmeans_plus_plus(X, n_clusters, _rng(None if seed is None else seed + restart))
+        _kmeans_plus_plus(X, n_clusters, _rng(seed, restart))
         for restart in range(n_restarts)
     ])
     points = np.ascontiguousarray(X)

@@ -19,7 +19,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import InsufficientData, InvalidArgument
-from .numerics import _as_frames, _checked
+from .numerics import _as_frames, _integer
 
 __all__ = [
     "CovarianceModel",
@@ -52,7 +52,7 @@ def lagged_pairs(trajectory: NDArray, lag: int) -> tuple[NDArray, NDArray]:
         each with ``n - lag`` rows.
     """
     traj = _as_frames(trajectory, "trajectory")
-    _checked("lag", lag, 1)
+    _integer("lag", lag, 1)
     if traj.shape[0] <= lag:
         raise InsufficientData(
             f"trajectory of length {traj.shape[0]} yields no pairs at lag {lag}"
@@ -105,8 +105,8 @@ class CovarianceAccumulator:
     """
 
     def __init__(self, dim: int, lag: int = 1):
-        self.dim = int(_checked("dim", dim, 1))
-        self.lag = int(lag)
+        self.dim = _integer("dim", dim, 1)
+        self.lag = _integer("lag", lag, 1)
         self.n = 0
         self.mean_x = np.zeros(dim)
         self.mean_y = np.zeros(dim)
@@ -235,6 +235,8 @@ def estimate_covariances(
     trajectories = [_as_frames(traj, "trajectory") for traj in trajectories]
     if not trajectories:
         raise InsufficientData("no trajectories given")
+    if chunk_size is not None:
+        _integer("chunk_size", chunk_size, 1)
     acc = CovarianceAccumulator(trajectories[0].shape[1], lag=lag)
     for traj in trajectories:
         if traj.shape[0] <= lag:  # too short to yield a single pair

@@ -10,18 +10,19 @@ warped output space, and a chaotic three-dimensional attractor integrator.
 All generators are deterministic per seed. The double-well and four-well
 generators, :func:`rossler` and :func:`bickley_flow` each call one kernel of
 ``_kernels.c`` through :mod:`lagtime._native`, which runs the Python reference
-registered with it where no C compiler is found. The steppers' reference is
-the loop of :func:`euler_maruyama`, whose arithmetic the C steppers keep
-operation for operation in one noise-block driver, so both give bit-identical
-trajectories from the same seed; :func:`rossler` does too. :func:`bickley_flow`
-agrees with its NumPy loop to rounding: the C kernel carries sin, cos and tanh
-from step to step and takes them from libm, not NumPy, now and then.
+registered with it where no C compiler is found. Each reference keeps its
+kernel's arithmetic operation for operation, so both give the same bytes: the
+steppers' reference is the loop of :func:`euler_maruyama`, which the C
+steppers follow in one noise-block driver, and the jet's is the NumPy
+transcription of its C loop, which takes sin, cos and tanh from libm, as C
+does, through :mod:`math`.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import threading
 import time
 import warnings
 from dataclasses import dataclass
@@ -34,7 +35,7 @@ from numpy.typing import NDArray
 from ._native import _compiled_kernels, _kernel
 from .errors import DivergenceError, InvalidArgument
 from .markov import sample_markov_chain
-from .numerics import _as_frames, _checked, _over_cores, _rng
+from .numerics import _as_frames, _checked, _integer, _over_cores, _rng
 
 __all__ = [
     "SdeSystem",
@@ -93,7 +94,7 @@ class SdeSystem:
             )
         object.__setattr__(self, "diffusion", sigma)
         _checked("step", self.step, 0, open_low=True)
-        _checked("n_substeps", self.n_substeps, 1)
+        _integer("n_substeps", self.n_substeps, 1)
 
 
 @dataclass(frozen=True)
@@ -177,7 +178,7 @@ def _integrate(system: SdeSystem, x0, n_frames: int, seed: Optional[int],
         raise InvalidArgument(
             f"x0 has dimension {x.size}, system expects {system.dimension}"
         )
-    _checked("n_frames", n_frames, 1)
+    _integer("n_frames", n_frames, 1)
     h, n_sub = system.step, system.n_substeps
     scale = system.diffusion[0, 0] * math.sqrt(h)
     rng = _rng(seed)
@@ -353,36 +354,41 @@ def jet_stream_function(t: float, points: NDArray) -> NDArray:
     return _JET_C3 * y - _JET_U0 * _JET_L * np.tanh(y / _JET_L) + _JET_U0 * _JET_L * sech2 * wave
 
 
+def _jet_stage(t: float) -> list:
+    """Each wave's ``amp*cos/sin(rho*t)`` and ``amp*k*cos/sin(rho*t)``, as ``jet_stage_at``."""
+    stage = []
+    for amp, k, rho in zip(_JET_AMPLITUDES, _JET_WAVENUMBERS, _JET_PHASE_RATES):
+        cos_rt, sin_rt = math.cos(rho * t), math.sin(rho * t)
+        stage.append((amp * cos_rt, amp * sin_rt, amp * k * cos_rt, amp * k * sin_rt))
+    return stage
+
+
+def _jet_field(stage: list, cos1, sin1, tanh) -> tuple:
+    """The velocity ``(u, v)`` where ``cos/sin(k1*x)`` are ``cos1``, ``sin1`` and
+    ``tanh(y/L)`` is ``tanh``, as ``jet_field``: the harmonics by angle addition,
+    each wave's phase by rotating them through ``stage``, ``sech^2 = 1 - tanh^2``."""
+    cos2, sin2 = cos1 * cos1 - sin1 * sin1, sin1 * cos1 + cos1 * sin1
+    harmonics = ((cos1, sin1), (cos2, sin2),
+                 (cos2 * cos1 - sin2 * sin1, sin2 * cos1 + cos2 * sin1))
+    terms = [(ac * c + as_ * s, kc * s - ks * c)
+             for (ac, as_, kc, ks), (c, s) in zip(stage, harmonics)]
+    wave_cos, wave_ksin = (first + second + third for first, second, third in zip(*terms))
+    sech2 = 1.0 - tanh * tanh
+    u = -_JET_C3 + _JET_U0 * sech2 * (1.0 + 2.0 * tanh * wave_cos)
+    v = -_JET_U0 * _JET_L * sech2 * wave_ksin
+    return u, v
+
+
 def jet_velocity(t: float, points: NDArray) -> NDArray:
     """Velocity field ``(-d(psi)/dy, d(psi)/dx)`` at (n, 2) points.
 
     The wavenumbers are ``k1``, ``2*k1`` and ``3*k1``, so the field needs
-    one cosine and one sine per point, of ``k1*x``: the harmonics follow by
-    angle addition, and each wave's phase ``k_i*x - rho_i*t`` by rotating
-    them through the scalars ``cos/sin(rho_i*t)``. ``sech^2`` is taken as
-    ``1 - tanh^2``.
+    one cosine and one sine per point, of ``k1*x``, and ``tanh(y/L)``.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    x = points[:, 0]
-    y = points[:, 1]
-    tanh = np.tanh(y / _JET_L)
-    sech2 = 1.0 - tanh * tanh
-    phase = _JET_WAVENUMBERS[0] * x
-    cos1, sin1 = np.cos(phase), np.sin(phase)
-    cos2, sin2 = cos1 * cos1 - sin1 * sin1, sin1 * cos1 + cos1 * sin1
-    harmonics = ((cos1, sin1), (cos2, sin2),
-                 (cos2 * cos1 - sin2 * sin1, sin2 * cos1 + cos2 * sin1))
-    wave_cos = np.zeros_like(x)
-    wave_ksin = np.zeros_like(x)
-    for amp, k, rho, (c, s) in zip(_JET_AMPLITUDES, _JET_WAVENUMBERS, _JET_PHASE_RATES,
-                                   harmonics):
-        # cos/sin(k*x - rho*t) from cos/sin(k*x) and cos/sin(rho*t).
-        cos_rt, sin_rt = math.cos(rho * t), math.sin(rho * t)
-        wave_cos += (amp * cos_rt) * c + (amp * sin_rt) * s
-        wave_ksin += (amp * k * cos_rt) * s - (amp * k * sin_rt) * c
-    u = -_JET_C3 + _JET_U0 * sech2 * (1.0 + 2.0 * tanh * wave_cos)
-    v = -_JET_U0 * _JET_L * sech2 * wave_ksin
-    return np.column_stack([u, v])
+    phase = _JET_WAVENUMBERS[0] * points[:, 0]
+    return np.column_stack(_jet_field(_jet_stage(t), np.cos(phase), np.sin(phase),
+                                      np.tanh(points[:, 1] / _JET_L)))
 
 
 def bickley_flow(x0_batch: NDArray, t0: float, t1: float, dt: float = 1e-2) -> NDArray:
@@ -397,11 +403,11 @@ def bickley_flow(x0_batch: NDArray, t0: float, t1: float, dt: float = 1e-2) -> N
 
     Steps one contiguous chunk of particles per usable core, in C where
     :mod:`lagtime._native` loads the kernels and otherwise in the NumPy
-    loop; the two agree to rounding. The C kernel carries each particle's
-    ``cos/sin(k1*x)`` and ``tanh(y/L)`` from one step to the next by a
-    Taylor rotation. It calls libm for them only every 64th step, where a
-    step's offset is too large for the rotation's series, and where the wrap
-    moves ``x`` by more than a period. Every chunk resyncs at the same
+    transcription of its loop; the two give the same bytes. Each particle
+    carries ``cos/sin(k1*x)`` and ``tanh(y/L)`` from one step to the next by
+    a Taylor rotation, and takes them from libm only every 64th step, where
+    a step's offset is too large for the rotation's series, and where the
+    wrap moves ``x`` by more than a period. Every chunk resyncs at the same
     steps, so the result does not depend on the core count. Each call
     resyncs at its own first step, so an advection split into calls agrees
     with one call to rounding. A particle that is not finite after a step
@@ -436,24 +442,84 @@ def bickley_flow(x0_batch: NDArray, t0: float, t1: float, dt: float = 1e-2) -> N
     return X
 
 
+# JET_RESYNC and SMALL of _kernels.c, and the lock that steps one chunk at a time.
+_JET_RESYNC, _JET_SMALL, _JET_REFERENCE_LOCK = 64, 0.05, threading.Lock()
+
+
+def _jet_sync(x: NDArray, y: NDArray) -> list:
+    """``cos/sin(k1*x)`` and ``tanh(y/L)``, as ``jet_sync``: from libm through
+    ``math``, for NumPy's own differ from libm's in the last bit."""
+    phase = _JET_WAVENUMBERS[0] * x
+    phase[np.isinf(phase)] = np.nan  # where math raises, libm gives NaN
+    return [np.fromiter(map(function, values.tolist()), np.float64, len(values))
+            for function, values in ((math.cos, phase), (math.sin, phase),
+                                     (math.tanh, y / _JET_L))]
+
+
+def _jet_shift(exact: bool, x, y, c0, s0, th0, xs, ys) -> tuple:
+    """``jet_shift``: the stage-1 values ``(c0, s0, th0)`` at ``(x, y)``
+    carried to ``(xs, ys)``, and where an offset is beyond the series' range."""
+    e, f = _JET_WAVENUMBERS[0] * (xs - x), (ys - y) / _JET_L
+    e2, f2 = e * e, f * f
+    se = e * (1.0 + e2 * (-1.0 / 6.0 + e2 * (1.0 / 120.0 + e2 * (-1.0 / 5040.0
+              + e2 * (1.0 / 362880.0)))))
+    ce = 1.0 + e2 * (-1.0 / 2.0 + e2 * (1.0 / 24.0 + e2 * (-1.0 / 720.0
+                     + e2 * (1.0 / 40320.0))))
+    tf = f * (1.0 + f2 * (-1.0 / 3.0 + f2 * (2.0 / 15.0 + f2 * (-17.0 / 315.0
+              + f2 * (62.0 / 2835.0 + f2 * (-1382.0 / 155925.0))))))
+    c, s, th = c0 * ce - s0 * se, s0 * ce + c0 * se, (th0 + tf) / (1.0 + th0 * tf)
+    far_x, far_y = ~(np.abs(e) <= _JET_SMALL), ~(np.abs(f) <= _JET_SMALL)
+    if exact:
+        c_libm, s_libm, th_libm = _jet_sync(xs, ys)
+        c, s = np.where(far_x, c_libm, c), np.where(far_x, s_libm, s)
+        th = np.where(far_y, th_libm, th)
+    return c, s, th, far_x | far_y
+
+
+def _jet_step(exact: bool, stages: list, h: float, x, y, c, s, th) -> tuple:
+    """``jet_step``: the new points before the wrap, their stage-1 values, and
+    the particles with an offset beyond the series' range."""
+    u1, v1 = _jet_field(stages[0], c, s, th)
+    c1, s1, th1, far1 = _jet_shift(exact, x, y, c, s, th, x + (0.5 * h) * u1, y + (0.5 * h) * v1)
+    u2, v2 = _jet_field(stages[1], c1, s1, th1)
+    c1, s1, th1, far2 = _jet_shift(exact, x, y, c, s, th, x + (0.5 * h) * u2, y + (0.5 * h) * v2)
+    u3, v3 = _jet_field(stages[1], c1, s1, th1)
+    c1, s1, th1, far3 = _jet_shift(exact, x, y, c, s, th, x + h * u3, y + h * v3)
+    u4, v4 = _jet_field(stages[2], c1, s1, th1)
+    x1 = x + (h / 6.0) * (u1 + 2.0 * u2 + 2.0 * u3 + u4)
+    y1 = y + (h / 6.0) * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
+    c1, s1, th1, far4 = _jet_shift(exact, x, y, c, s, th, x1, y1)
+    return x1, y1, c1, s1, th1, far1 | far2 | far3 | far4
+
+
 @_kernel("jet_rk4_steps")
 def _jet_rk4(X: NDArray, n: int, t0: float, h: float, n_steps: int, scratch) -> int:
     """Advance the ``n`` particles ``X`` in place by ``n_steps`` RK4 steps of ``h`` from ``t0``.
 
-    Returns -1, or the first step (from 1) after which a particle is not
-    finite; it then stops.
+    ``jet_rk4_steps`` in NumPy, pass for pass. Returns -1, or the first step
+    (from 1) after which a particle is not finite; it then stops.
     """
-    t = t0
-    for step in range(n_steps):
-        k1 = jet_velocity(t, X)
-        k2 = jet_velocity(t + 0.5 * h, X + (0.5 * h) * k1)
-        k3 = jet_velocity(t + 0.5 * h, X + (0.5 * h) * k2)
-        k4 = jet_velocity(t + h, X + h * k3)
-        X += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        X[:, 0] %= _JET_PERIOD
-        t = t0 + (step + 1) * h
-        if not np.all(np.isfinite(X)):
-            return step + 1
+    x, y = X[:, 0], X[:, 1]
+    # Each NumPy operation on a chunk is too short to overlap another chunk's,
+    # and two chunks at once hand the GIL over at every one: slower than in turn.
+    # An infinite particle's offsets are NaN, as in C, and its step reports it.
+    with _JET_REFERENCE_LOCK, np.errstate(invalid="ignore"):
+        for step in range(n_steps):
+            t = t0 + step * h
+            stages = [_jet_stage(t), _jet_stage(t + 0.5 * h), _jet_stage(t + h)]
+            if step % _JET_RESYNC == 0:
+                c, s, th = _jet_sync(x, y)
+            xn, yn, c, s, th, far = _jet_step(False, stages, h, x, y, c, s, th)
+            if far.any():
+                again = _jet_step(True, stages, h, x[far], y[far], *_jet_sync(x[far], y[far]))
+                for values, value in zip((xn, yn, c, s, th), again):
+                    values[far] = value
+            wrapped = xn % _JET_PERIOD
+            if not (np.isfinite(wrapped).all() and np.isfinite(yn).all()):
+                return step + 1
+            x[:], y[:] = wrapped, yn
+            moved = ~((xn > -_JET_PERIOD) & (xn < 2.0 * _JET_PERIOD))
+            c[moved], s[moved], th[moved] = _jet_sync(x[moved], y[moved])
     return -1
 
 
@@ -508,12 +574,12 @@ def sample_sqrt_model(n_frames: int, seed: Optional[int] = None):
         Warped observations of shape (n_frames, 2) and the integer hidden
         sequence of length n_frames.
     """
-    _checked("n_frames", n_frames, 1)
+    _integer("n_frames", n_frames, 1)
     hidden = sample_markov_chain(
         SQRT_MODEL_TRANSITION_MATRIX, n_frames, seed=seed,
         initial_distribution=np.array([0.5, 0.5]),
     )
-    rng = _rng(None if seed is None else seed + 1)
+    rng = _rng(seed, 1)
     eps = rng.standard_normal((n_frames, 2))
     chol = np.linalg.cholesky(_SQRT_MODEL_COVS)
     pre = _SQRT_MODEL_MEANS[hidden] + np.einsum("tij,tj->ti", chol[hidden], eps)
@@ -611,7 +677,7 @@ def benchmark_steps_per_second(n_steps: int = 1_000_000,
     Runs one warm-up call (so one-time compilation is excluded), then times
     a generation of ``n_steps`` integrator steps including noise generation.
     """
-    _checked("n_steps", n_steps, 1)
+    _integer("n_steps", n_steps, 1)
     n_substeps = 100
     n_frames = max(2, n_steps // n_substeps + 1)
     actual_steps = (n_frames - 1) * n_substeps

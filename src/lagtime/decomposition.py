@@ -35,7 +35,7 @@ from .errors import DegenerateInput, InvalidArgument, NumericalDegeneracy, Undef
 from .kernels import Kernel, KernelSectionFeatures, _center_gram, _gram_means, gram_matrix
 from . import _native
 from .numerics import (
-    _as_frames, _by_modulus, _checked, _over_cores, _rng, generalized_eig_sym,
+    _as_frames, _by_modulus, _checked, _integer, _over_cores, _rng, generalized_eig_sym,
     pinv_truncated, sym_inverse_sqrt, truncated_svd,
 )
 
@@ -119,7 +119,7 @@ class TransferOperatorModel:
         """Dominant components evaluated on ``X`` (real parts), columns descending;
         kernel expansions are evaluated in row blocks over cores."""
         P = self.projection_matrix
-        _checked("n_components", n_components, 1, P.shape[1])
+        _integer("n_components", n_components, 1, P.shape[1])
         return np.real(self.f._times(X, P[:, :n_components]))
 
 
@@ -170,7 +170,7 @@ class CovarianceKoopmanModel:
         return self.forward(X) * self.sigma
 
     def project(self, X: NDArray, n_components: int) -> NDArray:
-        _checked("n_components", n_components, 1, self.n_components)
+        _integer("n_components", n_components, 1, self.n_components)
         return self.forward(X)[:, :n_components]
 
 
@@ -198,7 +198,7 @@ class KVADModel:
         return self.f(X) @ self.K
 
     def project(self, X: NDArray, n_components: int) -> NDArray:
-        _checked("n_components", n_components, 1, self.projection_matrix.shape[1])
+        _integer("n_components", n_components, 1, self.projection_matrix.shape[1])
         F = self.f(X) - self.feature_mean
         return F @ self.projection_matrix[:, :n_components]
 
@@ -298,7 +298,7 @@ def vamp_fit(cov: CovarianceModel, n_components: Optional[int] = None,
     w1 = sym_inverse_sqrt(cov.ctt, epsilon)
     M = w0.transform @ cov.c0t @ w1.transform.T
     k_max = min(M.shape)
-    k = k_max if n_components is None else _checked("n_components", n_components, 1, k_max)
+    k = k_max if n_components is None else _integer("n_components", n_components, 1, k_max)
     Uh, sigma, Vh = truncated_svd(M, k)
     chi0 = chi0 if chi0 is not None else IdentityFeatures(cov.dim)
     chi1 = chi1 if chi1 is not None else IdentityFeatures(cov.dim)
@@ -340,7 +340,7 @@ def vamp_score(model: CovarianceKoopmanModel, r: float = 2,
 
 def contiguous_folds(n: int, n_folds: int) -> list[NDArray]:
     """Split ``0..n-1`` into contiguous, nearly equal blocks."""
-    _checked("n_folds", n_folds, 2, n)
+    _integer("n_folds", n_folds, 2, n)
     return [idx for idx in np.array_split(np.arange(n), n_folds)]
 
 
@@ -410,7 +410,7 @@ def kernel_edmd_fit(X: NDArray, Y: NDArray, kernel: Kernel, epsilon: float,
         raise InvalidArgument(f"X and Y must have identical shapes: {X.shape} vs {Y.shape}")
     _checked("epsilon", epsilon, 0)
     n = X.shape[0]
-    _checked("n_components", n_components, 1, n)
+    _integer("n_components", n_components, 1, n)
     G = gram_matrix(kernel, X)
     cutoff = _EDMD_CUTOFF * np.abs(G.diagonal()).max()
     L, pivots, r, _ = scipy.linalg.lapack.dpstrf(G, tol=cutoff, lower=1)
@@ -619,7 +619,7 @@ def kernel_cca_fit(X: NDArray, Y: NDArray, kernel: Kernel, n_components: int,
         raise InvalidArgument("X and Y must pair the same number of frames")
     _checked("epsilon", epsilon, 0, open_low=True)
     n = X.shape[0]
-    _checked("n_components", n_components, 1, n)
+    _integer("n_components", n_components, 1, n)
     shift = n * epsilon
 
     def centered_gram(points):

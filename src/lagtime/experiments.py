@@ -38,7 +38,7 @@ from .decomposition import (
 from .errors import InvalidArgument
 from .kernels import GaussianKernel, gram_matrix
 from .markov import coherence_score
-from .numerics import _checked, _rng
+from .numerics import _checked, _integer, _rng
 
 __all__ = [
     "SQRT_METHODS",
@@ -247,11 +247,11 @@ def run_bickley_experiment(methods: Sequence[str] = BICKLEY_METHODS,
             raise InvalidArgument(
                 f"unknown method {method!r}; choose from {', '.join(BICKLEY_METHODS)}"
             )
-    _checked("n_sets", n_sets, 2)
-    _checked("n_particles", n_particles, n_sets)
-    _checked("restarts", restarts, 1)
-    _checked("rounds", rounds, 1)
-    _checked("round_size", round_size, 1)
+    _integer("n_sets", n_sets, 2)
+    _integer("n_particles", n_particles, n_sets)
+    _integer("restarts", restarts, 1)
+    _integer("rounds", rounds, 1)
+    _integer("round_size", round_size, 1)
     _checked("noise", noise, 0)
     start = time.perf_counter()
     rng = _rng(seed)

@@ -16,7 +16,7 @@ the same bytes. Everything around them stays in NumPy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -36,7 +36,7 @@ from .markov import (
     sample_markov_chain,
     spectral_analysis,
 )
-from .numerics import _checked, _rng
+from .numerics import _checked, _integer, _rng
 
 __all__ = [
     "OutputModel",
@@ -187,13 +187,13 @@ class HiddenMarkovModel:
     def n_hidden(self) -> int:
         return self.transition_model.n_states
 
-    def sample(self, length: int, seed: int) -> tuple[NDArray, NDArray]:
+    def sample(self, length: int, seed: Optional[int]) -> tuple[NDArray, NDArray]:
         """Sample (hidden_states, observations) of a given length."""
         states = sample_markov_chain(
             self.transition_model.transition_matrix, length, seed=seed,
             initial_distribution=self.initial_distribution,
         )
-        rng = _rng(seed + 1)
+        rng = _rng(seed, 1)
         return states, self.output_model.sample(states, rng)
 
 
@@ -329,7 +329,7 @@ def baum_welch(initial: HiddenMarkovModel, observations, max_iter: int = 500,
         If the log-likelihood decreases beyond floating-point slack, which
         would indicate a broken maximization step.
     """
-    _checked("max_iter", max_iter, 0)
+    _integer("max_iter", max_iter, 0)
     _checked("tolerance", tolerance, 0)
     if isinstance(observations, np.ndarray) and observations.ndim == 1:
         observations = [observations]
@@ -420,7 +420,7 @@ def init_from_msm(observations, n_hidden: int, lag: int = 1) -> HiddenMarkovMode
         If fewer connected observed states than hidden states remain, or if
         the eigenvector signs split them into fewer than ``n_hidden`` groups.
     """
-    _checked("n_hidden", n_hidden, 1)
+    _integer("n_hidden", n_hidden, 1)
     counts = count_transitions(observations, lag=lag)
     # Emissions are indexed by the raw symbol, observed or not.
     n_symbols = int(counts.state_symbols[-1]) + 1

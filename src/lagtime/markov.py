@@ -29,7 +29,7 @@ from .errors import (
     InsufficientData,
     InvalidArgument,
 )
-from .numerics import SpectralDecomposition, _by_modulus, _checked, _rng
+from .numerics import SpectralDecomposition, _by_modulus, _integer, _rng
 
 __all__ = [
     "TransitionCountModel",
@@ -129,7 +129,7 @@ def count_transitions(trajectories, lag: int, counting_mode: str = "sliding"
     InsufficientData
         If no trajectory produces a single pair at this lag.
     """
-    _checked("lag", lag, 1)
+    _integer("lag", lag, 1)
     if counting_mode not in ("sliding", "strided"):
         raise InvalidArgument(f"unknown counting mode {counting_mode!r}")
     dtrajs = _as_dtrajs(trajectories)
@@ -353,7 +353,7 @@ def spectral_analysis(msm: MarkovStateModel, n_components: Optional[int] = None
     """
     P = msm.transition_matrix
     n = P.shape[0]
-    k = n if n_components is None else int(_checked("n_components", n_components, 1, n))
+    k = n if n_components is None else _integer("n_components", n_components, 1, n)
     if msm.reversible:
         mu = msm.stationary_distribution
         if not np.all(mu > 0):
@@ -406,7 +406,7 @@ def timescales(msm: MarkovStateModel, n_timescales: Optional[int] = None) -> NDA
     n = msm.n_states
     if n < 2:
         raise InsufficientData("need at least two connected states for timescales")
-    k = n - 1 if n_timescales is None else int(_checked("n_timescales", n_timescales, 1, n - 1))
+    k = n - 1 if n_timescales is None else _integer("n_timescales", n_timescales, 1, n - 1)
     evals = spectral_analysis(msm, k + 1).eigenvalues
     mags = np.abs(evals[1:])
     out = np.full(k, np.inf)
@@ -515,7 +515,7 @@ def coherence_score(initial_assignments: NDArray, returned_assignments: NDArray,
         raise InvalidArgument("assignment arrays must have equal length")
     if a0.size == 0:
         raise InsufficientData("no particles to score")
-    _checked("n_sets", n_sets, 1)
+    _integer("n_sets", n_sets, 1)
     for arr, name in ((a0, "initial"), (a1, "returned")):
         if arr.min() < 0 or arr.max() >= n_sets:
             raise InvalidArgument(f"{name} assignments must lie in 0..{n_sets - 1}")
@@ -552,7 +552,7 @@ def sample_markov_chain(P: NDArray, length: int, seed: int,
     """
     P = MarkovStateModel(P).transition_matrix
     n = P.shape[0]
-    _checked("length", length, 1)
+    _integer("length", length, 1)
     rng = _rng(seed)
     if initial_distribution is None:
         initial_distribution = np.full(n, 1.0 / n)

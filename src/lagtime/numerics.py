@@ -5,10 +5,10 @@ dimensions, and a one-dimensional array is the frames of one scalar signal.
 ``_as_frames`` applies that rule for all of them: it converts to float64,
 turns a vector into a column, rejects any other number of dimensions and
 names the first row holding a NaN or infinity. ``_checked`` is the rule
-for every scalar parameter: a finite number within its caller's bounds,
-or an ``InvalidArgument`` that names it. ``_over_cores`` is the one
-place that spreads work over the usable cores, on threads, at the caller's
-BLAS thread counts.
+for every scalar parameter: a finite number within its caller's bounds, and
+an integer for ``_integer``'s counts and seeds, or an ``InvalidArgument``
+that names it. ``_over_cores`` is the one place that spreads work over the
+usable cores, on threads, at the caller's BLAS thread counts.
 
 All routines share one regularization convention: ``epsilon`` is an absolute
 eigenvalue cutoff. Eigenvalues less than or equal to ``epsilon`` are discarded
@@ -22,6 +22,7 @@ decomposition produced them.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -118,11 +119,22 @@ def _checked(name: str, value, low=-math.inf, high=math.inf, *, open_low: bool =
     return value
 
 
-def _rng(seed: Optional[int]) -> np.random.Generator:
-    """The generator for ``seed``; a negative seed is rejected as an input error."""
-    if seed is not None and seed < 0:
+def _integer(name: str, value, low=-math.inf, high=math.inf) -> int:
+    """``value`` as an ``int``, checked to be a Python or NumPy integer
+    (``operator.index``, which no float passes) within :func:`_checked`'s range."""
+    try:
+        index = operator.index(value)
+    except TypeError:
+        raise InvalidArgument(f"{name} must be an integer, got {value}") from None
+    return _checked(name, index, low, high)
+
+
+def _rng(seed: Optional[int], offset: int = 0) -> np.random.Generator:
+    """The generator for ``seed + offset``, or an unseeded one for no seed; a
+    negative or fractional seed is an input error."""
+    if seed is not None and _integer("seed", seed) < 0:
         raise InvalidArgument(f"seed must be non-negative, got {seed}")
-    return np.random.default_rng(seed)
+    return np.random.default_rng(None if seed is None else seed + offset)
 
 
 def _by_modulus(evals: NDArray) -> NDArray:
@@ -261,7 +273,7 @@ def truncated_svd(M: NDArray, k: Optional[int] = None) -> tuple[NDArray, NDArray
     if M.ndim != 2:
         raise InvalidArgument(f"expected a matrix, got array of ndim {M.ndim}")
     full = min(M.shape)
-    k = full if k is None else _checked("k", k, 1, full)
+    k = full if k is None else _integer("k", k, 1, full)
     U, s, Vh = np.linalg.svd(M, full_matrices=False)
     return U[:, :k], s[:k], Vh[:k].T
 

@@ -16,7 +16,7 @@ from numpy.typing import NDArray
 
 from .basis import FeatureMap
 from .errors import DivergenceError, InvalidArgument, UndefinedScore
-from .numerics import _as_frames, _checked
+from .numerics import _as_frames, _checked, _integer
 
 __all__ = [
     "SINDyModel",
@@ -214,7 +214,7 @@ def sindy_simulate(model: SINDyModel, x0: NDArray, t) -> NDArray:
         return (model.library(state[None, :]) @ model.xi.T)[0]
 
     if model.discrete_time:
-        n = int(_checked("t", t, 1))
+        n = _integer("t", t, 1)
         out = np.empty((n, x0.size))
         out[0] = x0
         for k in range(1, n):

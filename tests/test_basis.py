@@ -98,6 +98,12 @@ class TestRandomFeatureNet:
         b = RandomFeatureNet(3, seed=1)(X)
         assert not np.array_equal(a, b)
 
+    def test_seed_is_an_integer(self):
+        # The seed is stored with the weights it drew, so it has to be one.
+        with pytest.raises(InvalidArgument, match=r"^seed must be an integer, got None$"):
+            RandomFeatureNet(2, seed=None)
+        assert RandomFeatureNet(2, seed=np.int64(5)).seed == 5
+
     def test_matches_manual_forward_pass(self):
         f = RandomFeatureNet(2, seed=5)
         X = np.array([[0.5, -1.0], [2.0, 0.0]])

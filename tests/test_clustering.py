@@ -214,6 +214,30 @@ class TestCompiledLloyd:
                          for j in range(2)]
             assert centers.ravel().tolist() == row_order
 
+    def test_inertia_is_summed_in_row_order(self):
+        # The loop stops when the inertia falls by no more than tol relative
+        # to the last one. tol here is the least at which the fourth
+        # iteration's fall stops the loop, both inertias summed in row order;
+        # summed pairwise (np.sum), that fall is larger and the loop runs on.
+        X = np.random.default_rng(0).standard_normal((1000, 2))
+        start = clustering._kmeans_plus_plus(X, 6, _rng(0))
+        sums = []
+        for done in (2, 3):
+            centers = clustering._lloyd(X, start, done, 0.0)[0]
+            least = ((X[:, None, 0] - centers[:, 0]) ** 2
+                     + (X[:, None, 1] - centers[:, 1]) ** 2).min(axis=1)
+            sums.append((sum(least.tolist()), least.sum()))
+        (row_prev, pairwise_prev), (row, pairwise) = sums
+        fall = row_prev - row
+        tol = fall / row_prev
+        while fall > tol * row_prev:
+            tol = np.nextafter(tol, np.inf)
+        while fall <= np.nextafter(tol, 0.0) * row_prev:
+            tol = np.nextafter(tol, 0.0)
+        assert pairwise_prev - pairwise > tol * pairwise_prev
+        assert clustering._lloyd(X, start, 300, tol)[1:] == (4, True)
+        self.assert_same_fits(X, start[None], tol=tol)
+
     @pytest.mark.parametrize("d", range(1, 11))
     @pytest.mark.parametrize("kind", ["coincident", "grid", "normal"])
     def test_near_ties_give_the_same_bytes(self, kind, d):

@@ -292,6 +292,15 @@ class TestHiddenMarkovModel:
         with pytest.raises(InvalidArgument):
             hmm.sample(0, seed=0)
 
+    def test_sampling_without_a_seed(self):
+        hmm = two_state_discrete_hmm()
+        states, obs = hmm.sample(50, seed=None)
+        assert states.shape == obs.shape == (50,)
+        # A seed s draws the emissions from the generator of s + 1.
+        states, obs = hmm.sample(50, seed=9)
+        expected = hmm.output_model.sample(states, np.random.default_rng(10))
+        np.testing.assert_array_equal(obs, expected)
+
 
 class TestBaumWelch:
     @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -23,7 +23,9 @@ from lagtime.basis import (
     indicator_features,
 )
 from lagtime.clustering import kmeans_fit
-from lagtime.covariance import CovarianceAccumulator, covariances_from_pairs, lagged_pairs
+from lagtime.covariance import (
+    CovarianceAccumulator, covariances_from_pairs, estimate_covariances, lagged_pairs,
+)
 from lagtime.datasets import (
     SdeSystem,
     benchmark_steps_per_second,
@@ -697,6 +699,12 @@ def test_negative_seed_is_an_invalid_argument(name):
         SEEDED_CALLS[name](-1)
 
 
+@pytest.mark.parametrize("name", SEEDED_CALLS)
+def test_fractional_seed_is_an_invalid_argument(name):
+    with pytest.raises(InvalidArgument, match=r"^seed must be an integer, got 1\.5$"):
+        SEEDED_CALLS[name](1.5)
+
+
 def test_lapack_seam_gives_the_bytes_of_scipys_wrappers():
     rng = np.random.default_rng(55)
     A = rng.standard_normal((300, 300))
@@ -736,79 +744,91 @@ def _discrete_sindy_model():
 # passes the value to it, and a finite value outside its range (None when
 # every finite value is allowed). NaN and both infinities are tried on all.
 CHECKED_PARAMETERS = [
-    ("IdentityFeatures", "dim", lambda v: IdentityFeatures(v), 0),
-    ("MonomialFeatures", "dim", lambda v: MonomialFeatures(v, 2), 0),
-    ("MonomialFeatures", "max_degree", lambda v: MonomialFeatures(1, v), -1),
-    ("IndicatorFeatures", "n_states", lambda v: IndicatorFeatures(v), 0),
-    ("indicator_features", "n_states", lambda v: indicator_features([0], v), 0),
-    ("RandomFeatureNet", "dim_in", lambda v: RandomFeatureNet(v), 0),
-    ("kmeans_fit", "n_clusters", lambda v: kmeans_fit(np.arange(6.0), v), 0),
-    ("kmeans_fit", "n_restarts", lambda v: kmeans_fit(np.arange(6.0), 2, n_restarts=v), 0),
-    ("kmeans_fit", "max_iter", lambda v: kmeans_fit(np.arange(6.0), 2, max_iter=v), -5),
+    ("IdentityFeatures", "dim", lambda v: IdentityFeatures(v), (0, 2.5)),
+    ("MonomialFeatures", "dim", lambda v: MonomialFeatures(v, 2), (0, 2.5)),
+    ("MonomialFeatures", "max_degree", lambda v: MonomialFeatures(1, v), (-1, 2.5)),
+    ("IndicatorFeatures", "n_states", lambda v: IndicatorFeatures(v), (0, 2.5)),
+    ("indicator_features", "n_states", lambda v: indicator_features([0], v), (0, 2.5)),
+    ("RandomFeatureNet", "dim_in", lambda v: RandomFeatureNet(v), (0, 2.5)),
+    ("kmeans_fit", "n_clusters", lambda v: kmeans_fit(np.arange(6.0), v), (0, 2.5)),
+    ("kmeans_fit", "n_restarts", lambda v: kmeans_fit(np.arange(6.0), 2, n_restarts=v), (0, 2.5)),
+    ("kmeans_fit", "max_iter", lambda v: kmeans_fit(np.arange(6.0), 2, max_iter=v), (-5, 2.5)),
     ("kmeans_fit", "tol", lambda v: kmeans_fit(np.arange(6.0), 2, tol=v), -1.0),
-    ("lagged_pairs", "lag", lambda v: lagged_pairs(np.arange(6.0), v), 0),
-    ("CovarianceAccumulator", "dim", lambda v: CovarianceAccumulator(v), 0),
+    ("lagged_pairs", "lag", lambda v: lagged_pairs(np.arange(6.0), v), (0, 2.5)),
+    ("estimate_covariances", "lag", lambda v: estimate_covariances(np.arange(6.0), v), (0, 1.5)),
+    ("estimate_covariances", "chunk_size",
+     lambda v: estimate_covariances(np.arange(6.0), 1, chunk_size=v), (0, 2.5)),
+    ("CovarianceAccumulator", "dim", lambda v: CovarianceAccumulator(v), (0, 2.5)),
     ("SdeSystem", "step", lambda v: _sde(step=v), 0.0),
-    ("SdeSystem", "n_substeps", lambda v: _sde(n_substeps=v), 0),
+    ("SdeSystem", "n_substeps", lambda v: _sde(n_substeps=v), (0, 2.5)),
     ("quadwell_1d", "h", lambda v: quadwell_1d(n_frames=3, h=v), -1e-3),
+    ("quadwell_1d", "n_frames", lambda v: quadwell_1d(n_frames=v), (0, 3.5)),
+    ("quadwell_1d", "n_substeps", lambda v: quadwell_1d(n_frames=3, n_substeps=v), (0, 2.5)),
     ("quadwell_system", "h", lambda v: quadwell_system(h=v), 0.0),
-    ("euler_maruyama", "n_frames", lambda v: euler_maruyama(_sde(), np.zeros(1), v), 0),
-    ("sample_sqrt_model", "n_frames", lambda v: sample_sqrt_model(v), 0),
-    ("benchmark_steps_per_second", "n_steps", lambda v: benchmark_steps_per_second(v), 0),
+    ("euler_maruyama", "n_frames", lambda v: euler_maruyama(_sde(), np.zeros(1), v), (0, 2.5)),
+    ("sample_sqrt_model", "n_frames", lambda v: sample_sqrt_model(v), (0, 2.5)),
+    ("benchmark_steps_per_second", "n_steps", lambda v: benchmark_steps_per_second(v),
+     (0, 2.5)),
     ("bickley_flow", "t0", lambda v: bickley_flow(np.zeros((1, 2)), v, 1.0), None),
     ("bickley_flow", "t1", lambda v: bickley_flow(np.zeros((1, 2)), 0.0, v), None),
     ("bickley_flow", "dt", lambda v: bickley_flow(np.zeros((1, 2)), 0.0, 1.0, v), 0.0),
     ("rossler", "t1", lambda v: rossler(t1=v), 0.0),
     ("rossler", "dt", lambda v: rossler(dt=v), -1e-3),
     ("TransferOperatorModel.project", "n_components", lambda v: kernel_edmd_fit(
-        *_pairs(), GaussianKernel(1.0), epsilon=1e-6, n_components=2).project(_pairs()[0], v), 0),
+        *_pairs(), GaussianKernel(1.0), epsilon=1e-6, n_components=2).project(_pairs()[0], v),
+     (0, 2.5)),
     ("CovarianceKoopmanModel.project", "n_components",
-     lambda v: _vamp_model().project(_pairs()[0], v), 3),
+     lambda v: _vamp_model().project(_pairs()[0], v), (3, 2.5)),
     ("KVADModel.project", "n_components", lambda v: kvad_fit(
-        *_pairs(), IdentityFeatures(2), GaussianKernel(1.0)).project(_pairs()[0], v), 0),
-    ("vamp_fit", "n_components", lambda v: vamp_fit(covariances_from_pairs(*_pairs()), v), 0),
+        *_pairs(), IdentityFeatures(2), GaussianKernel(1.0)).project(_pairs()[0], v), (0, 2.5)),
+    ("vamp_fit", "n_components", lambda v: vamp_fit(covariances_from_pairs(*_pairs()), v),
+     (0, 2.5)),
     ("vamp_fit", "epsilon",
      lambda v: vamp_fit(covariances_from_pairs(*_pairs()), epsilon=v), -1.0),
     ("sym_inverse_sqrt", "epsilon", lambda v: sym_inverse_sqrt(np.eye(2), v), -1.0),
     ("vamp_score", "r", lambda v: vamp_score(_vamp_model(), r=v), None),
-    ("contiguous_folds", "n_folds", lambda v: contiguous_folds(10, v), 1),
+    ("contiguous_folds", "n_folds", lambda v: contiguous_folds(10, v), (1, 2.5)),
     ("kernel_edmd_fit", "epsilon", lambda v: kernel_edmd_fit(
         *_pairs(), GaussianKernel(1.0), epsilon=v, n_components=2), -1.0),
     ("kernel_edmd_fit", "n_components", lambda v: kernel_edmd_fit(
-        *_pairs(), GaussianKernel(1.0), epsilon=1e-6, n_components=v), 0),
+        *_pairs(), GaussianKernel(1.0), epsilon=1e-6, n_components=v), (0, 2.5)),
     ("kernel_cca_fit", "epsilon", lambda v: kernel_cca_fit(
         *_pairs(), GaussianKernel(1.0), n_components=2, epsilon=v), 0.0),
     ("kernel_cca_fit", "n_components", lambda v: kernel_cca_fit(
-        *_pairs(), GaussianKernel(1.0), n_components=v, epsilon=1e-3), 31),
+        *_pairs(), GaussianKernel(1.0), n_components=v, epsilon=1e-3), (31, 2.5)),
     *[("run_bickley_experiment", name, lambda v, name=name: run_bickley_experiment(
         ("vamp",), **{name: v}), bad) for name, bad in [
-            ("n_sets", 1), ("n_particles", 8), ("restarts", 0), ("rounds", 0),
-            ("round_size", 0), ("noise", -0.1)]],
-    ("init_from_msm", "n_hidden", lambda v: init_from_msm([0, 1, 0, 1], v), 0),
-    ("HiddenMarkovModel.sample", "length", lambda v: _hmm().sample(v, seed=0), 0),
-    ("baum_welch", "max_iter", lambda v: baum_welch(_hmm(), np.zeros(5), max_iter=v), -1),
+            ("n_sets", (1, 2.5)), ("n_particles", (8, 8.5)), ("restarts", (0, 2.5)),
+            ("rounds", (0, 2.5)), ("round_size", (0, 2.5)), ("noise", -0.1)]],
+    ("init_from_msm", "n_hidden", lambda v: init_from_msm([0, 1, 0, 1], v), (0, 2.5)),
+    ("HiddenMarkovModel.sample", "length", lambda v: _hmm().sample(v, seed=0), (0, 2.5)),
+    ("baum_welch", "max_iter", lambda v: baum_welch(_hmm(), np.zeros(5), max_iter=v), (-1, 2.5)),
     ("baum_welch", "tolerance", lambda v: baum_welch(_hmm(), np.zeros(5), tolerance=v), -1.0),
     ("GaussianOutputModel", "means", lambda v: GaussianOutputModel([0.0, v], [1.0, 1.0]), None),
     ("GaussianOutputModel", "stds", lambda v: GaussianOutputModel([0.0, 1.0], [v, 1.0]), 0.0),
     ("GaussianKernel", "sigma", lambda v: GaussianKernel(v), 0.0),
-    ("count_transitions", "lag", lambda v: count_transitions([0, 1, 0], v), 0),
-    ("spectral_analysis", "n_components", lambda v: spectral_analysis(_two_state_msm(), v), 3),
-    ("timescales", "n_timescales", lambda v: timescales(_two_state_msm(), v), 2),
-    ("coherence_score", "n_sets", lambda v: coherence_score([0], [0], v), 0),
-    ("sample_markov_chain", "length", lambda v: sample_markov_chain(np.eye(2), v, seed=0), 0),
-    ("truncated_svd", "k", lambda v: truncated_svd(np.eye(3), v), 4),
+    ("count_transitions", "lag", lambda v: count_transitions([0, 1, 0], v), (0, 2.5)),
+    ("spectral_analysis", "n_components", lambda v: spectral_analysis(_two_state_msm(), v),
+     (3, 2.5)),
+    ("timescales", "n_timescales", lambda v: timescales(_two_state_msm(), v), (2, 2.5)),
+    ("coherence_score", "n_sets", lambda v: coherence_score([0], [0], v), (0, 2.5)),
+    ("sample_markov_chain", "length", lambda v: sample_markov_chain(np.eye(2), v, seed=0),
+     (0, 2.5)),
+    ("truncated_svd", "k", lambda v: truncated_svd(np.eye(3), v), (4, 2.5)),
     ("finite_difference", "dt", lambda v: finite_difference(np.arange(5.0), v), 0.0),
     ("stlsq", "threshold", lambda v: stlsq(np.ones((5, 2)), np.ones(5), v), -1.0),
     ("sindy_fit", "t", lambda v: sindy_fit(np.arange(5.0), t=v, library=MonomialFeatures(1, 1)),
      0.0),
-    ("sindy_simulate", "t", lambda v: sindy_simulate(_discrete_sindy_model(), [0.0], v), 0),
+    ("sindy_simulate", "t", lambda v: sindy_simulate(_discrete_sindy_model(), [0.0], v),
+     (0, 2.5)),
 ]
 
 
 @pytest.mark.parametrize("call, name, value", [
     pytest.param(call, name, value, id=f"{where}-{name}={value}")
     for where, name, call, bad in CHECKED_PARAMETERS
-    for value in (np.nan, np.inf, -np.inf, bad) if value is not None
+    for value in (np.nan, np.inf, -np.inf, *(bad if isinstance(bad, tuple) else [bad]))
+    if value is not None
 ])
 def test_each_scalar_parameter_rejects_non_finite_and_out_of_range_values(call, name, value):
     with pytest.raises(InvalidArgument) as caught:
