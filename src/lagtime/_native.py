@@ -26,8 +26,8 @@ GIL: :func:`_dpotrf` takes ``dpotrf`` from the function pointer that
 ``scipy.linalg.cython_lapack`` exports, so two Cholesky factorizations run on
 two cores, where SciPy's own wrappers hold the GIL.
 :func:`_one_lapack_thread` holds the OpenBLAS that SciPy links to one thread
-where its callers run SciPy's LAPACK. The seam is loaded on first use, like
-the kernels.
+for the whole of each kernel estimator's fit, its one scope. The seam is
+loaded on first use, like the kernels.
 """
 
 from __future__ import annotations
@@ -181,7 +181,9 @@ def _one_lapack_thread():
     """Hold SciPy's OpenBLAS to one thread in the body, and give back the caller's
     count on leaving it, also after an exception (see :func:`_lapack`).
 
-    NumPy links its own OpenBLAS, whose count this leaves as it is.
+    Its one use is as the decorator of ``kernel_cca_fit`` and ``kernel_edmd_fit``,
+    which reads and sets the count at each call. NumPy links its own OpenBLAS,
+    whose count this leaves as it is.
     """
     _, threads, set_threads = _lapack()
     count = threads()

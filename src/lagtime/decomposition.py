@@ -18,6 +18,7 @@ leading correlations by a block Krylov solve, so on spectra with a gap it
 decomposes no n x n matrix; without a gap it finishes with a dense solve,
 chosen by a fixed work budget. Kernel EDMD decomposes its operator on the
 numerical range of its Gram matrix, r columns found by pivoted Cholesky.
+Both run SciPy's LAPACK on one thread, and the caller's count comes back after.
 """
 
 from __future__ import annotations
@@ -383,6 +384,7 @@ def vamp_score_cv(F0: NDArray, F1: NDArray, r: float = 2, n_folds: int = 10
 _EDMD_CUTOFF = 1e-12
 
 
+@_native._one_lapack_thread()
 def kernel_edmd_fit(X: NDArray, Y: NDArray, kernel: Kernel, epsilon: float,
                     n_components: int) -> TransferOperatorModel:
     """Forward-operator regression in a reproducing kernel space.
@@ -454,15 +456,9 @@ def _unit_second_moment(coeff: NDArray, values: NDArray) -> NDArray:
     return coeff / scale
 
 
-def _cho_solve(L: NDArray, M: NDArray) -> NDArray:
-    """``H^{-1} M`` from the lower Cholesky factor of ``H``, one LAPACK call on one thread."""
-    with _native._one_lapack_thread():
-        return scipy.linalg.cho_solve((L, True), M, check_finite=False)
-
-
 def _smoother(L: NDArray, shift: float):
     """``M -> R M`` with ``R = I - shift H^{-1}``, from the lower Cholesky factor of ``H``."""
-    return lambda M: M - shift * _cho_solve(L, M)
+    return lambda M: M - shift * scipy.linalg.cho_solve((L, True), M, check_finite=False)
 
 
 def _rayleigh_ritz(B: NDArray, A: NDArray, k: int) -> tuple[NDArray, NDArray]:
@@ -573,6 +569,7 @@ def _cca_dense(Gx: NDArray, Ly: NDArray, shift: float, k: int
     return rho, Q @ vq, Q @ _unit_second_moment(ax, lam[:, None] * ax)
 
 
+@_native._one_lapack_thread()
 def kernel_cca_fit(X: NDArray, Y: NDArray, kernel: Kernel, n_components: int,
                    epsilon: float) -> TransferOperatorModel:
     """Canonical correlation analysis between kernel spaces of X and Y.
@@ -591,9 +588,9 @@ def kernel_cca_fit(X: NDArray, Y: NDArray, kernel: Kernel, n_components: int,
     ``H_Y`` and ``H_X`` are centered and factored by Cholesky at once, one on
     each core (``_over_cores`` and SciPy's ``dpotrf`` through
     :mod:`lagtime._native`, off the GIL), so each ``R`` costs one pair of
-    triangular solves in one LAPACK call. SciPy's OpenBLAS runs one thread
-    for the factors and the solves, so their bytes depend on neither the core
-    count nor the caller's BLAS threads. The top ``n_components`` eigenpairs
+    triangular solves in one LAPACK call. The fit runs all of SciPy's LAPACK
+    on one thread, so those calls' bytes depend on neither the core count
+    nor the caller's BLAS threads. The top ``n_components`` eigenpairs
     of ``T`` come from a block Krylov solve with Rayleigh-Ritz: a few hundred
     columns of solves instead of decompositions of n x n matrices. When the
     spectrum has no gap, so that the Krylov basis would pass a fixed share of
@@ -638,8 +635,7 @@ def kernel_cca_fit(X: NDArray, Y: NDArray, kernel: Kernel, n_components: int,
 
     # Both Gram matrices are assembled, then centered and factored at once.
     grams = [gram_matrix(kernel, Y), gram_matrix(kernel, X)]
-    with _native._one_lapack_thread():
-        shares = _over_cores(lambda share: [factor(grams[i]) for i in share], np.arange(2))
+    shares = _over_cores(lambda share: [factor(grams[i]) for i in share], np.arange(2))
     sections = []
     for name, points, (means, info) in zip("YX", (Y, X), sum(shares, [])):
         if info:
@@ -662,7 +658,7 @@ def kernel_cca_fit(X: NDArray, Y: NDArray, kernel: Kernel, n_components: int,
         missing = n_components - rho.size
         rho = np.concatenate([rho, np.zeros(missing)])
         v = np.hstack([v, np.zeros((n, missing))])
-        ax = _cho_solve(Lx, v)
+        ax = scipy.linalg.cho_solve((Lx, True), v, check_finite=False)
         del Lx
         alpha = _unit_second_moment(ax, v - shift * ax)  # G_X ax = v - n eps ax
     # Right functions from the same decomposition, so each pairs with its
@@ -670,7 +666,7 @@ def kernel_cca_fit(X: NDArray, Y: NDArray, kernel: Kernel, n_components: int,
     # vectors are M^T W / sqrt(rho), and Ry^{1/2} of those is Ry v / sqrt(rho).
     v2 = apply_y(v)
     v2 /= np.sqrt(np.where(rho > 0.0, rho, 1.0))
-    by = _cho_solve(Ly, v2)
+    by = scipy.linalg.cho_solve((Ly, True), v2, check_finite=False)
     beta = _unit_second_moment(by, v2 - shift * by)  # G_Y by = (H_Y - n eps I) by
 
     f = sections_x.then(LinearFeatures(alpha))

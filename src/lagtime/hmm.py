@@ -30,6 +30,7 @@ from .errors import (
 )
 from .markov import (
     MarkovStateModel,
+    _as_symbols,
     count_transitions,
     largest_connected_submodel,
     msm_mle,
@@ -87,7 +88,7 @@ class DiscreteOutputModel(OutputModel):
         self.n_symbols = B.shape[1]
 
     def log_likelihoods(self, observations):
-        obs = np.asarray(observations, dtype=np.int64).ravel()
+        obs = _as_symbols(observations).ravel()
         if obs.size and (obs.min() < 0 or obs.max() >= self.n_symbols):
             raise InvalidArgument(
                 f"observations must lie in 0..{self.n_symbols - 1}"

@@ -10,6 +10,7 @@ The chain sampler's per-step loop runs in the compiled kernels of
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -84,6 +85,19 @@ class TransitionCountModel:
         )
 
 
+def _as_symbols(values) -> NDArray:
+    """``values`` as 64-bit integers: integer arrays as they are, others only
+    where every entry is an exact integer that fits the int64 cast. The one
+    rule for discrete trajectories, of states and of HMM observations alike."""
+    arr = np.asarray(values)
+    if arr.size and not np.issubdtype(arr.dtype, np.integer):
+        rounded = np.rint(arr)
+        if not (np.all(np.abs(arr) < 2.0**63) and np.array_equal(arr, rounded)):
+            raise InvalidArgument("discrete trajectories must contain 64-bit integers")
+        arr = rounded
+    return np.asarray(arr, dtype=np.int64)
+
+
 def _as_dtrajs(trajectories) -> list[NDArray]:
     if isinstance(trajectories, np.ndarray) and trajectories.ndim == 1:
         trajectories = [trajectories]
@@ -92,13 +106,7 @@ def _as_dtrajs(trajectories) -> list[NDArray]:
         arr = np.asarray(traj)
         if arr.ndim != 1:
             raise InvalidArgument("discrete trajectories must be one-dimensional")
-        if arr.size and not np.issubdtype(arr.dtype, np.integer):
-            # Exact integers only, and only those that fit the int64 cast.
-            rounded = np.rint(arr)
-            if not (np.all(np.abs(arr) < 2.0**63) and np.array_equal(arr, rounded)):
-                raise InvalidArgument("discrete trajectories must contain 64-bit integers")
-            arr = rounded
-        arr = arr.astype(np.int64)
+        arr = _as_symbols(arr)
         if arr.size and arr.min() < 0:
             raise InvalidArgument("state indices must be non-negative")
         out.append(arr)
@@ -193,8 +201,9 @@ def largest_connected_submodel(counts: TransitionCountModel) -> TransitionCountM
 class MarkovStateModel:
     """Row-stochastic transition matrix with spectral conveniences.
 
-    ``stationary_distribution`` is computed lazily on first access unless it
-    was supplied; accessing it on a reducible matrix raises
+    ``stationary_distribution`` is the one the estimator fitted where it
+    supplied one, which a saved model keeps; otherwise it is computed on
+    first access, and accessing it on a reducible matrix raises
     :class:`~lagtime.errors.DegenerateInput`.
     """
 
@@ -221,11 +230,11 @@ class MarkovStateModel:
     def n_states(self) -> int:
         return self.transition_matrix.shape[0]
 
-    @property
+    @functools.cached_property
     def stationary_distribution(self) -> NDArray:
-        if self._stationary is None:
-            self._stationary = stationary_distribution(self.transition_matrix)
-        return self._stationary
+        if self._stationary is not None:
+            return self._stationary
+        return stationary_distribution(self.transition_matrix)
 
 
 # Stop rule (relative log-likelihood change) and cap of the fixed point in msm_mle.

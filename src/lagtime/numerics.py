@@ -161,8 +161,11 @@ def _over_cores(function: Callable, items) -> list:
     the results come back in chunk order. Each chunk runs on its own thread,
     so the work overlaps only where it releases the GIL, as the compiled
     kernels, large NumPy operations and the LAPACK calls of
-    :mod:`lagtime._native` do. BLAS thread counts are left as the caller
-    set them. A worker calls only private helpers, compiled kernels and
+    :mod:`lagtime._native` do. A pure-Python reference runs its chunks under
+    a lock only where its NumPy calls are too short to overlap, so that two
+    threads would trade the GIL at every call: the jet's does, while the
+    k-means restarts' reference runs faster on threads than one chunk after
+    the other. BLAS thread counts are left as the caller set them. A worker calls only private helpers, compiled kernels and
     functions of its caller's own layer: the span tracer of ``perfbench``
     keeps one stack for every thread.
     """

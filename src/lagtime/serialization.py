@@ -15,6 +15,10 @@ and constructor argument of the same name. Encoding and decoding both read
 that row, so a field added to it is saved and loaded alike. A key may instead
 read an attribute of another name, or hold a fixed value, and a row whose
 class takes other constructor arguments names the function that builds it.
+A key that may hold null may also be absent, which reads as null, so
+documents written before such a key was added still load (a Markov state
+model's fitted ``stationary_distribution``). Any other missing key, or an
+array that does not fill its shape, raises :class:`InvalidArgument` naming it.
 
 Keys whose value is now fixed are still written: the cylinder's ``period``
 (20) and ``y_scale`` (3), the random net's ``n_hidden`` (100) and ``n_out``
@@ -27,6 +31,7 @@ kernel sections are rebuilt from the means of their anchors' Gram matrix.
 from __future__ import annotations
 
 import json
+import math
 from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -77,17 +82,34 @@ def encode_array(a: NDArray) -> dict:
     }
 
 
+def _lookup(doc, key: str, what: str, nullable: bool = False):
+    """``doc[key]``; a key that may hold null may also be absent, which reads
+    as null. Any other missing key raises :class:`InvalidArgument` naming it."""
+    if not isinstance(doc, dict) or (key not in doc and not nullable):
+        raise InvalidArgument(f"{what} has no {key!r}")
+    return doc.get(key)
+
+
+def _filled(doc: dict, key: str, shape: tuple, dtype=None) -> NDArray:
+    """The array's flat ``key`` list in ``shape``, which it must fill exactly."""
+    values = np.array(_lookup(doc, key, "array"), dtype=dtype)
+    if values.size != math.prod(shape):
+        raise InvalidArgument(f"array {key} has {values.size} entries; shape {list(shape)} "
+                              f"needs {math.prod(shape)}")
+    return values.reshape(shape)
+
+
 def decode_array(doc: dict) -> NDArray:
-    dtype = np.dtype(doc["dtype"])
-    shape = tuple(doc["shape"])
+    dtype = np.dtype(_lookup(doc, "dtype", "array"))
+    shape = tuple(_lookup(doc, "shape", "array"))
     if dtype.kind == "c":
         # Filling the parts in place keeps signed zeros and infinities, which
         # ``real + 1j * imag`` would turn into +0.0 and NaN.
         out = np.empty(shape, dtype=dtype)
-        out.real = np.reshape(doc["real"], shape)
-        out.imag = np.reshape(doc["imag"], shape)
+        out.real = _filled(doc, "real", shape)
+        out.imag = _filled(doc, "imag", shape)
         return out
-    return np.array(doc["data"], dtype=dtype).reshape(shape)
+    return _filled(doc, "data", shape, dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -120,10 +142,14 @@ def _plain(value):
     return value
 
 
+class _Nullable(tuple):
+    """An ``(encode, decode)`` pair for a key that may hold null."""
+
+
 def _optional(codec: tuple) -> tuple:
     encode, decode = codec
-    return (lambda value: None if value is None else encode(value),
-            lambda value: None if value is None else decode(value))
+    return _Nullable((lambda value: None if value is None else encode(value),
+                      lambda value: None if value is None else decode(value)))
 
 
 _VALUE = (_plain, _plain)
@@ -150,12 +176,16 @@ def _decode(row: tuple, payload: dict):
     cls, layout, *build = row
     args = {}
     for key, entry in layout.items():
+        codec = entry.codec if isinstance(entry, _Attr) else entry
+        value = _lookup(payload, key, f"{cls.__name__} payload", isinstance(codec, _Nullable))
         if isinstance(entry, _Fixed):
-            if payload[key] != entry.value:
+            if value != entry.value:
                 raise InvalidArgument(f"cannot load {cls.__name__}: {key} must be {entry.value!r}")
-        else:
-            _, decode = entry.codec if isinstance(entry, _Attr) else entry
-            args[key] = decode(payload[key])
+            continue
+        try:
+            args[key] = codec[1](value)
+        except InvalidArgument as error:  # name the key, outermost first
+            raise InvalidArgument(f"{key}: {error}") from None
     return (build[0] if build else cls)(**args)
 
 
@@ -168,9 +198,10 @@ def _by_kind(table: dict, what: str) -> tuple:
         raise InvalidArgument(f"cannot serialize {what} of type {type(obj).__name__}")
 
     def decode(doc: dict):
-        if doc["kind"] not in table:
-            raise InvalidArgument(f"unknown {what} kind {doc['kind']!r}")
-        return _decode(table[doc["kind"]], doc)
+        kind = _lookup(doc, "kind", what)
+        if kind not in table:
+            raise InvalidArgument(f"unknown {what} kind {kind!r}")
+        return _decode(table[kind], doc)
 
     return encode, decode
 
@@ -246,6 +277,11 @@ _FEATURES.update({
 # ---------------------------------------------------------------------------
 
 
+def _markov_state_model(stationary_distribution, **fields) -> markov.MarkovStateModel:
+    """The model with the stationary distribution its estimator fitted, if any."""
+    return markov.MarkovStateModel(**fields, _stationary=stationary_distribution)
+
+
 def _model(name: str) -> tuple:
     """Codec of a registered model nested inside another model's payload."""
     return (lambda m: _encode(_CODECS[name], m),
@@ -278,7 +314,8 @@ _CODECS: dict[str, tuple[type, dict]] = {
     "markov_state_model": (markov.MarkovStateModel, {
         "transition_matrix": _ARRAY, "lag": _INT, "reversible": _BOOL,
         "count_model": _optional(_model("transition_count_model")),
-    }),
+        "stationary_distribution": _Attr("_stationary", _MAYBE_ARRAY),
+    }, _markov_state_model),
     "hidden_markov_model": (hmm.HiddenMarkovModel, {
         "transition_model": _model("markov_state_model"),
         "output_model": _OUTPUT_MODEL,
@@ -322,7 +359,7 @@ def from_document(doc: dict):
     name = doc.get("type")
     if name not in _CODECS:
         raise InvalidArgument(f"unknown model type {name!r}")
-    return _decode(_CODECS[name], doc["payload"])
+    return _decode(_CODECS[name], _lookup(doc, "payload", "document"))
 
 
 def save_model(model, path) -> None:

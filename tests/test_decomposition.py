@@ -620,38 +620,90 @@ class TestKernelCca:
                             model.g.second.weights.tobytes(), model.project(fresh, 4).tobytes()])
         assert outputs[0] == outputs[1] == outputs[2]
 
-    def test_scipys_blas_threads_come_back_also_after_a_worker_raises(self, monkeypatch):
+    def test_scipys_blas_threads_come_back_also_after_a_worker_raises(self, jet_pairs,
+                                                                        monkeypatch):
+        # Every SciPy LAPACK call of a kernel fit runs on one thread, on the
+        # dense and the Krylov path of kernel CCA and in kernel EDMD, and the
+        # caller's count comes back after a return and after a raise.
         _, threads, set_threads = _native._lapack()
         before = threads()
         X = np.random.default_rng(53).standard_normal((40, 2))
-        seen, solved, dpotrf, cho_solve = [], [], _native._dpotrf, scipy.linalg.cho_solve
+        jet = GaussianKernel(BICKLEY_KERNEL_CCA_BANDWIDTH)
+        fits = {
+            "dense": lambda: kernel_cca_fit(X, X + 0.1, GaussianKernel(1.0), 2, 1e-3),
+            "krylov": lambda: kernel_cca_fit(*jet_pairs, jet, 4, BICKLEY_KERNEL_CCA_EPSILON),
+            "edmd": lambda: kernel_edmd_fit(X, X + 0.1, GaussianKernel(1.0), 1e-3, 2),
+        }
+        called = {
+            "dense": {"_dpotrf", "eigh", "solve_triangular", "cho_solve"},
+            "krylov": {"_dpotrf", "eigh", "cho_solve"},
+            "edmd": {"dpstrf"},
+        }
+        seen = {}
 
-        def recording_dpotrf(a):
-            seen.append(threads())
-            return dpotrf(a)
+        def spy(owner, name):
+            def call(*args, _original=getattr(owner, name), **kwargs):
+                seen.setdefault(name, set()).add(threads())
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(owner, name, call)
 
-        def recording_cho_solve(*args, **kwargs):
-            solved.append(threads())
-            return cho_solve(*args, **kwargs)
-
-        def failing_dpotrf(a):
+        def failing(*args, **kwargs):
             raise RuntimeError("worker failed")
 
         try:
             set_threads(2)
             expected = threads()
-            monkeypatch.setattr(_native, "_dpotrf", recording_dpotrf)
-            monkeypatch.setattr(scipy.linalg, "cho_solve", recording_cho_solve)
-            kernel_cca_fit(X, X + 0.1, GaussianKernel(1.0), 2, 1e-3)
-            assert seen == [1, 1]  # each factorization ran on one BLAS thread
-            assert solved and set(solved) == {1}  # and so did each solve
-            assert threads() == expected
-            monkeypatch.setattr(_native, "_dpotrf", failing_dpotrf)
-            with pytest.raises(RuntimeError, match="worker failed"):
-                kernel_cca_fit(X, X + 0.1, GaussianKernel(1.0), 2, 1e-3)
-            assert threads() == expected
+            for owner, name in ((scipy.linalg, "eigh"), (scipy.linalg, "solve_triangular"),
+                                (scipy.linalg, "cho_solve"), (scipy.linalg.lapack, "dpstrf"),
+                                (_native, "_dpotrf")):
+                spy(owner, name)
+            for case, fit in fits.items():
+                seen.clear()
+                fit()
+                assert seen == {name: {1} for name in called[case]}, case
+                assert threads() == expected
+            monkeypatch.setattr(_native, "_dpotrf", failing)
+            monkeypatch.setattr(scipy.linalg.lapack, "dpstrf", failing)
+            for case in ("dense", "edmd"):
+                with pytest.raises(RuntimeError, match="worker failed"):
+                    fits[case]()
+                assert threads() == expected
         finally:
             set_threads(before)
+
+    @pytest.mark.parametrize("case", ["dense", "krylov", "kernel_edmd"])
+    def test_same_bytes_at_one_and_two_scipy_blas_threads(self, case, jet_pairs,
+                                                           sqrt_kernel_edmd):
+        # The dense case is the gapless fit of test_gapless_fit_takes_dense_path.
+        _, threads, set_threads = _native._lapack()
+        before = threads()
+        fresh = np.random.default_rng(57).uniform([0.0, -4.0], [20.0, 4.0], size=(513, 2))
+        if case == "dense":
+            X = np.random.default_rng(17).uniform([0.0, -4.0], [20.0, 4.0], size=(300, 2))
+            Y = bickley_flow(X, 0.0, 4.0, 2e-2)
+
+            def fit():
+                model = kernel_cca_fit(X, Y, GaussianKernel(0.05), 8, 1e-6)
+                return [model.eigenvalues, model.f.second.weights, model.g.second.weights,
+                        model.project(fresh, 8)]
+        elif case == "krylov":
+            def fit():
+                model = kernel_cca_fit(*jet_pairs, GaussianKernel(BICKLEY_KERNEL_CCA_BANDWIDTH),
+                                       8, BICKLEY_KERNEL_CCA_EPSILON)
+                return [model.eigenvalues, model.f.second.weights, model.g.second.weights,
+                        model.project(fresh, 8)]
+        else:
+            def fit():
+                model = kernel_edmd_fit(*sqrt_kernel_edmd[0], n_components=2)
+                return [model.eigenvalues, model.K, model.projection_matrix]
+        outputs = []
+        try:
+            for count in (1, 2):
+                set_threads(count)
+                outputs.append([a.tobytes() for a in fit()])
+        finally:
+            set_threads(before)
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("fit", ["kernel_cca", "kernel_edmd"])
     def test_project_and_propagate_keep_the_bytes_of_the_feature_matrix(self, fit):

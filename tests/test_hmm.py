@@ -199,6 +199,28 @@ class TestDiscreteOutputModel:
         with pytest.raises(InvalidArgument):
             model.log_likelihoods(np.array([0, 2]))
 
+    def test_observations_are_integers_as_msm_trajectories_are(self):
+        # One integrality rule with count_transitions: exact integers pass,
+        # as floats too, and fractional symbols are rejected, not truncated.
+        hmm = HiddenMarkovModel(
+            transition_model=MarkovStateModel(np.array([[0.9, 0.1], [0.2, 0.8]])),
+            output_model=DiscreteOutputModel(np.array([[0.7, 0.3], [0.1, 0.9]])),
+            initial_distribution=np.array([0.5, 0.5]),
+        )
+        for call, symbols in [
+            (lambda obs: forward_backward(hmm, obs), [0.9, 1.9]),
+            (lambda obs: viterbi(hmm, obs), [0.5, 1.7, 1.2]),
+            (lambda obs: baum_welch(hmm, obs), [0.2, 1.9, 0.4, 1.1]),
+            (lambda obs: init_from_msm(obs, 2), [0.2, 1.9, 0.4, 1.1]),
+        ]:
+            with pytest.raises(InvalidArgument, match="must contain 64-bit integers"):
+                call(np.array(symbols))
+            exact = np.floor(symbols)
+            assert call(exact) is not None
+        integers = np.array([0, 1, 1, 0])
+        loglik = forward_backward(hmm, integers)[0]
+        assert forward_backward(hmm, integers.astype(float))[0] == loglik
+
     def test_update_reestimates_weighted_frequencies(self):
         model = DiscreteOutputModel(np.array([[0.5, 0.5], [0.5, 0.5]]))
         obs = np.array([0, 1, 0])

@@ -285,7 +285,8 @@ class TestDocumentLayout:
             '"data": [0.75, 0.25, 0.5, 0.5]}, "lag": 2, "reversible": false, '
             '"count_model": {"count_matrix": {"dtype": "int64", "shape": [2, 2], '
             '"data": [3, 1, 2, 4]}, "lag": 2, "counting_mode": "sliding", '
-            '"state_symbols": {"dtype": "int64", "shape": [2], "data": [0, 5]}}}}'
+            '"state_symbols": {"dtype": "int64", "shape": [2], "data": [0, 5]}}, '
+            '"stationary_distribution": null}}'
         )
         assert json.dumps(to_document(msm)) == expected
         assert json.dumps(to_document(from_document(json.loads(expected)))) == expected
@@ -301,13 +302,54 @@ class TestDocumentLayout:
             '{"format": "lagtime", "format_version": 1, "type": "hidden_markov_model", '
             '"payload": {"transition_model": {"transition_matrix": {"dtype": "float64", '
             '"shape": [2, 2], "data": [0.8, 0.2, 0.1, 0.9]}, "lag": 1, "reversible": true, '
-            '"count_model": null}, "output_model": {"kind": "gaussian", "means": '
+            '"count_model": null, "stationary_distribution": null}, '
+            '"output_model": {"kind": "gaussian", "means": '
             '{"dtype": "float64", "shape": [2], "data": [-1.0, 2.0]}, "stds": '
             '{"dtype": "float64", "shape": [2], "data": [0.5, 1.5]}}, '
             '"initial_distribution": {"dtype": "float64", "shape": [2], "data": [0.25, 0.75]}}}'
         )
         assert json.dumps(to_document(hmm)) == expected
         assert json.dumps(to_document(from_document(json.loads(expected)))) == expected
+
+
+class TestMarkovStateModelDocuments:
+    """A saved MSM keeps the stationary distribution its estimator fitted."""
+
+    def test_reducible_fit_reloads_its_fitted_distribution(self):
+        # Two closed classes of the count graph: the fit's pi is (0, 0, 1),
+        # and P alone does not determine one.
+        counts = TransitionCountModel(np.array([[4, 14, 0], [2, 26, 3], [0, 0, 16]]), 1)
+        msm = msm_mle(counts, reversible=True)
+        out = roundtrip(msm)
+        assert out.stationary_distribution.tobytes() == msm.stationary_distribution.tobytes()
+        np.testing.assert_array_equal(out.stationary_distribution, [0.0, 0.0, 1.0])
+
+    def test_connected_fits_reload_the_bytes_of_their_distribution(self):
+        rng = np.random.default_rng(19)
+        for _ in range(20):
+            counts = rng.integers(1, 30, size=(6, 6))
+            msm = msm_mle(TransitionCountModel(counts + counts.T, 1), reversible=True)
+            out = from_document(json.loads(json.dumps(to_document(msm))))
+            fitted = msm.stationary_distribution
+            assert out.stationary_distribution.tobytes() == fitted.tobytes()
+
+    def test_same_document_whether_or_not_the_distribution_was_read(self):
+        chain = np.random.default_rng(10).integers(0, 3, size=400)
+        for reversible in (False, True):
+            msm = msm_mle(count_transitions(chain, lag=1), reversible=reversible)
+            before = json.dumps(to_document(msm))
+            msm.stationary_distribution
+            assert json.dumps(to_document(msm)) == before
+            stored = json.loads(before)["payload"]["stationary_distribution"]
+            assert (stored is not None) == reversible
+
+    def test_document_without_the_distribution_computes_it(self):
+        # Documents written before the key existed load, and compute pi from P.
+        P = np.array([[0.9, 0.1], [0.2, 0.8]])
+        doc = to_document(MarkovStateModel(P))
+        del doc["payload"]["stationary_distribution"]
+        out = from_document(doc)
+        np.testing.assert_allclose(out.stationary_distribution, [2 / 3, 1 / 3], atol=1e-12)
 
 
 class TestOperatorModelDocuments:
@@ -488,6 +530,32 @@ class TestDocumentValidation:
     def test_rejects_non_documents(self):
         with pytest.raises(InvalidArgument):
             from_document([1, 2, 3])
+
+    def test_missing_keys_are_named(self):
+        msm = MarkovStateModel(np.array([[0.75, 0.25], [0.5, 0.5]]),
+                               count_model=count_transitions(np.array([0, 1, 1, 0]), 1))
+        for path, message in [
+            (("payload",), "^document has no 'payload'"),
+            (("payload", "transition_matrix"),
+             "^MarkovStateModel payload has no 'transition_matrix'"),
+            (("payload", "transition_matrix", "data"), "^transition_matrix: array has no 'data'"),
+            (("payload", "count_model", "lag"),
+             "^count_model: TransitionCountModel payload has no 'lag'"),
+        ]:
+            doc = to_document(msm)
+            *parents, key = path
+            node = doc
+            for parent in parents:
+                node = node[parent]
+            del node[key]
+            with pytest.raises(InvalidArgument, match=message):
+                from_document(doc)
+
+    def test_arrays_that_do_not_fill_their_shape_are_named(self):
+        doc = to_document(kmeans_fit(np.arange(10.0)[:, None], 2, seed=0))
+        doc["payload"]["centers"] = {"dtype": "float64", "shape": [2], "data": [1.0]}
+        with pytest.raises(InvalidArgument, match="^centers: array data has 1 entries"):
+            from_document(doc)
 
     def test_custom_kernel_cannot_be_serialized(self):
         class MyKernel(Kernel):
