@@ -7,11 +7,14 @@ sliding window of stride one; pairs never cross trajectory boundaries.
 The accumulator keeps running means and centered second-moment sums, so
 chunks may arrive in any order and partial accumulators can be merged; any
 chunking of the same pairs agrees with the single-batch result to about
-1e-12 relative error.
+1e-12 relative error. One pass over a chunk both checks it and sums it: the
+column sums that prove every value finite are the ones its means come
+from, and each trajectory is checked once, before its pairs are sliced.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -19,7 +22,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import InsufficientData, InvalidArgument
-from .numerics import _as_frames, _integer
+from .numerics import _as_frames, _integer, _summed_frames
 
 __all__ = [
     "CovarianceModel",
@@ -117,7 +120,9 @@ class CovarianceAccumulator:
 
     def partial_fit(self, X: NDArray, Y: NDArray) -> "CovarianceAccumulator":
         """Absorb one chunk of paired rows."""
-        X, Y = _as_frames(X, "X"), _as_frames(Y, "Y")
+        # The column sums that prove each half finite also give its means:
+        # ``sum / m`` has the bytes of ``mean(axis=0)``.
+        (X, sum_x), (Y, sum_y) = _summed_frames(X, "X", 0), _summed_frames(Y, "Y", 0)
         if X.shape != Y.shape:
             raise InvalidArgument(f"chunk shapes differ: {X.shape} vs {Y.shape}")
         if X.shape[1] != self.dim:
@@ -127,8 +132,8 @@ class CovarianceAccumulator:
             return self
         other = CovarianceAccumulator(self.dim, self.lag)
         other.n = m
-        other.mean_x = X.mean(axis=0)
-        other.mean_y = Y.mean(axis=0)
+        other.mean_x = sum_x / m
+        other.mean_y = sum_y / m
         # Centred copies of one block of rows at a time, so a long batch
         # costs no full-length temporaries; a chunk of one block sums as
         # a single product.
@@ -241,7 +246,7 @@ def estimate_covariances(
     for traj in trajectories:
         if traj.shape[0] <= lag:  # too short to yield a single pair
             continue
-        X, Y = lagged_pairs(traj, lag)
+        X, Y = traj[:-lag], traj[lag:]
         if chunk_size is None:
             acc.partial_fit(X, Y)
         else:
@@ -260,7 +265,8 @@ def covariances_from_pairs(
 
     The model records ``lag = 1``: the pairs do not say how far apart they are.
     """
-    X = _as_frames(X, "X")
-    acc = CovarianceAccumulator(X.shape[1])
+    X = np.asarray(X, dtype=np.float64)
+    # A vector is one column of scalar frames; partial_fit checks the pairs.
+    acc = CovarianceAccumulator(math.prod(X.shape[1:2]))
     acc.partial_fit(X, Y)
     return acc.finalize(symmetrize=symmetrize, remove_mean=remove_mean)

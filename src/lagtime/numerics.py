@@ -4,7 +4,9 @@ Every estimator takes data in one layout: rows are frames and columns are
 dimensions, and a one-dimensional array is the frames of one scalar signal.
 ``_as_frames`` applies that rule for all of them: it converts to float64,
 turns a vector into a column, rejects any other number of dimensions and
-names the first row holding a NaN or infinity. ``_checked`` is the rule
+names the first row holding a NaN or infinity, searched for only when a sum
+of the values is not finite; ``_summed_frames`` hands its caller that sum,
+as column sums where the caller needs them. ``_checked`` is the rule
 for every scalar parameter: a finite number within its caller's bounds, and
 an integer for ``_integer``'s counts and seeds, or an ``InvalidArgument``
 that names it. ``_over_cores`` is the one place that spreads work over the
@@ -82,22 +84,31 @@ class WhiteningTransform:
 
 def _as_frames(X, name: str = "X") -> NDArray:
     """``X`` as a float64 matrix with rows as frames, checked to be finite."""
+    return _summed_frames(X, name, None)[0]
+
+
+def _summed_frames(X, name: str, axis: Optional[int]) -> tuple[NDArray, NDArray]:
+    """:func:`_as_frames`' ``X`` with ``X.sum(axis)``, the sum that checks it.
+
+    A finite sum proves every value finite without a mask the size of ``X``;
+    the rows are searched only when it is not (NaN, infinity or overflow).
+    Column sums (``axis=0``) serve a caller that needs them anyway, as the
+    covariance accumulator's means; the total is cheaper for narrow ``X``.
+    """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim == 1:
         X = X[:, None]
     if X.ndim != 2:
         raise InvalidArgument(f"{name} must be a matrix with rows as frames, got ndim {X.ndim}")
-    # A finite sum proves every value finite without a mask the size of X;
-    # the rows are searched only when it is not (NaN, infinity or overflow).
     with np.errstate(over="ignore", invalid="ignore"):
-        finite = np.isfinite(X.sum())
-    if not finite:
+        sums = X.sum(axis)
+    if not np.isfinite(sums).all():
         bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
         if bad.size:
             raise InvalidArgument(
                 f"{name} row {bad[0] + 1} (counting from 1) holds a non-finite value"
             )
-    return X
+    return X, sums
 
 
 def _checked(name: str, value, low=-math.inf, high=math.inf, *, open_low: bool = False):

@@ -17,8 +17,11 @@ read an attribute of another name, or hold a fixed value, and a row whose
 class takes other constructor arguments names the function that builds it.
 A key that may hold null may also be absent, which reads as null, so
 documents written before such a key was added still load (a Markov state
-model's fitted ``stationary_distribution``). Any other missing key, or an
-array that does not fill its shape, raises :class:`InvalidArgument` naming it.
+model's fitted ``stationary_distribution``). Any other missing key raises
+:class:`InvalidArgument` naming it, as does a malformed field: an array
+whose dtype is not a number type, whose shape is not a list of non-negative
+integers, or whose data is not a flat list of numbers that fills the shape,
+and an integer or boolean field holding anything else.
 
 Keys whose value is now fixed are still written: the cylinder's ``period``
 (20) and ``y_scale`` (3), the random net's ``n_hidden`` (100) and ``n_out``
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 import json
 import math
+from functools import partial
 from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -90,9 +94,17 @@ def _lookup(doc, key: str, what: str, nullable: bool = False):
     return doc.get(key)
 
 
+# The dtypes an array may name: booleans, integers, floats and complex numbers.
+_NUMBER_DTYPES = tuple(str(np.dtype(code)) for code in
+                       "?" + np.typecodes["AllInteger"] + np.typecodes["AllFloat"])
+
+
 def _filled(doc: dict, key: str, shape: tuple, dtype=None) -> NDArray:
-    """The array's flat ``key`` list in ``shape``, which it must fill exactly."""
-    values = np.array(_lookup(doc, key, "array"), dtype=dtype)
+    """The array's flat ``key`` list of numbers in ``shape``, which it must fill exactly."""
+    values = _lookup(doc, key, "array")
+    if not (isinstance(values, list) and all(isinstance(v, (int, float)) for v in values)):
+        raise InvalidArgument(f"array {key} must be a flat list of numbers")
+    values = np.array(values, dtype=dtype)
     if values.size != math.prod(shape):
         raise InvalidArgument(f"array {key} has {values.size} entries; shape {list(shape)} "
                               f"needs {math.prod(shape)}")
@@ -100,8 +112,14 @@ def _filled(doc: dict, key: str, shape: tuple, dtype=None) -> NDArray:
 
 
 def decode_array(doc: dict) -> NDArray:
-    dtype = np.dtype(_lookup(doc, "dtype", "array"))
-    shape = tuple(_lookup(doc, "shape", "array"))
+    dtype = _lookup(doc, "dtype", "array")
+    if dtype not in _NUMBER_DTYPES:
+        raise InvalidArgument(f"array dtype {dtype!r} is not a number type")
+    dtype = np.dtype(dtype)
+    shape = _lookup(doc, "shape", "array")
+    if not isinstance(shape, list):
+        raise InvalidArgument(f"array shape must be a list, got {shape!r}")
+    shape = tuple(numerics._integer("array shape entry", size, 0) for size in shape)
     if dtype.kind == "c":
         # Filling the parts in place keeps signed zeros and infinities, which
         # ``real + 1j * imag`` would turn into +0.0 and NaN.
@@ -152,9 +170,15 @@ def _optional(codec: tuple) -> tuple:
                       lambda value: None if value is None else decode(value)))
 
 
+def _boolean(value) -> bool:
+    if not isinstance(value, bool):
+        raise InvalidArgument(f"value must be true or false, got {value!r}")
+    return value
+
+
 _VALUE = (_plain, _plain)
-_INT = (int, _plain)
-_BOOL = (bool, _plain)
+_INT = (int, partial(numerics._integer, "value"))
+_BOOL = (bool, _boolean)
 _ARRAY = (encode_array, decode_array)
 _MAYBE_ARRAY = _optional(_ARRAY)
 

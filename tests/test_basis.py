@@ -1,8 +1,11 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lagtime import basis
 from lagtime.basis import (
     ChainedFeatures,
     CylinderEmbedding,
@@ -64,6 +67,33 @@ class TestMonomials:
     def test_invalid_degree(self):
         with pytest.raises(InvalidArgument):
             MonomialFeatures(2, -1)
+
+    @pytest.mark.parametrize("dim, degree", [(3, 2), (2, 5)])
+    def test_columns_are_products_of_powers_made_by_multiplication(self, dim, degree):
+        # Each column is the product, in variable order, of its variables'
+        # powers x^e = x^(e-1) * x: for exponents up to 2 the explicit
+        # products, and past 2 within 5e-16 of libm's pow.
+        f = MonomialFeatures(dim, degree)
+        X = np.random.default_rng(dim + degree).uniform(-2.0, 2.0, (3000, dim))
+        F = f(X)
+        for column, exps in zip(F.T, f._exponents):
+            factors = [reduce(np.multiply, [X[:, var]] * e) for var, e in enumerate(exps) if e]
+            assert column.tobytes() == reduce(np.multiply, factors, np.ones(len(X))).tobytes()
+            if exps.max() > 2:
+                pow_product = reduce(np.multiply, [X[:, var] ** e for var, e in enumerate(exps)])
+                np.testing.assert_allclose(column, pow_product, rtol=5e-16, atol=0)
+
+    def test_rows_do_not_depend_on_their_block(self):
+        block = basis._BLOCK_ROWS
+        X = np.random.default_rng(1).uniform(-2.0, 2.0, (2 * block + 7, 2))
+        for f in (MonomialFeatures(2, 5), MonomialFeatures(2, 2)):
+            F = f(X)
+            for a, b in [(block - 3, block + 5), (1, 2 * block + 2), (block, 2 * block + 7),
+                         (block + 1, 2 * block - 1)]:
+                assert F[a:b].tobytes() == f(X[a:b]).tobytes(), (a, b)
+            for n in (0, 1, block - 1, block, block + 1):
+                assert f(X[:n]).shape == (n, f.dimension_out)
+                assert F[:n].tobytes() == f(X[:n]).tobytes(), n
 
 
 class TestIndicator:

@@ -230,6 +230,61 @@ class TestAccumulatorValidation:
         with pytest.raises(InvalidArgument, match="Y row 11 "):
             CovarianceAccumulator(2).partial_fit(traj[:11], traj[1:12])
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_frame_is_named_and_overflowing_sums_pass(self, bad):
+        traj = np.random.default_rng(5).standard_normal((30, 2))
+        traj[11, 0] = bad
+        with pytest.raises(InvalidArgument, match="trajectory row 12 "):
+            estimate_covariances(traj, lag=2)
+        with pytest.raises(InvalidArgument, match="X row 12 "):
+            CovarianceAccumulator(2).partial_fit(traj[:-1], traj[1:])
+        with pytest.raises(InvalidArgument, match="Y row 11 "):
+            CovarianceAccumulator(2).partial_fit(traj[:11], traj[1:12])
+        # Finite values whose sums overflow are data, not an input error.
+        huge = np.array([[1e308, 0.0], [1e308, 1.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            acc = CovarianceAccumulator(2).partial_fit(huge, huge[::-1])
+            assert acc.n == 2 and acc.mean_x.tobytes() == huge.mean(axis=0).tobytes()
+
+    def test_each_array_is_checked_once(self, monkeypatch):
+        # One check of each trajectory, and one pass over each half of the
+        # pairs whose column sums both check it and give its mean.
+        from lagtime import covariance
+
+        calls = []
+        for name in ("_as_frames", "_summed_frames"):
+            def spy(X, *args, _name=name, _checked=getattr(covariance, name)):
+                calls.append((_name, np.shape(X)))
+                return _checked(X, *args)
+            monkeypatch.setattr(covariance, name, spy)
+        traj = np.random.default_rng(6).standard_normal((50, 3))
+        estimate_covariances(traj, lag=4)
+        assert calls == [("_as_frames", (50, 3)), ("_summed_frames", (46, 3)),
+                         ("_summed_frames", (46, 3))]
+        calls.clear()
+        covariances_from_pairs(traj[:-1], traj[1:])
+        assert calls == [("_summed_frames", (49, 3)), ("_summed_frames", (49, 3))]
+
+    def test_means_are_the_bytes_of_numpys_mean_on_strided_input(self):
+        rng = np.random.default_rng(7)
+        for trial in range(20):
+            d = int(rng.integers(1, 7))
+            base = rng.standard_normal((int(rng.integers(10, 3000)), 3 * d)) * rng.uniform(1, 1e3)
+            X = (base + rng.uniform(-50, 50))[:: int(rng.integers(1, 4)), :: 3]
+            Y = np.asfortranarray(base[:: int(rng.integers(1, 4)), 1::3])[: len(X)]
+            X = X[: len(Y)]
+            acc = CovarianceAccumulator(d).partial_fit(X, Y)
+            assert acc.mean_x.tobytes() == X.mean(axis=0).tobytes(), trial
+            assert acc.mean_y.tobytes() == Y.mean(axis=0).tobytes(), trial
+            chunked = CovarianceAccumulator(d)
+            for start in range(0, len(X), 97):
+                chunked.partial_fit(X[start : start + 97], Y[start : start + 97])
+            a, b = acc.finalize(), chunked.finalize()
+            for name in ("mean_0", "mean_t", "c00", "c0t", "ctt"):
+                batch = getattr(a, name)
+                np.testing.assert_allclose(getattr(b, name), batch, rtol=0,
+                                           atol=1e-12 * np.abs(batch).max())
+
     def test_empty_finalize(self):
         with pytest.raises(InsufficientData):
             CovarianceAccumulator(2).finalize()

@@ -224,9 +224,10 @@ def column_idioms(path):
 
 
 def test_frame_convention_is_written_once():
-    # numerics._as_frames holds the rule; datasets.Trajectory keeps its own
+    # numerics._summed_frames holds the rule, for _as_frames and for the
+    # covariance accumulator's sums; datasets.Trajectory keeps its own
     # because a non-finite frame there is a divergence, not a bad argument.
-    allowed = {("numerics.py", "_as_frames"), ("datasets.py", "Trajectory")}
+    allowed = {("numerics.py", "_summed_frames"), ("datasets.py", "Trajectory")}
     src = Path(lagtime.__file__).parent
     copies = [
         f"{path.name}:{line} ({owner})"

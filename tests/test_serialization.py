@@ -4,6 +4,7 @@ import ast
 import functools
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -555,6 +556,31 @@ class TestDocumentValidation:
         doc = to_document(kmeans_fit(np.arange(10.0)[:, None], 2, seed=0))
         doc["payload"]["centers"] = {"dtype": "float64", "shape": [2], "data": [1.0]}
         with pytest.raises(InvalidArgument, match="^centers: array data has 1 entries"):
+            from_document(doc)
+
+    @pytest.mark.parametrize("key, field, value, message", [
+        ("transition_matrix", "dtype", "nonsense", "array dtype 'nonsense' is not a number type"),
+        ("transition_matrix", "dtype", "object", "array dtype 'object' is not a number type"),
+        ("transition_matrix", "dtype", None, "array dtype None is not a number type"),
+        ("transition_matrix", "shape", 5, "array shape must be a list, got 5"),
+        ("transition_matrix", "shape", [2, -2], "array shape entry must be >= 0, got -2"),
+        ("transition_matrix", "shape", [2, 2.0], "array shape entry must be an integer"),
+        ("transition_matrix", "data", "0.75 0.25 0.5 0.5", "array data must be a flat list"),
+        ("transition_matrix", "data", ["0.75", 0.25, 0.5, 0.5], "array data must be a flat list"),
+        ("transition_matrix", "data", [[0.75, 0.25], [0.5, 0.5]], "array data must be a flat list"),
+        ("transition_matrix", "data", [0.75, None, 0.5, 0.5], "array data must be a flat list"),
+        ("lag", None, "x", "value must be an integer, got x"),
+        ("lag", None, 1.0, "value must be an integer, got 1.0"),
+        ("reversible", None, "no", "value must be true or false, got 'no'"),
+        ("reversible", None, 0, "value must be true or false, got 0"),
+    ])
+    def test_malformed_fields_are_named(self, key, field, value, message):
+        doc = to_document(MarkovStateModel(np.array([[0.75, 0.25], [0.5, 0.5]])))
+        if field is None:
+            doc["payload"][key] = value
+        else:
+            doc["payload"][key][field] = value
+        with pytest.raises(InvalidArgument, match=f"^{key}: {re.escape(message)}"):
             from_document(doc)
 
     def test_custom_kernel_cannot_be_serialized(self):
